@@ -5,6 +5,13 @@ convention, and Lloyd K-means with ++ initialization and restarts. All
 randomness flows through an explicit generator; per-restart streams are
 spawned from it so restarts could run in any order (or in parallel)
 without changing the result.
+
+The truncated SVD computes only the top r singular triplets, by implicitly
+restarted Lanczos (ARPACK, through ``scipy.sparse.linalg.svds``) from a
+start vector drawn from a fixed seed, so it is deterministic and draws
+nothing from the caller's generator. LAPACK's full SVD remains for the two
+inputs ARPACK cannot take: r equal to the smaller dimension, and the
+all-zero matrix.
 """
 
 from __future__ import annotations
@@ -12,8 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import svds
 
 LLOYD_MAX_ITER = 300
+ARPACK_V0_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -61,15 +70,32 @@ def sample_covariance(X: np.ndarray) -> np.ndarray:
 def truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
     """Best rank-r factors of Xbar in Frobenius norm.
 
-    Deterministic up to sign; the sign of each right-singular vector is
-    fixed so that its largest-magnitude entry is positive.
+    For r < min(n, D) the top r triplets come from ARPACK's implicitly
+    restarted Lanczos (``svds``) with the start vector
+    ``default_rng(ARPACK_V0_SEED).standard_normal(min(n, D))``. A fixed
+    vector keeps the factors bit-identical from call to call without
+    drawing from the caller's generator; it is random because the all-ones
+    vector is orthogonal to the rows of centered normalized counts. ARPACK
+    failing to converge raises ``ArpackNoConvergence``. For r == min(n, D),
+    which ARPACK cannot compute, and for the all-zero matrix, whose zero
+    start residual ARPACK rejects, the factors come from LAPACK's full SVD.
+
+    Singular values are descending. Deterministic up to sign; the sign of
+    each right-singular vector is fixed so that its largest-magnitude
+    entry is positive.
     """
     Xbar = np.asarray(Xbar, dtype=float)
     n, D = Xbar.shape
     if not (1 <= r <= min(n, D)):
         raise ValueError(f"r must be in [1, {min(n, D)}], got {r}")
-    U, s, Vh = np.linalg.svd(Xbar, full_matrices=False)
-    U, s, W = U[:, :r], s[:r], Vh[:r].T
+    if r < min(n, D) and Xbar.any():
+        v0 = np.random.default_rng(ARPACK_V0_SEED).standard_normal(min(n, D))
+        U, s, Vh = svds(Xbar, k=r, v0=v0, solver="arpack")
+        order = np.argsort(s)[::-1]
+        U, s, W = U[:, order], s[order], Vh[order].T
+    else:
+        U, s, Vh = np.linalg.svd(Xbar, full_matrices=False)
+        U, s, W = U[:, :r], s[:r], Vh[:r].T
     for j in range(r):
         i = int(np.argmax(np.abs(W[:, j])))
         if W[i, j] < 0:
@@ -78,22 +104,25 @@ def truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
     return SvdFactors(left=U, singular=s, right=W)
 
 
-def _sqdist(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, (n, K); tiny negatives clipped to 0."""
-    p2 = np.einsum("ij,ij->i", points, points)
-    c2 = np.einsum("ij,ij->i", centroids, centroids)
-    d2 = p2[:, None] - 2.0 * (points @ centroids.T) + c2[None, :]
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 def _plusplus_init(points: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
-    """Canonical K-means++ seeding: squared-distance-proportional sampling."""
+    """Canonical K-means++ seeding: squared-distance-proportional sampling.
+
+    The squared point norms are computed once; each draw then costs one
+    product with the new centroid.
+    """
     n = points.shape[0]
     centroids = np.empty((K, points.shape[1]))
-    idx = int(rng.integers(n))
-    centroids[0] = points[idx]
-    d2 = _sqdist(points, centroids[:1]).ravel()
+    p2 = np.einsum("ij,ij->i", points, points)
+
+    def sqdist_to(k: int) -> np.ndarray:
+        """Squared distances to centroid k, (n,); tiny negatives clipped to 0."""
+        c = centroids[k : k + 1]
+        d2 = p2 - 2.0 * (points @ c.T).ravel() + np.einsum("ij,ij->i", c, c)
+        np.maximum(d2, 0.0, out=d2)
+        return d2
+
+    centroids[0] = points[int(rng.integers(n))]
+    d2 = sqdist_to(0)
     for k in range(1, K):
         total = d2.sum()
         if total <= 0.0:
@@ -102,7 +131,7 @@ def _plusplus_init(points: np.ndarray, K: int, rng: np.random.Generator) -> np.n
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centroids[k] = points[idx]
-        np.minimum(d2, _sqdist(points, centroids[k : k + 1]).ravel(), out=d2)
+        np.minimum(d2, sqdist_to(k), out=d2)
     return centroids
 
 

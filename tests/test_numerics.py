@@ -1,8 +1,63 @@
+import functools
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence, svds
 
 from simplexnest import Kernel, SimplexNest, dirichlet_covariance, generate, sample_vertices, sample_weights
-from simplexnest.numerics import KMeansResult, center, kmeans, sample_covariance, truncated_svd
+from simplexnest import numerics, vlad
+from simplexnest.numerics import (
+    KMeansResult,
+    SvdFactors,
+    _plusplus_init,
+    center,
+    kmeans,
+    sample_covariance,
+    truncated_svd,
+)
+
+
+def _lapack_truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
+    """Reference: full LAPACK SVD cut to r factors, with the package's sign convention."""
+    U, s, Vh = np.linalg.svd(np.asarray(Xbar, dtype=float), full_matrices=False)
+    U, s, W = U[:, :r], s[:r], Vh[:r].T
+    for j in range(r):
+        i = int(np.argmax(np.abs(W[:, j])))
+        if W[i, j] < 0:
+            W[:, j] = -W[:, j]
+            U[:, j] = -U[:, j]
+    return SvdFactors(left=U, singular=s, right=W)
+
+
+def _assert_sign_convention(W: np.ndarray) -> None:
+    for j in range(W.shape[1]):
+        assert W[np.argmax(np.abs(W[:, j])), j] > 0
+
+
+def _sqdist_reference(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    p2 = np.einsum("ij,ij->i", points, points)
+    c2 = np.einsum("ij,ij->i", centroids, centroids)
+    d2 = p2[:, None] - 2.0 * (points @ centroids.T) + c2[None, :]
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def _plusplus_init_reference(points: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
+    """Reference K-means++ seeding that recomputes the point norms on every draw."""
+    n = points.shape[0]
+    centroids = np.empty((K, points.shape[1]))
+    idx = int(rng.integers(n))
+    centroids[0] = points[idx]
+    d2 = _sqdist_reference(points, centroids[:1]).ravel()
+    for k in range(1, K):
+        total = d2.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centroids[k] = points[idx]
+        np.minimum(d2, _sqdist_reference(points, centroids[k : k + 1]).ravel(), out=d2)
+    return centroids
 
 
 class TestCenter:
@@ -87,6 +142,76 @@ class TestTruncatedSvd:
             with pytest.raises(ValueError):
                 truncated_svd(X, bad)
 
+    def test_zero_matrix(self):
+        # ARPACK rejects the zero start residual of an all-zero matrix
+        fac = truncated_svd(np.zeros((20, 6)), 2)
+        np.testing.assert_array_equal(fac.singular, [0.0, 0.0])
+        np.testing.assert_allclose(fac.left.T @ fac.left, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(fac.right.T @ fac.right, np.eye(2), atol=1e-12)
+        _assert_sign_convention(fac.right)
+
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "svds", functools.partial(svds, maxiter=1))
+        X = np.random.default_rng(6).normal(size=(200, 40))
+        with pytest.raises(ArpackNoConvergence):
+            truncated_svd(X, 5)
+
+
+def _low_rank(n, D, rank, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, rank)) @ rng.normal(size=(rank, D))
+
+
+class TestArpackAgainstLapack:
+    """The Lanczos path against the full LAPACK SVD as oracle."""
+
+    @pytest.mark.parametrize(
+        "X, r, rank",
+        [
+            (np.random.default_rng(40).normal(size=(300, 25)), 6, 25),     # tall
+            (np.random.default_rng(41).normal(size=(15, 70)), 4, 15),      # wide, n < D
+            (np.random.default_rng(42).normal(size=(60, 12)), 11, 12),     # r = min(n, D) - 1
+            (_low_rank(80, 14, 3, 43), 6, 3),                              # r above the rank
+        ],
+        ids=["tall", "wide", "min-1", "rank-deficient"],
+    )
+    def test_matches_lapack(self, X, r, rank):
+        fac = truncated_svd(X, r)
+        ref = _lapack_truncated_svd(X, r)
+        assert fac.left.shape == ref.left.shape and fac.right.shape == ref.right.shape
+        np.testing.assert_allclose(fac.singular, ref.singular, rtol=1e-10, atol=1e-12 * ref.singular[0])
+        # singular vectors of zero singular values are not unique; compare the nonzero part
+        q = min(r, rank)
+        np.testing.assert_allclose(fac.right[:, :q] @ fac.right[:, :q].T,
+                                   ref.right[:, :q] @ ref.right[:, :q].T, atol=1e-9)
+        np.testing.assert_allclose(fac.left[:, :q] @ fac.left[:, :q].T,
+                                   ref.left[:, :q] @ ref.left[:, :q].T, atol=1e-9)
+        np.testing.assert_allclose(fac.right.T @ fac.right, np.eye(r), atol=1e-12)
+        np.testing.assert_allclose(fac.reconstruct(), ref.reconstruct(), atol=1e-9 * ref.singular[0])
+        _assert_sign_convention(fac.right)
+        again = truncated_svd(X, r)
+        np.testing.assert_array_equal(again.left, fac.left)
+        np.testing.assert_array_equal(again.singular, fac.singular)
+        np.testing.assert_array_equal(again.right, fac.right)
+
+    def test_multinomial_fit_partition_unchanged(self, monkeypatch):
+        kern = Kernel.multinomial(200)
+        V = sample_vertices(150, 4, kern, np.random.default_rng(44))
+        data = generate(SimplexNest(V, 0.5, kern), 2000, np.random.default_rng(45))
+        runs = []
+
+        def recording_kmeans(*args, **kwargs):
+            result = kmeans(*args, **kwargs)
+            runs.append(result)
+            return result
+
+        monkeypatch.setattr(vlad, "kmeans", recording_kmeans)
+        lanczos = vlad.fit(data, 4, gamma=2.0, rng=np.random.default_rng(46))
+        monkeypatch.setattr(vlad, "truncated_svd", _lapack_truncated_svd)
+        lapack = vlad.fit(data, 4, gamma=2.0, rng=np.random.default_rng(46))
+        np.testing.assert_array_equal(runs[0].assignments, runs[1].assignments)
+        np.testing.assert_allclose(lanczos.vertices, lapack.vertices, rtol=0, atol=1e-12)
+
 
 class TestKMeans:
     def test_n_equals_k_zero_cost(self):
@@ -134,6 +259,20 @@ class TestKMeans:
         res = kmeans(pts, 2, restarts=0, extra_inits=(np.array([[0.0], [20.0]]),))
         assert sorted(res.centroids.ravel()) == [0.0, 10.0]
         assert res.cost == 0.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_plusplus_init_matches_reference(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        pts = rng.normal(size=(500, 7))
+        pts[::5] = pts[0]  # repeated rows
+        for K in (2, 5, 12):
+            new = _plusplus_init(pts, K, np.random.default_rng(seed))
+            ref = _plusplus_init_reference(pts, K, np.random.default_rng(seed))
+            np.testing.assert_array_equal(new, ref)
+        # all points identical: every draw after the first takes the zero-mass branch
+        same = np.tile(pts[:1], (10, 1))
+        np.testing.assert_array_equal(_plusplus_init(same, 4, np.random.default_rng(seed)),
+                                      _plusplus_init_reference(same, 4, np.random.default_rng(seed)))
 
     def test_explicit_init_runs_first_and_errors(self):
         pts = np.random.default_rng(15).normal(size=(50, 2))

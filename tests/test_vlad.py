@@ -140,6 +140,14 @@ class TestFit:
         with pytest.warns(UserWarning, match="coincide"):
             fit(data, 3, gamma=1.0, rng=np.random.default_rng(28))
 
+    def test_identical_rows_warn_and_stay_finite(self):
+        # every centered row is zero, so the factors come from the all-zero matrix
+        data = Dataset(np.tile([0.5, -1.0, 2.0, 0.0], (30, 1)), Kernel.noiseless())
+        with pytest.warns(UserWarning, match="coincide"):
+            f = fit(data, 3, gamma=1.5, rng=np.random.default_rng(28))
+        assert np.all(np.isfinite(f.vertices))
+        np.testing.assert_array_equal(f.factors.singular, [0.0, 0.0])
+
     def test_input_validation(self):
         _, data = _noiseless_data(n=10, seed=29)
         with pytest.raises(ValueError):
