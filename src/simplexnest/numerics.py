@@ -46,6 +46,7 @@ class KMeansResult:
     centroids: np.ndarray    # (K, d)
     assignments: np.ndarray  # (n,) int
     cost: float              # sum of squared distances to assigned centroid
+    iterations: int          # Lloyd assignment passes run, at most max_iter
 
 
 def center(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,11 +139,14 @@ def _plusplus_init(points: np.ndarray, K: int, rng: np.random.Generator) -> np.n
 def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansResult:
     """Lloyd iterations until the assignment fixpoint or the iteration cap.
 
-    Empty clusters are reseeded at the point currently farthest from its
-    assigned centroid. The assignment step maximizes x.c - c^2/2 (squared
-    distance with the constant per-point term dropped) as one GEMM into a
-    reused buffer, which keeps large-n runs memory-bound rather than
-    allocation-bound.
+    Each empty cluster is reseeded at a distinct point: the one farthest
+    from its assigned centroid among points whose cluster has at least two
+    members, so a reseed never empties another cluster. On duplicated
+    points every distance is zero, and without that rule the first point
+    would be moved into every empty cluster. The assignment step maximizes
+    x.c - c^2/2 (squared distance with the constant per-point term dropped)
+    as one GEMM into a reused buffer, which keeps large-n runs memory-bound
+    rather than allocation-bound.
     """
     n, d = points.shape
     K = centroids.shape[0]
@@ -156,6 +160,7 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansRe
     assign = np.empty(n, dtype=np.intp)
     prev = np.empty(n, dtype=np.intp)
     have_prev = False
+    iterations = 0
 
     def compute_assign() -> None:
         caug[:, :d] = centroids
@@ -170,10 +175,11 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansRe
             best = np.take_along_axis(scores, assign[:, None], axis=1).ravel()
             nearest = np.maximum(p2 - 2.0 * best, 0.0)
             for k in np.flatnonzero(counts == 0):
-                far = int(np.argmax(nearest))
+                far = int(np.argmax(np.where(counts[assign] >= 2, nearest, -np.inf)))
+                counts[assign[far]] -= 1
+                counts[k] = 1
                 assign[far] = k
-                nearest[far] = 0.0
-            counts = np.bincount(assign, minlength=K)
+        iterations += 1
         if have_prev and np.array_equal(assign, prev):
             break
         prev[:] = assign
@@ -185,7 +191,8 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansRe
     compute_assign()
     best = np.take_along_axis(scores, assign[:, None], axis=1).ravel()
     cost = float(np.maximum(p2 - 2.0 * best, 0.0).sum())
-    return KMeansResult(centroids=centroids, assignments=assign.copy(), cost=cost)
+    return KMeansResult(centroids=centroids, assignments=assign.copy(), cost=cost,
+                        iterations=iterations)
 
 
 def kmeans(

@@ -61,6 +61,24 @@ def _lexsorted_columns(V: np.ndarray) -> np.ndarray:
     return np.lexsort(V[::-1])
 
 
+def _renormalized(
+    vertices: np.ndarray, data: Dataset, normalize: bool | None, renormalize: bool | None
+) -> np.ndarray:
+    """Clip vertices to >= 0 and rescale columns onto the probability simplex.
+
+    ``renormalize=None`` means: only for normalized multinomial data.
+    """
+    if renormalize is None:
+        renormalize = data.kernel.name == "multinomial" and (normalize is None or normalize)
+    if not renormalize:
+        return vertices
+    vertices = np.clip(vertices, 0.0, None)
+    sums = vertices.sum(axis=0)
+    if np.any(sums <= 0):
+        raise ValueError("cannot renormalize a fitted vertex with no positive mass")
+    return vertices / sums
+
+
 def fit(
     data: Dataset,
     K: int,
@@ -115,15 +133,7 @@ def fit(
     if pair.min() <= 1e-12 * scale:
         warnings.warn("two fitted vertices coincide (degenerate K-means winner)", stacklevel=2)
 
-    vertices = extend_rays(c0, centroids, gamma)
-    if renormalize is None:
-        renormalize = data.kernel.name == "multinomial" and (normalize is None or normalize)
-    if renormalize:
-        vertices = np.clip(vertices, 0.0, None)
-        sums = vertices.sum(axis=0)
-        if np.any(sums <= 0):
-            raise ValueError("cannot renormalize a fitted vertex with no positive mass")
-        vertices = vertices / sums
+    vertices = _renormalized(extend_rays(c0, centroids, gamma), data, normalize, renormalize)
 
     order = _lexsorted_columns(vertices)
     return VladFit(
@@ -160,15 +170,8 @@ def fit_auto(
     alpha_hat = alpha_est.estimate_alpha(base, target, table, search=alpha_search)
     gamma_hat = float(table.lookup(alpha_hat))
 
-    vertices = extend_rays(base.center, base.cvt_centroids, gamma_hat)
-    if renormalize is None:
-        renormalize = data.kernel.name == "multinomial" and (normalize is None or normalize)
-    if renormalize:
-        vertices = np.clip(vertices, 0.0, None)
-        sums = vertices.sum(axis=0)
-        if np.any(sums <= 0):
-            raise ValueError("cannot renormalize a fitted vertex with no positive mass")
-        vertices = vertices / sums
+    vertices = _renormalized(
+        extend_rays(base.center, base.cvt_centroids, gamma_hat), data, normalize, renormalize)
     order = _lexsorted_columns(vertices)
     return replace(
         base,
@@ -203,8 +206,16 @@ def simplex_least_squares(
 ) -> np.ndarray:
     """Rowwise argmin over the simplex of ||B theta - x||^2.
 
-    Accelerated projected gradient with the sorting projection; stops when
-    every row's gradient-mapping norm is <= tol or at the iteration cap.
+    FISTA (Beck & Teboulle 2009) with step 1/L, L = ||B||_2^2, and the
+    sorting projection, run on all rows at once with one projection call
+    per iteration. Each row stops on its own: the first iteration whose
+    gradient-mapping norm L * ||y - z|| is <= tol writes that iterate z to
+    the output and drops the row from the working set. Each row also keeps
+    its own momentum, restarted (O'Donoghue & Candes 2015, gradient scheme)
+    whenever <y - z, z - theta_prev> > 0, i.e. the step moved uphill.
+
+    Rows still short of tol after ``max_iter`` iterations return their last
+    iterate, and one RuntimeWarning gives their count and largest gap.
     """
     B = np.asarray(B, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -213,21 +224,41 @@ def simplex_least_squares(
     L = float(np.linalg.eigvalsh(G)[-1])
     if L <= 0:
         raise ValueError("degenerate vertex matrix")
+    n = X.shape[0]
+    out = np.empty((n, K))
+    rows = np.arange(n)               # output row of each working row
     XB = X @ B
-    theta = np.full((X.shape[0], K), 1.0 / K)
+    theta = np.full((n, K), 1.0 / K)
     Y = theta.copy()
-    t = 1.0
+    t = np.ones(n)
+    gap = np.full(n, np.inf)
     for _ in range(max_iter):
+        if rows.size == 0:
+            break
         grad = Y @ G - XB
         Z = project_rows_onto_simplex(Y - grad / L)
-        gap = L * np.linalg.norm(Y - Z, axis=1)
+        step = Y - Z
+        gap = L * np.linalg.norm(step, axis=1)
+        done = gap <= tol
+        if done.any():
+            out[rows[done]] = Z[done]
+            keep = ~done
+            rows, XB, Z, step, theta, t, gap = (
+                a[keep] for a in (rows, XB, Z, step, theta, t, gap))
+        t[np.einsum("ij,ij->i", step, Z - theta) > 0] = 1.0
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        Y = Z + ((t - 1.0) / t_next) * (Z - theta)
+        Y = Z + ((t - 1.0) / t_next)[:, None] * (Z - theta)
         theta = Z
         t = t_next
-        if gap.max() <= tol:
-            break
-    return theta
+    if rows.size:
+        out[rows] = theta
+        warnings.warn(
+            f"simplex_least_squares: {rows.size} of {n} rows did not reach "
+            f"tol = {tol:g} in {max_iter} iterations (largest gap {gap.max():.3g})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return out
 
 
 def recover_weights(fit_result: VladFit, data: Dataset, normalize: bool | None = None) -> np.ndarray:

@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, svds
 from simplexnest import Kernel, SimplexNest, dirichlet_covariance, generate, sample_vertices, sample_weights
 from simplexnest import numerics, vlad
 from simplexnest.numerics import (
+    LLOYD_MAX_ITER,
     KMeansResult,
     SvdFactors,
     _plusplus_init,
@@ -259,6 +261,32 @@ class TestKMeans:
         res = kmeans(pts, 2, restarts=0, extra_inits=(np.array([[0.0], [20.0]]),))
         assert sorted(res.centroids.ravel()) == [0.0, 10.0]
         assert res.cost == 0.0
+
+    def test_two_empty_clusters_take_the_two_farthest_points(self):
+        pts = np.array([[0.0], [0.1], [0.2], [5.0], [9.0]])
+        init = np.array([[0.1], [100.0], [200.0]])
+        res = kmeans(pts, 3, restarts=0, extra_inits=(init,))
+        np.testing.assert_array_equal(res.assignments, [0, 0, 0, 2, 1])
+        np.testing.assert_allclose(res.centroids.ravel(), [0.1, 9.0, 5.0], rtol=1e-15)
+
+    def test_reseed_never_empties_a_singleton_cluster(self):
+        # 12 is the farthest point but the only member of its cluster;
+        # moving it would leave that cluster empty and its centroid 0/0
+        pts = np.array([[0.0], [0.0], [0.0], [12.0]])
+        init = np.array([[0.0], [20.0], [1000.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = kmeans(pts, 3, restarts=0, extra_inits=(init,))
+        np.testing.assert_array_equal(res.centroids.ravel(), [0.0, 12.0, 0.0])
+        assert res.cost == 0.0
+
+    def test_duplicated_points_reseed_distinct_points(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = kmeans(np.ones((10, 2)), 3, restarts=2, rng=np.random.default_rng(0))
+        assert np.all(np.isfinite(res.centroids))
+        assert res.cost == 0.0
+        assert res.iterations < LLOYD_MAX_ITER
 
     @pytest.mark.parametrize("seed", range(6))
     def test_plusplus_init_matches_reference(self, seed):

@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from simplexnest import (
     Dataset,
@@ -11,6 +16,7 @@ from simplexnest import (
     sample_vertices,
     skew_simplex,
 )
+from simplexnest import vlad
 from simplexnest.extension import GammaTable, build_gamma_table
 from simplexnest.vlad import (
     VladFit,
@@ -216,6 +222,116 @@ class TestSimplexProjection:
             nu = g[support].mean()
             assert np.abs(g[support] - nu).max() < 1e-6
             assert np.all(g[~support] >= nu - 1e-6)
+
+
+def _reference_simplex_least_squares(B, X, tol=1e-10, max_iter=10_000):
+    """The earlier solver: one scalar momentum, stops when every row is done."""
+    K = B.shape[1]
+    G = B.T @ B
+    L = float(np.linalg.eigvalsh(G)[-1])
+    XB = X @ B
+    theta = np.full((X.shape[0], K), 1.0 / K)
+    Y = theta.copy()
+    t = 1.0
+    for _ in range(max_iter):
+        grad = Y @ G - XB
+        Z = project_rows_onto_simplex(Y - grad / L)
+        gap = L * np.linalg.norm(Y - Z, axis=1)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        Y = Z + ((t - 1.0) / t_next) * (Z - theta)
+        theta = Z
+        t = t_next
+        if gap.max() <= tol:
+            break
+    return theta
+
+
+def _row_objective(B, X, theta):
+    return ((theta @ B.T - X) ** 2).sum(axis=1)
+
+
+def _counted_projection(monkeypatch):
+    calls = [0]
+    original = vlad.project_rows_onto_simplex
+
+    def counted(V):
+        calls[0] += 1
+        return original(V)
+
+    monkeypatch.setattr(vlad, "project_rows_onto_simplex", counted)
+    return calls
+
+
+class TestSimplexLeastSquaresOracle:
+    def _check_against_reference(self, B, X):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta = simplex_least_squares(B, X)
+        expected = _reference_simplex_least_squares(B, X)
+        obj, obj_ref = _row_objective(B, X, theta), _row_objective(B, X, expected)
+        np.testing.assert_allclose(obj, obj_ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(theta, expected, rtol=0, atol=1e-6)
+        assert np.all(theta >= 0)
+        np.testing.assert_allclose(theta.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_instances_match_reference(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        K = int(rng.integers(2, 8))
+        D = K + int(rng.integers(1, 6))
+        B = rng.normal(size=(D, K)) * rng.uniform(0.2, 5.0)
+        X = rng.normal(size=(int(rng.integers(1, 60)), D)) * 2.0
+        self._check_against_reference(B, X)
+
+    def test_poisson_scale_instance_matches_reference_in_few_iterations(self, monkeypatch):
+        # the paper's Poisson scale: ||B||_2^2 ~ 5.6e5 puts the rounding
+        # floor of the gap, about L * eps, just above tol, so a stop that
+        # needs every row done in the same iteration runs to max_iter
+        rng = np.random.default_rng(210)
+        kern = Kernel.poisson()
+        V = sample_vertices(500, 10, kern, rng)
+        X = generate(SimplexNest(V, 0.5, kern), 300, rng).observations
+        assert np.linalg.norm(V, 2) ** 2 >= 1e5
+        self._check_against_reference(V, X)
+        calls = _counted_projection(monkeypatch)
+        simplex_least_squares(V, X)
+        assert calls[0] <= 1000
+
+    def test_empty_input(self):
+        assert simplex_least_squares(np.eye(3), np.empty((0, 3))).shape == (0, 3)
+
+    def test_non_convergence_warns_once_and_returns_last_iterate(self, monkeypatch):
+        rng = np.random.default_rng(211)
+        B = rng.normal(size=(6, 4))
+        X = rng.normal(size=(5, 6))
+        calls = _counted_projection(monkeypatch)
+        with pytest.warns(RuntimeWarning, match=r"5 of 5 rows did not reach tol = -1 in 7 iterations") as rec:
+            theta = simplex_least_squares(B, X, tol=-1.0, max_iter=7)
+        assert len(rec) == 1
+        assert "largest gap" in str(rec[0].message)
+        assert calls[0] == 7
+        assert np.all(theta >= 0)
+        np.testing.assert_allclose(theta.sum(axis=1), 1.0, atol=1e-12)
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 9)), elements=_finite))
+def test_projection_satisfies_kkt(V):
+    # p = max(v - tau, 0) with one threshold tau per row: v - p equals tau on
+    # the support and v <= tau off it, which with sum(p) = 1 is optimality
+    P = project_rows_onto_simplex(V)
+    tol = 1e-12 * (1.0 + np.abs(V).max()) * V.shape[1]
+    assert np.all(P >= 0)
+    np.testing.assert_allclose(P.sum(axis=1), 1.0, rtol=0, atol=tol)
+    for v, p in zip(V, P):
+        support = p > 0
+        assert support.any()
+        tau = (v - p)[support]
+        assert tau.max() - tau.min() <= tol
+        assert np.all(v[~support] <= tau.max() + tol)
 
 
 class TestRecoverWeights:
