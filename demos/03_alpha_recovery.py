@@ -1,9 +1,10 @@
 """Estimate the Dirichlet concentration from data, per noise kernel.
 
-The sample covariance is corrected into a consistent estimate of the
-latent-mean covariance (subtracting the per-kernel observation noise), and
-alpha is the scalar that best matches the covariance implied by re-extending
-the fitted centroids. No refitting happens during the scalar search.
+The sample covariance is corrected into a consistent estimate T of the
+latent-mean covariance (subtracting the per-kernel observation noise). The
+covariance implied by re-extending the fitted centroids is phi(alpha) A, so
+the best match is the closed form phi* = <A,T> / <A,A>, and alpha solves
+phi(alpha) = phi* on the gamma table. No refitting happens.
 """
 
 import numpy as np

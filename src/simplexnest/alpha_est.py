@@ -1,29 +1,30 @@
 """Concentration-parameter estimation by moment matching.
 
-The model-implied covariance of the latent means is B S(alpha) B^T with
-S(alpha) the symmetric-Dirichlet covariance. Each kernel contributes extra
-observation noise, so the sample covariance is first corrected to a
-consistent estimate of B S(alpha) B^T; alpha is then the scalar minimizer
-of the Frobenius mismatch between the corrected target and the covariance
-implied by re-extending the fitted centroids with gamma(alpha).
+Each kernel adds observation noise, so the sample covariance is first
+corrected to a consistent estimate T of B S(alpha) B^T, S(alpha) the
+symmetric-Dirichlet covariance. Because the rows of S sum to zero, the
+covariance implied by re-extending the fitted centroids C from the center
+c0 with gamma(alpha) is exactly phi(alpha) A, with phi = gamma^2 /
+(K (K alpha + 1)), A = R R^T and R = (C - c0 1^T)(I - 11^T / K). The
+mismatch ||phi A - T||_F is a quadratic in phi with minimizer
+phi* = <A,T> / <A,A>; alpha solves phi(alpha) = phi* on the gamma table.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .extension import GammaTable
-from .model import Dataset, Kernel, dirichlet_covariance
+from .extension import GammaTable, varphi
+from .model import Dataset, Kernel
 from .numerics import sample_covariance
 
 if TYPE_CHECKING:  # pragma: no cover
     from .vlad import VladFit
-
-GRID_SCAN_POINTS = 64
-GOLDEN_REL_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -87,23 +88,26 @@ def corrected_covariance(
     raise ValueError(f"unknown kernel {kern.name!r}")
 
 
-def _implied_covariance(centroids: np.ndarray, center: np.ndarray, gamma: float, alpha: float) -> np.ndarray:
-    """Covariance implied by re-extending the centroids with gamma at alpha."""
-    K = centroids.shape[1]
-    B_hat = center[:, None] + gamma * (centroids - center[:, None])
-    S = dirichlet_covariance(K, alpha)
-    return B_hat @ S @ B_hat.T
+def _moments(fit: "VladFit", target: MomentTarget) -> tuple[float, float, float]:
+    """<A,A>, <A,T> and ||T||_F^2 from D x K products only."""
+    rays = fit.cvt_centroids - fit.center[:, None]
+    R = rays - rays.mean(axis=1, keepdims=True)
+    T = target.sigma_tilde
+    return (float(np.linalg.norm(R.T @ R) ** 2), float(np.einsum("ij,ij->", T @ R, R)),
+            float(np.vdot(T, T)))
+
+
+def _phi(K: int, table: GammaTable, alphas: np.ndarray) -> np.ndarray:
+    gammas = np.atleast_1d(table.lookup(alphas))
+    return np.array([varphi(K, a, g) for a, g in zip(alphas, gammas)])
 
 
 def gmm_objective(fit: "VladFit", target: MomentTarget, table: GammaTable, alphas) -> np.ndarray:
-    """Frobenius moment mismatch at each alpha; no refitting involved."""
+    """Frobenius moment mismatch ||phi(alpha) A - T||_F at each alpha."""
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    gammas = np.interp(alphas, table.alphas, table.gammas)
-    out = np.empty(alphas.shape)
-    for i, (a, g) in enumerate(zip(alphas, gammas)):
-        M = _implied_covariance(fit.cvt_centroids, fit.center, float(g), float(a))
-        out[i] = np.linalg.norm(M - target.sigma_tilde, "fro")
-    return out
+    aa, at, tt = _moments(fit, target)
+    phi = _phi(fit.n_vertices, table, alphas)
+    return np.sqrt(np.maximum(aa * phi**2 - 2.0 * at * phi + tt, 0.0))
 
 
 def estimate_alpha(
@@ -114,10 +118,11 @@ def estimate_alpha(
 ) -> float:
     """Scalar moment-matching estimate of the concentration parameter.
 
-    A 64-point log-spaced scan over the search interval brackets the
-    minimum (guarding against local dips), then golden-section search over
-    log(alpha) refines it to relative tolerance 1e-4. Evaluations reuse the
-    centroids and center of the single fit that was already run.
+    Returns the alpha in ``search`` whose phi(alpha) is closest to phi*:
+    Brent's root of phi(alpha) = phi* on the first segment between the ends
+    and the table knots that brackets phi* (roots of a non-monotone noisy
+    table all tie), or, with a RuntimeWarning, the edge when phi* lies
+    outside the range of phi, as it does on pure noise.
     """
     lo, hi = float(search[0]), float(search[1])
     if not (0.0 < lo < hi):
@@ -130,26 +135,18 @@ def estimate_alpha(
             f"[{table.alpha_min}, {table.alpha_max}]"
         )
 
-    grid = np.geomspace(lo, hi, GRID_SCAN_POINTS)
-    values = gmm_objective(fit, target, table, grid)
-    best = int(np.argmin(values))
-    a = np.log(grid[max(best - 1, 0)])
-    b = np.log(grid[min(best + 1, grid.size - 1)])
-
-    def f(log_alpha: float) -> float:
-        return float(gmm_objective(fit, target, table, np.exp(log_alpha))[0])
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > GOLDEN_REL_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return float(np.exp((a + b) / 2.0))
+    aa, at, _ = _moments(fit, target)
+    phi_star = at / aa if aa > 0 else 0.0  # coincident centroids imply zero covariance
+    knots = table.alphas[(table.alphas > lo) & (table.alphas < hi)]
+    points = np.concatenate(([lo], knots, [hi]))
+    phi = _phi(table.K, table, points)
+    if not phi.min() <= phi_star <= phi.max():
+        edge = float(points[np.argmin(np.abs(phi - phi_star))])
+        warnings.warn(f"estimate_alpha: phi* = {phi_star:.4g} is outside the range of phi "
+                      f"[{phi.min():.4g}, {phi.max():.4g}]; returning the edge alpha = {edge:.6g}",
+                      RuntimeWarning, stacklevel=2)
+        return edge
+    side = np.sign(phi - phi_star)
+    i = int(np.flatnonzero(side[:-1] * side[1:] <= 0)[0])
+    return float(brentq(lambda a: varphi(table.K, a, table.lookup(a)) - phi_star,
+                        points[i], points[i + 1]))

@@ -146,7 +146,8 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansRe
     would be moved into every empty cluster. The assignment step maximizes
     x.c - c^2/2 (squared distance with the constant per-point term dropped)
     as one GEMM into a reused buffer, which keeps large-n runs memory-bound
-    rather than allocation-bound.
+    rather than allocation-bound. At the fixpoint the pass's own assignments,
+    reseeds included, are returned with their cost.
     """
     n, d = points.shape
     K = centroids.shape[0]
@@ -188,7 +189,8 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansRe
         for j in range(d):
             sums[:, j] = np.bincount(assign, weights=points[:, j], minlength=K)
         centroids = sums / counts[:, None]
-    compute_assign()
+    else:
+        compute_assign()  # the cap was hit: score against the last centroid update
     best = np.take_along_axis(scores, assign[:, None], axis=1).ravel()
     cost = float(np.maximum(p2 - 2.0 * best, 0.0).sum())
     return KMeansResult(centroids=centroids, assignments=assign.copy(), cost=cost,

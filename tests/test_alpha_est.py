@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexnest import (
     Dataset,
@@ -140,3 +144,109 @@ class TestEstimateAlpha:
             return q75 - q25
 
         assert iqr(10_000) <= 0.75 * iqr(2500)
+
+
+def _reference_objective(fit, target, table, alphas):
+    """The D x D form: build B_hat S B_hat^T at each alpha and subtract."""
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    gammas = np.interp(alphas, table.alphas, table.gammas)
+    C, c0 = fit.cvt_centroids, fit.center[:, None]
+    out = np.empty(alphas.shape)
+    for i, (a, g) in enumerate(zip(alphas, gammas)):
+        B_hat = c0 + g * (C - c0)
+        M = B_hat @ dirichlet_covariance(C.shape[1], a) @ B_hat.T
+        out[i] = np.linalg.norm(M - target.sigma_tilde, "fro")
+    return out
+
+
+def _reference_estimate(fit, target, table, search):
+    """A 64-point log-spaced scan, then golden section in log(alpha) to 1e-4."""
+    grid = np.geomspace(search[0], search[1], 64)
+    best = int(np.argmin(_reference_objective(fit, target, table, grid)))
+    a = np.log(grid[max(best - 1, 0)])
+    b = np.log(grid[min(best + 1, grid.size - 1)])
+
+    def f(log_alpha):
+        return float(_reference_objective(fit, target, table, np.exp(log_alpha))[0])
+
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-4:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return float(np.exp((a + b) / 2.0))
+
+
+_ORACLE_KERNELS = [Kernel.noiseless(), Kernel.gaussian(0.5), Kernel.poisson(), Kernel.multinomial(500)]
+
+
+def _base_fit(kernel, alpha, seed):
+    _, data = _data(kernel, D=100, K=5, alpha=alpha, n=4000, seed=seed)
+    f = fit(data, 5, gamma=1.0, rng=np.random.default_rng(seed + 1), renormalize=False)
+    return f, corrected_covariance(data, 5)
+
+
+@pytest.fixture(scope="module")
+def oracle_fits():
+    cases = [(kern, alpha) for kern in _ORACLE_KERNELS for alpha in (1.0, 3.0)]
+    return [_base_fit(kern, alpha, 20 + 2 * i) for i, (kern, alpha) in enumerate(cases)]
+
+
+class TestClosedFormAgainstScan:
+    @pytest.mark.filterwarnings("error")  # every fit lands inside the search interval
+    def test_alpha_matches_scan_and_golden_section(self, oracle_fits, table_k5):
+        assert len(oracle_fits) == 8
+        for f, tgt in oracle_fits:
+            new = estimate_alpha(f, tgt, table_k5, search=(0.5, 5.0))
+            ref = _reference_estimate(f, tgt, table_k5, (0.5, 5.0))
+            assert abs(np.log(new) - np.log(ref)) <= 1e-4, (tgt.kernel.name, new, ref)
+
+    def test_objective_matches_dense_form(self, oracle_fits, table_k5):
+        grid = np.geomspace(0.5, 5.0, 50)
+        for f, tgt in oracle_fits:
+            new = gmm_objective(f, tgt, table_k5, grid)
+            ref = _reference_objective(f, tgt, table_k5, grid)
+            np.testing.assert_allclose(new, ref, rtol=0,
+                                       atol=1e-6 * np.linalg.norm(tgt.sigma_tilde))
+
+
+class TestSearchEdge:
+    def test_pure_noise_warns_and_returns_the_edge(self):
+        table = build_gamma_table(4, np.geomspace(0.02, 10.0, 6), m=5000, seed=3, workers=1)
+        noise = np.random.default_rng(0).standard_normal((2000, 50))
+        data = Dataset(noise, Kernel.gaussian(1.0))
+        with pytest.warns(RuntimeWarning, match=r"phi\* = .* outside the range of phi") as rec:
+            f = fit_auto(data, 4, table, rng=np.random.default_rng(1))
+        assert len(rec) == 1
+        assert "edge alpha = 0.02" in str(rec[0].message)
+        assert f.alpha == 0.02
+
+    @pytest.mark.filterwarnings("error")
+    def test_normal_fit_does_not_warn(self, table_k5):
+        _, data = _data(Kernel.gaussian(1.0), D=40, K=5, alpha=2.0, n=5000, seed=30)
+        f = fit_auto(data, 5, table_k5, alpha_search=(0.5, 5.0), rng=np.random.default_rng(31))
+        assert 0.5 < f.alpha < 5.0
+
+
+@pytest.fixture(scope="module")
+def noiseless_k5():
+    _, data = _data(Kernel.noiseless(), D=30, K=5, n=2000, seed=40)
+    return fit(data, 5, gamma=1.0, rng=np.random.default_rng(41)), corrected_covariance(data, 5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.permutations(range(5)))
+def test_estimate_alpha_ignores_centroid_order(noiseless_k5, table_k5, perm):
+    f, tgt = noiseless_k5
+    permuted = replace(f, cvt_centroids=f.cvt_centroids[:, list(perm)],
+                       vertices=f.vertices[:, list(perm)])
+    a = estimate_alpha(f, tgt, table_k5, search=(0.5, 5.0))
+    b = estimate_alpha(permuted, tgt, table_k5, search=(0.5, 5.0))
+    assert b == pytest.approx(a, rel=1e-10)

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from simplexnest import Dataset, Kernel, SimplexNest, generate, sample_vertices
 from simplexnest.metrics import (
@@ -231,3 +234,14 @@ class TestEvaluateFit:
             evaluate_fit(V, metrics=("heldout",))
         with pytest.raises(ValueError, match="unknown metric"):
             evaluate_fit(V, metrics=("bogus",))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 9), st.data())
+def test_min_matching_is_symmetric(D, K, data):
+    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    A = data.draw(arrays(np.float64, (D, K), elements=finite))
+    B = data.draw(arrays(np.float64, (D, K), elements=finite))
+    ab, ba = min_matching(A, B), min_matching(B, A)
+    assert ab.distance == ba.distance
+    assert ab.frobenius == pytest.approx(ba.frobenius, rel=1e-12, abs=1e-12)

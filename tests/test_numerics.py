@@ -288,6 +288,16 @@ class TestKMeans:
         assert res.cost == 0.0
         assert res.iterations < LLOYD_MAX_ITER
 
+    def test_reseeded_assignments_survive_the_fixpoint(self):
+        pts = np.ones((10, 2))
+        res = kmeans(pts, 3, restarts=2, rng=np.random.default_rng(0))
+        assert np.all(np.bincount(res.assignments, minlength=3) > 0)
+        assert res.cost == ((pts - res.centroids[res.assignments]) ** 2).sum()
+        pts = np.vstack([np.zeros((6, 2)), np.ones((6, 2))])
+        res = kmeans(pts, 4, restarts=3, rng=np.random.default_rng(1))
+        assert np.all(np.bincount(res.assignments, minlength=4) > 0)
+        assert res.cost == pytest.approx(((pts - res.centroids[res.assignments]) ** 2).sum(), abs=1e-12)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_plusplus_init_matches_reference(self, seed):
         rng = np.random.default_rng(100 + seed)

@@ -334,6 +334,17 @@ def test_projection_satisfies_kkt(V):
         assert np.all(v[~support] <= tau.max() + tol)
 
 
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5)), elements=_finite),
+       arrays(np.float64, 6, elements=_finite),
+       st.floats(0.05, 20.0))
+def test_extend_rays_by_gamma_then_its_inverse_is_identity(C, c0, gamma):
+    c0 = c0[: C.shape[0]]
+    back = extend_rays(c0, extend_rays(c0, C, gamma), 1.0 / gamma)
+    scale = (1.0 + np.abs(C).max() + np.abs(c0).max()) * (gamma + 1.0 / gamma)
+    np.testing.assert_allclose(back, C, rtol=0, atol=1e-13 * scale)
+
+
 class TestRecoverWeights:
     def test_interior_points_get_exact_barycentric_coordinates(self):
         _, data = _noiseless_data(D=8, K=3, alpha=1.0, n=2000, seed=39)
