@@ -18,8 +18,8 @@ model = sn.SimplexNest(vertices, alpha=2.5, kernel=kernel)
 data = sn.generate(model, 5000, np.random.default_rng(0))
 print(f"triangle diameter: {model.diameter():.3f}, alpha = 2.5, sigma = 0.1, n = {data.n}")
 
-gamma = sn.estimate_gamma(3, 2.5, 100_000, np.random.default_rng(42))
-print(f"extension factor gamma(K=3, alpha=2.5) ~ {gamma:.3f}")
+gamma = sn.quadrature_gamma(3, 2.5)
+print(f"extension factor gamma(K=3, alpha=2.5) = {gamma:.3f}")
 
 fits = {
     "vlad": sn.fit(data, 3, gamma=gamma, rng=np.random.default_rng(7)),

@@ -22,7 +22,6 @@ config = ExperimentConfig(
     methods=["vlad", "vlad_alpha", "gdm_mc", "spa"],
     metrics=["mm", "volume"],
     gamma_grid=[0.5, 5.0, 8],
-    gamma_m=10_000,
     out="runs_demo",
     workers=2,
 )

@@ -1,14 +1,14 @@
 """Latent simplex recovery for Dirichlet admixture data.
 
 Generate synthetic simplex-nest datasets, fit the vertex matrix by the
-reduced-space clustering estimator with Monte-Carlo-calibrated ray
-extension, estimate the Dirichlet concentration from moments, and compare
-against ray-extension and separability baselines.
+reduced-space clustering estimator with ray extension by the exact
+gamma(K, alpha) (one quadrature), estimate the Dirichlet concentration
+from moments, and compare against ray-extension and separability baselines.
 """
 
 from .alpha_est import MomentTarget, corrected_covariance, estimate_alpha, gmm_objective
 from .baselines import BaselineFit, gdm, spa
-from .extension import GammaTable, build_gamma_table, estimate_gamma, varphi
+from .extension import GammaTable, build_gamma_table, estimate_gamma, quadrature_gamma, varphi
 from .harness import ExperimentConfig, run_experiment
 from .metrics import (
     EvalReport,
@@ -67,6 +67,7 @@ __all__ = [
     "load_dataset",
     "load_fit",
     "min_matching",
+    "quadrature_gamma",
     "recover_weights",
     "run_experiment",
     "sample_covariance",

@@ -30,7 +30,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         "methods": getattr(args, "methods", None),
         "metrics": getattr(args, "metrics", None),
         "gamma_table": getattr(args, "gamma_table", None),
-        "gamma_m": getattr(args, "gamma_m", None),
         "restarts": getattr(args, "restarts", None),
         "n_heldout": getattr(args, "n_heldout", None),
         "out": args.out,
@@ -74,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="fit output directory")
     p.add_argument("--K", type=int)
     p.add_argument("--gamma", type=float, help="extension factor (skips the table lookup)")
-    p.add_argument("--gamma-table", dest="gamma_table", help="gamma table JSON path")
-    p.add_argument("--alpha", type=float, help="known concentration for the table lookup")
+    p.add_argument("--gamma-table", dest="gamma_table", help="saved gamma table (default: quadrature)")
+    p.add_argument("--alpha", type=float, help="known concentration that sets gamma")
     p.add_argument("--alpha-search", dest="alpha_search", type=float, nargs=2, default=[0.02, 10.0])
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
@@ -97,24 +96,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", nargs="+")
     p.add_argument("--metrics", nargs="+")
     p.add_argument("--gamma-table", dest="gamma_table")
-    p.add_argument("--gamma-m", dest="gamma_m", type=int)
     p.add_argument("--restarts", type=int)
     p.add_argument("--n-heldout", dest="n_heldout", type=int)
     p.add_argument("--workers", type=int)
     p.set_defaults(func=_do_experiment)
 
-    p = sub.add_parser("alpha-curve", help="tabulate gamma(alpha) and varphi(alpha)")
+    p = sub.add_parser("alpha-curve", help="tabulate the exact gamma(alpha) and varphi(alpha)")
     p.add_argument("--K", type=int, default=10)
     p.add_argument("--grid", type=float, nargs=3, default=[0.1, 5.0, 40],
                    metavar=("LO", "HI", "NPOINTS"))
-    p.add_argument("--m", type=int, default=20_000)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--workers", type=int)
     p.add_argument("--out", default="alpha_curve.csv")
     p.set_defaults(func=_do_alpha_curve)
 
-    p = sub.add_parser("gamma-table", help="build and save a gamma lookup table")
+    p = sub.add_parser("gamma-table", help="build and save a gamma table by Monte Carlo (paper protocol)")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--grid", type=float, nargs=3, default=[0.02, 10.0, 40],
                    metavar=("LO", "HI", "NPOINTS"))
@@ -166,10 +160,7 @@ def _do_experiment(args) -> int:
 
 
 def _do_alpha_curve(args) -> int:
-    out = harness.cmd_alpha_curve(
-        K=args.K, grid=tuple(args.grid), m=args.m, seed=args.seed,
-        out_path=args.out, restarts=args.restarts, workers=args.workers,
-    )
+    out = harness.cmd_alpha_curve(K=args.K, grid=tuple(args.grid), out_path=args.out)
     print(out)
     return 0
 

@@ -1,9 +1,9 @@
-"""Extension-parameter estimation by Monte Carlo on the standard simplex.
+"""The extension parameter gamma(K, alpha), exactly and by Monte Carlo.
 
 The ray-extension factor gamma is the ratio of vertex-to-center distance
 over CVT-centroid-to-center distance for a symmetric Dirichlet on the
 (K-1)-simplex. It depends only on (K, alpha), never on the geometry of the
-simplex being fitted, so estimates can be tabulated once and reused.
+simplex being fitted: ``quadrature_gamma`` is exact, ``estimate_gamma`` the paper's Monte Carlo.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.special import gammainc
 
 from .model import sample_weights
 from .numerics import kmeans
@@ -75,11 +77,27 @@ def estimate_gamma(
     return gamma, float(stderr)
 
 
+def quadrature_gamma(K: int, alpha):
+    """Exact gamma(K, alpha) for a scalar or an array alpha, by one quadrature.
+
+    With symmetric CVT centroids each cell is {theta : theta_l is largest}.
+    theta = g / sum(g), g_l iid Gamma(alpha), is independent of sum(g), so
+    gamma = (K-1) / (E[max g]/alpha - 1), E[max g] = int_0^inf 1 - P(alpha, x)^K dx.
+    """
+    a = np.asarray(alpha, dtype=float)
+    if K < 2 or not np.all(np.isfinite(a) & (a > 0)):
+        raise ValueError("need K >= 2 and finite alpha > 0")
+    e_max = np.vectorize(lambda s: quad(lambda x: 1.0 - gammainc(s, x) ** K, 0.0, np.inf)[0],
+                         otypes=[float])
+    out = (K - 1) / (e_max(a) / a - 1.0)
+    return float(out) if out.ndim == 0 else out
+
+
 def varphi(K: int, alpha: float, gamma: float) -> float:
     """Scalar moment ratio gamma^2 / (K (K alpha + 1)).
 
-    Its strict monotonicity in alpha (empirical, for fixed K) is what makes
-    the concentration parameter identifiable from second moments.
+    Strictly increasing in alpha for fixed K (checked on the exact gamma,
+    not proved), which makes alpha identifiable from second moments.
     """
     if K < 2 or alpha <= 0 or gamma <= 0:
         raise ValueError("need K >= 2, alpha > 0, gamma > 0")
@@ -107,8 +125,15 @@ class GammaTable:
             raise ValueError("alphas and gammas must be matching non-empty 1-D arrays")
         if np.any(a <= 0) or np.any(np.diff(a) <= 0):
             raise ValueError("alpha grid must be positive and strictly ascending")
+        if not np.all(np.isfinite(g) & (g > 0)):
+            raise ValueError("gammas must be finite and > 0")
         object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "gammas", g)
+
+    @classmethod
+    def from_quadrature(cls, K: int, alphas) -> "GammaTable":
+        """Tabulate quadrature_gamma on an ascending grid; m = 0 marks a quadrature table."""
+        return cls(K=K, alphas=alphas, gammas=quadrature_gamma(K, alphas), m=0, seed=0)
 
     @property
     def alpha_min(self) -> float:
@@ -144,6 +169,11 @@ class GammaTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GammaTable":
+        if not isinstance(d, dict):
+            raise ValueError("a gamma table must be a JSON object")
+        missing = [k for k in ("K", "m", "seed", "alphas", "gammas") if k not in d]
+        if missing:
+            raise ValueError(f"gamma table is missing {', '.join(missing)}")
         return cls(
             K=int(d["K"]),
             alphas=np.asarray(d["alphas"], dtype=float),

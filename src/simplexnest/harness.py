@@ -22,7 +22,7 @@ import numpy as np
 
 from . import baselines, vlad
 from ._matrix_io import format_float
-from .extension import GammaTable, build_gamma_table
+from .extension import GammaTable, build_gamma_table, default_alpha_grid, quadrature_gamma, varphi
 from .metrics import evaluate_fit
 from .model import (
     Dataset,
@@ -94,8 +94,7 @@ class ExperimentConfig:
     metrics: list = field(default_factory=lambda: ["mm", "volume"])
     gamma_table: str | None = None
     gamma_grid: list = field(default_factory=lambda: [0.02, 10.0, 40])
-    gamma_m: int | None = None
-    gamma_seed: int = 7
+    gamma_m: int | None = None  # read by nothing; the benchmark's desk config still passes it
     restarts: int = 8
     normalize: bool = True
     n_heldout: int = 0
@@ -140,8 +139,6 @@ class ExperimentConfig:
                 cfg.D = 200 if cfg.kernel == "multinomial" else 100
         if cfg.seeds is None:
             cfg.seeds = list(range(20 if cfg.paper_scale else 10))
-        if cfg.gamma_m is None:
-            cfg.gamma_m = 100_000 if cfg.paper_scale else 20_000
         for name in ("alpha", "n", "c_min"):
             value = getattr(cfg, name)
             if not isinstance(value, list):
@@ -211,23 +208,14 @@ def build_model(cfg: ExperimentConfig, seed: int, c_min: float, c_idx: int, alph
     return SimplexNest(vertices, np.asarray(alpha, dtype=float), kern)
 
 
-def _ensure_gamma_table(cfg: ExperimentConfig, run_root: Path | None = None) -> GammaTable:
-    if cfg.gamma_table:
-        try:
-            table = GammaTable.load(cfg.gamma_table)
-        except OSError as exc:
-            raise ConfigError(f"cannot read gamma table {cfg.gamma_table}: {exc}") from exc
-        if table.K != cfg.K:
-            raise ConfigError(f"gamma table K = {table.K} does not match config K = {cfg.K}")
-        return table
-    lo, hi, npts = cfg.gamma_grid
-    grid = np.geomspace(float(lo), float(hi), int(npts))
-    table = build_gamma_table(
-        cfg.K, grid, m=int(cfg.gamma_m), seed=cfg.gamma_seed,
-        restarts=cfg.restarts, workers=cfg.workers,
-    )
-    if run_root is not None:
-        table.save(run_root / "gamma_table.json")
+def load_gamma_table(path: str | Path, K: int) -> GammaTable:
+    """Read a saved gamma table for K vertices; any defect is a ConfigError."""
+    try:
+        table = GammaTable.load(path)
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read gamma table {path}: {exc}") from exc
+    if table.K != K:
+        raise ConfigError(f"gamma table K = {table.K} does not match K = {K}")
     return table
 
 
@@ -379,8 +367,14 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         json.dump(cfg.scientific_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    needs_table = any(m in ("vlad", "vlad_alpha", "gdm", "gdm_mc") for m in cfg.methods)
-    table = _ensure_gamma_table(cfg, run_root) if needs_table else None
+    table = None
+    if any(m in ("vlad", "vlad_alpha", "gdm", "gdm_mc") for m in cfg.methods):
+        if cfg.gamma_table:
+            table = load_gamma_table(cfg.gamma_table, cfg.K)
+        else:
+            lo, hi, npts = cfg.gamma_grid
+            table = GammaTable.from_quadrature(cfg.K, np.geomspace(float(lo), float(hi), int(npts)))
+            table.save(run_root / "gamma_table.json")
 
     cells = [
         (seed, i_n, i_c, i_a)
@@ -481,10 +475,12 @@ def cmd_fit(
 ) -> Path:
     """Fit one method on a saved dataset; write a fit directory.
 
-    ``gamma`` may be given directly; otherwise it is looked up in the gamma
-    table at the supplied alpha. The estimator-with-alpha-estimation method
-    always needs the table.
+    ``gamma`` may be given directly; otherwise it is looked up at the
+    supplied alpha in ``gamma_table``, or else in a quadrature table (over
+    ``alpha_search`` for the method that estimates alpha).
     """
+    if (alpha is not None and not alpha > 0) or not 0 < alpha_search[0] < alpha_search[1]:
+        raise ConfigError("need alpha > 0 and an alpha search interval 0 < lo < hi")
     data = load_dataset(data_dir)
     if K is None:
         if data.truth is None:
@@ -496,7 +492,6 @@ def cmd_fit(
         trials=data.kernel.trials or 500,
         D=data.dim, K=K, restarts=restarts, normalize=normalize,
         alpha_search=list(alpha_search),
-        gamma_table=gamma_table,
     ).resolved()
     table = None
     if method in ("vlad", "gdm", "gdm_mc", "vlad_alpha"):
@@ -504,9 +499,11 @@ def cmd_fit(
             table = GammaTable(K=K, alphas=np.asarray([1.0]), gammas=np.asarray([gamma]), m=0, seed=0)
             alpha = 1.0
         elif gamma_table is not None:
-            table = GammaTable.load(gamma_table)
-        else:
-            raise ConfigError(f"method {method!r} needs --gamma or --gamma-table")
+            table = load_gamma_table(gamma_table, K)
+        elif method == "vlad_alpha":
+            table = GammaTable.from_quadrature(K, default_alpha_grid(lo=alpha_search[0], hi=alpha_search[1]))
+        elif alpha is not None:
+            table = GammaTable.from_quadrature(K, [alpha])
         if method != "vlad_alpha" and alpha is None:
             raise ConfigError(f"method {method!r} needs --alpha (or an explicit --gamma)")
     rng = _rng(seed, _SALT_FIT)
@@ -590,25 +587,17 @@ def cmd_eval(
 def cmd_alpha_curve(
     K: int = 10,
     grid: tuple[float, float, int] = (0.1, 5.0, 40),
-    m: int = 20_000,
-    seed: int = 7,
     out_path: str | Path = "alpha_curve.csv",
-    restarts: int = 8,
-    workers: int | None = None,
 ) -> Path:
-    """Tabulate gamma(alpha) and the moment ratio varphi over a log grid."""
-    from .extension import varphi
-
+    """Tabulate the exact gamma(alpha) and the moment ratio varphi over a log grid."""
     lo, hi, npts = float(grid[0]), float(grid[1]), int(grid[2])
     if not (0 < lo < hi) or npts < 2:
         raise ConfigError("grid must be (lo, hi, n_points) with 0 < lo < hi, n_points >= 2")
     alphas = np.geomspace(lo, hi, npts)
-    table = build_gamma_table(K, alphas, m=m, seed=seed, restarts=restarts, workers=workers)
-    phis = [varphi(K, a, g) for a, g in zip(table.alphas, table.gammas)]
     out_path = Path(out_path)
     lines = ["alpha,gamma,varphi"]
-    for a, g, p in zip(table.alphas, table.gammas, phis):
-        lines.append(f"{format_float(a)},{format_float(g)},{format_float(p)}")
+    for a, g in zip(alphas, quadrature_gamma(K, alphas)):
+        lines.append(f"{format_float(a)},{format_float(g)},{format_float(varphi(K, a, g))}")
     out_path.write_text("\n".join(lines) + "\n")
     return out_path
 
@@ -622,7 +611,7 @@ def cmd_gamma_table(
     restarts: int = 8,
     workers: int | None = None,
 ) -> Path:
-    """Build and save a gamma lookup table."""
+    """Build and save a gamma lookup table by the paper's Monte-Carlo protocol."""
     lo, hi, npts = float(grid[0]), float(grid[1]), int(grid[2])
     if not (0 < lo < hi) or npts < 1:
         raise ConfigError("grid must be (lo, hi, n_points) with 0 < lo < hi, n_points >= 1")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import alpha_est
 from ._matrix_io import read_matrix_csv, write_matrix_csv
-from .extension import GammaTable
+from .extension import GammaTable, default_alpha_grid
 from .model import Dataset, affine_rank_deficient
 from .numerics import SvdFactors, center, kmeans, truncated_svd
 
@@ -50,8 +50,8 @@ class VladFit:
 
 def extend_rays(center_point: np.ndarray, centroids: np.ndarray, gamma: float) -> np.ndarray:
     """Move each centroid column along its ray from the center by factor gamma."""
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError("gamma must be finite and > 0")
     c0 = np.asarray(center_point, dtype=float)[:, None]
     return c0 + float(gamma) * (np.asarray(centroids, dtype=float) - c0)
 
@@ -150,7 +150,7 @@ def fit(
 def fit_auto(
     data: Dataset,
     K: int,
-    table: GammaTable,
+    table: GammaTable | None = None,
     alpha_search: tuple[float, float] = (0.02, 10.0),
     restarts: int = 8,
     rng: np.random.Generator | None = None,
@@ -162,7 +162,10 @@ def fit_auto(
     Runs the estimator once with a reference extension, recovers alpha by
     moment matching against the noise-corrected covariance, then re-extends
     the same centroids with gamma(alpha_hat); clustering is never repeated.
+    Without ``table``, gamma is tabulated by quadrature over ``alpha_search``.
     """
+    if table is None:
+        table = GammaTable.from_quadrature(K, default_alpha_grid(lo=alpha_search[0], hi=alpha_search[1]))
     if table.K != K:
         raise ValueError(f"gamma table was built for K = {table.K}, not {K}")
     base = fit(data, K, gamma=1.0, restarts=restarts, rng=rng, normalize=normalize, renormalize=False)

@@ -9,6 +9,7 @@ from simplexnest.extension import (
     build_gamma_table,
     default_alpha_grid,
     estimate_gamma,
+    quadrature_gamma,
     varphi,
 )
 
@@ -65,6 +66,43 @@ class TestEstimateGamma:
             estimate_gamma(4, 1.0, 3, rng)
 
 
+class TestQuadratureGamma:
+    def test_uniform_segment_is_exactly_two(self):
+        assert abs(quadrature_gamma(2, 1.0) - 2.0) <= 1e-12
+
+    @pytest.mark.parametrize("K", [3, 5, 10, 50])
+    def test_uniform_simplex_closed_form(self, K):
+        # alpha = 1: E[max of K iid Exp(1)] is the harmonic number H_K
+        harmonic = sum(1.0 / k for k in range(1, K + 1))
+        np.testing.assert_allclose(quadrature_gamma(K, 1.0), (K - 1) / (harmonic - 1), rtol=1e-12)
+
+    @pytest.mark.parametrize("K", [2, 3, 5, 10])
+    def test_matches_monte_carlo_within_three_stderr(self, K):
+        # the Monte-Carlo estimator is the oracle; a K-means optimum that
+        # broke the symmetric CVT structure would show up here
+        for i, alpha in enumerate([0.05, 0.5, 2.0, 10.0]):
+            g, se = estimate_gamma(K, alpha, 20_000, np.random.default_rng([K, i]), return_stderr=True)
+            assert abs(quadrature_gamma(K, alpha) - g) <= 3 * se, (alpha, g, se)
+
+    @pytest.mark.parametrize("K", [3, 10, 50])
+    def test_phi_strictly_increasing(self, K):
+        alphas = np.geomspace(1e-3, 1e3, 700)
+        phi = [varphi(K, a, g) for a, g in zip(alphas, quadrature_gamma(K, alphas))]
+        assert np.all(np.diff(phi) > 0)
+
+    def test_array_in_array_out(self):
+        alphas = np.array([[0.5, 1.0], [2.0, 4.0]])
+        out = quadrature_gamma(4, alphas)
+        assert out.shape == (2, 2)
+        assert out[0, 1] == quadrature_gamma(4, 1.0)
+        assert isinstance(quadrature_gamma(4, 1.0), float)
+
+    def test_parameter_errors(self):
+        for K, alpha in [(1, 1.0), (3, 0.0), (3, -1.0), (3, np.nan), (3, [1.0, np.inf])]:
+            with pytest.raises(ValueError):
+                quadrature_gamma(K, alpha)
+
+
 class TestVarphi:
     def test_uniform_segment_value(self):
         # from the K=2, alpha=1 gamma of 2: 4 / (2 * 3) = 2/3
@@ -111,6 +149,22 @@ class TestGammaTable:
             GammaTable(K=3, alphas=np.array([1.0, 0.5]), gammas=np.array([1.0, 1.0]), m=1, seed=0)
         with pytest.raises(ValueError):
             GammaTable(K=3, alphas=np.array([]), gammas=np.array([]), m=1, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_gamma_validation(self, bad):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            GammaTable(K=3, alphas=np.array([1.0, 2.0]), gammas=np.array([2.0, bad]), m=1, seed=0)
+
+    def test_from_dict_names_the_missing_key(self):
+        d = self._table().to_dict()
+        del d["gammas"]
+        with pytest.raises(ValueError, match="missing gammas"):
+            GammaTable.from_dict(d)
+
+    def test_from_quadrature(self):
+        t = GammaTable.from_quadrature(3, [0.5, 1.0, 2.0])
+        assert (t.K, t.m, t.seed) == (3, 0, 0)
+        np.testing.assert_array_equal(t.gammas, quadrature_gamma(3, t.alphas))
 
     def test_json_roundtrip(self, tmp_path):
         t = self._table()

@@ -7,7 +7,7 @@ import simplexnest.vlad
 from simplexnest import Kernel, SimplexNest, generate, sample_vertices, save_dataset
 from simplexnest.baselines import save_baseline, spa
 from simplexnest.cli import main
-from simplexnest.extension import build_gamma_table
+from simplexnest.extension import GammaTable, build_gamma_table, quadrature_gamma
 from simplexnest.harness import (
     ConfigError,
     ExperimentConfig,
@@ -156,8 +156,33 @@ class TestCmdFit:
         data_dir, _ = dataset_dir
         with pytest.raises(ConfigError, match="unknown method"):
             cmd_fit(data_dir, "hmc", tmp_path / "x")
-        with pytest.raises(ConfigError, match="needs --gamma"):
+        with pytest.raises(ConfigError, match="needs --alpha"):
             cmd_fit(data_dir, "vlad", tmp_path / "x")
+
+    def test_quadrature_gamma_without_a_table(self, dataset_dir, tmp_path):
+        data_dir, _ = dataset_dir
+        out = cmd_fit(data_dir, "vlad", tmp_path / "fit", alpha=2.0, seed=5)
+        assert json.loads((out / "meta.json").read_text())["gamma"] == quadrature_gamma(3, 2.0)
+        out = cmd_fit(data_dir, "vlad_alpha", tmp_path / "auto", alpha_search=(0.5, 5.0), seed=5)
+        meta = json.loads((out / "meta.json").read_text())
+        assert 0.5 <= meta["alpha_hat"] <= 5.0 and meta["objective_value"] >= 0
+
+    def test_table_for_another_k_rejected(self, dataset_dir, tmp_path):
+        data_dir, _ = dataset_dir
+        path = tmp_path / "k7.json"
+        GammaTable.from_quadrature(7, [0.5, 2.0, 5.0]).save(path)
+        for method, alpha in (("vlad", 2.0), ("vlad_alpha", None)):
+            with pytest.raises(ConfigError, match="K = 7"):
+                cmd_fit(data_dir, method, tmp_path / method, gamma_table=str(path), alpha=alpha)
+
+    @pytest.mark.parametrize("gammas", [[float("nan"), 2.0], [-1.0, 2.0]])
+    def test_table_with_bad_gamma_rejected(self, dataset_dir, tmp_path, gammas):
+        data_dir, _ = dataset_dir
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"K": 3, "m": 1, "seed": 0, "alphas": [1.0, 2.0], "gammas": gammas}))
+        with pytest.raises(ConfigError, match="finite and > 0"):
+            cmd_fit(data_dir, "vlad", tmp_path / "fit", gamma_table=str(path), alpha=1.5)
+        assert not (tmp_path / "fit").exists()
 
 
 class TestCmdEval:
@@ -189,7 +214,7 @@ class TestRunExperiment:
         root = run_experiment(cfg)
         assert (root / "config.json").exists()
         assert (root / "results.csv").exists()
-        assert (root / "gamma_table.json").exists()
+        assert GammaTable.load(root / "gamma_table.json").m == 0  # quadrature
         assert (root / "figure_mm_by_n.csv").exists()
         assert (root / "s0" / "n150_c1_a2" / "vlad" / "vertices.csv").exists()
         lines = (root / "results.csv").read_text().strip().splitlines()
@@ -217,6 +242,24 @@ class TestRunExperiment:
         monkeypatch.setattr("simplexnest.harness.vlad.fit", spy)
         run_experiment(_tiny_config(tmp_path / "runs"))
         assert seen and all(t is None for t in seen)
+
+    def test_no_monte_carlo_without_a_table_file(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("estimate_gamma called")
+
+        monkeypatch.setattr("simplexnest.extension.estimate_gamma", forbidden)
+        cfg = _tiny_config(tmp_path / "runs", methods=["vlad", "vlad_alpha", "gdm_mc"], seeds=[0])
+        root = run_experiment(cfg)
+        rows = (root / "results.csv").read_text().strip().splitlines()[1:]
+        assert [r.split(",")[8] for r in rows] == ["ok"] * 3
+        table = GammaTable.load(root / "gamma_table.json")
+        np.testing.assert_array_equal(table.gammas, quadrature_gamma(3, np.geomspace(0.5, 5.0, 5)))
+
+    def test_table_file_for_another_k_rejected(self, tmp_path):
+        path = tmp_path / "k7.json"
+        GammaTable.from_quadrature(7, [0.5, 5.0]).save(path)
+        with pytest.raises(ConfigError, match="K = 7"):
+            run_experiment(_tiny_config(tmp_path / "runs", gamma_table=str(path)))
 
     def test_timings_separate_from_results(self, tmp_path):
         root = run_experiment(_tiny_config(tmp_path / "runs"))
@@ -256,14 +299,13 @@ class TestRunExperiment:
 
 class TestAlphaCurveAndGammaTable:
     def test_alpha_curve_csv(self, tmp_path):
-        out = cmd_alpha_curve(K=3, grid=(0.5, 3.0, 4), m=2000, seed=6,
-                              out_path=tmp_path / "curve.csv", workers=1)
+        out = cmd_alpha_curve(K=3, grid=(0.5, 3.0, 4), out_path=tmp_path / "curve.csv")
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "alpha,gamma,varphi"
         assert len(lines) == 5
-        out2 = cmd_alpha_curve(K=3, grid=(0.5, 3.0, 4), m=2000, seed=6,
-                               out_path=tmp_path / "curve2.csv", workers=2)
-        assert out.read_bytes().split(b"\n", 1)[1] == out2.read_bytes().split(b"\n", 1)[1]
+        curve = np.loadtxt(out, delimiter=",", skiprows=1)
+        np.testing.assert_allclose(curve[:, 1], quadrature_gamma(3, curve[:, 0]), rtol=1e-15)
+        assert np.all(np.diff(curve[:, 2]) > 0)
 
     def test_gamma_table_cmd(self, tmp_path):
         from simplexnest.extension import GammaTable
@@ -307,6 +349,38 @@ class TestCli:
         cfg.write_text(json.dumps({"methods": ["hmc"]}))
         assert main(["experiment", "--config", str(cfg)]) == 2
 
+    def test_fit_without_a_table_then_eval(self, tmp_path):
+        assert main(["generate", "--kernel", "gaussian", "--sigma", "0.1", "--D", "12", "--K", "3",
+                     "--n", "500", "--seeds", "2", "--out", str(tmp_path / "data")]) == 0
+        data_dir = next((tmp_path / "data").iterdir())
+        assert main(["fit", "--data", str(data_dir), "--method", "vlad_alpha",
+                     "--out", str(tmp_path / "fit")]) == 0
+        assert main(["eval", "--fit", str(tmp_path / "fit"), "--data", str(data_dir)]) == 0
+
+    @pytest.mark.parametrize("payload,message", [
+        ('{"K": 3, "m": 1, "alphas": [1.0, 2.0], "gammas": [2.0, 3.0]}', "missing seed"),
+        ('{"K": 3, "m": 1, "seed": 0,', "Expecting"),
+        ('[1, 2]', "must be a JSON object"),
+    ])
+    def test_malformed_table_exit_code(self, dataset_dir, tmp_path, payload, message, capsys):
+        data_dir, _ = dataset_dir
+        path = tmp_path / "table.json"
+        path.write_text(payload)
+        assert main(["fit", "--data", str(data_dir), "--method", "vlad", "--alpha", "1.5",
+                     "--gamma-table", str(path), "--out", str(tmp_path / "fit")]) == 2
+        assert main(["experiment", "--kernel", "noiseless", "--D", "10", "--K", "3", "--n", "100",
+                     "--seeds", "0", "--gamma-table", str(path), "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error: cannot read gamma table") == 2
+        assert err.count(message) == 2
+
+    @pytest.mark.parametrize("flags", [["--method", "vlad", "--alpha", "-1"],
+                                       ["--method", "vlad_alpha", "--alpha-search", "0", "5"],
+                                       ["--method", "vlad_alpha", "--alpha-search", "5", "0.5"]])
+    def test_bad_alpha_flags_exit_code(self, dataset_dir, tmp_path, flags):
+        data_dir, _ = dataset_dir
+        assert main(["fit", "--data", str(data_dir), "--out", str(tmp_path / "fit"), *flags]) == 2
+
     def test_numerical_error_exit_code(self, tmp_path):
         # fitting K = 3 on 3 observations violates n > K
         data = generate(
@@ -320,6 +394,6 @@ class TestCli:
 
     def test_alpha_curve_subcommand(self, tmp_path):
         rc = main(["alpha-curve", "--K", "3", "--grid", "0.5", "2.0", "3",
-                   "--m", "1500", "--out", str(tmp_path / "c.csv")])
+                   "--out", str(tmp_path / "c.csv")])
         assert rc == 0
         assert (tmp_path / "c.csv").exists()

@@ -164,8 +164,9 @@ class TestFit:
         bad = Dataset(np.array([[np.nan, 1.0], [0.0, 1.0], [2.0, 3.0]]), Kernel.noiseless())
         with pytest.raises(ValueError):
             fit(bad, 2, gamma=1.0, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            extend_rays(np.zeros(3), np.ones((3, 2)), 0.0)
+        for gamma in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                extend_rays(np.zeros(3), np.ones((3, 2)), gamma)
 
 
 class TestFitAuto:
@@ -191,6 +192,16 @@ class TestFitAuto:
         a_lo = estimate_alpha(f_lo, target, table_k4, search=(0.5, 5.0))
         a_hi = estimate_alpha(f_hi, target, table_k4, search=(0.5, 5.0))
         assert a_lo == a_hi
+
+    def test_without_a_table_uses_quadrature(self):
+        from simplexnest.extension import default_alpha_grid, quadrature_gamma
+
+        _, data = _noiseless_data(D=20, K=4, alpha=1.0, n=4000, seed=32)
+        f = fit_auto(data, 4, alpha_search=(0.5, 5.0), rng=np.random.default_rng(33))
+        table = GammaTable.from_quadrature(4, default_alpha_grid(lo=0.5, hi=5.0))
+        ft = fit_auto(data, 4, table, alpha_search=(0.5, 5.0), rng=np.random.default_rng(33))
+        assert f.alpha == ft.alpha and f.gamma == ft.gamma
+        assert abs(f.gamma - quadrature_gamma(4, f.alpha)) <= 1e-3 * f.gamma
 
     def test_table_k_mismatch(self, table_k4):
         _, data = _noiseless_data(D=10, K=3, alpha=1.0, n=500, seed=36)
