@@ -7,19 +7,20 @@ covariance implied by re-extending the fitted centroids C from the center
 c0 with gamma(alpha) is exactly phi(alpha) A, with phi = gamma^2 /
 (K (K alpha + 1)), A = R R^T and R = (C - c0 1^T)(I - 11^T / K). The
 mismatch ||phi A - T||_F is a quadratic in phi with minimizer
-phi* = <A,T> / <A,A>; alpha solves phi(alpha) = phi* on the gamma table.
+phi* = <A,T> / <A,A>; alpha solves phi(alpha) = phi*. gamma is any function
+gamma(K, alpha): the exact ``quadrature_gamma`` or a saved ``GammaTable``.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .extension import GammaTable, varphi
+from .extension import varphi
 from .model import Dataset, Kernel
 from .numerics import sample_covariance
 
@@ -97,56 +98,42 @@ def _moments(fit: "VladFit", target: MomentTarget) -> tuple[float, float, float]
             float(np.vdot(T, T)))
 
 
-def _phi(K: int, table: GammaTable, alphas: np.ndarray) -> np.ndarray:
-    gammas = np.atleast_1d(table.lookup(alphas))
-    return np.array([varphi(K, a, g) for a, g in zip(alphas, gammas)])
-
-
-def gmm_objective(fit: "VladFit", target: MomentTarget, table: GammaTable, alphas) -> np.ndarray:
+def gmm_objective(fit: "VladFit", target: MomentTarget, gamma: Callable, alphas) -> np.ndarray:
     """Frobenius moment mismatch ||phi(alpha) A - T||_F at each alpha."""
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    K = fit.n_vertices
     aa, at, tt = _moments(fit, target)
-    phi = _phi(fit.n_vertices, table, alphas)
+    phi = np.array([varphi(K, a, gamma(K, a)) for a in np.atleast_1d(np.asarray(alphas, dtype=float))])
     return np.sqrt(np.maximum(aa * phi**2 - 2.0 * at * phi + tt, 0.0))
 
 
 def estimate_alpha(
     fit: "VladFit",
     target: MomentTarget,
-    table: GammaTable,
+    gamma: Callable,
     search: tuple[float, float] = (0.02, 10.0),
 ) -> float:
     """Scalar moment-matching estimate of the concentration parameter.
 
-    Returns the alpha in ``search`` whose phi(alpha) is closest to phi*:
-    Brent's root of phi(alpha) = phi* on the first segment between the ends
-    and the table knots that brackets phi* (roots of a non-monotone noisy
-    table all tie), or, with a RuntimeWarning, the edge when phi* lies
-    outside the range of phi, as it does on pure noise.
+    Returns Brent's root of phi(alpha) = phi* on ``search``, phi(alpha) =
+    varphi(K, alpha, gamma(K, alpha)), or, with a RuntimeWarning, the end of
+    ``search`` whose phi is nearer phi* when phi* lies outside [phi(lo),
+    phi(hi)], as it does on pure noise.
     """
     lo, hi = float(search[0]), float(search[1])
     if not (0.0 < lo < hi):
         raise ValueError("search interval must satisfy 0 < lo < hi")
-    if table.K != fit.n_vertices:
-        raise ValueError(f"gamma table K = {table.K} does not match fit K = {fit.n_vertices}")
-    if not table.covers(lo, hi):
-        raise ValueError(
-            f"search interval [{lo}, {hi}] is outside the tabulated range "
-            f"[{table.alpha_min}, {table.alpha_max}]"
-        )
-
+    K = fit.n_vertices
     aa, at, _ = _moments(fit, target)
     phi_star = at / aa if aa > 0 else 0.0  # coincident centroids imply zero covariance
-    knots = table.alphas[(table.alphas > lo) & (table.alphas < hi)]
-    points = np.concatenate(([lo], knots, [hi]))
-    phi = _phi(table.K, table, points)
-    if not phi.min() <= phi_star <= phi.max():
-        edge = float(points[np.argmin(np.abs(phi - phi_star))])
+
+    def phi(a: float) -> float:
+        return varphi(K, a, gamma(K, a))
+
+    ends = np.array([phi(lo), phi(hi)])
+    if not ends.min() <= phi_star <= ends.max():
+        edge = lo if abs(ends[0] - phi_star) <= abs(ends[1] - phi_star) else hi
         warnings.warn(f"estimate_alpha: phi* = {phi_star:.4g} is outside the range of phi "
-                      f"[{phi.min():.4g}, {phi.max():.4g}]; returning the edge alpha = {edge:.6g}",
+                      f"[{ends.min():.4g}, {ends.max():.4g}]; returning the edge alpha = {edge:.6g}",
                       RuntimeWarning, stacklevel=2)
         return edge
-    side = np.sign(phi - phi_star)
-    i = int(np.flatnonzero(side[:-1] * side[1:] <= 0)[0])
-    return float(brentq(lambda a: varphi(table.K, a, table.lookup(a)) - phi_star,
-                        points[i], points[i + 1]))
+    return float(brentq(lambda a: phi(a) - phi_star, lo, hi))

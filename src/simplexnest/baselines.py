@@ -39,8 +39,9 @@ def gdm(
     """Raw-space K-means centroids extended from the data center.
 
     Uses the identical extension arithmetic as the reduced-space estimator;
-    the two differ only in clustering geometry. Pass a Monte-Carlo gamma
-    estimate for the -MC variant and set ``method_tag`` accordingly.
+    the two differ only in clustering geometry. ``method_tag`` only names the
+    fit: the harness methods ``gdm`` and ``gdm_mc`` both run this function
+    with the same gamma(K, alpha).
     """
     if K < 2:
         raise ValueError("K must be >= 2")

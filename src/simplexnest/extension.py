@@ -3,13 +3,14 @@
 The ray-extension factor gamma is the ratio of vertex-to-center distance
 over CVT-centroid-to-center distance for a symmetric Dirichlet on the
 (K-1)-simplex. It depends only on (K, alpha), never on the geometry of the
-simplex being fitted: ``quadrature_gamma`` is exact, ``estimate_gamma`` the paper's Monte Carlo.
+simplex being fitted. Consumers take gamma as a function ``gamma(K, alpha)``:
+``quadrature_gamma`` is exact and the default; a saved ``GammaTable`` of the
+paper's Monte Carlo (``estimate_gamma``, ``build_gamma_table``) is another.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,10 +21,6 @@ from scipy.special import gammainc
 
 from .model import sample_weights
 from .numerics import kmeans
-
-
-class GammaTableExtrapolationWarning(UserWarning):
-    """Lookup outside the tabulated alpha range; value clamped to the edge."""
 
 
 def estimate_gamma(
@@ -106,10 +103,10 @@ def varphi(K: int, alpha: float, gamma: float) -> float:
 
 @dataclass(frozen=True)
 class GammaTable:
-    """Cached map alpha -> gamma(alpha) for a fixed K.
+    """Cached map alpha -> gamma(alpha) for a fixed K, callable as gamma(K, alpha).
 
-    Lookups interpolate linearly between grid points; queries outside the
-    grid clamp to the end values with a warning.
+    Lookups interpolate linearly between grid points; a query outside the
+    grid, or for another K, raises ValueError.
     """
 
     K: int
@@ -130,11 +127,6 @@ class GammaTable:
         object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "gammas", g)
 
-    @classmethod
-    def from_quadrature(cls, K: int, alphas) -> "GammaTable":
-        """Tabulate quadrature_gamma on an ascending grid; m = 0 marks a quadrature table."""
-        return cls(K=K, alphas=alphas, gammas=quadrature_gamma(K, alphas), m=0, seed=0)
-
     @property
     def alpha_min(self) -> float:
         return float(self.alphas[0])
@@ -145,18 +137,15 @@ class GammaTable:
 
     def lookup(self, alpha) -> float | np.ndarray:
         a = np.asarray(alpha, dtype=float)
-        if np.any(a < self.alpha_min) or np.any(a > self.alpha_max):
-            warnings.warn(
-                f"alpha outside tabulated range [{self.alpha_min}, {self.alpha_max}]; "
-                "clamping to the edge value",
-                GammaTableExtrapolationWarning,
-                stacklevel=2,
-            )
+        if not np.all((a >= self.alpha_min) & (a <= self.alpha_max)):
+            raise ValueError(f"alpha outside the tabulated range [{self.alpha_min}, {self.alpha_max}]")
         out = np.interp(a, self.alphas, self.gammas)
         return float(out) if out.ndim == 0 else out
 
-    def covers(self, lo: float, hi: float) -> bool:
-        return self.alpha_min <= lo and hi <= self.alpha_max
+    def __call__(self, K: int, alpha) -> float | np.ndarray:
+        if K != self.K:
+            raise ValueError(f"gamma table K = {self.K} does not match K = {K}")
+        return self.lookup(alpha)
 
     def to_dict(self) -> dict:
         return {

@@ -7,6 +7,11 @@ from (seed, cell index), and rows are sorted canonically before writing, so
 results.csv is byte-identical regardless of worker count. Wall times are
 kept out of results.csv for the same reason; they live in the fit meta.json
 files and in timings.csv.
+
+The alpha-aware methods take gamma as a function gamma(K, alpha): the exact
+``quadrature_gamma``, or a saved ``GammaTable`` when one is named. The alpha
+search is ``alpha_search`` clamped to that function's alpha range (the
+``gamma_grid`` ends for the quadrature in a sweep).
 """
 
 from __future__ import annotations
@@ -17,12 +22,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import baselines, vlad
 from ._matrix_io import format_float
-from .extension import GammaTable, build_gamma_table, default_alpha_grid, quadrature_gamma, varphi
+from .extension import GammaTable, build_gamma_table, quadrature_gamma, varphi
 from .metrics import evaluate_fit
 from .model import (
     Dataset,
@@ -93,6 +99,7 @@ class ExperimentConfig:
     methods: list = field(default_factory=lambda: ["vlad"])
     metrics: list = field(default_factory=lambda: ["mm", "volume"])
     gamma_table: str | None = None
+    # only [lo, hi] is read: without gamma_table it bounds the alpha search
     gamma_grid: list = field(default_factory=lambda: [0.02, 10.0, 40])
     gamma_m: int | None = None  # read by nothing; the benchmark's desk config still passes it
     restarts: int = 8
@@ -132,6 +139,8 @@ class ExperimentConfig:
         cfg = replace(self)
         if cfg.kernel not in ("noiseless", "gaussian", "poisson", "multinomial"):
             raise ConfigError(f"unknown kernel {cfg.kernel!r}")
+        if cfg.K < 2:
+            raise ConfigError("K must be >= 2")
         if cfg.D is None:
             if cfg.paper_scale:
                 cfg.D = 2000 if cfg.kernel == "multinomial" else 500
@@ -168,6 +177,9 @@ class ExperimentConfig:
         g = cfg.gamma_grid
         if len(g) != 3 or not (0 < g[0] < g[1]) or int(g[2]) < 2:
             raise ConfigError("gamma_grid must be [lo, hi, n_points] with 0 < lo < hi, n_points >= 2")
+        s = cfg.alpha_search
+        if len(s) != 2 or not 0 < s[0] < s[1]:
+            raise ConfigError("alpha_search must be [lo, hi] with 0 < lo < hi")
         return cfg
 
     def scientific_dict(self) -> dict:
@@ -219,30 +231,33 @@ def load_gamma_table(path: str | Path, K: int) -> GammaTable:
     return table
 
 
+def _clamped_search(cfg: ExperimentConfig, lo: float, hi: float) -> ExperimentConfig:
+    """cfg with alpha_search clamped to gamma's alpha range [lo, hi]."""
+    s_lo, s_hi = max(float(cfg.alpha_search[0]), lo), min(float(cfg.alpha_search[1]), hi)
+    if not s_lo < s_hi:
+        raise ConfigError(f"alpha_search {cfg.alpha_search} is outside gamma's alpha range [{lo}, {hi}]")
+    return replace(cfg, alpha_search=[s_lo, s_hi])
+
+
 def run_method(
     method: str,
     data: Dataset,
     cfg: ExperimentConfig,
-    table: GammaTable | None,
+    gamma_fn: Callable,
     alpha,
     rng: np.random.Generator,
 ):
     """Dispatch one estimator on truth-stripped data.
 
-    Returns (vertices-bearing fit object, info dict). ``alpha`` is the
-    generating concentration, used only as the known hyperparameter of the
-    alpha-aware methods.
+    Returns (vertices-bearing fit object, info dict). ``gamma_fn`` is
+    gamma(K, alpha). ``alpha`` is the generating concentration, used only as
+    the known hyperparameter of the alpha-aware methods.
     """
     blind = data.without_truth()
-    scalar_alpha = None
-    if alpha is not None and not isinstance(alpha, (list, tuple, np.ndarray)):
-        scalar_alpha = float(alpha)
     if method in ("vlad", "gdm", "gdm_mc"):
-        if scalar_alpha is None:
+        if isinstance(alpha, (list, tuple, np.ndarray)):
             raise ConfigError(f"method {method!r} needs a symmetric alpha")
-        if table is None:
-            raise ConfigError(f"method {method!r} needs a gamma table")
-        gamma = float(table.lookup(scalar_alpha))
+        gamma = float(gamma_fn(cfg.K, alpha))
         if method == "vlad":
             fit = vlad.fit(blind, cfg.K, gamma=gamma, restarts=cfg.restarts, rng=rng,
                            normalize=cfg.normalize)
@@ -251,12 +266,7 @@ def run_method(
                             normalize=cfg.normalize, method_tag=method)
         return fit, {"gamma": gamma, "alpha_hat": None}
     if method == "vlad_alpha":
-        if table is None:
-            raise ConfigError("method 'vlad_alpha' needs a gamma table")
-        lo, hi = cfg.alpha_search
-        lo = max(float(lo), table.alpha_min)
-        hi = min(float(hi), table.alpha_max)
-        fit = vlad.fit_auto(blind, cfg.K, table, alpha_search=(lo, hi),
+        fit = vlad.fit_auto(blind, cfg.K, gamma_fn, alpha_search=tuple(cfg.alpha_search),
                             restarts=cfg.restarts, rng=rng, normalize=cfg.normalize)
         return fit, {"gamma": fit.gamma, "alpha_hat": fit.alpha}
     if method == "spa":
@@ -305,7 +315,7 @@ def _write_rows_csv(path: Path, columns: tuple[str, ...], rows: list[dict]) -> N
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_cell(cfg, table, run_root, seed, i_n, i_c, i_a) -> list[dict]:
+def _run_cell(cfg, gamma_fn, run_root, seed, i_n, i_c, i_a) -> list[dict]:
     """Generate one dataset cell, run every method, return result rows."""
     n = int(cfg.n[i_n])
     c_min = float(cfg.c_min[i_c])
@@ -327,7 +337,7 @@ def _run_cell(cfg, table, run_root, seed, i_n, i_c, i_a) -> list[dict]:
         try:
             rng = _rng(seed, i_n, i_c, i_a, j, _SALT_FIT)
             started = time.perf_counter()
-            fit, info = run_method(method, data, cfg, table, alpha, rng)
+            fit, info = run_method(method, data, cfg, gamma_fn, alpha, rng)
             elapsed = time.perf_counter() - started
             report = evaluate_fit(
                 fit, dataset=data, heldout=heldout,
@@ -362,19 +372,16 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     """
     cfg = cfg.resolved()
     run_root = Path(cfg.out) / cfg.config_hash()
+    gamma_fn, lo, hi = quadrature_gamma, float(cfg.gamma_grid[0]), float(cfg.gamma_grid[1])
+    if cfg.gamma_table:
+        gamma_fn = load_gamma_table(cfg.gamma_table, cfg.K)
+        lo, hi = gamma_fn.alpha_min, gamma_fn.alpha_max
+    scientific = cfg.scientific_dict()
+    cfg = _clamped_search(cfg, lo, hi)
     run_root.mkdir(parents=True, exist_ok=True)
     with open(run_root / "config.json", "w") as fh:
-        json.dump(cfg.scientific_dict(), fh, indent=2, sort_keys=True)
+        json.dump(scientific, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-    table = None
-    if any(m in ("vlad", "vlad_alpha", "gdm", "gdm_mc") for m in cfg.methods):
-        if cfg.gamma_table:
-            table = load_gamma_table(cfg.gamma_table, cfg.K)
-        else:
-            lo, hi, npts = cfg.gamma_grid
-            table = GammaTable.from_quadrature(cfg.K, np.geomspace(float(lo), float(hi), int(npts)))
-            table.save(run_root / "gamma_table.json")
 
     cells = [
         (seed, i_n, i_c, i_a)
@@ -385,9 +392,9 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     ]
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            cell_rows = list(pool.map(lambda c: _run_cell(cfg, table, run_root, *c), cells))
+            cell_rows = list(pool.map(lambda c: _run_cell(cfg, gamma_fn, run_root, *c), cells))
     else:
-        cell_rows = [_run_cell(cfg, table, run_root, *cell) for cell in cells]
+        cell_rows = [_run_cell(cfg, gamma_fn, run_root, *cell) for cell in cells]
 
     rows = [row for group in cell_rows for row in group]
     method_order = {m: i for i, m in enumerate(cfg.methods)}
@@ -475,12 +482,12 @@ def cmd_fit(
 ) -> Path:
     """Fit one method on a saved dataset; write a fit directory.
 
-    ``gamma`` may be given directly; otherwise it is looked up at the
-    supplied alpha in ``gamma_table``, or else in a quadrature table (over
-    ``alpha_search`` for the method that estimates alpha).
+    ``gamma`` may be given directly for the known-alpha methods; otherwise
+    gamma(K, alpha) comes from the saved ``gamma_table``, whose alpha range
+    also clamps ``alpha_search``, or else from the exact quadrature.
     """
-    if (alpha is not None and not alpha > 0) or not 0 < alpha_search[0] < alpha_search[1]:
-        raise ConfigError("need alpha > 0 and an alpha search interval 0 < lo < hi")
+    if alpha is not None and not alpha > 0:
+        raise ConfigError("need alpha > 0")
     data = load_dataset(data_dir)
     if K is None:
         if data.truth is None:
@@ -493,22 +500,18 @@ def cmd_fit(
         D=data.dim, K=K, restarts=restarts, normalize=normalize,
         alpha_search=list(alpha_search),
     ).resolved()
-    table = None
+    gamma_fn = quadrature_gamma
     if method in ("vlad", "gdm", "gdm_mc", "vlad_alpha"):
         if gamma is not None and method != "vlad_alpha":
-            table = GammaTable(K=K, alphas=np.asarray([1.0]), gammas=np.asarray([gamma]), m=0, seed=0)
-            alpha = 1.0
+            gamma_fn = lambda K, a: gamma
         elif gamma_table is not None:
-            table = load_gamma_table(gamma_table, K)
-        elif method == "vlad_alpha":
-            table = GammaTable.from_quadrature(K, default_alpha_grid(lo=alpha_search[0], hi=alpha_search[1]))
-        elif alpha is not None:
-            table = GammaTable.from_quadrature(K, [alpha])
-        if method != "vlad_alpha" and alpha is None:
+            gamma_fn = load_gamma_table(gamma_table, K)
+            cfg = _clamped_search(cfg, gamma_fn.alpha_min, gamma_fn.alpha_max)
+        if method != "vlad_alpha" and gamma is None and alpha is None:
             raise ConfigError(f"method {method!r} needs --alpha (or an explicit --gamma)")
     rng = _rng(seed, _SALT_FIT)
     started = time.perf_counter()
-    fit, info = run_method(method, data, cfg, table, alpha, rng)
+    fit, info = run_method(method, data, cfg, gamma_fn, alpha, rng)
     elapsed = time.perf_counter() - started
     out_dir = Path(out_dir)
     if isinstance(fit, vlad.VladFit):
@@ -521,27 +524,25 @@ def cmd_fit(
     meta["wall_time_s"] = elapsed
     meta.update({k: v for k, v in info.items() if v is not None})
     if method == "vlad_alpha":
-        meta.update(_alpha_report(fit, data, cfg, table, out_dir))
+        meta.update(_alpha_report(fit, data, cfg, gamma_fn, out_dir))
     with open(out_dir / "meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return out_dir
 
 
-def _alpha_report(fit, data: Dataset, cfg: ExperimentConfig, table: GammaTable, out_dir: Path) -> dict:
+def _alpha_report(fit, data: Dataset, cfg: ExperimentConfig, gamma_fn: Callable, out_dir: Path) -> dict:
     """Objective value at alpha_hat, the noise-variance estimate when one
-    was used, and the scanned objective curve as grid_curve.csv."""
+    was used, and the objective curve over cfg.alpha_search as grid_curve.csv."""
     from .alpha_est import corrected_covariance, gmm_objective
 
     target = corrected_covariance(data, cfg.K, normalize=cfg.normalize)
-    lo = max(float(cfg.alpha_search[0]), table.alpha_min)
-    hi = min(float(cfg.alpha_search[1]), table.alpha_max)
-    grid = np.geomspace(lo, hi, 64)
-    values = gmm_objective(fit, target, table, grid)
+    grid = np.geomspace(*cfg.alpha_search, 64)
+    values = gmm_objective(fit, target, gamma_fn, grid)
     lines = ["alpha,objective"]
     lines += [f"{format_float(a)},{format_float(v)}" for a, v in zip(grid, values)]
     (out_dir / "grid_curve.csv").write_text("\n".join(lines) + "\n")
-    report = {"objective_value": float(gmm_objective(fit, target, table, fit.alpha)[0])}
+    report = {"objective_value": float(gmm_objective(fit, target, gamma_fn, fit.alpha)[0])}
     if "sigma2_hat" in target.correction_meta:
         report["sigma2_hat"] = target.correction_meta["sigma2_hat"]
     return report
@@ -590,6 +591,8 @@ def cmd_alpha_curve(
     out_path: str | Path = "alpha_curve.csv",
 ) -> Path:
     """Tabulate the exact gamma(alpha) and the moment ratio varphi over a log grid."""
+    if K < 2:
+        raise ConfigError("K must be >= 2")
     lo, hi, npts = float(grid[0]), float(grid[1]), int(grid[2])
     if not (0 < lo < hi) or npts < 2:
         raise ConfigError("grid must be (lo, hi, n_points) with 0 < lo < hi, n_points >= 2")
@@ -612,6 +615,8 @@ def cmd_gamma_table(
     workers: int | None = None,
 ) -> Path:
     """Build and save a gamma lookup table by the paper's Monte-Carlo protocol."""
+    if K < 2 or m < K:
+        raise ConfigError("need K >= 2 and m >= K Monte Carlo samples")
     lo, hi, npts = float(grid[0]), float(grid[1]), int(grid[2])
     if not (0 < lo < hi) or npts < 1:
         raise ConfigError("grid must be (lo, hi, n_points) with 0 < lo < hi, n_points >= 1")

@@ -5,6 +5,8 @@ The estimator runs six steps on the data matrix: find the data center,
 center the rows, take the top K-1 singular factors, K-means the rows of the
 left factor, map the centroids back to the ambient space, and extend the
 rays from the center through the centroids by the extension factor gamma.
+``fit`` takes gamma as a number; ``fit_auto`` estimates alpha and takes gamma
+as a function gamma(K, alpha), by default the exact ``quadrature_gamma``.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ import json
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import alpha_est
 from ._matrix_io import read_matrix_csv, write_matrix_csv
-from .extension import GammaTable, default_alpha_grid
+from .extension import quadrature_gamma
 from .model import Dataset, affine_rank_deficient
 from .numerics import SvdFactors, center, kmeans, truncated_svd
 
@@ -150,7 +153,7 @@ def fit(
 def fit_auto(
     data: Dataset,
     K: int,
-    table: GammaTable | None = None,
+    gamma: Callable = quadrature_gamma,
     alpha_search: tuple[float, float] = (0.02, 10.0),
     restarts: int = 8,
     rng: np.random.Generator | None = None,
@@ -161,17 +164,15 @@ def fit_auto(
 
     Runs the estimator once with a reference extension, recovers alpha by
     moment matching against the noise-corrected covariance, then re-extends
-    the same centroids with gamma(alpha_hat); clustering is never repeated.
-    Without ``table``, gamma is tabulated by quadrature over ``alpha_search``.
+    the same centroids with gamma(K, alpha_hat); clustering is never
+    repeated. ``gamma`` is the exact quadrature unless a saved ``GammaTable``
+    is passed, which raises if it was built for another K or does not cover
+    ``alpha_search``.
     """
-    if table is None:
-        table = GammaTable.from_quadrature(K, default_alpha_grid(lo=alpha_search[0], hi=alpha_search[1]))
-    if table.K != K:
-        raise ValueError(f"gamma table was built for K = {table.K}, not {K}")
     base = fit(data, K, gamma=1.0, restarts=restarts, rng=rng, normalize=normalize, renormalize=False)
     target = alpha_est.corrected_covariance(data, K, normalize=normalize)
-    alpha_hat = alpha_est.estimate_alpha(base, target, table, search=alpha_search)
-    gamma_hat = float(table.lookup(alpha_hat))
+    alpha_hat = alpha_est.estimate_alpha(base, target, gamma, search=alpha_search)
+    gamma_hat = float(gamma(K, alpha_hat))
 
     vertices = _renormalized(
         extend_rays(base.center, base.cvt_centroids, gamma_hat), data, normalize, renormalize)

@@ -5,7 +5,6 @@ import pytest
 
 from simplexnest.extension import (
     GammaTable,
-    GammaTableExtrapolationWarning,
     build_gamma_table,
     default_alpha_grid,
     estimate_gamma,
@@ -131,18 +130,20 @@ class TestGammaTable:
         np.testing.assert_allclose(self._table().lookup(1.5), 4.0, rtol=1e-12)
         np.testing.assert_allclose(self._table().lookup(0.75), 2.5, rtol=1e-12)
 
-    def test_lookup_clamps_with_warning(self):
+    @pytest.mark.parametrize("alpha", [10.0, 0.1, 2.0 + 1e-12, [1.0, 2.5], np.nan])
+    def test_lookup_outside_the_range_raises(self, alpha):
         t = self._table()
-        with pytest.warns(GammaTableExtrapolationWarning):
-            assert t.lookup(10.0) == 5.0
-        with pytest.warns(GammaTableExtrapolationWarning):
-            assert t.lookup(0.1) == 2.0
+        with pytest.raises(ValueError, match=r"outside the tabulated range \[0.5, 2.0\]"):
+            t.lookup(alpha)
+        with pytest.raises(ValueError, match="outside the tabulated range"):
+            t(4, alpha)
 
-    def test_covers(self):
+    def test_call_is_lookup_for_its_own_k(self):
         t = self._table()
-        assert t.covers(0.5, 2.0)
-        assert not t.covers(0.4, 2.0)
-        assert not t.covers(0.5, 2.5)
+        assert t(4, 1.5) == t.lookup(1.5)
+        np.testing.assert_array_equal(t(4, t.alphas), t.gammas)
+        with pytest.raises(ValueError, match="gamma table K = 4 does not match K = 3"):
+            t(3, 1.0)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -160,11 +161,6 @@ class TestGammaTable:
         del d["gammas"]
         with pytest.raises(ValueError, match="missing gammas"):
             GammaTable.from_dict(d)
-
-    def test_from_quadrature(self):
-        t = GammaTable.from_quadrature(3, [0.5, 1.0, 2.0])
-        assert (t.K, t.m, t.seed) == (3, 0, 0)
-        np.testing.assert_array_equal(t.gammas, quadrature_gamma(3, t.alphas))
 
     def test_json_roundtrip(self, tmp_path):
         t = self._table()

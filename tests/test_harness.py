@@ -5,9 +5,11 @@ import pytest
 
 import simplexnest.vlad
 from simplexnest import Kernel, SimplexNest, generate, sample_vertices, save_dataset
+from simplexnest import harness
+from simplexnest.alpha_est import _moments, corrected_covariance
 from simplexnest.baselines import save_baseline, spa
 from simplexnest.cli import main
-from simplexnest.extension import GammaTable, build_gamma_table, quadrature_gamma
+from simplexnest.extension import GammaTable, build_gamma_table, quadrature_gamma, varphi
 from simplexnest.harness import (
     ConfigError,
     ExperimentConfig,
@@ -18,6 +20,7 @@ from simplexnest.harness import (
     cmd_generate,
     run_experiment,
 )
+from simplexnest.vlad import fit_auto, load_fit
 
 
 def _tiny_config(out, **overrides):
@@ -28,6 +31,30 @@ def _tiny_config(out, **overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _quadrature_table(K, alphas):
+    """A saved-table stand-in whose gammas are exact."""
+    alphas = np.asarray(alphas, dtype=float)
+    return GammaTable(K=K, alphas=alphas, gammas=quadrature_gamma(K, alphas), m=0, seed=0)
+
+
+def _rows(root):
+    lines = (root / "results.csv").read_text().strip().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def _spy_search(monkeypatch):
+    """Record the alpha_search of every fit_auto call made by the harness."""
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(tuple(kwargs["alpha_search"]))
+        return fit_auto(*args, **kwargs)
+
+    monkeypatch.setattr("simplexnest.harness.vlad.fit_auto", spy)
+    return seen
 
 
 class TestConfig:
@@ -68,6 +95,21 @@ class TestConfig:
             ExperimentConfig(alpha=[[1.0, 2.0, 3.0]], K=3, methods=["gdm"]).resolved()
         with pytest.raises(ConfigError, match="n_heldout"):
             ExperimentConfig(metrics=["heldout"]).resolved()
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"alpha_search": [5.0, 0.5]}, "alpha_search"),
+        ({"alpha_search": [0.0, 5.0]}, "alpha_search"),
+        ({"alpha_search": [0.5]}, "alpha_search"),
+        ({"alpha_search": [0.5, 2.0, 5.0]}, "alpha_search"),
+        ({"K": 1}, "K must be >= 2"),
+    ])
+    def test_bad_alpha_search_or_k_rejected(self, tmp_path, overrides, message):
+        cfg = _tiny_config(tmp_path / "runs", methods=["vlad", "vlad_alpha"], **overrides)
+        with pytest.raises(ConfigError, match=message):
+            cfg.resolved()
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(cfg)
+        assert not (tmp_path / "runs").exists()
 
     def test_hash_excludes_outdir_and_workers(self):
         a = _tiny_config("/tmp/a", workers=1).resolved()
@@ -170,10 +212,26 @@ class TestCmdFit:
     def test_table_for_another_k_rejected(self, dataset_dir, tmp_path):
         data_dir, _ = dataset_dir
         path = tmp_path / "k7.json"
-        GammaTable.from_quadrature(7, [0.5, 2.0, 5.0]).save(path)
+        _quadrature_table(7, [0.5, 2.0, 5.0]).save(path)
         for method, alpha in (("vlad", 2.0), ("vlad_alpha", None)):
             with pytest.raises(ConfigError, match="K = 7"):
                 cmd_fit(data_dir, method, tmp_path / method, gamma_table=str(path), alpha=alpha)
+
+    def test_search_clamped_to_a_saved_table_only(self, dataset_dir, tmp_path, monkeypatch):
+        data_dir, _ = dataset_dir
+        seen = _spy_search(monkeypatch)
+        path = tmp_path / "narrow.json"
+        _quadrature_table(3, np.geomspace(0.7, 4.0, 6)).save(path)
+        out = cmd_fit(data_dir, "vlad_alpha", tmp_path / "t", gamma_table=str(path),
+                      alpha_search=(0.3, 7.0), seed=5)
+        curve = np.loadtxt(out / "grid_curve.csv", delimiter=",", skiprows=1)
+        assert (curve[0, 0], curve[-1, 0]) == (0.7, 4.0)
+        out = cmd_fit(data_dir, "vlad_alpha", tmp_path / "q", alpha_search=(0.3, 7.0), seed=5)
+        curve = np.loadtxt(out / "grid_curve.csv", delimiter=",", skiprows=1)
+        assert (curve[0, 0], curve[-1, 0]) == (0.3, 7.0)
+        assert seen == [(0.7, 4.0), (0.3, 7.0)]
+        with pytest.raises(ConfigError, match="outside gamma's alpha range"):
+            cmd_fit(data_dir, "vlad_alpha", tmp_path / "x", gamma_table=str(path), alpha_search=(5.0, 7.0))
 
     @pytest.mark.parametrize("gammas", [[float("nan"), 2.0], [-1.0, 2.0]])
     def test_table_with_bad_gamma_rejected(self, dataset_dir, tmp_path, gammas):
@@ -214,7 +272,7 @@ class TestRunExperiment:
         root = run_experiment(cfg)
         assert (root / "config.json").exists()
         assert (root / "results.csv").exists()
-        assert GammaTable.load(root / "gamma_table.json").m == 0  # quadrature
+        assert not (root / "gamma_table.json").exists()
         assert (root / "figure_mm_by_n.csv").exists()
         assert (root / "s0" / "n150_c1_a2" / "vlad" / "vertices.csv").exists()
         lines = (root / "results.csv").read_text().strip().splitlines()
@@ -252,12 +310,45 @@ class TestRunExperiment:
         root = run_experiment(cfg)
         rows = (root / "results.csv").read_text().strip().splitlines()[1:]
         assert [r.split(",")[8] for r in rows] == ["ok"] * 3
-        table = GammaTable.load(root / "gamma_table.json")
-        np.testing.assert_array_equal(table.gammas, quadrature_gamma(3, np.geomspace(0.5, 5.0, 5)))
+
+    def test_gamma_is_exact_without_a_table_file(self, tmp_path):
+        cfg = _tiny_config(tmp_path / "runs", methods=["vlad", "vlad_alpha", "gdm_mc"], seeds=[0])
+        root = run_experiment(cfg)
+        rows = {r["method"]: r for r in _rows(root)}
+        assert float(rows["vlad"]["gamma"]) == quadrature_gamma(3, 2.0)
+        assert float(rows["gdm_mc"]["gamma"]) == quadrature_gamma(3, 2.0)
+        # alpha_hat solves the exact phi(alpha) = phi* of the saved fit
+        alpha_hat = float(rows["vlad_alpha"]["alpha_hat"])
+        assert 0.5 < alpha_hat < 5.0
+        assert float(rows["vlad_alpha"]["gamma"]) == quadrature_gamma(3, alpha_hat)
+        resolved = cfg.resolved()
+        model = harness.build_model(resolved, 0, 1.0, 0, 2.0)
+        data = generate(model, 200, harness._rng(0, 0, 0, 0, harness._SALT_DATA))
+        fit = load_fit(root / "s0" / "n200_c1_a2" / "vlad_alpha")
+        aa, at, _ = _moments(fit, corrected_covariance(data.without_truth(), 3))
+        assert varphi(3, alpha_hat, quadrature_gamma(3, alpha_hat)) == pytest.approx(at / aa, rel=1e-10)
+
+    def test_search_clamped_to_gamma_range(self, tmp_path, monkeypatch):
+        seen = _spy_search(monkeypatch)
+        path = tmp_path / "narrow.json"
+        _quadrature_table(3, np.geomspace(0.7, 4.0, 6)).save(path)
+        run_experiment(_tiny_config(tmp_path / "a", methods=["vlad_alpha"], seeds=[0]))
+        run_experiment(_tiny_config(tmp_path / "b", methods=["vlad_alpha"], seeds=[0],
+                                    gamma_table=str(path)))
+        assert seen == [(0.5, 5.0), (0.7, 4.0)]  # gamma_grid ends, then the table's range
+
+    def test_search_outside_gamma_range_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="outside gamma's alpha range"):
+            run_experiment(_tiny_config(tmp_path / "a", alpha_search=[6.0, 9.0]))
+        path = tmp_path / "narrow.json"
+        _quadrature_table(3, [0.7, 4.0]).save(path)
+        with pytest.raises(ConfigError, match="outside gamma's alpha range"):
+            run_experiment(_tiny_config(tmp_path / "b", alpha_search=[0.1, 0.6], gamma_table=str(path)))
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
     def test_table_file_for_another_k_rejected(self, tmp_path):
         path = tmp_path / "k7.json"
-        GammaTable.from_quadrature(7, [0.5, 5.0]).save(path)
+        _quadrature_table(7, [0.5, 5.0]).save(path)
         with pytest.raises(ConfigError, match="K = 7"):
             run_experiment(_tiny_config(tmp_path / "runs", gamma_table=str(path)))
 
@@ -295,6 +386,20 @@ class TestRunExperiment:
         assert all(r.split(",")[8] == "ok" for r in rows)
         with pytest.raises(ConfigError, match="symmetric"):
             _tiny_config(tmp_path / "bad", alpha=[[0.5, 1.0, 2.0]], methods=["gdm"]).resolved()
+
+
+def test_no_gamma_table_on_the_default_paths(dataset_dir, tmp_path, monkeypatch):
+    def forbidden(self):
+        raise AssertionError("GammaTable constructed")
+
+    monkeypatch.setattr(GammaTable, "__post_init__", forbidden)
+    cfg = _tiny_config(tmp_path / "runs", methods=["vlad", "vlad_alpha", "gdm_mc"], seeds=[0])
+    assert [r["status"] for r in _rows(run_experiment(cfg))] == ["ok"] * 3
+    data_dir, model = dataset_dir
+    data = harness.load_dataset(data_dir)
+    assert fit_auto(data, 3, alpha_search=(0.5, 5.0), rng=np.random.default_rng(0)).alpha > 0
+    cmd_fit(data_dir, "vlad", tmp_path / "vlad", alpha=2.0)
+    cmd_fit(data_dir, "vlad_alpha", tmp_path / "auto")
 
 
 class TestAlphaCurveAndGammaTable:
@@ -380,6 +485,17 @@ class TestCli:
     def test_bad_alpha_flags_exit_code(self, dataset_dir, tmp_path, flags):
         data_dir, _ = dataset_dir
         assert main(["fit", "--data", str(data_dir), "--out", str(tmp_path / "fit"), *flags]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["alpha-curve", "--K", "1"],
+        ["gamma-table", "--K", "1"],
+        ["gamma-table", "--K", "3", "--m", "2"],
+        ["experiment", "--kernel", "noiseless", "--D", "10", "--K", "1", "--n", "100", "--seeds", "0"],
+    ])
+    def test_bad_k_exit_code(self, tmp_path, argv, capsys):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_numerical_error_exit_code(self, tmp_path):
         # fitting K = 3 on 3 observations violates n > K
