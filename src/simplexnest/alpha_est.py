@@ -9,6 +9,22 @@ c0 with gamma(alpha) is exactly phi(alpha) A, with phi = gamma^2 /
 mismatch ||phi A - T||_F is a quadratic in phi with minimizer
 phi* = <A,T> / <A,A>; alpha solves phi(alpha) = phi*. gamma is any function
 gamma(K, alpha): the exact ``quadrature_gamma`` or a saved ``GammaTable``.
+
+``vlad.fit_auto`` forms no D x D matrix. R lies in the span of the fit's
+right singular vectors W, and Xbar W = U S, so from the fit's own factors
+(n rows, singular values s_j) and its center m:
+
+- <A, Sigma_hat> = ||S W^T R||_F^2 / n;
+- gaussian: <A, I> = ||R||_F^2, with sigma2_hat = (||Xbar||_F^2 - sum_j
+  s_j^2) / (n (D - K + 1)), the mean of the trailing eigenvalues written
+  as a trace identity (one O(nD) pass);
+- poisson: <A, Diag(m)> = sum_d m_d ||R_d||^2;
+- multinomial: the Poisson term and <A, m m^T> = ||R^T m||^2, both over N,
+  and the whole over 1 - 1/N.
+
+The D x D route, ``corrected_covariance`` with ``estimate_alpha`` and
+``gmm_objective``, remains as the test oracle and for the diagnostic
+objective value, which needs ||T||_F^2.
 """
 
 from __future__ import annotations
@@ -60,8 +76,7 @@ def corrected_covariance(
     if data.n < 2:
         raise ValueError("need at least 2 observations")
     kern = data.kernel if kernel is None else kernel
-    if kern.name == "multinomial" and normalize is False:
-        raise ValueError("the multinomial correction is defined on normalized observations")
+    _check_correction(kern, data.dim, K, normalize)
     X = data.fitting_matrix(normalize)
     sigma_hat = sample_covariance(X)
     D = X.shape[1]
@@ -69,8 +84,6 @@ def corrected_covariance(
     if kern.name == "noiseless":
         return MomentTarget(sigma_hat, kern, {})
     if kern.name == "gaussian":
-        if D <= K - 1:
-            raise ValueError("need D > K - 1 to estimate the noise variance from trailing eigenvalues")
         eigs = np.linalg.eigvalsh(sigma_hat)
         sigma2 = float(eigs[: D - (K - 1)].mean())
         target = sigma_hat - sigma2 * np.eye(D)
@@ -79,23 +92,66 @@ def corrected_covariance(
         col_means = X.mean(axis=0)
         target = sigma_hat - np.diag(col_means)
         return MomentTarget(target, kern, {"column_means": col_means})
+    N = int(kern.trials)  # multinomial, the last of the four kernel names
+    m = X.mean(axis=0)
+    target = (sigma_hat - np.diag(m) / N + np.outer(m, m) / N) / (1.0 - 1.0 / N)
+    return MomentTarget(target, kern, {"N": N})
+
+
+def _check_correction(kern: Kernel, D: int, K: int, normalize: bool | None) -> None:
+    """Raise ValueError where a kernel's noise correction is undefined."""
+    if kern.name == "gaussian" and D <= K - 1:
+        raise ValueError("need D > K - 1 to estimate the noise variance from trailing eigenvalues")
     if kern.name == "multinomial":
-        N = int(kern.trials)
-        if N <= 1:
+        if normalize is False:
+            raise ValueError("the multinomial correction is defined on normalized observations")
+        if int(kern.trials) <= 1:
             raise ValueError("multinomial correction requires N > 1 trials")
-        m = X.mean(axis=0)
-        target = (sigma_hat - np.diag(m) / N + np.outer(m, m) / N) / (1.0 - 1.0 / N)
-        return MomentTarget(target, kern, {"N": N})
-    raise ValueError(f"unknown kernel {kern.name!r}")
+
+
+def _centered_rays(fit: "VladFit") -> np.ndarray:
+    """R: the center-to-centroid rays with their column mean removed, (D, K)."""
+    rays = fit.cvt_centroids - fit.center[:, None]
+    return rays - rays.mean(axis=1, keepdims=True)
 
 
 def _moments(fit: "VladFit", target: MomentTarget) -> tuple[float, float, float]:
     """<A,A>, <A,T> and ||T||_F^2 from D x K products only."""
-    rays = fit.cvt_centroids - fit.center[:, None]
-    R = rays - rays.mean(axis=1, keepdims=True)
+    R = _centered_rays(fit)
     T = target.sigma_tilde
     return (float(np.linalg.norm(R.T @ R) ** 2), float(np.einsum("ij,ij->", T @ R, R)),
             float(np.vdot(T, T)))
+
+
+def _reduced_moments(fit: "VladFit", data: Dataset, normalize: bool | None) -> tuple[float, float]:
+    """<A,A> and <A,T> from the fit's own factors and center, in O(D K^2).
+
+    ``fit`` must come from ``data.fitting_matrix(normalize)``: its factors,
+    centroids and center are read as they are. Only the gaussian kernel
+    reads the observations again, for ||Xbar||_F^2.
+    """
+    kern = data.kernel
+    K = fit.n_vertices
+    D = fit.center.shape[0]
+    _check_correction(kern, D, K, normalize)
+    R = _centered_rays(fit)
+    m = fit.center
+    s = fit.factors.singular
+    n = fit.factors.left.shape[0]
+    aa = float(np.linalg.norm(R.T @ R) ** 2)
+    at = float(np.linalg.norm(s[:, None] * (fit.factors.right.T @ R)) ** 2) / n
+    if kern.name == "gaussian":
+        Xbar = data.observations - m
+        sigma2 = (float(np.vdot(Xbar, Xbar)) - float(s @ s)) / (n * (D - K + 1))
+        at -= sigma2 * float(np.vdot(R, R))
+    elif kern.name == "poisson":
+        at -= float(np.einsum("d,dk,dk->", m, R, R))
+    elif kern.name == "multinomial":
+        N = int(kern.trials)
+        diag = float(np.einsum("d,dk,dk->", m, R, R))
+        outer = float(np.linalg.norm(R.T @ m) ** 2)
+        at = (at - diag / N + outer / N) / (1.0 - 1.0 / N)
+    return aa, at
 
 
 def gmm_objective(fit: "VladFit", target: MomentTarget, gamma: Callable, alphas) -> np.ndarray:
@@ -119,11 +175,19 @@ def estimate_alpha(
     ``search`` whose phi is nearer phi* when phi* lies outside [phi(lo),
     phi(hi)], as it does on pure noise.
     """
+    aa, at, _ = _moments(fit, target)
+    return _solve_alpha(fit.n_vertices, aa, at, gamma, search)
+
+
+def _solve_alpha(K: int, aa: float, at: float, gamma: Callable, search: tuple[float, float]) -> float:
+    """Brent's root of phi(alpha) = <A,T> / <A,A> on ``search``, or its nearer edge.
+
+    Called directly by the public entry points (``estimate_alpha`` and
+    ``vlad.fit_auto``), so the edge warning names their caller's line.
+    """
     lo, hi = float(search[0]), float(search[1])
     if not (0.0 < lo < hi):
         raise ValueError("search interval must satisfy 0 < lo < hi")
-    K = fit.n_vertices
-    aa, at, _ = _moments(fit, target)
     phi_star = at / aa if aa > 0 else 0.0  # coincident centroids imply zero covariance
 
     def phi(a: float) -> float:
@@ -134,6 +198,6 @@ def estimate_alpha(
         edge = lo if abs(ends[0] - phi_star) <= abs(ends[1] - phi_star) else hi
         warnings.warn(f"estimate_alpha: phi* = {phi_star:.4g} is outside the range of phi "
                       f"[{ends.min():.4g}, {ends.max():.4g}]; returning the edge alpha = {edge:.6g}",
-                      RuntimeWarning, stacklevel=2)
+                      RuntimeWarning, stacklevel=3)
         return edge
     return float(brentq(lambda a: phi(a) - phi_star, lo, hi))

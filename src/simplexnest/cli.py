@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="vlad | vlad_alpha | gdm | gdm_mc | spa | external:<vertices.csv>")
     p.add_argument("--out", required=True, help="fit output directory")
     p.add_argument("--K", type=int)
-    p.add_argument("--gamma", type=float, help="extension factor (skips the table lookup)")
+    p.add_argument("--gamma", type=float, help="extension factor (skips the table lookup; not vlad_alpha)")
     p.add_argument("--gamma-table", dest="gamma_table", help="saved gamma table (default: quadrature)")
     p.add_argument("--alpha", type=float, help="known concentration that sets gamma")
     p.add_argument("--alpha-search", dest="alpha_search", type=float, nargs=2, default=[0.02, 10.0])

@@ -482,12 +482,15 @@ def cmd_fit(
 ) -> Path:
     """Fit one method on a saved dataset; write a fit directory.
 
-    ``gamma`` may be given directly for the known-alpha methods; otherwise
+    ``gamma`` may be given directly for the known-alpha methods, and is a
+    ConfigError for ``vlad_alpha``, which estimates it; otherwise
     gamma(K, alpha) comes from the saved ``gamma_table``, whose alpha range
     also clamps ``alpha_search``, or else from the exact quadrature.
     """
     if alpha is not None and not alpha > 0:
         raise ConfigError("need alpha > 0")
+    if gamma is not None and method == "vlad_alpha":
+        raise ConfigError("method 'vlad_alpha' estimates gamma; drop --gamma")
     data = load_dataset(data_dir)
     if K is None:
         if data.truth is None:
@@ -502,7 +505,7 @@ def cmd_fit(
     ).resolved()
     gamma_fn = quadrature_gamma
     if method in ("vlad", "gdm", "gdm_mc", "vlad_alpha"):
-        if gamma is not None and method != "vlad_alpha":
+        if gamma is not None:
             gamma_fn = lambda K, a: gamma
         elif gamma_table is not None:
             gamma_fn = load_gamma_table(gamma_table, K)

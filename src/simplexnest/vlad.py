@@ -165,13 +165,14 @@ def fit_auto(
     Runs the estimator once with a reference extension, recovers alpha by
     moment matching against the noise-corrected covariance, then re-extends
     the same centroids with gamma(K, alpha_hat); clustering is never
-    repeated. ``gamma`` is the exact quadrature unless a saved ``GammaTable``
-    is passed, which raises if it was built for another K or does not cover
-    ``alpha_search``.
+    repeated. The moments come from the fit's own rank-(K-1) factors, so no
+    D x D matrix is formed. ``gamma`` is the exact quadrature unless a saved
+    ``GammaTable`` is passed, which raises if it was built for another K or
+    does not cover ``alpha_search``.
     """
     base = fit(data, K, gamma=1.0, restarts=restarts, rng=rng, normalize=normalize, renormalize=False)
-    target = alpha_est.corrected_covariance(data, K, normalize=normalize)
-    alpha_hat = alpha_est.estimate_alpha(base, target, gamma, search=alpha_search)
+    aa, at = alpha_est._reduced_moments(base, data, normalize)
+    alpha_hat = alpha_est._solve_alpha(K, aa, at, gamma, alpha_search)
     gamma_hat = float(gamma(K, alpha_hat))
 
     vertices = _renormalized(

@@ -13,8 +13,14 @@ from simplexnest import (
     generate,
     sample_vertices,
 )
-from simplexnest.alpha_est import corrected_covariance, estimate_alpha, gmm_objective
-from simplexnest.extension import GammaTable, build_gamma_table
+from simplexnest.alpha_est import (
+    _moments,
+    _reduced_moments,
+    corrected_covariance,
+    estimate_alpha,
+    gmm_objective,
+)
+from simplexnest.extension import GammaTable, build_gamma_table, quadrature_gamma
 from simplexnest.numerics import sample_covariance
 from simplexnest.vlad import fit, fit_auto
 
@@ -228,11 +234,66 @@ class TestSearchEdge:
         assert "edge alpha = 0.02" in str(rec[0].message)
         assert f.alpha == 0.02
 
+    def test_warning_names_the_callers_line(self):
+        noise = np.random.default_rng(0).standard_normal((2000, 50))
+        data = Dataset(noise, Kernel.gaussian(1.0))
+        with pytest.warns(RuntimeWarning, match="edge alpha = 0.02") as rec:
+            fit_auto(data, 4, rng=np.random.default_rng(1))
+        assert [w.filename for w in rec] == [__file__]
+        base = fit(data, 4, gamma=1.0, rng=np.random.default_rng(1), renormalize=False)
+        with pytest.warns(RuntimeWarning, match="edge alpha = 0.02") as rec:
+            estimate_alpha(base, corrected_covariance(data, 4), quadrature_gamma)
+        assert [w.filename for w in rec] == [__file__]
+
     @pytest.mark.filterwarnings("error")
     def test_normal_fit_does_not_warn(self, table_k5):
         _, data = _data(Kernel.gaussian(1.0), D=40, K=5, alpha=2.0, n=5000, seed=30)
         f = fit_auto(data, 5, table_k5, alpha_search=(0.5, 5.0), rng=np.random.default_rng(31))
         assert 0.5 < f.alpha < 5.0
+
+
+_REDUCED_KERNELS = [Kernel.noiseless(), Kernel.gaussian(1.0), Kernel.poisson(), Kernel.multinomial(500)]
+
+
+class TestReducedMoments:
+    """fit_auto's moments from the fit's own factors against the D x D oracle."""
+
+    @pytest.mark.parametrize("D,K", [(60, 5), (300, 10)])
+    @pytest.mark.parametrize("kernel", _REDUCED_KERNELS, ids=lambda k: k.name)
+    def test_matches_the_dense_oracle(self, kernel, D, K):
+        _, data = _data(kernel, D=D, K=K, n=3000, seed=60 + K)
+        base = fit(data, K, gamma=1.0, rng=np.random.default_rng(61), renormalize=False)
+        target = corrected_covariance(data, K)
+        aa, at, _ = _moments(base, target)
+        np.testing.assert_allclose(_reduced_moments(base, data, None), (aa, at), rtol=1e-10)
+        reference = estimate_alpha(base, target, quadrature_gamma)
+        auto = fit_auto(data, K, rng=np.random.default_rng(61))
+        assert abs(np.log(auto.alpha) - np.log(reference)) <= 1e-10
+
+    def test_fit_auto_forms_no_dxd_matrix(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("D x D covariance formed")
+
+        monkeypatch.setattr("simplexnest.alpha_est.corrected_covariance", forbidden)
+        monkeypatch.setattr("simplexnest.alpha_est.sample_covariance", forbidden)
+        monkeypatch.setattr("simplexnest.numerics.sample_covariance", forbidden)
+        for kernel in _REDUCED_KERNELS:
+            _, data = _data(kernel, D=30, K=4, n=1500, seed=70)
+            assert 0.02 <= fit_auto(data, 4, rng=np.random.default_rng(71)).alpha <= 10.0
+
+    def test_fit_auto_keeps_the_correction_errors(self):
+        _, counts = _data(Kernel.multinomial(50), D=20, K=3, n=200, seed=72)
+        with pytest.raises(ValueError, match="normalized"):
+            fit_auto(counts, 3, rng=np.random.default_rng(0), normalize=False)
+        _, one_trial = _data(Kernel.multinomial(1), D=20, K=3, n=200, seed=73)
+        with pytest.raises(ValueError, match="N > 1"):
+            fit_auto(one_trial, 3, rng=np.random.default_rng(0))
+        _, narrow = _data(Kernel.gaussian(1.0), D=4, K=5, n=100, seed=4)
+        with pytest.raises(ValueError, match="trailing"):
+            fit_auto(narrow, 5, rng=np.random.default_rng(0))
+        narrower = Dataset(np.random.default_rng(5).standard_normal((100, 3)), Kernel.gaussian(1.0))
+        with pytest.raises(ValueError):
+            fit_auto(narrower, 5, rng=np.random.default_rng(0))
 
 
 @pytest.fixture(scope="module")

@@ -194,6 +194,19 @@ class TestCmdFit:
         got = np.loadtxt(out / "vertices.csv", delimiter=",", skiprows=1)
         np.testing.assert_allclose(got, model.vertices)
 
+    def test_vlad_alpha_builds_the_dxd_target_once(self, dataset_dir, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return corrected_covariance(*args, **kwargs)
+
+        monkeypatch.setattr("simplexnest.alpha_est.corrected_covariance", spy)
+        data_dir, _ = dataset_dir
+        out = cmd_fit(data_dir, "vlad_alpha", tmp_path / "fit", alpha_search=(0.5, 5.0), seed=5)
+        assert len(calls) == 1  # the diagnostic objective in meta.json
+        assert json.loads((out / "meta.json").read_text())["objective_value"] >= 0
+
     def test_method_errors(self, dataset_dir, tmp_path):
         data_dir, _ = dataset_dir
         with pytest.raises(ConfigError, match="unknown method"):
@@ -485,6 +498,13 @@ class TestCli:
     def test_bad_alpha_flags_exit_code(self, dataset_dir, tmp_path, flags):
         data_dir, _ = dataset_dir
         assert main(["fit", "--data", str(data_dir), "--out", str(tmp_path / "fit"), *flags]) == 2
+
+    def test_gamma_flag_rejected_for_vlad_alpha(self, dataset_dir, tmp_path, capsys):
+        data_dir, _ = dataset_dir
+        assert main(["fit", "--data", str(data_dir), "--method", "vlad_alpha", "--gamma", "2",
+                     "--out", str(tmp_path / "fit")]) == 2
+        assert "config error: method 'vlad_alpha' estimates gamma" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
 
     @pytest.mark.parametrize("argv", [
         ["alpha-curve", "--K", "1"],
