@@ -6,6 +6,14 @@ randomness flows through an explicit generator; per-restart streams are
 spawned from it so restarts could run in any order (or in parallel)
 without changing the result.
 
+Lloyd updates the per-cluster sums from the points that changed cluster,
+O(moved * d) per pass instead of O(n * d), and recomputes them exactly on
+the first pass, after an empty-cluster reseed and when a pass reproduces
+the previous assignment. A fixpoint is accepted only after a pass scored
+against exact means, so, as in plain Lloyd, the returned centroids are
+exact means and the cost is scored against them. The point layouts the
+passes read are built once per ``kmeans`` call and shared by restarts.
+
 The truncated SVD computes only the top r singular triplets, by implicitly
 restarted Lanczos (ARPACK, through ``scipy.sparse.linalg.svds``) from a
 start vector drawn from a fixed seed, so it is deterministic and draws
@@ -46,7 +54,8 @@ class KMeansResult:
     centroids: np.ndarray    # (K, d)
     assignments: np.ndarray  # (n,) int
     cost: float              # sum of squared distances to assigned centroid
-    iterations: int          # Lloyd assignment passes run, at most max_iter
+    iterations: int          # Lloyd assignment passes run, at most max_iter; includes the
+                             # pass that re-scores a fixpoint against exact means
 
 
 def center(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,15 +114,17 @@ def truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
     return SvdFactors(left=U, singular=s, right=W)
 
 
-def _plusplus_init(points: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
+def _plusplus_init(
+    points: np.ndarray, K: int, rng: np.random.Generator, sqnorms: np.ndarray | None = None
+) -> np.ndarray:
     """Canonical K-means++ seeding: squared-distance-proportional sampling.
 
-    The squared point norms are computed once; each draw then costs one
-    product with the new centroid.
+    The squared point norms are computed once (or passed in as ``sqnorms``);
+    each draw then costs one product with the new centroid.
     """
     n = points.shape[0]
     centroids = np.empty((K, points.shape[1]))
-    p2 = np.einsum("ij,ij->i", points, points)
+    p2 = np.einsum("ij,ij->i", points, points) if sqnorms is None else sqnorms
 
     def sqdist_to(k: int) -> np.ndarray:
         """Squared distances to centroid k, (n,); tiny negatives clipped to 0."""
@@ -136,7 +147,34 @@ def _plusplus_init(points: np.ndarray, K: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
-def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansResult:
+@dataclass(frozen=True)
+class _LloydInput:
+    """Layouts of the points that every restart of one ``kmeans`` call shares."""
+
+    points: np.ndarray   # (n, d)
+    aug: np.ndarray      # (n, d + 1): the points with a trailing column of ones
+    columns: np.ndarray  # (d, n): the points transposed, each coordinate contiguous
+    sqnorms: np.ndarray  # (n,): squared point norms
+
+    @classmethod
+    def of(cls, points: np.ndarray) -> "_LloydInput":
+        n, d = points.shape
+        aug = np.empty((n, d + 1))
+        aug[:, :d] = points
+        aug[:, d] = 1.0
+        return cls(points=points, aug=aug, columns=np.ascontiguousarray(points.T),
+                   sqnorms=np.einsum("ij,ij->i", points, points))
+
+
+def _cluster_sums(columns: np.ndarray, assign: np.ndarray, K: int) -> np.ndarray:
+    """Exact per-cluster coordinate sums, (K, d): one bincount per coordinate."""
+    sums = np.empty((K, columns.shape[0]))
+    for j, col in enumerate(columns):
+        sums[:, j] = np.bincount(assign, weights=col, minlength=K)
+    return sums
+
+
+def _lloyd(inp: _LloydInput, centroids: np.ndarray, max_iter: int) -> KMeansResult:
     """Lloyd iterations until the assignment fixpoint or the iteration cap.
 
     Each empty cluster is reseeded at a distinct point: the one farthest
@@ -146,53 +184,77 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansRe
     would be moved into every empty cluster. The assignment step maximizes
     x.c - c^2/2 (squared distance with the constant per-point term dropped)
     as one GEMM into a reused buffer, which keeps large-n runs memory-bound
-    rather than allocation-bound. At the fixpoint the pass's own assignments,
-    reseeds included, are returned with their cost.
+    rather than allocation-bound.
+
+    The per-cluster sums are updated from the points that changed cluster:
+    each is subtracted from its old cluster and added to its new one, one
+    (K, moved) x (moved, d) product, O(moved * d) instead of O(n * d). The
+    sums are recomputed exactly (``_cluster_sums``) on the first pass, after
+    an empty-cluster reseed, and when a pass reproduces the previous
+    assignment; in that last case one more pass runs against the exact
+    means, and the fixpoint is accepted only when the centroids it was
+    scored against are exact means. At the iteration cap the centroids are
+    likewise made exact means of the last assignment before the final
+    scoring. As in plain Lloyd, the returned centroids are the exact means
+    the final pass was scored against, and the cost is that pass's exact
+    cost; the incremental sums can steer the path elsewhere only where a
+    point lies within rounding of a cell boundary. At the fixpoint the
+    pass's own assignments, reseeds included, are returned with their cost.
     """
-    n, d = points.shape
+    n, d = inp.points.shape
     K = centroids.shape[0]
     centroids = centroids.copy()
-    p2 = np.einsum("ij,ij->i", points, points)
-    aug = np.empty((n, d + 1))
-    aug[:, :d] = points
-    aug[:, d] = 1.0
     caug = np.empty((K, d + 1))
     scores = np.empty((n, K))
     assign = np.empty(n, dtype=np.intp)
     prev = np.empty(n, dtype=np.intp)
-    have_prev = False
+    sums: np.ndarray | None = None  # per-cluster sums of prev; exact when `exact`
+    exact = False
     iterations = 0
 
     def compute_assign() -> None:
+        # (n, K) scores: a (K, n) GEMM is faster, but OpenBLAS rounds it
+        # differently for K = 1 and for small n at large d
         caug[:, :d] = centroids
         caug[:, d] = -0.5 * np.einsum("ij,ij->i", centroids, centroids)
-        np.dot(aug, caug.T, out=scores)
+        np.dot(inp.aug, caug.T, out=scores)
         np.argmax(scores, axis=1, out=assign)
 
     for _ in range(max_iter):
         compute_assign()
         counts = np.bincount(assign, minlength=K)
-        if np.any(counts == 0):
+        reseeded = bool(np.any(counts == 0))
+        if reseeded:
             best = np.take_along_axis(scores, assign[:, None], axis=1).ravel()
-            nearest = np.maximum(p2 - 2.0 * best, 0.0)
+            nearest = np.maximum(inp.sqnorms - 2.0 * best, 0.0)
             for k in np.flatnonzero(counts == 0):
                 far = int(np.argmax(np.where(counts[assign] >= 2, nearest, -np.inf)))
                 counts[assign[far]] -= 1
                 counts[k] = 1
                 assign[far] = k
         iterations += 1
-        if have_prev and np.array_equal(assign, prev):
-            break
+        moved = None if sums is None else np.flatnonzero(assign != prev)
+        if exact and moved.size == 0:
+            break  # scored against the exact means of this very assignment
+        if moved is None or moved.size == 0 or reseeded:
+            sums = _cluster_sums(inp.columns, assign, K)
+            exact = True
+        else:
+            cols = np.arange(moved.size)
+            signs = np.zeros((K, moved.size))
+            signs[prev[moved], cols] = -1.0
+            signs[assign[moved], cols] = 1.0
+            sums += signs @ inp.points[moved]
+            exact = False
         prev[:] = assign
-        have_prev = True
-        sums = np.empty((K, d))
-        for j in range(d):
-            sums[:, j] = np.bincount(assign, weights=points[:, j], minlength=K)
         centroids = sums / counts[:, None]
     else:
-        compute_assign()  # the cap was hit: score against the last centroid update
+        if sums is not None and not exact:
+            # the cap was hit after an incremental update: score against exact means
+            centroids = _cluster_sums(inp.columns, prev, K) / counts[:, None]
+        compute_assign()
     best = np.take_along_axis(scores, assign[:, None], axis=1).ravel()
-    cost = float(np.maximum(p2 - 2.0 * best, 0.0).sum())
+    cost = float(np.maximum(inp.sqnorms - 2.0 * best, 0.0).sum())
     return KMeansResult(centroids=centroids, assignments=assign.copy(), cost=cost,
                         iterations=iterations)
 
@@ -226,14 +288,15 @@ def kmeans(
         raise ValueError("rng is required when restarts > 0")
 
     best: KMeansResult | None = None
+    inp = _LloydInput.of(points)
     runs: list[np.ndarray] = [np.asarray(c, dtype=float) for c in extra_inits]
     if restarts > 0:
         children = rng.spawn(restarts)
-        runs.extend(_plusplus_init(points, K, child) for child in children)
+        runs.extend(_plusplus_init(points, K, child, inp.sqnorms) for child in children)
     for init in runs:
         if init.shape != (K, points.shape[1]):
             raise ValueError(f"initial centroids must have shape ({K}, {points.shape[1]})")
-        result = _lloyd(points, init, max_iter)
+        result = _lloyd(inp, init, max_iter)
         if best is None or result.cost < best.cost:
             best = result
     return best

@@ -295,6 +295,21 @@ class TestReducedMoments:
         with pytest.raises(ValueError):
             fit_auto(narrower, 5, rng=np.random.default_rng(0))
 
+    def test_fit_auto_raises_before_the_base_fit(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("simplexnest.vlad.truncated_svd", lambda *a, **k: calls.append("svd"))
+        monkeypatch.setattr("simplexnest.vlad.kmeans", lambda *a, **k: calls.append("kmeans"))
+        _, counts = _data(Kernel.multinomial(50), D=20, K=3, n=200, seed=72)
+        with pytest.raises(ValueError, match="normalized"):
+            fit_auto(counts, 3, rng=np.random.default_rng(0), normalize=False)
+        _, one_trial = _data(Kernel.multinomial(1), D=20, K=3, n=200, seed=73)
+        with pytest.raises(ValueError, match="N > 1"):
+            fit_auto(one_trial, 3, rng=np.random.default_rng(0))
+        _, narrow = _data(Kernel.gaussian(1.0), D=4, K=5, n=100, seed=4)
+        with pytest.raises(ValueError, match="trailing"):
+            fit_auto(narrow, 5, rng=np.random.default_rng(0))
+        assert calls == []
+
 
 @pytest.fixture(scope="module")
 def noiseless_k5():

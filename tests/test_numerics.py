@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence, svds
 
 from simplexnest import Kernel, SimplexNest, dirichlet_covariance, generate, sample_vertices, sample_weights
@@ -215,6 +217,56 @@ class TestArpackAgainstLapack:
         np.testing.assert_allclose(lanczos.vertices, lapack.vertices, rtol=0, atol=1e-12)
 
 
+def _lloyd_reference(points: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansResult:
+    """Reference Lloyd that recomputes every centroid update in full, one bincount per column."""
+    n, d = points.shape
+    K = centroids.shape[0]
+    centroids = centroids.copy()
+    p2 = np.einsum("ij,ij->i", points, points)
+    aug = np.empty((n, d + 1))
+    aug[:, :d] = points
+    aug[:, d] = 1.0
+    caug = np.empty((K, d + 1))
+    scores = np.empty((n, K))
+    assign = np.empty(n, dtype=np.intp)
+    prev = np.empty(n, dtype=np.intp)
+    have_prev = False
+    iterations = 0
+
+    def compute_assign() -> None:
+        caug[:, :d] = centroids
+        caug[:, d] = -0.5 * np.einsum("ij,ij->i", centroids, centroids)
+        np.dot(aug, caug.T, out=scores)
+        np.argmax(scores, axis=1, out=assign)
+
+    for _ in range(max_iter):
+        compute_assign()
+        counts = np.bincount(assign, minlength=K)
+        if np.any(counts == 0):
+            best = np.take_along_axis(scores, assign[:, None], axis=1).ravel()
+            nearest = np.maximum(p2 - 2.0 * best, 0.0)
+            for k in np.flatnonzero(counts == 0):
+                far = int(np.argmax(np.where(counts[assign] >= 2, nearest, -np.inf)))
+                counts[assign[far]] -= 1
+                counts[k] = 1
+                assign[far] = k
+        iterations += 1
+        if have_prev and np.array_equal(assign, prev):
+            break
+        prev[:] = assign
+        have_prev = True
+        sums = np.empty((K, d))
+        for j in range(d):
+            sums[:, j] = np.bincount(assign, weights=points[:, j], minlength=K)
+        centroids = sums / counts[:, None]
+    else:
+        compute_assign()  # the cap was hit: score against the last centroid update
+    best = np.take_along_axis(scores, assign[:, None], axis=1).ravel()
+    cost = float(np.maximum(p2 - 2.0 * best, 0.0).sum())
+    return KMeansResult(centroids=centroids, assignments=assign.copy(), cost=cost,
+                        iterations=iterations)
+
+
 class TestKMeans:
     def test_n_equals_k_zero_cost(self):
         pts = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
@@ -322,6 +374,102 @@ class TestKMeans:
             kmeans(pts, 3, restarts=0)  # nothing to run
         with pytest.raises(ValueError):
             kmeans(pts, 3, restarts=0, extra_inits=(np.zeros((2, 2)),))  # bad shape
+
+
+def _blobs(seed: int, n: int, d: int, K: int, spread: float) -> np.ndarray:
+    """n points around K normal centers; overlapping blobs take many Lloyd passes."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(scale=3.0, size=(K, d))
+    return centers[rng.integers(K, size=n)] + spread * rng.normal(size=(n, d))
+
+
+def _assert_lloyd_matches_reference(points: np.ndarray, init: np.ndarray, max_iter: int) -> KMeansResult:
+    ref = _lloyd_reference(points, init, max_iter)
+    new = numerics._lloyd(numerics._LloydInput.of(points), init, max_iter)
+    np.testing.assert_array_equal(new.assignments, ref.assignments)
+    np.testing.assert_array_equal(new.centroids, ref.centroids)
+    assert new.cost == pytest.approx(ref.cost, rel=1e-12, abs=0.0)
+    assert new.iterations <= max_iter
+    return new
+
+
+class TestLloydAgainstReference:
+    @pytest.mark.parametrize("d", [1, 9, 100])
+    def test_overlapping_blobs(self, d):
+        pts = _blobs(20 + d, 800, d, 6, spread=1.5)
+        for seed in range(4):
+            _assert_lloyd_matches_reference(pts, _plusplus_init(pts, 8, np.random.default_rng(seed)),
+                                            LLOYD_MAX_ITER)
+
+    def test_duplicated_rows(self):
+        pts = _blobs(30, 600, 9, 5, spread=1.0)
+        pts[::3] = pts[0]
+        for seed in range(4):
+            _assert_lloyd_matches_reference(pts, _plusplus_init(pts, 7, np.random.default_rng(seed)),
+                                            LLOYD_MAX_ITER)
+        _assert_lloyd_matches_reference(np.ones((10, 2)), np.ones((3, 2)), LLOYD_MAX_ITER)
+
+    @pytest.mark.parametrize("points, init", [
+        # the two reseed cases of TestKMeans: empty clusters on the first pass
+        ([[0.0], [0.0], [0.0], [0.0], [10.0]], [[0.0], [20.0]]),
+        ([[0.0], [0.1], [0.2], [5.0], [9.0]], [[0.1], [100.0], [200.0]]),
+        # the first pass fills all three clusters; its means 10, 15.5, 21 empty the middle one
+        ([[10.0], [11.0], [20.0], [21.0]], [[0.0], [20.5], [21.0]]),
+        # the first pass fills all four clusters; one empties on the third pass
+        ([[-2.0], [6.0], [4.0], [-6.0], [-9.0], [-4.0], [4.0], [-1.0], [5.0]],
+         [[0.0], [-5.0], [11.0], [-10.0]]),
+    ])
+    def test_reseeds(self, points, init):
+        _assert_lloyd_matches_reference(np.array(points), np.array(init), LLOYD_MAX_ITER)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 5])
+    def test_iteration_cap(self, max_iter):
+        pts = _blobs(40, 1000, 9, 6, spread=1.5)
+        for seed in range(4):
+            res = _assert_lloyd_matches_reference(
+                pts, _plusplus_init(pts, 8, np.random.default_rng(seed)), max_iter)
+            assert res.iterations == max_iter
+
+    def test_cap_at_the_verification_pass(self):
+        # A cap at the reference's own pass count leaves no room for the pass
+        # that verifies the fixpoint against exact means; the result still matches.
+        pts = _blobs(41, 1000, 9, 6, spread=1.5)
+        init = _plusplus_init(pts, 8, np.random.default_rng(0))
+        ref_iterations = _lloyd_reference(pts, init, LLOYD_MAX_ITER).iterations
+        assert ref_iterations > 5
+        for max_iter in range(1, ref_iterations + 2):
+            res = _assert_lloyd_matches_reference(pts, init, max_iter)
+            assert res.iterations == min(max_iter, ref_iterations + 1)
+
+    def test_full_recompute_at_most_twice_per_converged_restart(self, monkeypatch):
+        calls = []
+        exact_sums = numerics._cluster_sums
+
+        def spy(*args):
+            calls.append(args)
+            return exact_sums(*args)
+
+        monkeypatch.setattr(numerics, "_cluster_sums", spy)
+        pts = _blobs(50, 2000, 100, 6, spread=2.5)
+        inp = numerics._LloydInput.of(pts)
+        for seed in range(6):
+            calls.clear()
+            res = numerics._lloyd(inp, _plusplus_init(pts, 8, np.random.default_rng(seed)), LLOYD_MAX_ITER)
+            assert res.iterations < LLOYD_MAX_ITER
+            assert len(calls) <= 2  # the first pass and the fixpoint check
+            assert res.iterations > 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80), d=st.sampled_from([1, 2, 3, 9]),
+           centers=st.integers(1, 6), K=st.integers(1, 8), spread=st.floats(0.05, 3.0),
+           duplicate=st.booleans(), max_iter=st.sampled_from([1, 2, 5, LLOYD_MAX_ITER]))
+    def test_blobs_property(self, seed, n, d, centers, K, spread, duplicate, max_iter):
+        assume(K <= n)
+        pts = _blobs(seed, n, d, centers, spread)
+        if duplicate:
+            pts[::2] = pts[-1]
+        init = _plusplus_init(pts, K, np.random.default_rng(seed))
+        _assert_lloyd_matches_reference(pts, init, max_iter)
 
 
 class TestSampleCovariance:
