@@ -1,4 +1,4 @@
-"""CSV helpers shared by dataset, fit and results serialization.
+"""CSV and JSON helpers shared by dataset, fit and results serialization.
 
 Numbers are written with %.17g so float64 values round-trip exactly and
 repeated runs produce byte-identical files.
@@ -6,6 +6,7 @@ repeated runs produce byte-identical files.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -31,3 +32,8 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     """Read a CSV written by :func:`write_matrix_csv` (header skipped)."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=float)
     return data
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as indented, key-sorted JSON with a trailing newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")

@@ -8,13 +8,12 @@ maximal-norm rows and deflates, which requires near-separable data.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._matrix_io import read_matrix_csv, write_matrix_csv
+from ._matrix_io import read_matrix_csv, write_json, write_matrix_csv
 from .model import Dataset
 from .numerics import kmeans
 from .vlad import _lexsorted_columns, extend_rays
@@ -105,9 +104,7 @@ def save_baseline(fit: BaselineFit, directory: str | Path, seed: int | None = No
     write_matrix_csv(directory / "vertices.csv", fit.vertices)
     meta = {"method": fit.method_tag, "K": fit.vertices.shape[1], "seed": seed}
     meta.update({k: v for k, v in fit.meta.items() if isinstance(v, (bool, int, float, str, list))})
-    with open(directory / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(directory / "meta.json", meta)
     return directory
 
 

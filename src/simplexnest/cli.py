@@ -12,37 +12,25 @@ import sys
 import numpy as np
 
 from . import harness
-from .harness import ConfigError, ExperimentConfig
+from .harness import KNOWN_METHODS, ConfigError, ExperimentConfig
+from .metrics import METRIC_NAMES
+from .model import KERNEL_NAMES
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The --config JSON (or the defaults) overridden by every flag given.
+
+    Each flag whose dest names an ExperimentConfig field overrides it; an
+    absent flag parses to None and leaves the field as it is.
+    """
     cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
-    overrides = {
-        "kernel": args.kernel,
-        "sigma": args.sigma,
-        "trials": args.trials,
-        "D": args.D,
-        "K": args.K,
-        "alpha": args.alpha,
-        "n": args.n,
-        "c_min": args.c_min,
-        "seeds": args.seeds,
-        "methods": getattr(args, "methods", None),
-        "metrics": getattr(args, "metrics", None),
-        "gamma_table": getattr(args, "gamma_table", None),
-        "restarts": getattr(args, "restarts", None),
-        "n_heldout": getattr(args, "n_heldout", None),
-        "out": args.out,
-        "workers": getattr(args, "workers", None),
-        "paper_scale": True if getattr(args, "paper_scale", False) else None,
-        "normalize": False if getattr(args, "raw_counts", False) else None,
-    }
-    return cfg.with_overrides(overrides)
+    fields = ExperimentConfig.__dataclass_fields__
+    return cfg.with_overrides({k: v for k, v in vars(args).items() if k in fields})
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--kernel", choices=["noiseless", "gaussian", "poisson", "multinomial"])
+    p.add_argument("--kernel", choices=KERNEL_NAMES)
     p.add_argument("--sigma", type=float, help="gaussian noise standard deviation")
     p.add_argument("--trials", type=int, help="multinomial trial count N")
     p.add_argument("--D", type=int, help="ambient dimension")
@@ -52,9 +40,9 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c-min", dest="c_min", type=float, nargs="+", help="skew factor lower bound(s)")
     p.add_argument("--seeds", type=int, nargs="+")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--raw-counts", action="store_true",
+    p.add_argument("--raw-counts", dest="normalize", action="store_false", default=None,
                    help="fit multinomial counts without normalizing by N")
-    p.add_argument("--paper-scale", action="store_true",
+    p.add_argument("--paper-scale", action="store_true", default=None,
                    help="use the full simulation-protocol defaults instead of desk scale")
 
 
@@ -69,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit one estimator on a saved dataset")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--method", required=True,
-                   help="vlad | vlad_alpha | gdm | gdm_mc | spa | external:<vertices.csv>")
+                   help=" | ".join((*KNOWN_METHODS, "external:<vertices.csv>")))
     p.add_argument("--out", required=True, help="fit output directory")
     p.add_argument("--K", type=int)
     p.add_argument("--gamma", type=float, help="extension factor (skips the table lookup; not vlad_alpha)")
@@ -86,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory with truth sidecar")
     p.add_argument("--heldout", help="held-out dataset directory")
     p.add_argument("--metrics", nargs="+", default=["mm", "volume"],
-                   choices=list(harness.KNOWN_METRICS))
+                   choices=METRIC_NAMES)
     p.add_argument("--results-csv", dest="results_csv", help="append a row to this CSV")
     p.add_argument("--raw-counts", action="store_true")
     p.set_defaults(func=_do_eval)

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammainc
 
+from ._matrix_io import write_json
 from .model import sample_weights
 from .numerics import kmeans
 
@@ -172,7 +173,7 @@ class GammaTable:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "GammaTable":

@@ -2,11 +2,13 @@
 deterministic sweep execution writing plot-ready CSVs.
 
 A run directory is laid out as ``<out>/<config-hash>/s<seed>/<cell>/<method>/``
-with ``results.csv`` at the run root. Every per-cell random stream is derived
-from (seed, cell index), and rows are sorted canonically before writing, so
+with ``results.csv`` at the run root. ``_cells`` lists the grid for both the
+sweep and ``cmd_generate``. Every per-cell random stream is derived from
+(seed, cell index), and rows are sorted canonically before writing, so
 results.csv is byte-identical regardless of worker count. Wall times are
 kept out of results.csv for the same reason; they live in the fit meta.json
-files and in timings.csv.
+files and in timings.csv. A config field of the wrong type or value is a
+ConfigError from ``resolved()``.
 
 The alpha-aware methods take gamma as a function gamma(K, alpha): the exact
 ``quadrature_gamma``, or a saved ``GammaTable`` when one is named. The alpha
@@ -22,15 +24,16 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import baselines, vlad
-from ._matrix_io import format_float
+from ._matrix_io import format_float, write_json
 from .extension import GammaTable, build_gamma_table, quadrature_gamma, varphi
-from .metrics import evaluate_fit
+from .metrics import METRIC_NAMES, evaluate_fit
 from .model import (
+    KERNEL_NAMES,
     Dataset,
     Kernel,
     SimplexNest,
@@ -47,7 +50,7 @@ class ConfigError(ValueError):
 
 
 KNOWN_METHODS = ("vlad", "vlad_alpha", "gdm", "gdm_mc", "spa")
-KNOWN_METRICS = ("mm", "heldout", "volume", "likelihood")
+KNOWN_ALPHA_METHODS = ("vlad", "gdm", "gdm_mc")  # gamma from a known, symmetric alpha
 
 # Salts separating the random streams derived from (seed, cell).
 _SALT_VERTICES = 11
@@ -56,25 +59,9 @@ _SALT_DATA = 17
 _SALT_HELDOUT = 19
 _SALT_FIT = 23
 
-RESULT_COLUMNS = (
-    "kernel",
-    "D",
-    "K",
-    "alpha",
-    "n",
-    "c_min",
-    "seed",
-    "method",
-    "status",
-    "gamma",
-    "alpha_hat",
-    "mm_distance",
-    "mm_frobenius",
-    "volume",
-    "frobenius_heldout",
-    "nll",
-    "perplexity",
-)
+SCORE_COLUMNS = ("mm_distance", "mm_frobenius", "volume", "frobenius_heldout", "nll", "perplexity")
+RESULT_COLUMNS = ("kernel", "D", "K", "alpha", "n", "c_min", "seed", "method", "status",
+                  "gamma", "alpha_hat", *SCORE_COLUMNS)
 
 
 @dataclass
@@ -120,8 +107,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         return cls(**data)
@@ -129,16 +115,16 @@ class ExperimentConfig:
     def with_overrides(self, overrides: dict) -> "ExperimentConfig":
         """CLI flags override JSON fields; None values are skipped."""
         updates = {k: v for k, v in overrides.items() if v is not None}
-        unknown = set(updates) - set(self.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config overrides: {sorted(unknown)}")
-        return replace(self, **updates)
+        return self.from_dict({**asdict(self), **updates})
 
     def resolved(self) -> "ExperimentConfig":
         """Fill scale-dependent defaults and validate."""
         cfg = replace(self)
-        if cfg.kernel not in ("noiseless", "gaussian", "poisson", "multinomial"):
+        if cfg.kernel not in KERNEL_NAMES:
             raise ConfigError(f"unknown kernel {cfg.kernel!r}")
+        for name in ("K", "trials", "restarts", "n_heldout", "workers"):
+            _require_numbers(name, [getattr(cfg, name)], integer=True)
+        _require_numbers("sigma", [cfg.sigma])
         if cfg.K < 2:
             raise ConfigError("K must be >= 2")
         if cfg.D is None:
@@ -146,23 +132,33 @@ class ExperimentConfig:
                 cfg.D = 2000 if cfg.kernel == "multinomial" else 500
             else:
                 cfg.D = 200 if cfg.kernel == "multinomial" else 100
+        _require_numbers("D", [cfg.D], integer=True)
         if cfg.seeds is None:
             cfg.seeds = list(range(20 if cfg.paper_scale else 10))
         for name in ("alpha", "n", "c_min"):
             value = getattr(cfg, name)
             if not isinstance(value, list):
                 setattr(cfg, name, [value])
+        _require_numbers("n", cfg.n, integer=True)
+        _require_numbers("c_min", cfg.c_min)
+        for a in cfg.alpha:
+            _require_numbers("alpha", a if isinstance(a, (list, tuple)) else [a])
+        _require_numbers("seeds", cfg.seeds, integer=True)
+        for name in ("gamma_grid", "alpha_search"):
+            _require_numbers(name, getattr(cfg, name))
+        for name in ("methods", "metrics"):
+            if not isinstance(getattr(cfg, name), (list, tuple)):
+                raise ConfigError(f"{name} must be a list of names")
         if len(set(map(int, cfg.seeds))) != len(cfg.seeds):
             raise ConfigError("seeds must be distinct")
         for m in cfg.methods:
             if not (m in KNOWN_METHODS or str(m).startswith("external:")):
                 raise ConfigError(f"unknown method {m!r}")
         for m in cfg.metrics:
-            if m not in KNOWN_METRICS:
+            if m not in METRIC_NAMES:
                 raise ConfigError(f"unknown metric {m!r}")
         if any(isinstance(a, (list, tuple)) for a in cfg.alpha):
-            symmetric_only = {"vlad", "gdm", "gdm_mc"}
-            bad = symmetric_only.intersection(cfg.methods)
+            bad = set(KNOWN_ALPHA_METHODS).intersection(cfg.methods)
             if bad:
                 raise ConfigError(
                     f"methods {sorted(bad)} need a symmetric (scalar) alpha; "
@@ -195,6 +191,15 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.scientific_dict(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def _require_numbers(name: str, values, integer: bool = False) -> None:
+    """ConfigError unless ``values`` is a list of numbers (of integers if asked)."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if not (isinstance(values, (list, tuple))
+            and all(isinstance(v, kinds) and not isinstance(v, bool) for v in values)):
+        kind = "integers" if integer else "numbers"
+        raise ConfigError(f"{name} must hold {kind}, got {values!r}")
 
 
 def _kernel_from_config(cfg: ExperimentConfig) -> Kernel:
@@ -254,7 +259,7 @@ def run_method(
     the known hyperparameter of the alpha-aware methods.
     """
     blind = data.without_truth()
-    if method in ("vlad", "gdm", "gdm_mc"):
+    if method in KNOWN_ALPHA_METHODS:
         if isinstance(alpha, (list, tuple, np.ndarray)):
             raise ConfigError(f"method {method!r} needs a symmetric alpha")
         gamma = float(gamma_fn(cfg.K, alpha))
@@ -294,8 +299,47 @@ def _alpha_label(alpha) -> str:
     return format_float(alpha)
 
 
-def _cell_dirname(n: int, c_min: float, alpha) -> str:
-    return f"n{n}_c{format_float(c_min)}_a{_alpha_label(alpha)}"
+class _Cell(NamedTuple):
+    """One grid point; its first four fields key the cell's random streams."""
+
+    seed: int
+    i_n: int
+    i_c: int
+    i_a: int
+    n: int
+    c_min: float
+    alpha: object
+
+
+def _cell_dirname(cell: _Cell) -> str:
+    return f"n{cell.n}_c{format_float(cell.c_min)}_a{_alpha_label(cell.alpha)}"
+
+
+def _cells(cfg: ExperimentConfig) -> list[_Cell]:
+    """The grid in sweep order: n, then c_min, then alpha, then seed."""
+    return [
+        _Cell(seed, i_n, i_c, i_a, int(n), float(c_min), alpha)
+        for i_n, n in enumerate(cfg.n)
+        for i_c, c_min in enumerate(cfg.c_min)
+        for i_a, alpha in enumerate(cfg.alpha)
+        for seed in cfg.seeds
+    ]
+
+
+def _cell_data(cfg: ExperimentConfig, cell: _Cell) -> tuple[SimplexNest, Dataset]:
+    """The cell's generating model and its n observations."""
+    model = build_model(cfg, cell.seed, cell.c_min, cell.i_c, cell.alpha)
+    return model, generate(model, cell.n, _rng(*cell[:4], _SALT_DATA))
+
+
+def _fit_and_save(method, data, cfg, gamma_fn, alpha, rng, out_dir: Path, seed: int):
+    """run_method, timed, with the fit saved to ``out_dir``; returns (fit, info, seconds)."""
+    started = time.perf_counter()
+    fit, info = run_method(method, data, cfg, gamma_fn, alpha, rng)
+    elapsed = time.perf_counter() - started
+    save = vlad.save_fit if isinstance(fit, vlad.VladFit) else baselines.save_baseline
+    save(fit, out_dir, seed=seed)
+    return fit, info, elapsed
 
 
 def _format_cell(value) -> str:
@@ -308,57 +352,41 @@ def _format_cell(value) -> str:
     return format_float(value)
 
 
+def _csv_line(columns: tuple[str, ...], row: dict) -> str:
+    return ",".join(_format_cell(row.get(c)) for c in columns)
+
+
 def _write_rows_csv(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row.get(c)) for c in columns))
+    lines = [",".join(columns), *(_csv_line(columns, row) for row in rows)]
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_cell(cfg, gamma_fn, run_root, seed, i_n, i_c, i_a) -> list[dict]:
+def _run_cell(cfg, gamma_fn, run_root, cell: _Cell) -> list[dict]:
     """Generate one dataset cell, run every method, return result rows."""
-    n = int(cfg.n[i_n])
-    c_min = float(cfg.c_min[i_c])
-    alpha = cfg.alpha[i_a]
-    model = build_model(cfg, seed, c_min, i_c, alpha)
-    data = generate(model, n, _rng(seed, i_n, i_c, i_a, _SALT_DATA))
+    model, data = _cell_data(cfg, cell)
     heldout = None
     if cfg.n_heldout > 0:
-        heldout = generate(model, cfg.n_heldout, _rng(seed, i_n, i_c, i_a, _SALT_HELDOUT))
+        heldout = generate(model, cfg.n_heldout, _rng(*cell[:4], _SALT_HELDOUT))
 
     rows = []
     for j, method in enumerate(cfg.methods):
         base = {
             "kernel": cfg.kernel, "D": cfg.D, "K": cfg.K,
-            "alpha": _alpha_label(alpha), "n": n, "c_min": c_min,
-            "seed": seed, "method": method,
+            "alpha": _alpha_label(cell.alpha), "n": cell.n, "c_min": cell.c_min,
+            "seed": cell.seed, "method": method,
         }
-        cell_dir = run_root / f"s{seed}" / _cell_dirname(n, c_min, alpha) / _method_dirname(method)
+        cell_dir = run_root / f"s{cell.seed}" / _cell_dirname(cell) / _method_dirname(method)
         try:
-            rng = _rng(seed, i_n, i_c, i_a, j, _SALT_FIT)
-            started = time.perf_counter()
-            fit, info = run_method(method, data, cfg, gamma_fn, alpha, rng)
-            elapsed = time.perf_counter() - started
+            rng = _rng(*cell[:4], j, _SALT_FIT)
+            fit, info, elapsed = _fit_and_save(method, data, cfg, gamma_fn, cell.alpha, rng,
+                                               cell_dir, cell.seed)
             report = evaluate_fit(
                 fit, dataset=data, heldout=heldout,
                 metrics=tuple(cfg.metrics), wall_time_s=elapsed,
                 normalize=cfg.normalize,
-            )
-            if isinstance(fit, vlad.VladFit):
-                vlad.save_fit(fit, cell_dir, seed=seed)
-            else:
-                baselines.save_baseline(fit, cell_dir, seed=seed)
-            with open(cell_dir / "eval.json", "w") as fh:
-                json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            rows.append({
-                **base, "status": "ok",
-                "gamma": info.get("gamma"), "alpha_hat": info.get("alpha_hat"),
-                "mm_distance": report.mm_distance, "mm_frobenius": report.mm_frobenius,
-                "volume": report.volume, "frobenius_heldout": report.frobenius_heldout,
-                "nll": report.nll, "perplexity": report.perplexity,
-                "_wall_time_s": elapsed,
-            })
+            ).to_dict()
+            write_json(cell_dir / "eval.json", report)
+            rows.append({**base, "status": "ok", **info, **report, "_wall_time_s": elapsed})
         except Exception as exc:  # record the failure, keep sweeping
             rows.append({**base, "status": f"error({type(exc).__name__})"})
     return rows
@@ -379,22 +407,14 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     scientific = cfg.scientific_dict()
     cfg = _clamped_search(cfg, lo, hi)
     run_root.mkdir(parents=True, exist_ok=True)
-    with open(run_root / "config.json", "w") as fh:
-        json.dump(scientific, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(run_root / "config.json", scientific)
 
-    cells = [
-        (seed, i_n, i_c, i_a)
-        for i_n in range(len(cfg.n))
-        for i_c in range(len(cfg.c_min))
-        for i_a in range(len(cfg.alpha))
-        for seed in cfg.seeds
-    ]
+    cells = _cells(cfg)
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            cell_rows = list(pool.map(lambda c: _run_cell(cfg, gamma_fn, run_root, *c), cells))
+            cell_rows = list(pool.map(lambda c: _run_cell(cfg, gamma_fn, run_root, c), cells))
     else:
-        cell_rows = [_run_cell(cfg, gamma_fn, run_root, *cell) for cell in cells]
+        cell_rows = [_run_cell(cfg, gamma_fn, run_root, cell) for cell in cells]
 
     rows = [row for group in cell_rows for row in group]
     method_order = {m: i for i, m in enumerate(cfg.methods)}
@@ -406,8 +426,6 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         ("kernel", "n", "c_min", "alpha", "seed", "method", "_wall_time_s"),
         timing_rows,
     )
-    for r in rows:
-        r.pop("_wall_time_s", None)
     _write_rows_csv(run_root / "results.csv", RESULT_COLUMNS, rows)
     _write_figure_csvs(cfg, rows, run_root)
     return run_root
@@ -428,7 +446,7 @@ def _write_figure_csvs(cfg: ExperimentConfig, rows: list[dict], run_root: Path) 
                     r["mm_distance"]
                     for r in rows
                     if r["method"] == method and r["status"] == "ok"
-                    and r[axis] == (x_label if axis == "alpha" else x)
+                    and r[axis] == x_label
                     and r["mm_distance"] is not None
                 ]
                 if not vals:
@@ -451,19 +469,10 @@ def cmd_generate(cfg: ExperimentConfig) -> list[Path]:
     if cfg.seeds is None:
         cfg = replace(cfg, seeds=[0])
     cfg = replace(cfg, paper_scale=True).resolved()
-    out = Path(cfg.out)
     written = []
-    for i_n in range(len(cfg.n)):
-        for i_c in range(len(cfg.c_min)):
-            for i_a in range(len(cfg.alpha)):
-                for seed in cfg.seeds:
-                    n = int(cfg.n[i_n])
-                    c_min = float(cfg.c_min[i_c])
-                    alpha = cfg.alpha[i_a]
-                    model = build_model(cfg, seed, c_min, i_c, alpha)
-                    data = generate(model, n, _rng(seed, i_n, i_c, i_a, _SALT_DATA))
-                    name = f"data_{cfg.kernel}_{_cell_dirname(n, c_min, alpha)}_s{seed}"
-                    written.append(save_dataset(data, out / name))
+    for cell in _cells(cfg):
+        name = f"data_{cfg.kernel}_{_cell_dirname(cell)}_s{cell.seed}"
+        written.append(save_dataset(_cell_data(cfg, cell)[1], Path(cfg.out) / name))
     return written
 
 
@@ -504,33 +513,23 @@ def cmd_fit(
         alpha_search=list(alpha_search),
     ).resolved()
     gamma_fn = quadrature_gamma
-    if method in ("vlad", "gdm", "gdm_mc", "vlad_alpha"):
-        if gamma is not None:
-            gamma_fn = lambda K, a: gamma
-        elif gamma_table is not None:
-            gamma_fn = load_gamma_table(gamma_table, K)
-            cfg = _clamped_search(cfg, gamma_fn.alpha_min, gamma_fn.alpha_max)
-        if method != "vlad_alpha" and gamma is None and alpha is None:
-            raise ConfigError(f"method {method!r} needs --alpha (or an explicit --gamma)")
-    rng = _rng(seed, _SALT_FIT)
-    started = time.perf_counter()
-    fit, info = run_method(method, data, cfg, gamma_fn, alpha, rng)
-    elapsed = time.perf_counter() - started
+    if gamma is not None:
+        gamma_fn = lambda K, a: gamma
+    elif gamma_table is not None and method in (*KNOWN_ALPHA_METHODS, "vlad_alpha"):
+        gamma_fn = load_gamma_table(gamma_table, K)
+        cfg = _clamped_search(cfg, gamma_fn.alpha_min, gamma_fn.alpha_max)
+    if method in KNOWN_ALPHA_METHODS and gamma is None and alpha is None:
+        raise ConfigError(f"method {method!r} needs --alpha (or an explicit --gamma)")
     out_dir = Path(out_dir)
-    if isinstance(fit, vlad.VladFit):
-        vlad.save_fit(fit, out_dir, seed=seed)
-    else:
-        baselines.save_baseline(fit, out_dir, seed=seed)
-    with open(out_dir / "meta.json") as fh:
-        meta = json.load(fh)
+    fit, info, elapsed = _fit_and_save(method, data, cfg, gamma_fn, alpha, _rng(seed, _SALT_FIT),
+                                       out_dir, seed)
+    meta = json.loads((out_dir / "meta.json").read_text())
     meta["method"] = method
     meta["wall_time_s"] = elapsed
     meta.update({k: v for k, v in info.items() if v is not None})
     if method == "vlad_alpha":
         meta.update(_alpha_report(fit, data, cfg, gamma_fn, out_dir))
-    with open(out_dir / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "meta.json", meta)
     return out_dir
 
 
@@ -542,9 +541,8 @@ def _alpha_report(fit, data: Dataset, cfg: ExperimentConfig, gamma_fn: Callable,
     target = corrected_covariance(data, cfg.K, normalize=cfg.normalize)
     grid = np.geomspace(*cfg.alpha_search, 64)
     values = gmm_objective(fit, target, gamma_fn, grid)
-    lines = ["alpha,objective"]
-    lines += [f"{format_float(a)},{format_float(v)}" for a, v in zip(grid, values)]
-    (out_dir / "grid_curve.csv").write_text("\n".join(lines) + "\n")
+    _write_rows_csv(out_dir / "grid_curve.csv", ("alpha", "objective"),
+                    [{"alpha": a, "objective": v} for a, v in zip(grid, values)])
     report = {"objective_value": float(gmm_objective(fit, target, gamma_fn, fit.alpha)[0])}
     if "sigma2_hat" in target.correction_meta:
         report["sigma2_hat"] = target.correction_meta["sigma2_hat"]
@@ -559,32 +557,29 @@ def cmd_eval(
     results_csv: str | Path | None = None,
     normalize: bool = True,
 ) -> dict:
-    """Score a fit directory against a dataset's truth sidecar."""
+    """Score a fit directory against a dataset's truth sidecar.
+
+    With ``results_csv``, append one row to it; a file whose header is not
+    the eval columns is a ConfigError and is left untouched.
+    """
+    columns = ("fit_dir", "data_dir", *SCORE_COLUMNS)
+    header = ",".join(columns)
+    if results_csv is not None and Path(results_csv).exists():
+        with open(results_csv) as fh:
+            if fh.readline().rstrip("\n") != header:
+                raise ConfigError(f"{results_csv} does not start with the eval header {header!r}")
     vertices = baselines.load_vertices(Path(fit_dir))
     data = load_dataset(data_dir)
     heldout = load_dataset(heldout_dir) if heldout_dir else None
-    report = evaluate_fit(vertices, dataset=data, heldout=heldout,
-                          metrics=tuple(metrics), normalize=normalize)
-    out = report.to_dict()
-    with open(Path(fit_dir) / "eval.json", "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out = evaluate_fit(vertices, dataset=data, heldout=heldout,
+                       metrics=tuple(metrics), normalize=normalize).to_dict()
+    write_json(Path(fit_dir) / "eval.json", out)
     if results_csv is not None:
-        results_csv = Path(results_csv)
-        columns = ("fit_dir", "data_dir", "mm_distance", "mm_frobenius",
-                   "volume", "frobenius_heldout", "nll", "perplexity")
-        row = {
-            "fit_dir": str(fit_dir), "data_dir": str(data_dir),
-            "mm_distance": report.mm_distance, "mm_frobenius": report.mm_frobenius,
-            "volume": report.volume, "frobenius_heldout": report.frobenius_heldout,
-            "nll": report.nll, "perplexity": report.perplexity,
-        }
-        line = ",".join(_format_cell(row.get(c)) for c in columns)
-        if not results_csv.exists():
-            results_csv.write_text(",".join(columns) + "\n" + line + "\n")
-        else:
-            with open(results_csv, "a") as fh:
-                fh.write(line + "\n")
+        row = {**out, "fit_dir": str(fit_dir), "data_dir": str(data_dir)}
+        with open(results_csv, "a") as fh:
+            if fh.tell() == 0:  # a new file
+                fh.write(header + "\n")
+            fh.write(_csv_line(columns, row) + "\n")
     return out
 
 
@@ -600,12 +595,10 @@ def cmd_alpha_curve(
     if not (0 < lo < hi) or npts < 2:
         raise ConfigError("grid must be (lo, hi, n_points) with 0 < lo < hi, n_points >= 2")
     alphas = np.geomspace(lo, hi, npts)
-    out_path = Path(out_path)
-    lines = ["alpha,gamma,varphi"]
-    for a, g in zip(alphas, quadrature_gamma(K, alphas)):
-        lines.append(f"{format_float(a)},{format_float(g)},{format_float(varphi(K, a, g))}")
-    out_path.write_text("\n".join(lines) + "\n")
-    return out_path
+    rows = [{"alpha": a, "gamma": g, "varphi": varphi(K, a, g)}
+            for a, g in zip(alphas, quadrature_gamma(K, alphas))]
+    _write_rows_csv(Path(out_path), ("alpha", "gamma", "varphi"), rows)
+    return Path(out_path)
 
 
 def cmd_gamma_table(

@@ -114,8 +114,7 @@ def heldout_frobenius(fit_vertices, X_test: np.ndarray) -> float:
     if affine_rank_deficient(B):
         raise ValueError("degenerate simplex")
     X = np.atleast_2d(np.asarray(X_test, dtype=float))
-    theta = simplex_least_squares(B, X)
-    residual = X - theta @ B.T
+    residual = X - simplex_least_squares(B, X) @ B.T
     return float(np.linalg.norm(residual, axis=1).mean())
 
 
@@ -154,8 +153,11 @@ def heldout_likelihood(fit, test: Dataset, normalize: bool | None = None) -> Lik
     """
     B = _vertices_of(fit)
     X = test.fitting_matrix(normalize)
-    theta = simplex_least_squares(B, X)
-    mu = theta @ B.T
+    return _likelihood(test, X, simplex_least_squares(B, X) @ B.T)
+
+
+def _likelihood(test: Dataset, X: np.ndarray, mu: np.ndarray) -> LikelihoodReport:
+    """The score of :func:`heldout_likelihood` given the projected means mu."""
     kern = test.kernel
 
     if kern.name in ("gaussian", "noiseless"):
@@ -234,14 +236,20 @@ def evaluate_fit(
         report.mm_frobenius = match.frobenius
     if "volume" in metrics:
         report.volume = simplex_volume(vertices)
+    projected = [name for name in ("heldout", "likelihood") if name in metrics]
+    if not projected:
+        return report
+    if heldout is None:
+        raise ValueError(f"the {projected[0]} metric needs held-out observations")
+    if "heldout" in metrics and affine_rank_deficient(vertices):
+        raise ValueError("degenerate simplex")
+    # both scores project the held-out rows onto the fit: do it once
+    X = heldout.fitting_matrix(normalize)
+    mu = simplex_least_squares(vertices, X) @ vertices.T
     if "heldout" in metrics:
-        if heldout is None:
-            raise ValueError("the heldout metric needs held-out observations")
-        report.frobenius_heldout = heldout_frobenius(vertices, heldout.fitting_matrix(normalize))
+        report.frobenius_heldout = float(np.linalg.norm(X - mu, axis=1).mean())
     if "likelihood" in metrics:
-        if heldout is None:
-            raise ValueError("the likelihood metric needs held-out observations")
-        like = heldout_likelihood(fit, heldout, normalize=normalize)
+        like = _likelihood(heldout, X, mu)
         if like.kind == "perplexity":
             report.perplexity = like.value
         else:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._matrix_io import read_matrix_csv, write_matrix_csv
+from ._matrix_io import read_matrix_csv, write_json, write_matrix_csv
 
 KERNEL_NAMES = ("noiseless", "gaussian", "poisson", "multinomial")
 
@@ -336,9 +336,7 @@ def save_dataset(dataset: Dataset, directory: str | Path) -> Path:
         write_matrix_csv(directory / "theta.csv", dataset.truth.weights)
         meta["alpha"] = simplex.alpha.tolist()
         meta["truth"] = {"vertices_csv": "B.csv", "weights_csv": "theta.csv"}
-    with open(directory / "dataset.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(directory / "dataset.json", meta)
     return directory
 
 

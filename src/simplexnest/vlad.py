@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import alpha_est
-from ._matrix_io import read_matrix_csv, write_matrix_csv
+from ._matrix_io import read_matrix_csv, write_json, write_matrix_csv
 from .extension import quadrature_gamma
 from .model import Dataset, affine_rank_deficient
 from .numerics import SvdFactors, center, kmeans, truncated_svd
@@ -294,9 +294,7 @@ def save_fit(fit_result: VladFit, directory: str | Path, seed: int | None = None
         "kmeans_cost": fit_result.kmeans_cost,
         "seed": seed,
     }
-    with open(directory / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(directory / "meta.json", meta)
     return directory
 
 

@@ -8,7 +8,7 @@ from simplexnest import Kernel, SimplexNest, generate, sample_vertices, save_dat
 from simplexnest import harness
 from simplexnest.alpha_est import _moments, corrected_covariance
 from simplexnest.baselines import save_baseline, spa
-from simplexnest.cli import main
+from simplexnest.cli import _config_from_args, build_parser, main
 from simplexnest.extension import GammaTable, build_gamma_table, quadrature_gamma, varphi
 from simplexnest.harness import (
     ConfigError,
@@ -268,6 +268,16 @@ class TestCmdEval:
         assert len(lines) == 3  # header + two appended rows
         assert (fit_dir / "eval.json").exists()
 
+    def test_foreign_results_csv_left_untouched(self, dataset_dir, tmp_path, capsys):
+        data_dir, _ = dataset_dir
+        fit_dir = cmd_fit(data_dir, "vlad", tmp_path / "fit", gamma=3.0, seed=5)
+        csv = tmp_path / "results.csv"
+        csv.write_text("a,b,c\n1,2,3\n")
+        assert main(["eval", "--fit", str(fit_dir), "--data", str(data_dir),
+                     "--results-csv", str(csv)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert csv.read_text() == "a,b,c\n1,2,3\n"
+
     def test_heldout_directory(self, dataset_dir, tmp_path):
         data_dir, model = dataset_dir
         heldout = generate(model, 80, np.random.default_rng(99))
@@ -466,6 +476,59 @@ class TestCli:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"methods": ["hmc"]}))
         assert main(["experiment", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("payload", [
+        {"K": "10"},
+        {"seeds": 3},
+        {"alpha_search": [1, "x"]},
+        {"n": [100.5]},
+    ])
+    def test_wrong_typed_config_exit_code(self, tmp_path, payload, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(payload))
+        assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "experiment"])
+    def test_flags_and_json_set_the_same_config(self, tmp_path, command):
+        parser = build_parser()
+        fields = ExperimentConfig.__dataclass_fields__
+        settable = {k for k in vars(parser.parse_args([command])) if k in fields}
+        values = {  # field: (flags, the same value in JSON)
+            "kernel": (["--kernel", "poisson"], "poisson"),
+            "sigma": (["--sigma", "0.5"], 0.5),
+            "trials": (["--trials", "50"], 50),
+            "D": (["--D", "12"], 12),
+            "K": (["--K", "4"], 4),
+            "alpha": (["--alpha", "1", "3"], [1.0, 3.0]),
+            "n": (["--n", "100", "200"], [100, 200]),
+            "c_min": (["--c-min", "0.5"], [0.5]),
+            "seeds": (["--seeds", "3", "4"], [3, 4]),
+            "out": (["--out", "elsewhere"], "elsewhere"),
+            "normalize": (["--raw-counts"], False),
+            "paper_scale": (["--paper-scale"], True),
+            "methods": (["--methods", "spa", "vlad"], ["spa", "vlad"]),
+            "metrics": (["--metrics", "mm"], ["mm"]),
+            "gamma_table": (["--gamma-table", "t.json"], "t.json"),
+            "restarts": (["--restarts", "3"], 3),
+            "n_heldout": (["--n-heldout", "5"], 5),
+            "workers": (["--workers", "2"], 2),
+        }
+        experiment_only = {"methods", "metrics", "gamma_table", "restarts", "n_heldout", "workers"}
+        assert settable == set(values) - (experiment_only if command == "generate" else set())
+        for name in settable:
+            flags, value = values[name]
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({name: value}))
+            by_flag = _config_from_args(parser.parse_args([command, *flags]))
+            by_json = _config_from_args(parser.parse_args([command, "--config", str(path)]))
+            assert getattr(by_flag, name) != getattr(ExperimentConfig(), name)
+            assert by_flag.resolved() == by_json.resolved()
+        path = tmp_path / "kept.json"
+        path.write_text(json.dumps({"paper_scale": True, "normalize": False}))
+        kept = _config_from_args(parser.parse_args([command, "--config", str(path)]))
+        assert kept.paper_scale is True and kept.normalize is False
 
     def test_fit_without_a_table_then_eval(self, tmp_path):
         assert main(["generate", "--kernel", "gaussian", "--sigma", "0.1", "--D", "12", "--K", "3",

@@ -16,7 +16,7 @@ from simplexnest.metrics import (
     min_matching,
     simplex_volume,
 )
-from simplexnest.vlad import fit
+from simplexnest.vlad import fit, simplex_least_squares
 
 
 def _brute_force_max_form(M):
@@ -225,6 +225,22 @@ class TestEvaluateFit:
         assert report.nll is not None  # noiseless scores the squared residual
         d = report.to_dict()
         assert set(d) >= {"mm_distance", "volume", "frobenius_heldout"}
+
+    def test_heldout_rows_projected_once(self, monkeypatch):
+        kern = Kernel.poisson()
+        V = sample_vertices(12, 3, kern, np.random.default_rng(20))
+        heldout = generate(SimplexNest(V, 1.0, kern), 150, np.random.default_rng(21))
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return simplex_least_squares(*args, **kwargs)
+
+        monkeypatch.setattr("simplexnest.metrics.simplex_least_squares", spy)
+        report = evaluate_fit(V, heldout=heldout, metrics=("heldout", "likelihood"))
+        assert len(calls) == 1
+        assert report.frobenius_heldout == heldout_frobenius(V, heldout.fitting_matrix())
+        assert report.nll == heldout_likelihood(V, heldout).value
 
     def test_missing_inputs_raise(self):
         V = np.random.default_rng(18).normal(size=(4, 3))
