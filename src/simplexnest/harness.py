@@ -122,6 +122,9 @@ class ExperimentConfig:
         cfg = replace(self)
         if cfg.kernel not in KERNEL_NAMES:
             raise ConfigError(f"unknown kernel {cfg.kernel!r}")
+        for name in ("normalize", "paper_scale"):
+            if not isinstance(getattr(cfg, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(cfg, name)!r}")
         for name in ("K", "trials", "restarts", "n_heldout", "workers"):
             _require_numbers(name, [getattr(cfg, name)], integer=True)
         _require_numbers("sigma", [cfg.sigma])
@@ -143,6 +146,8 @@ class ExperimentConfig:
         _require_numbers("c_min", cfg.c_min)
         for a in cfg.alpha:
             _require_numbers("alpha", a if isinstance(a, (list, tuple)) else [a])
+            if isinstance(a, (list, tuple)) and len(a) != cfg.K:
+                raise ConfigError(f"an asymmetric alpha needs K = {cfg.K} entries, got {a!r}")
         _require_numbers("seeds", cfg.seeds, integer=True)
         for name in ("gamma_grid", "alpha_search"):
             _require_numbers(name, getattr(cfg, name))

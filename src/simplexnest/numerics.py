@@ -11,8 +11,15 @@ O(moved * d) per pass instead of O(n * d), and recomputes them exactly on
 the first pass, after an empty-cluster reseed and when a pass reproduces
 the previous assignment. A fixpoint is accepted only after a pass scored
 against exact means, so, as in plain Lloyd, the returned centroids are
-exact means and the cost is scored against them. The point layouts the
-passes read are built once per ``kmeans`` call and shared by restarts.
+exact means and the cost is scored against them.
+
+The restarts of one ``kmeans`` call run in lockstep: each pass scores all
+restarts still running in one (A K, d + 1) x (d + 1, n) product into a
+score buffer allocated once per call, and finds each point's cluster by
+one max and one first-max pass over it, with ``np.argmax``'s tie rule. A
+restart leaves the batch when it converges or reaches the cap, and the
+result of every restart equals that of running it alone wherever the
+BLAS rounds the batched product as it rounds a one-restart product.
 
 The truncated SVD computes only the top r singular triplets, by implicitly
 restarted Lanczos (ARPACK, through ``scipy.sparse.linalg.svds``) from a
@@ -147,25 +154,6 @@ def _plusplus_init(
     return centroids
 
 
-@dataclass(frozen=True)
-class _LloydInput:
-    """Layouts of the points that every restart of one ``kmeans`` call shares."""
-
-    points: np.ndarray   # (n, d)
-    aug: np.ndarray      # (n, d + 1): the points with a trailing column of ones
-    columns: np.ndarray  # (d, n): the points transposed, each coordinate contiguous
-    sqnorms: np.ndarray  # (n,): squared point norms
-
-    @classmethod
-    def of(cls, points: np.ndarray) -> "_LloydInput":
-        n, d = points.shape
-        aug = np.empty((n, d + 1))
-        aug[:, :d] = points
-        aug[:, d] = 1.0
-        return cls(points=points, aug=aug, columns=np.ascontiguousarray(points.T),
-                   sqnorms=np.einsum("ij,ij->i", points, points))
-
-
 def _cluster_sums(columns: np.ndarray, assign: np.ndarray, K: int) -> np.ndarray:
     """Exact per-cluster coordinate sums, (K, d): one bincount per coordinate."""
     sums = np.empty((K, columns.shape[0]))
@@ -174,17 +162,40 @@ def _cluster_sums(columns: np.ndarray, assign: np.ndarray, K: int) -> np.ndarray
     return sums
 
 
-def _lloyd(inp: _LloydInput, centroids: np.ndarray, max_iter: int) -> KMeansResult:
-    """Lloyd iterations until the assignment fixpoint or the iteration cap.
+@dataclass
+class _Restart:
+    """Lloyd state of one restart between passes."""
+
+    centroids: np.ndarray           # (K, d): the next pass scores against these
+    assign: np.ndarray              # (n,): this pass's assignment
+    prev: np.ndarray                # (n,): the previous pass's assignment
+    sums: np.ndarray | None = None  # per-cluster sums of prev; exact when `exact`
+    exact: bool = False
+    iterations: int = 0
+    capped: bool = False            # the next pass is the final scoring at the cap
+
+
+def _lloyd(points: np.ndarray, sqnorms: np.ndarray, inits: list[np.ndarray],
+           max_iter: int) -> list[KMeansResult]:
+    """Lloyd iterations of every restart until its assignment fixpoint or the cap.
+
+    The restarts advance in lockstep. Each pass scores every live restart
+    in one product, the (A K, d + 1) centroid rows [c, -c^2/2] of the A
+    live restarts against the (d + 1, n) points with a trailing row of
+    ones, into a score buffer allocated once; a point's cluster maximizes
+    x.c - c^2/2 (squared distance with the constant per-point term
+    dropped). The max over each restart's K rows is a contiguous
+    reduction. The first row attaining it (``np.argmax``'s tie rule) is K
+    minus the largest key over the rows equal to the max, with row k keyed
+    K - k in the smallest unsigned type that holds K. The max is the
+    chosen score, so it gives the reseed distances and the cost. A restart
+    leaves the batch when it converges or reaches the cap.
 
     Each empty cluster is reseeded at a distinct point: the one farthest
     from its assigned centroid among points whose cluster has at least two
     members, so a reseed never empties another cluster. On duplicated
     points every distance is zero, and without that rule the first point
-    would be moved into every empty cluster. The assignment step maximizes
-    x.c - c^2/2 (squared distance with the constant per-point term dropped)
-    as one GEMM into a reused buffer, which keeps large-n runs memory-bound
-    rather than allocation-bound.
+    would be moved into every empty cluster.
 
     The per-cluster sums are updated from the points that changed cluster:
     each is subtracted from its old cluster and added to its new one, one
@@ -201,62 +212,80 @@ def _lloyd(inp: _LloydInput, centroids: np.ndarray, max_iter: int) -> KMeansResu
     point lies within rounding of a cell boundary. At the fixpoint the
     pass's own assignments, reseeds included, are returned with their cost.
     """
-    n, d = inp.points.shape
-    K = centroids.shape[0]
-    centroids = centroids.copy()
-    caug = np.empty((K, d + 1))
-    scores = np.empty((n, K))
-    assign = np.empty(n, dtype=np.intp)
-    prev = np.empty(n, dtype=np.intp)
-    sums: np.ndarray | None = None  # per-cluster sums of prev; exact when `exact`
-    exact = False
-    iterations = 0
-
-    def compute_assign() -> None:
-        # (n, K) scores: a (K, n) GEMM is faster, but OpenBLAS rounds it
-        # differently for K = 1 and for small n at large d
-        caug[:, :d] = centroids
-        caug[:, d] = -0.5 * np.einsum("ij,ij->i", centroids, centroids)
-        np.dot(inp.aug, caug.T, out=scores)
-        np.argmax(scores, axis=1, out=assign)
-
-    for _ in range(max_iter):
-        compute_assign()
-        counts = np.bincount(assign, minlength=K)
-        reseeded = bool(np.any(counts == 0))
-        if reseeded:
-            best = np.take_along_axis(scores, assign[:, None], axis=1).ravel()
-            nearest = np.maximum(inp.sqnorms - 2.0 * best, 0.0)
-            for k in np.flatnonzero(counts == 0):
-                far = int(np.argmax(np.where(counts[assign] >= 2, nearest, -np.inf)))
-                counts[assign[far]] -= 1
-                counts[k] = 1
-                assign[far] = k
-        iterations += 1
-        moved = None if sums is None else np.flatnonzero(assign != prev)
-        if exact and moved.size == 0:
-            break  # scored against the exact means of this very assignment
-        if moved is None or moved.size == 0 or reseeded:
-            sums = _cluster_sums(inp.columns, assign, K)
-            exact = True
-        else:
-            cols = np.arange(moved.size)
-            signs = np.zeros((K, moved.size))
-            signs[prev[moved], cols] = -1.0
-            signs[assign[moved], cols] = 1.0
-            sums += signs @ inp.points[moved]
-            exact = False
-        prev[:] = assign
-        centroids = sums / counts[:, None]
-    else:
-        if sums is not None and not exact:
-            # the cap was hit after an incremental update: score against exact means
-            centroids = _cluster_sums(inp.columns, prev, K) / counts[:, None]
-        compute_assign()
-    best = np.take_along_axis(scores, assign[:, None], axis=1).ravel()
-    cost = float(np.maximum(inp.sqnorms - 2.0 * best, 0.0).sum())
-    return KMeansResult(centroids=centroids, assignments=assign.copy(), cost=cost,
-                        iterations=iterations)
+    n, d = points.shape
+    R, K = len(inits), inits[0].shape[0]
+    aug = np.empty((d + 1, n))  # the points transposed, with a trailing row of ones
+    aug[:d] = points.T
+    aug[d] = 1.0
+    columns = aug[:d]           # each coordinate contiguous, for the exact sums
+    caug = np.empty((R * K, d + 1))
+    scores = np.empty((R * K, n))
+    top = np.empty((R, n))
+    keys = np.arange(K, 0, -1, dtype=np.min_scalar_type(K))[:, None]
+    keyed = np.empty((R, K, n), dtype=keys.dtype)
+    first = np.empty((R, n), dtype=keys.dtype)
+    states = [_Restart(c.copy(), np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp),
+                       capped=max_iter < 1) for c in inits]
+    results: list[KMeansResult | None] = [None] * R
+    live = list(range(R))
+    while live:
+        A = len(live)
+        for slot, r in enumerate(live):
+            c = states[r].centroids
+            caug[slot * K : (slot + 1) * K, :d] = c
+            caug[slot * K : (slot + 1) * K, d] = -0.5 * np.einsum("ij,ij->i", c, c)
+        np.matmul(caug[: A * K], aug, out=scores[: A * K])
+        blocks = scores[: A * K].reshape(A, K, n)
+        np.max(blocks, axis=1, out=top[:A])
+        np.equal(blocks, top[:A, None], out=keyed[:A])
+        np.multiply(keyed[:A], keys, out=keyed[:A])
+        np.max(keyed[:A], axis=1, out=first[:A])
+        running = []
+        for slot, r in enumerate(live):
+            st, best = states[r], top[slot]
+            assign = st.assign
+            np.subtract(K, first[slot], out=assign)
+            done = st.capped
+            if not done:
+                counts = np.bincount(assign, minlength=K)
+                reseeded = bool(np.any(counts == 0))
+                if reseeded:
+                    nearest = np.maximum(sqnorms - 2.0 * best, 0.0)
+                    for k in np.flatnonzero(counts == 0):
+                        far = int(np.argmax(np.where(counts[assign] >= 2, nearest, -np.inf)))
+                        counts[assign[far]] -= 1
+                        counts[k] = 1
+                        assign[far] = k
+                        best[far] = scores[slot * K + k, far]
+                st.iterations += 1
+                moved = None if st.sums is None else np.flatnonzero(assign != st.prev)
+                # scored against the exact means of this very assignment
+                done = st.exact and moved.size == 0
+            if done:
+                cost = float(np.maximum(sqnorms - 2.0 * best, 0.0).sum())
+                results[r] = KMeansResult(centroids=st.centroids, assignments=assign, cost=cost,
+                                          iterations=st.iterations)
+                continue
+            if moved is None or moved.size == 0 or reseeded:
+                st.sums = _cluster_sums(columns, assign, K)
+                st.exact = True
+            else:
+                cols = np.arange(moved.size)
+                signs = np.zeros((K, moved.size))
+                signs[st.prev[moved], cols] = -1.0
+                signs[assign[moved], cols] = 1.0
+                st.sums += signs @ points[moved]
+                st.exact = False
+            st.prev[:] = assign
+            st.centroids = st.sums / counts[:, None]
+            if st.iterations == max_iter:
+                if not st.exact:
+                    # the cap was hit after an incremental update: score against exact means
+                    st.centroids = _cluster_sums(columns, st.prev, K) / counts[:, None]
+                st.capped = True
+            running.append(r)
+        live = running
+    return results
 
 
 def kmeans(
@@ -272,7 +301,9 @@ def kmeans(
     ``extra_inits`` are deterministic centroid matrices run in addition to
     the seeded restarts (the first-listed run wins cost ties). Each restart
     draws from its own child stream spawned off ``rng``, so the result does
-    not depend on execution order.
+    not depend on execution order. All restarts run together in one
+    lockstep Lloyd loop. Points or initial centroids that are not finite
+    raise ``ValueError`` before any pass.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -287,16 +318,17 @@ def kmeans(
     if restarts > 0 and rng is None:
         raise ValueError("rng is required when restarts > 0")
 
-    best: KMeansResult | None = None
-    inp = _LloydInput.of(points)
     runs: list[np.ndarray] = [np.asarray(c, dtype=float) for c in extra_inits]
-    if restarts > 0:
-        children = rng.spawn(restarts)
-        runs.extend(_plusplus_init(points, K, child, inp.sqnorms) for child in children)
     for init in runs:
         if init.shape != (K, points.shape[1]):
             raise ValueError(f"initial centroids must have shape ({K}, {points.shape[1]})")
-        result = _lloyd(inp, init, max_iter)
-        if best is None or result.cost < best.cost:
-            best = result
-    return best
+        if not np.all(np.isfinite(init)):
+            raise ValueError("initial centroids must be finite")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite")
+    sqnorms = np.einsum("ij,ij->i", points, points)
+    if restarts > 0:
+        children = rng.spawn(restarts)
+        runs.extend(_plusplus_init(points, K, child, sqnorms) for child in children)
+    # min keeps the first of equal costs
+    return min(_lloyd(points, sqnorms, runs, max_iter), key=lambda result: result.cost)

@@ -482,6 +482,9 @@ class TestCli:
         {"seeds": 3},
         {"alpha_search": [1, "x"]},
         {"n": [100.5]},
+        {"normalize": "false"},
+        {"paper_scale": 1},
+        {"kernel": "noiseless", "D": 10, "K": 3, "alpha": [[1.0, 2.0]], "methods": ["spa"]},
     ])
     def test_wrong_typed_config_exit_code(self, tmp_path, payload, capsys):
         cfg = tmp_path / "bad.json"

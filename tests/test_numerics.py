@@ -1,5 +1,7 @@
 import functools
 import warnings
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from simplexnest.numerics import (
     LLOYD_MAX_ITER,
     KMeansResult,
     SvdFactors,
+    _cluster_sums,
     _plusplus_init,
     center,
     kmeans,
@@ -267,6 +270,89 @@ def _lloyd_reference(points: np.ndarray, centroids: np.ndarray, max_iter: int) -
                         iterations=iterations)
 
 
+@dataclass(frozen=True)
+class _LloydInput:
+    """Layouts of the points that every restart of one ``kmeans`` call shares."""
+
+    points: np.ndarray   # (n, d)
+    aug: np.ndarray      # (n, d + 1): the points with a trailing column of ones
+    columns: np.ndarray  # (d, n): the points transposed, each coordinate contiguous
+    sqnorms: np.ndarray  # (n,): squared point norms
+
+    @classmethod
+    def of(cls, points: np.ndarray) -> "_LloydInput":
+        n, d = points.shape
+        aug = np.empty((n, d + 1))
+        aug[:, :d] = points
+        aug[:, d] = 1.0
+        return cls(points=points, aug=aug, columns=np.ascontiguousarray(points.T),
+                   sqnorms=np.einsum("ij,ij->i", points, points))
+
+
+def _lloyd_one_restart(inp: _LloydInput, centroids: np.ndarray, max_iter: int) -> KMeansResult:
+    """Reference incremental Lloyd of one restart, scored by its own (n, K) product and argmax.
+
+    This is the package's Lloyd loop before the restarts ran in lockstep,
+    kept verbatim as the oracle of the lockstep loop.
+    """
+    n, d = inp.points.shape
+    K = centroids.shape[0]
+    centroids = centroids.copy()
+    caug = np.empty((K, d + 1))
+    scores = np.empty((n, K))
+    assign = np.empty(n, dtype=np.intp)
+    prev = np.empty(n, dtype=np.intp)
+    sums: np.ndarray | None = None  # per-cluster sums of prev; exact when `exact`
+    exact = False
+    iterations = 0
+
+    def compute_assign() -> None:
+        # (n, K) scores: a (K, n) GEMM is faster, but OpenBLAS rounds it
+        # differently for K = 1 and for small n at large d
+        caug[:, :d] = centroids
+        caug[:, d] = -0.5 * np.einsum("ij,ij->i", centroids, centroids)
+        np.dot(inp.aug, caug.T, out=scores)
+        np.argmax(scores, axis=1, out=assign)
+
+    for _ in range(max_iter):
+        compute_assign()
+        counts = np.bincount(assign, minlength=K)
+        reseeded = bool(np.any(counts == 0))
+        if reseeded:
+            best = np.take_along_axis(scores, assign[:, None], axis=1).ravel()
+            nearest = np.maximum(inp.sqnorms - 2.0 * best, 0.0)
+            for k in np.flatnonzero(counts == 0):
+                far = int(np.argmax(np.where(counts[assign] >= 2, nearest, -np.inf)))
+                counts[assign[far]] -= 1
+                counts[k] = 1
+                assign[far] = k
+        iterations += 1
+        moved = None if sums is None else np.flatnonzero(assign != prev)
+        if exact and moved.size == 0:
+            break  # scored against the exact means of this very assignment
+        if moved is None or moved.size == 0 or reseeded:
+            sums = _cluster_sums(inp.columns, assign, K)
+            exact = True
+        else:
+            cols = np.arange(moved.size)
+            signs = np.zeros((K, moved.size))
+            signs[prev[moved], cols] = -1.0
+            signs[assign[moved], cols] = 1.0
+            sums += signs @ inp.points[moved]
+            exact = False
+        prev[:] = assign
+        centroids = sums / counts[:, None]
+    else:
+        if sums is not None and not exact:
+            # the cap was hit after an incremental update: score against exact means
+            centroids = _cluster_sums(inp.columns, prev, K) / counts[:, None]
+        compute_assign()
+    best = np.take_along_axis(scores, assign[:, None], axis=1).ravel()
+    cost = float(np.maximum(inp.sqnorms - 2.0 * best, 0.0).sum())
+    return KMeansResult(centroids=centroids, assignments=assign.copy(), cost=cost,
+                        iterations=iterations)
+
+
 class TestKMeans:
     def test_n_equals_k_zero_cost(self):
         pts = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
@@ -376,6 +462,25 @@ class TestKMeans:
             kmeans(pts, 3, restarts=0, extra_inits=(np.zeros((2, 2)),))  # bad shape
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected_before_any_pass(self, bad, monkeypatch):
+        def no_pass(*args):
+            raise AssertionError("a Lloyd pass ran")
+
+        monkeypatch.setattr(numerics, "_lloyd", no_pass)
+        pts = np.random.default_rng(16).normal(size=(40, 3))
+        init = pts[:3].copy()
+        bad_pts = pts.copy()
+        bad_pts[7, 1] = bad
+        bad_init = init.copy()
+        bad_init[2, 0] = bad
+        with pytest.raises(ValueError, match="points must be finite"):
+            kmeans(bad_pts, 3, restarts=2, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="points must be finite"):
+            kmeans(bad_pts, 3, restarts=0, extra_inits=(init,))
+        with pytest.raises(ValueError, match="initial centroids must be finite"):
+            kmeans(pts, 3, restarts=2, rng=np.random.default_rng(0), extra_inits=(init, bad_init))
+
 def _blobs(seed: int, n: int, d: int, K: int, spread: float) -> np.ndarray:
     """n points around K normal centers; overlapping blobs take many Lloyd passes."""
     rng = np.random.default_rng(seed)
@@ -383,31 +488,57 @@ def _blobs(seed: int, n: int, d: int, K: int, spread: float) -> np.ndarray:
     return centers[rng.integers(K, size=n)] + spread * rng.normal(size=(n, d))
 
 
-def _assert_lloyd_matches_reference(points: np.ndarray, init: np.ndarray, max_iter: int) -> KMeansResult:
-    ref = _lloyd_reference(points, init, max_iter)
-    new = numerics._lloyd(numerics._LloydInput.of(points), init, max_iter)
-    np.testing.assert_array_equal(new.assignments, ref.assignments)
-    np.testing.assert_array_equal(new.centroids, ref.centroids)
-    assert new.cost == pytest.approx(ref.cost, rel=1e-12, abs=0.0)
-    assert new.iterations <= max_iter
-    return new
+def _plusplus_inits(points: np.ndarray, K: int, seeds) -> list[np.ndarray]:
+    return [_plusplus_init(points, K, np.random.default_rng(seed)) for seed in seeds]
+
+
+def _lockstep(points: np.ndarray, inits, max_iter: int) -> list[KMeansResult]:
+    return numerics._lloyd(points, np.einsum("ij,ij->i", points, points), list(inits), max_iter)
+
+
+def _assert_lloyd_matches_oracles(points: np.ndarray, inits, max_iter: int) -> list[KMeansResult]:
+    """Run the inits in lockstep; each restart must equal both one-restart oracles.
+
+    Where one of the products is a matrix-vector product (K = 1 or n = 1),
+    which OpenBLAS rounds differently, the cost may differ in the last bits
+    and is compared to within rounding of the squared norms.
+    """
+    inp = _LloydInput.of(points)
+    matvec = inits[0].shape[0] == 1 or points.shape[0] == 1
+    tol = 1e-12 * float(inp.sqnorms.sum()) if matvec else 0.0
+    results = _lockstep(points, inits, max_iter)
+    assert len(results) == len(inits)
+    for init, new in zip(inits, results):
+        one = _lloyd_one_restart(inp, init, max_iter)
+        np.testing.assert_array_equal(new.assignments, one.assignments)
+        np.testing.assert_array_equal(new.centroids, one.centroids)
+        assert new.cost == pytest.approx(one.cost, rel=1e-12, abs=tol)
+        assert new.iterations == one.iterations <= max_iter
+        ref = _lloyd_reference(points, init, max_iter)
+        np.testing.assert_array_equal(new.assignments, ref.assignments)
+        np.testing.assert_array_equal(new.centroids, ref.centroids)
+        assert new.cost == pytest.approx(ref.cost, rel=1e-12, abs=tol)
+    return results
 
 
 class TestLloydAgainstReference:
     @pytest.mark.parametrize("d", [1, 9, 100])
     def test_overlapping_blobs(self, d):
         pts = _blobs(20 + d, 800, d, 6, spread=1.5)
-        for seed in range(4):
-            _assert_lloyd_matches_reference(pts, _plusplus_init(pts, 8, np.random.default_rng(seed)),
-                                            LLOYD_MAX_ITER)
+        results = _assert_lloyd_matches_oracles(pts, _plusplus_inits(pts, 8, range(4)), LLOYD_MAX_ITER)
+        assert len({r.iterations for r in results}) > 1  # restarts leave the batch at different passes
 
     def test_duplicated_rows(self):
         pts = _blobs(30, 600, 9, 5, spread=1.0)
         pts[::3] = pts[0]
-        for seed in range(4):
-            _assert_lloyd_matches_reference(pts, _plusplus_init(pts, 7, np.random.default_rng(seed)),
-                                            LLOYD_MAX_ITER)
-        _assert_lloyd_matches_reference(np.ones((10, 2)), np.ones((3, 2)), LLOYD_MAX_ITER)
+        _assert_lloyd_matches_oracles(pts, _plusplus_inits(pts, 7, range(4)), LLOYD_MAX_ITER)
+        _assert_lloyd_matches_oracles(np.ones((10, 2)), [np.ones((3, 2))] * 2, LLOYD_MAX_ITER)
+        # one point repeated: the fixpoint pass itself reseeds, and its cost is
+        # scored at the reseeded clusters, whose scores differ from the max
+        # in the last bits
+        same = np.tile([-514.5548024940535, 203.82337535076695, 355.2213413015053], (19, 1))
+        [res] = _assert_lloyd_matches_oracles(same, [same[:5]], LLOYD_MAX_ITER)
+        assert res.cost > 0.0
 
     @pytest.mark.parametrize("points, init", [
         # the two reseed cases of TestKMeans: empty clusters on the first pass
@@ -420,15 +551,35 @@ class TestLloydAgainstReference:
          [[0.0], [-5.0], [11.0], [-10.0]]),
     ])
     def test_reseeds(self, points, init):
-        _assert_lloyd_matches_reference(np.array(points), np.array(init), LLOYD_MAX_ITER)
+        _assert_lloyd_matches_oracles(np.array(points), [np.array(init)], LLOYD_MAX_ITER)
+
+    def test_reseed_in_one_restart_only(self):
+        # The last restart empties a cluster on its third pass, when the first
+        # (a fixpoint after 2 passes) has left the batch and it scores in the
+        # second block of rows; the other two never reseed.
+        pts = np.array([[-2.0], [6.0], [4.0], [-6.0], [-9.0], [-4.0], [4.0], [-1.0], [5.0]])
+        fast = np.array([[-9.0], [-5.0], [0.0], [5.0]])
+        slow = np.array([[0.0], [8.0], [-7.0], [-10.0]])
+        reseeds = np.array([[0.0], [-5.0], [11.0], [-10.0]])
+        results = _assert_lloyd_matches_oracles(pts, [fast, slow, reseeds], LLOYD_MAX_ITER)
+        assert results[0].iterations == 2 < results[1].iterations
+        assert results[2].iterations > 3
 
     @pytest.mark.parametrize("max_iter", [1, 2, 5])
     def test_iteration_cap(self, max_iter):
         pts = _blobs(40, 1000, 9, 6, spread=1.5)
-        for seed in range(4):
-            res = _assert_lloyd_matches_reference(
-                pts, _plusplus_init(pts, 8, np.random.default_rng(seed)), max_iter)
-            assert res.iterations == max_iter
+        results = _assert_lloyd_matches_oracles(pts, _plusplus_inits(pts, 8, range(4)), max_iter)
+        assert all(res.iterations == max_iter for res in results)
+
+    def test_cap_reached_by_some_restarts(self):
+        pts = _blobs(40, 1000, 9, 6, spread=1.5)
+        inits = _plusplus_inits(pts, 8, range(6))
+        free = sorted(r.iterations for r in _lockstep(pts, inits, LLOYD_MAX_ITER))
+        max_iter = free[len(free) // 2]
+        assert free[0] < max_iter < free[-1]
+        results = _assert_lloyd_matches_oracles(pts, inits, max_iter)
+        assert any(r.iterations == max_iter for r in results)
+        assert any(r.iterations < max_iter for r in results)
 
     def test_cap_at_the_verification_pass(self):
         # A cap at the reference's own pass count leaves no room for the pass
@@ -438,8 +589,32 @@ class TestLloydAgainstReference:
         ref_iterations = _lloyd_reference(pts, init, LLOYD_MAX_ITER).iterations
         assert ref_iterations > 5
         for max_iter in range(1, ref_iterations + 2):
-            res = _assert_lloyd_matches_reference(pts, init, max_iter)
+            [res] = _assert_lloyd_matches_oracles(pts, [init], max_iter)
             assert res.iterations == min(max_iter, ref_iterations + 1)
+
+    def test_single_cluster(self):
+        pts = _blobs(42, 500, 9, 3, spread=1.0)
+        results = _assert_lloyd_matches_oracles(pts, [pts[:1], pts[1:2], np.zeros((1, 9))], LLOYD_MAX_ITER)
+        assert all(np.all(r.assignments == 0) for r in results)
+
+    @pytest.mark.parametrize("K", [128, 200, 256])
+    def test_many_clusters(self, K):
+        # first-index keys past the int8 range, and at K = 256 past the uint8 range
+        pts = _blobs(43, 900, 3, 40, spread=1.0)
+        _assert_lloyd_matches_oracles(pts, _plusplus_inits(pts, K, range(2)), LLOYD_MAX_ITER)
+
+    def test_extra_inits_cost_tie_first_listed_wins(self):
+        # both inits reach the same partition under permuted labels, at the same cost
+        pts = np.array([[-2.0], [6.0], [4.0], [-6.0], [-9.0], [-4.0], [4.0], [-1.0], [5.0]])
+        a = np.array([[-9.0], [-5.0], [0.0], [5.0]])
+        b = np.array([[6.0], [-9.0], [-4.0], [-1.0]])
+        ra, rb = _assert_lloyd_matches_oracles(pts, [a, b], LLOYD_MAX_ITER)
+        assert ra.cost == rb.cost
+        assert not np.array_equal(ra.assignments, rb.assignments)
+        for first, second, expected in ((a, b, ra), (b, a, rb)):
+            res = kmeans(pts, 4, restarts=0, extra_inits=(first, second))
+            np.testing.assert_array_equal(res.assignments, expected.assignments)
+            np.testing.assert_array_equal(res.centroids, expected.centroids)
 
     def test_full_recompute_at_most_twice_per_converged_restart(self, monkeypatch):
         calls = []
@@ -451,25 +626,43 @@ class TestLloydAgainstReference:
 
         monkeypatch.setattr(numerics, "_cluster_sums", spy)
         pts = _blobs(50, 2000, 100, 6, spread=2.5)
-        inp = numerics._LloydInput.of(pts)
-        for seed in range(6):
-            calls.clear()
-            res = numerics._lloyd(inp, _plusplus_init(pts, 8, np.random.default_rng(seed)), LLOYD_MAX_ITER)
+        results = _lockstep(pts, _plusplus_inits(pts, 8, range(6)), LLOYD_MAX_ITER)
+        assert all(2 < res.iterations < LLOYD_MAX_ITER for res in results)
+        # a converged restart recomputes from its own assignment array only:
+        # on the first pass and at the fixpoint check
+        per_restart = Counter(id(args[1]) for args in calls)
+        assert len(per_restart) == len(results)
+        assert max(per_restart.values()) <= 2
+
+    def test_fixpoint_where_the_products_round_differently(self):
+        # At n = 50 and d = 20 this OpenBLAS rounds the batched (A K, n)
+        # product differently from the per-restart (n, K) one, so a near tie
+        # may go the other way than in the oracle; the result is still a
+        # Lloyd fixpoint with exact means.
+        pts = _blobs(44, 50, 20, 4, spread=2.0)
+        for restarts in (1, 4):
+            res = kmeans(pts, 4, restarts=restarts, rng=np.random.default_rng(45))
             assert res.iterations < LLOYD_MAX_ITER
-            assert len(calls) <= 2  # the first pass and the fixpoint check
-            assert res.iterations > 2
+            d2 = ((pts[:, None, :] - res.centroids[None, :, :]) ** 2).sum(axis=2)
+            chosen = d2[np.arange(50), res.assignments]
+            assert np.all(chosen <= d2.min(axis=1) + 1e-9 * d2.max())
+            for k in range(4):
+                np.testing.assert_allclose(res.centroids[k], pts[res.assignments == k].mean(axis=0),
+                                           rtol=0, atol=1e-12)
+            assert res.cost == pytest.approx(chosen.sum(), rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80), d=st.sampled_from([1, 2, 3, 9]),
            centers=st.integers(1, 6), K=st.integers(1, 8), spread=st.floats(0.05, 3.0),
-           duplicate=st.booleans(), max_iter=st.sampled_from([1, 2, 5, LLOYD_MAX_ITER]))
-    def test_blobs_property(self, seed, n, d, centers, K, spread, duplicate, max_iter):
+           duplicate=st.booleans(), max_iter=st.sampled_from([1, 2, 5, LLOYD_MAX_ITER]),
+           restarts=st.integers(1, 4))
+    def test_blobs_property(self, seed, n, d, centers, K, spread, duplicate, max_iter, restarts):
         assume(K <= n)
         pts = _blobs(seed, n, d, centers, spread)
         if duplicate:
             pts[::2] = pts[-1]
-        init = _plusplus_init(pts, K, np.random.default_rng(seed))
-        _assert_lloyd_matches_reference(pts, init, max_iter)
+        inits = _plusplus_inits(pts, K, range(seed, seed + restarts))
+        _assert_lloyd_matches_oracles(pts, inits, max_iter)
 
 
 class TestSampleCovariance:
