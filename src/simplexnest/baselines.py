@@ -16,7 +16,7 @@ import numpy as np
 from ._matrix_io import read_matrix_csv, write_json, write_matrix_csv
 from .model import Dataset
 from .numerics import kmeans
-from .vlad import _lexsorted_columns, extend_rays
+from .vlad import _extended, _lexsorted_columns
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,8 @@ def gdm(
         raise ValueError("observations must be finite")
     km = kmeans(X, K, restarts=restarts, rng=rng)
     c0 = X.mean(axis=0)
-    vertices = extend_rays(c0, km.centroids.T, gamma)
-    order = _lexsorted_columns(vertices)
     return BaselineFit(
-        vertices=vertices[:, order],
+        vertices=_extended(c0, km.centroids.T, gamma, data, normalize, renormalize=False)[0],
         method_tag=method_tag,
         meta={"gamma": float(gamma), "kmeans_cost": km.cost},
     )
@@ -97,14 +95,14 @@ def spa(data: Dataset, K: int, normalize: bool | None = None) -> BaselineFit:
     )
 
 
-def save_baseline(fit: BaselineFit, directory: str | Path, seed: int | None = None) -> Path:
-    """Write vertices.csv + meta.json using the shared fit-directory layout."""
+def save_baseline(fit: BaselineFit, directory: str | Path, seed: int | None = None, **meta) -> Path:
+    """Write vertices.csv + meta.json (plus the ``meta`` entries) in the shared fit-directory layout."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(directory / "vertices.csv", fit.vertices)
-    meta = {"method": fit.method_tag, "K": fit.vertices.shape[1], "seed": seed}
-    meta.update({k: v for k, v in fit.meta.items() if isinstance(v, (bool, int, float, str, list))})
-    write_json(directory / "meta.json", meta)
+    scalars = {k: v for k, v in fit.meta.items() if isinstance(v, (bool, int, float, str, list))}
+    write_json(directory / "meta.json",
+               {"method": fit.method_tag, "K": fit.vertices.shape[1], "seed": seed, **scalars, **meta})
     return directory
 
 

@@ -1,13 +1,17 @@
 """Command-line entry point.
 
 Subcommands: generate, fit, eval, experiment, alpha-curve, gamma-table.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure. A flag's
+dest is the ExperimentConfig field (generate, experiment) or the harness
+command keyword (the others) it sets; a flag left out parses to None and sets
+nothing, so the config or the command owns every default.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -18,14 +22,30 @@ from .model import KERNEL_NAMES
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """The --config JSON (or the defaults) overridden by every flag given.
-
-    Each flag whose dest names an ExperimentConfig field overrides it; an
-    absent flag parses to None and leaves the field as it is.
-    """
+    """The --config JSON (or the defaults) overridden by every flag given."""
     cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     fields = ExperimentConfig.__dataclass_fields__
     return cfg.with_overrides({k: v for k, v in vars(args).items() if k in fields})
+
+
+def _run_with_flags(command: Callable) -> Callable:
+    """The adapter of a harness command: call it with the flags that were
+    given, each as the keyword its dest names, and print what it returns."""
+
+    def run(args: argparse.Namespace) -> int:
+        given = {k: v for k, v in vars(args).items() if v is not None and k not in ("command", "func")}
+        result = command(**given)
+        if isinstance(result, dict):  # an eval report
+            result = "\n".join(f"{k}: {v}" for k, v in result.items() if v is not None and k != "diagnostics")
+        print(result)
+        return 0
+
+    return run
+
+
+def _add_raw_counts(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--raw-counts", dest="normalize", action="store_false", default=None,
+                   help="fit multinomial counts without normalizing by N")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -40,8 +60,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c-min", dest="c_min", type=float, nargs="+", help="skew factor lower bound(s)")
     p.add_argument("--seeds", type=int, nargs="+")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--raw-counts", dest="normalize", action="store_false", default=None,
-                   help="fit multinomial counts without normalizing by N")
+    _add_raw_counts(p)
     p.add_argument("--paper-scale", action="store_true", default=None,
                    help="use the full simulation-protocol defaults instead of desk scale")
 
@@ -55,29 +74,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_do_generate)
 
     p = sub.add_parser("fit", help="fit one estimator on a saved dataset")
-    p.add_argument("--data", required=True, help="dataset directory")
+    p.add_argument("--data", dest="data_dir", required=True, help="dataset directory")
     p.add_argument("--method", required=True,
                    help=" | ".join((*KNOWN_METHODS, "external:<vertices.csv>")))
-    p.add_argument("--out", required=True, help="fit output directory")
+    p.add_argument("--out", dest="out_dir", required=True, help="fit output directory")
     p.add_argument("--K", type=int)
     p.add_argument("--gamma", type=float, help="extension factor (skips the table lookup; not vlad_alpha)")
     p.add_argument("--gamma-table", dest="gamma_table", help="saved gamma table (default: quadrature)")
     p.add_argument("--alpha", type=float, help="known concentration that sets gamma")
-    p.add_argument("--alpha-search", dest="alpha_search", type=float, nargs=2, default=[0.02, 10.0])
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--raw-counts", action="store_true")
-    p.set_defaults(func=_do_fit)
+    p.add_argument("--alpha-search", dest="alpha_search", type=float, nargs=2)
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--seed", type=int)
+    _add_raw_counts(p)
+    p.set_defaults(func=_run_with_flags(harness.cmd_fit))
 
     p = sub.add_parser("eval", help="score a fit directory against dataset truth")
-    p.add_argument("--fit", required=True, help="fit directory (or a vertices.csv)")
-    p.add_argument("--data", required=True, help="dataset directory with truth sidecar")
-    p.add_argument("--heldout", help="held-out dataset directory")
-    p.add_argument("--metrics", nargs="+", default=["mm", "volume"],
-                   choices=METRIC_NAMES)
+    p.add_argument("--fit", dest="fit_dir", required=True, help="fit directory (or a vertices.csv)")
+    p.add_argument("--data", dest="data_dir", required=True, help="dataset directory with truth sidecar")
+    p.add_argument("--heldout", dest="heldout_dir", help="held-out dataset directory")
+    p.add_argument("--metrics", nargs="+", choices=METRIC_NAMES)
     p.add_argument("--results-csv", dest="results_csv", help="append a row to this CSV")
-    p.add_argument("--raw-counts", action="store_true")
-    p.set_defaults(func=_do_eval)
+    _add_raw_counts(p)
+    p.set_defaults(func=_run_with_flags(harness.cmd_eval))
 
     p = sub.add_parser("experiment", help="run a full sweep from a config")
     _add_model_flags(p)
@@ -90,22 +108,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_do_experiment)
 
     p = sub.add_parser("alpha-curve", help="tabulate the exact gamma(alpha) and varphi(alpha)")
-    p.add_argument("--K", type=int, default=10)
-    p.add_argument("--grid", type=float, nargs=3, default=[0.1, 5.0, 40],
-                   metavar=("LO", "HI", "NPOINTS"))
-    p.add_argument("--out", default="alpha_curve.csv")
-    p.set_defaults(func=_do_alpha_curve)
+    p.add_argument("--K", type=int)
+    p.add_argument("--grid", type=float, nargs=3, metavar=("LO", "HI", "NPOINTS"))
+    p.add_argument("--out", dest="out_path")
+    p.set_defaults(func=_run_with_flags(harness.cmd_alpha_curve))
 
     p = sub.add_parser("gamma-table", help="build and save a gamma table by Monte Carlo (paper protocol)")
     p.add_argument("--K", type=int, required=True)
-    p.add_argument("--grid", type=float, nargs=3, default=[0.02, 10.0, 40],
-                   metavar=("LO", "HI", "NPOINTS"))
-    p.add_argument("--m", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--grid", type=float, nargs=3, metavar=("LO", "HI", "NPOINTS"))
+    p.add_argument("--m", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--restarts", type=int)
     p.add_argument("--workers", type=int)
-    p.add_argument("--out", default="gamma_table.json")
-    p.set_defaults(func=_do_gamma_table)
+    p.add_argument("--out", dest="out_path")
+    p.set_defaults(func=_run_with_flags(harness.cmd_gamma_table))
     return parser
 
 
@@ -116,49 +132,10 @@ def _do_generate(args) -> int:
     return 0
 
 
-def _do_fit(args) -> int:
-    out = harness.cmd_fit(
-        args.data, args.method, args.out,
-        K=args.K, gamma=args.gamma, gamma_table=args.gamma_table,
-        alpha=args.alpha, alpha_search=tuple(args.alpha_search),
-        restarts=args.restarts, seed=args.seed,
-        normalize=not args.raw_counts,
-    )
-    print(out)
-    return 0
-
-
-def _do_eval(args) -> int:
-    report = harness.cmd_eval(
-        args.fit, args.data, metrics=tuple(args.metrics),
-        heldout_dir=args.heldout, results_csv=args.results_csv,
-        normalize=not args.raw_counts,
-    )
-    for key, value in report.items():
-        if value is not None and key != "diagnostics":
-            print(f"{key}: {value}")
-    return 0
-
-
 def _do_experiment(args) -> int:
     cfg = _config_from_args(args)
     run_root = harness.run_experiment(cfg)
     print(run_root / "results.csv")
-    return 0
-
-
-def _do_alpha_curve(args) -> int:
-    out = harness.cmd_alpha_curve(K=args.K, grid=tuple(args.grid), out_path=args.out)
-    print(out)
-    return 0
-
-
-def _do_gamma_table(args) -> int:
-    out = harness.cmd_gamma_table(
-        K=args.K, grid=tuple(args.grid), m=args.m, seed=args.seed,
-        out_path=args.out, restarts=args.restarts, workers=args.workers,
-    )
-    print(out)
     return 0
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import baselines, vlad
 from ._matrix_io import format_float, write_json
 from .extension import GammaTable, build_gamma_table, quadrature_gamma, varphi
-from .metrics import METRIC_NAMES, evaluate_fit
+from .metrics import HELDOUT_METRICS, METRIC_NAMES, evaluate_fit
 from .model import (
     KERNEL_NAMES,
     Dataset,
@@ -118,24 +118,30 @@ class ExperimentConfig:
         return self.from_dict({**asdict(self), **updates})
 
     def resolved(self) -> "ExperimentConfig":
-        """Fill scale-dependent defaults and validate."""
+        """Fill scale-dependent defaults; any value the run would fail on or ignore is a ConfigError."""
         cfg = replace(self)
         if cfg.kernel not in KERNEL_NAMES:
             raise ConfigError(f"unknown kernel {cfg.kernel!r}")
         for name in ("normalize", "paper_scale"):
             if not isinstance(getattr(cfg, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(cfg, name)!r}")
-        for name in ("K", "trials", "restarts", "n_heldout", "workers"):
+        for name in ("trials", "restarts", "n_heldout", "workers"):
             _require_numbers(name, [getattr(cfg, name)], integer=True)
         _require_numbers("sigma", [cfg.sigma])
-        if cfg.K < 2:
-            raise ConfigError("K must be >= 2")
+        _require_k(cfg.K)
+        for name, least in (("restarts", 1), ("n_heldout", 0)):
+            if getattr(cfg, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
         if cfg.D is None:
             if cfg.paper_scale:
                 cfg.D = 2000 if cfg.kernel == "multinomial" else 500
             else:
                 cfg.D = 200 if cfg.kernel == "multinomial" else 100
         _require_numbers("D", [cfg.D], integer=True)
+        # K affinely independent vertices need K - 1 dimensions, or K on the probability simplex
+        least_d = cfg.K if cfg.kernel == "multinomial" else cfg.K - 1
+        if cfg.D < least_d:
+            raise ConfigError(f"D must be >= {least_d} for K = {cfg.K} {cfg.kernel} vertices")
         if cfg.seeds is None:
             cfg.seeds = list(range(20 if cfg.paper_scale else 10))
         for name in ("alpha", "n", "c_min"):
@@ -144,13 +150,21 @@ class ExperimentConfig:
                 setattr(cfg, name, [value])
         _require_numbers("n", cfg.n, integer=True)
         _require_numbers("c_min", cfg.c_min)
+        _require_numbers("seeds", cfg.seeds, integer=True)
+        if not all(n >= 1 for n in cfg.n):
+            raise ConfigError(f"n must be >= 1, got {cfg.n}")
+        if not all(0 < c <= 1 for c in cfg.c_min):
+            raise ConfigError(f"c_min must lie in (0, 1], got {cfg.c_min}")
+        if not all(s >= 0 for s in cfg.seeds):
+            raise ConfigError(f"seeds must be >= 0, got {cfg.seeds}")
         for a in cfg.alpha:
-            _require_numbers("alpha", a if isinstance(a, (list, tuple)) else [a])
+            entries = a if isinstance(a, (list, tuple)) else [a]
+            _require_numbers("alpha", entries)
+            if not all(0 < v < np.inf for v in entries):
+                raise ConfigError(f"alpha entries must be finite and > 0, got {a!r}")
             if isinstance(a, (list, tuple)) and len(a) != cfg.K:
                 raise ConfigError(f"an asymmetric alpha needs K = {cfg.K} entries, got {a!r}")
-        _require_numbers("seeds", cfg.seeds, integer=True)
-        for name in ("gamma_grid", "alpha_search"):
-            _require_numbers(name, getattr(cfg, name))
+        _require_numbers("alpha_search", cfg.alpha_search)
         for name in ("methods", "metrics"):
             if not isinstance(getattr(cfg, name), (list, tuple)):
                 raise ConfigError(f"{name} must be a list of names")
@@ -169,18 +183,16 @@ class ExperimentConfig:
                     f"methods {sorted(bad)} need a symmetric (scalar) alpha; "
                     "asymmetric runs support vlad_alpha and spa only"
                 )
-        if ("heldout" in cfg.metrics or "likelihood" in cfg.metrics) and cfg.n_heldout < 1:
+        if set(HELDOUT_METRICS).intersection(cfg.metrics) and cfg.n_heldout < 1:
             raise ConfigError("heldout/likelihood metrics require n_heldout >= 1")
-        if cfg.kernel == "gaussian" and cfg.sigma <= 0:
-            raise ConfigError("sigma must be > 0")
+        if cfg.kernel == "gaussian" and not 0 < cfg.sigma < np.inf:
+            raise ConfigError("sigma must be finite and > 0")
         if cfg.kernel == "multinomial" and cfg.trials < 2:
             raise ConfigError("multinomial trials must be >= 2")
-        g = cfg.gamma_grid
-        if len(g) != 3 or not (0 < g[0] < g[1]) or int(g[2]) < 2:
-            raise ConfigError("gamma_grid must be [lo, hi, n_points] with 0 < lo < hi, n_points >= 2")
         s = cfg.alpha_search
         if len(s) != 2 or not 0 < s[0] < s[1]:
             raise ConfigError("alpha_search must be [lo, hi] with 0 < lo < hi")
+        _log_grid("gamma_grid", cfg.gamma_grid)
         return cfg
 
     def scientific_dict(self) -> dict:
@@ -207,6 +219,22 @@ def _require_numbers(name: str, values, integer: bool = False) -> None:
         raise ConfigError(f"{name} must hold {kind}, got {values!r}")
 
 
+def _require_k(K) -> None:
+    """ConfigError unless K is an integer >= 2."""
+    _require_numbers("K", [K], integer=True)
+    if K < 2:
+        raise ConfigError("K must be >= 2")
+
+
+def _log_grid(name: str, grid) -> tuple[float, float, int]:
+    """(lo, hi, n_points) of a log-spaced alpha grid; ConfigError unless
+    0 < lo < hi and n_points is a whole number >= 1."""
+    _require_numbers(name, grid)
+    if len(grid) != 3 or not 0 < grid[0] < grid[1] or not (float(grid[2]).is_integer() and grid[2] >= 1):
+        raise ConfigError(f"{name} must be (lo, hi, n_points) with 0 < lo < hi, whole n_points >= 1")
+    return float(grid[0]), float(grid[1]), int(grid[2])
+
+
 def _kernel_from_config(cfg: ExperimentConfig) -> Kernel:
     if cfg.kernel == "gaussian":
         return Kernel.gaussian(cfg.sigma)
@@ -230,23 +258,28 @@ def build_model(cfg: ExperimentConfig, seed: int, c_min: float, c_idx: int, alph
     return SimplexNest(vertices, np.asarray(alpha, dtype=float), kern)
 
 
-def load_gamma_table(path: str | Path, K: int) -> GammaTable:
-    """Read a saved gamma table for K vertices; any defect is a ConfigError."""
-    try:
-        table = GammaTable.load(path)
-    except (OSError, TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot read gamma table {path}: {exc}") from exc
-    if table.K != K:
-        raise ConfigError(f"gamma table K = {table.K} does not match K = {K}")
-    return table
+def _gamma_and_search(cfg: ExperimentConfig, gamma: float | None = None) -> tuple[Callable, ExperimentConfig]:
+    """gamma(K, alpha) for a run, and cfg with alpha_search clamped to its alpha range.
 
-
-def _clamped_search(cfg: ExperimentConfig, lo: float, hi: float) -> ExperimentConfig:
-    """cfg with alpha_search clamped to gamma's alpha range [lo, hi]."""
+    A fixed ``gamma`` is used as given (nothing searches alpha then); else the
+    saved cfg.gamma_table, whose every defect is a ConfigError, or the exact
+    quadrature over gamma_grid's [lo, hi].
+    """
+    if gamma is not None:
+        return (lambda K, alpha: gamma), cfg
+    gamma_fn, lo, hi = quadrature_gamma, float(cfg.gamma_grid[0]), float(cfg.gamma_grid[1])
+    if cfg.gamma_table:
+        try:
+            gamma_fn = GammaTable.load(cfg.gamma_table)
+        except (OSError, TypeError, ValueError) as exc:
+            raise ConfigError(f"cannot read gamma table {cfg.gamma_table}: {exc}") from exc
+        if gamma_fn.K != cfg.K:
+            raise ConfigError(f"gamma table K = {gamma_fn.K} does not match K = {cfg.K}")
+        lo, hi = gamma_fn.alpha_min, gamma_fn.alpha_max
     s_lo, s_hi = max(float(cfg.alpha_search[0]), lo), min(float(cfg.alpha_search[1]), hi)
     if not s_lo < s_hi:
         raise ConfigError(f"alpha_search {cfg.alpha_search} is outside gamma's alpha range [{lo}, {hi}]")
-    return replace(cfg, alpha_search=[s_lo, s_hi])
+    return gamma_fn, replace(cfg, alpha_search=[s_lo, s_hi])
 
 
 def run_method(
@@ -265,8 +298,6 @@ def run_method(
     """
     blind = data.without_truth()
     if method in KNOWN_ALPHA_METHODS:
-        if isinstance(alpha, (list, tuple, np.ndarray)):
-            raise ConfigError(f"method {method!r} needs a symmetric alpha")
         gamma = float(gamma_fn(cfg.K, alpha))
         if method == "vlad":
             fit = vlad.fit(blind, cfg.K, gamma=gamma, restarts=cfg.restarts, rng=rng,
@@ -337,14 +368,10 @@ def _cell_data(cfg: ExperimentConfig, cell: _Cell) -> tuple[SimplexNest, Dataset
     return model, generate(model, cell.n, _rng(*cell[:4], _SALT_DATA))
 
 
-def _fit_and_save(method, data, cfg, gamma_fn, alpha, rng, out_dir: Path, seed: int):
-    """run_method, timed, with the fit saved to ``out_dir``; returns (fit, info, seconds)."""
-    started = time.perf_counter()
-    fit, info = run_method(method, data, cfg, gamma_fn, alpha, rng)
-    elapsed = time.perf_counter() - started
+def _save(fit, out_dir: Path, seed: int, **meta) -> None:
+    """Write the fit directory; ``meta`` entries are added to its meta.json."""
     save = vlad.save_fit if isinstance(fit, vlad.VladFit) else baselines.save_baseline
-    save(fit, out_dir, seed=seed)
-    return fit, info, elapsed
+    save(fit, out_dir, seed=seed, **meta)
 
 
 def _format_cell(value) -> str:
@@ -383,8 +410,10 @@ def _run_cell(cfg, gamma_fn, run_root, cell: _Cell) -> list[dict]:
         cell_dir = run_root / f"s{cell.seed}" / _cell_dirname(cell) / _method_dirname(method)
         try:
             rng = _rng(*cell[:4], j, _SALT_FIT)
-            fit, info, elapsed = _fit_and_save(method, data, cfg, gamma_fn, cell.alpha, rng,
-                                               cell_dir, cell.seed)
+            started = time.perf_counter()
+            fit, info = run_method(method, data, cfg, gamma_fn, cell.alpha, rng)
+            elapsed = time.perf_counter() - started
+            _save(fit, cell_dir, cell.seed)
             report = evaluate_fit(
                 fit, dataset=data, heldout=heldout,
                 metrics=tuple(cfg.metrics), wall_time_s=elapsed,
@@ -405,12 +434,8 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     """
     cfg = cfg.resolved()
     run_root = Path(cfg.out) / cfg.config_hash()
-    gamma_fn, lo, hi = quadrature_gamma, float(cfg.gamma_grid[0]), float(cfg.gamma_grid[1])
-    if cfg.gamma_table:
-        gamma_fn = load_gamma_table(cfg.gamma_table, cfg.K)
-        lo, hi = gamma_fn.alpha_min, gamma_fn.alpha_max
     scientific = cfg.scientific_dict()
-    cfg = _clamped_search(cfg, lo, hi)
+    gamma_fn, cfg = _gamma_and_search(cfg)
     run_root.mkdir(parents=True, exist_ok=True)
     write_json(run_root / "config.json", scientific)
 
@@ -496,15 +521,12 @@ def cmd_fit(
 ) -> Path:
     """Fit one method on a saved dataset; write a fit directory.
 
-    ``gamma`` may be given directly for the known-alpha methods, and is a
-    ConfigError for ``vlad_alpha``, which estimates it; otherwise
-    gamma(K, alpha) comes from the saved ``gamma_table``, whose alpha range
-    also clamps ``alpha_search``, or else from the exact quadrature.
+    The known-alpha methods take ``gamma`` directly, or else gamma(K, alpha)
+    from the saved ``gamma_table``, whose alpha range also clamps
+    ``alpha_search``, or from the exact quadrature. A value the method ignores
+    (``vlad_alpha`` estimates gamma and alpha, ``spa`` and ``external:`` use
+    neither) is a ConfigError.
     """
-    if alpha is not None and not alpha > 0:
-        raise ConfigError("need alpha > 0")
-    if gamma is not None and method == "vlad_alpha":
-        raise ConfigError("method 'vlad_alpha' estimates gamma; drop --gamma")
     data = load_dataset(data_dir)
     if K is None:
         if data.truth is None:
@@ -514,27 +536,31 @@ def cmd_fit(
         kernel=data.kernel.name,
         sigma=data.kernel.sigma or 1.0,
         trials=data.kernel.trials or 500,
-        D=data.dim, K=K, restarts=restarts, normalize=normalize,
-        alpha_search=list(alpha_search),
+        D=data.dim, K=K, methods=[method], restarts=restarts, normalize=normalize,
+        gamma_table=gamma_table, alpha_search=list(alpha_search),
+        gamma_grid=[*alpha_search, 2],  # the quadrature covers every alpha: only a table clamps
     ).resolved()
-    gamma_fn = quadrature_gamma
-    if gamma is not None:
-        gamma_fn = lambda K, a: gamma
-    elif gamma_table is not None and method in (*KNOWN_ALPHA_METHODS, "vlad_alpha"):
-        gamma_fn = load_gamma_table(gamma_table, K)
-        cfg = _clamped_search(cfg, gamma_fn.alpha_min, gamma_fn.alpha_max)
+    for name, value in (("alpha", alpha), ("gamma", gamma)):
+        if value is not None and not 0 < value < np.inf:
+            raise ConfigError(f"{name} must be finite and > 0")
+    if method == "vlad_alpha" and (gamma, alpha) != (None, None):
+        raise ConfigError("method 'vlad_alpha' estimates gamma and alpha; drop --gamma and --alpha")
+    if method not in (*KNOWN_ALPHA_METHODS, "vlad_alpha") and (gamma, alpha, gamma_table) != (None,) * 3:
+        raise ConfigError(f"method {method!r} uses no gamma; drop --gamma, --alpha and --gamma-table")
+    if gamma is not None and gamma_table is not None:
+        raise ConfigError("give --gamma or --gamma-table, not both")
     if method in KNOWN_ALPHA_METHODS and gamma is None and alpha is None:
         raise ConfigError(f"method {method!r} needs --alpha (or an explicit --gamma)")
+    gamma_fn, cfg = _gamma_and_search(cfg, gamma)
+    started = time.perf_counter()
+    fit, info = run_method(method, data, cfg, gamma_fn, alpha, _rng(seed, _SALT_FIT))
+    elapsed = time.perf_counter() - started
     out_dir = Path(out_dir)
-    fit, info, elapsed = _fit_and_save(method, data, cfg, gamma_fn, alpha, _rng(seed, _SALT_FIT),
-                                       out_dir, seed)
-    meta = json.loads((out_dir / "meta.json").read_text())
-    meta["method"] = method
-    meta["wall_time_s"] = elapsed
-    meta.update({k: v for k, v in info.items() if v is not None})
+    meta = {"method": method, "wall_time_s": elapsed, **{k: v for k, v in info.items() if v is not None}}
     if method == "vlad_alpha":
+        out_dir.mkdir(parents=True, exist_ok=True)
         meta.update(_alpha_report(fit, data, cfg, gamma_fn, out_dir))
-    write_json(out_dir / "meta.json", meta)
+    _save(fit, out_dir, seed, **meta)
     return out_dir
 
 
@@ -567,6 +593,8 @@ def cmd_eval(
     With ``results_csv``, append one row to it; a file whose header is not
     the eval columns is a ConfigError and is left untouched.
     """
+    if not heldout_dir and set(HELDOUT_METRICS).intersection(metrics):
+        raise ConfigError("the heldout and likelihood metrics need a held-out dataset (--heldout)")
     columns = ("fit_dir", "data_dir", *SCORE_COLUMNS)
     header = ",".join(columns)
     if results_csv is not None and Path(results_csv).exists():
@@ -594,12 +622,8 @@ def cmd_alpha_curve(
     out_path: str | Path = "alpha_curve.csv",
 ) -> Path:
     """Tabulate the exact gamma(alpha) and the moment ratio varphi over a log grid."""
-    if K < 2:
-        raise ConfigError("K must be >= 2")
-    lo, hi, npts = float(grid[0]), float(grid[1]), int(grid[2])
-    if not (0 < lo < hi) or npts < 2:
-        raise ConfigError("grid must be (lo, hi, n_points) with 0 < lo < hi, n_points >= 2")
-    alphas = np.geomspace(lo, hi, npts)
+    _require_k(K)
+    alphas = np.geomspace(*_log_grid("grid", grid))
     rows = [{"alpha": a, "gamma": g, "varphi": varphi(K, a, g)}
             for a, g in zip(alphas, quadrature_gamma(K, alphas))]
     _write_rows_csv(Path(out_path), ("alpha", "gamma", "varphi"), rows)
@@ -616,12 +640,10 @@ def cmd_gamma_table(
     workers: int | None = None,
 ) -> Path:
     """Build and save a gamma lookup table by the paper's Monte-Carlo protocol."""
-    if K < 2 or m < K:
-        raise ConfigError("need K >= 2 and m >= K Monte Carlo samples")
-    lo, hi, npts = float(grid[0]), float(grid[1]), int(grid[2])
-    if not (0 < lo < hi) or npts < 1:
-        raise ConfigError("grid must be (lo, hi, n_points) with 0 < lo < hi, n_points >= 1")
-    alphas = np.geomspace(lo, hi, npts) if npts > 1 else np.asarray([lo])
+    _require_k(K)
+    if m < K:
+        raise ConfigError("need m >= K Monte Carlo samples")
+    alphas = np.geomspace(*_log_grid("grid", grid))
     table = build_gamma_table(K, alphas, m=m, seed=seed, restarts=restarts, workers=workers)
     table.save(out_path)
     return Path(out_path)

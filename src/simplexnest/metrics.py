@@ -207,6 +207,7 @@ class EvalReport:
 
 
 METRIC_NAMES = ("mm", "heldout", "volume", "likelihood")
+HELDOUT_METRICS = ("heldout", "likelihood")  # scored on held-out observations
 
 
 def evaluate_fit(
@@ -236,7 +237,7 @@ def evaluate_fit(
         report.mm_frobenius = match.frobenius
     if "volume" in metrics:
         report.volume = simplex_volume(vertices)
-    projected = [name for name in ("heldout", "likelihood") if name in metrics]
+    projected = [name for name in HELDOUT_METRICS if name in metrics]
     if not projected:
         return report
     if heldout is None:

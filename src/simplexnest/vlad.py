@@ -64,22 +64,25 @@ def _lexsorted_columns(V: np.ndarray) -> np.ndarray:
     return np.lexsort(V[::-1])
 
 
-def _renormalized(
-    vertices: np.ndarray, data: Dataset, normalize: bool | None, renormalize: bool | None
-) -> np.ndarray:
-    """Clip vertices to >= 0 and rescale columns onto the probability simplex.
+def _extended(center_point: np.ndarray, centroids: np.ndarray, gamma: float, data: Dataset,
+              normalize: bool | None, renormalize: bool | None) -> tuple[np.ndarray, np.ndarray]:
+    """Extend the rays to the centroids by gamma, optionally clip the vertices
+    to >= 0 and rescale their columns onto the probability simplex, and return
+    vertices and centroids with columns in lexicographic vertex order.
 
     ``renormalize=None`` means: only for normalized multinomial data.
     """
+    vertices = extend_rays(center_point, centroids, gamma)
     if renormalize is None:
         renormalize = data.kernel.name == "multinomial" and (normalize is None or normalize)
-    if not renormalize:
-        return vertices
-    vertices = np.clip(vertices, 0.0, None)
-    sums = vertices.sum(axis=0)
-    if np.any(sums <= 0):
-        raise ValueError("cannot renormalize a fitted vertex with no positive mass")
-    return vertices / sums
+    if renormalize:
+        vertices = np.clip(vertices, 0.0, None)
+        sums = vertices.sum(axis=0)
+        if np.any(sums <= 0):
+            raise ValueError("cannot renormalize a fitted vertex with no positive mass")
+        vertices = vertices / sums
+    order = _lexsorted_columns(vertices)
+    return vertices[:, order], centroids[:, order]
 
 
 def fit(
@@ -136,12 +139,10 @@ def fit(
     if pair.min() <= 1e-12 * scale:
         warnings.warn("two fitted vertices coincide (degenerate K-means winner)", stacklevel=2)
 
-    vertices = _renormalized(extend_rays(c0, centroids, gamma), data, normalize, renormalize)
-
-    order = _lexsorted_columns(vertices)
+    vertices, centroids = _extended(c0, centroids, gamma, data, normalize, renormalize)
     return VladFit(
-        vertices=vertices[:, order],
-        cvt_centroids=centroids[:, order],
+        vertices=vertices,
+        cvt_centroids=centroids,
         center=c0,
         factors=factors,
         gamma=float(gamma),
@@ -176,13 +177,11 @@ def fit_auto(
     alpha_hat = alpha_est._solve_alpha(K, aa, at, gamma, alpha_search)
     gamma_hat = float(gamma(K, alpha_hat))
 
-    vertices = _renormalized(
-        extend_rays(base.center, base.cvt_centroids, gamma_hat), data, normalize, renormalize)
-    order = _lexsorted_columns(vertices)
+    vertices, centroids = _extended(base.center, base.cvt_centroids, gamma_hat, data, normalize, renormalize)
     return replace(
         base,
-        vertices=vertices[:, order],
-        cvt_centroids=base.cvt_centroids[:, order],
+        vertices=vertices,
+        cvt_centroids=centroids,
         gamma=gamma_hat,
         alpha=float(alpha_hat),
     )
@@ -280,21 +279,21 @@ def recover_weights(fit_result: VladFit, data: Dataset, normalize: bool | None =
     return simplex_least_squares(B, X)
 
 
-def save_fit(fit_result: VladFit, directory: str | Path, seed: int | None = None) -> Path:
-    """Write vertices.csv, centroids.csv, center.csv and meta.json."""
+def save_fit(fit_result: VladFit, directory: str | Path, seed: int | None = None, **meta) -> Path:
+    """Write vertices.csv, centroids.csv, center.csv and meta.json (plus the ``meta`` entries)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(directory / "vertices.csv", fit_result.vertices)
     write_matrix_csv(directory / "centroids.csv", fit_result.cvt_centroids)
     write_matrix_csv(directory / "center.csv", fit_result.center[None, :])
-    meta = {
+    write_json(directory / "meta.json", {
         "gamma": fit_result.gamma,
         "alpha": fit_result.alpha,
         "K": fit_result.n_vertices,
         "kmeans_cost": fit_result.kmeans_cost,
         "seed": seed,
-    }
-    write_json(directory / "meta.json", meta)
+        **meta,
+    })
     return directory
 
 

@@ -1,4 +1,6 @@
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,10 @@ from simplexnest.harness import (
     run_experiment,
 )
 from simplexnest.vlad import fit_auto, load_fit
+
+
+_EXPERIMENT = ["experiment", "--kernel", "noiseless", "--D", "10", "--K", "3", "--n", "100", "--seeds", "0",
+               "--methods", "vlad", "gdm"]
 
 
 def _tiny_config(out, **overrides):
@@ -102,6 +108,8 @@ class TestConfig:
         ({"alpha_search": [0.5]}, "alpha_search"),
         ({"alpha_search": [0.5, 2.0, 5.0]}, "alpha_search"),
         ({"K": 1}, "K must be >= 2"),
+        ({"gamma_grid": [0.5, 5.0, 2.5]}, "gamma_grid"),
+        ({"gamma_grid": [0.5, 5.0, 0]}, "gamma_grid"),
     ])
     def test_bad_alpha_search_or_k_rejected(self, tmp_path, overrides, message):
         cfg = _tiny_config(tmp_path / "runs", methods=["vlad", "vlad_alpha"], **overrides)
@@ -206,6 +214,20 @@ class TestCmdFit:
         out = cmd_fit(data_dir, "vlad_alpha", tmp_path / "fit", alpha_search=(0.5, 5.0), seed=5)
         assert len(calls) == 1  # the diagnostic objective in meta.json
         assert json.loads((out / "meta.json").read_text())["objective_value"] >= 0
+
+    @pytest.mark.parametrize("method,flags", [("vlad_alpha", {}), ("gdm", {"alpha": 2.0}), ("spa", {})])
+    def test_meta_json_written_once(self, dataset_dir, tmp_path, monkeypatch, method, flags):
+        real, written = Path.write_text, []
+
+        def spy(path, *args, **kwargs):
+            written.append(path.name)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", spy)
+        out = cmd_fit(dataset_dir[0], method, tmp_path / "fit", **flags)
+        assert written.count("meta.json") == 1
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["method"] == method and meta["wall_time_s"] > 0
 
     def test_method_errors(self, dataset_dir, tmp_path):
         data_dir, _ = dataset_dir
@@ -582,6 +604,78 @@ class TestCli:
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        # values that only failed once the sweep ran, or that it silently ignored
+        [*_EXPERIMENT, "--restarts", "0"],
+        [*_EXPERIMENT, "--c-min", "1.5"],
+        [*_EXPERIMENT, "--c-min", "0"],
+        [*_EXPERIMENT, "--c-min", "-0.5"],
+        [*_EXPERIMENT, "--alpha", "-1"],
+        [*_EXPERIMENT, "--D", "1"],
+        [*_EXPERIMENT, "--kernel", "multinomial", "--D", "2"],
+        [*_EXPERIMENT, "--n", "0"],
+        [*_EXPERIMENT, "--n-heldout", "-3"],
+        [*_EXPERIMENT, "--seeds", "-1"],
+        # fit flags the method would ignore, and values that only failed in the fit
+        ["fit", "--method", "spa", "--gamma", "2"],
+        ["fit", "--method", "spa", "--alpha", "2"],
+        ["fit", "--method", "external:{vertices}", "--gamma", "2"],
+        ["fit", "--method", "external:{vertices}", "--alpha", "2"],
+        ["fit", "--method", "vlad_alpha", "--alpha", "2"],
+        ["fit", "--method", "spa", "--gamma-table", "{table}"],
+        ["fit", "--method", "vlad", "--gamma", "2", "--gamma-table", "{table}"],
+        ["fit", "--method", "vlad", "--gamma", "-1"],
+        ["fit", "--method", "vlad", "--alpha", "2", "--restarts", "0"],
+        # a point count that is not a whole number
+        ["alpha-curve", "--K", "3", "--grid", "0.1", "5", "2.9"],
+        ["gamma-table", "--K", "3", "--m", "200", "--grid", "0.5", "5", "1.5"],
+    ])
+    def test_rejected_before_any_output(self, dataset_dir, table_path_k3, tmp_path, argv, capsys):
+        data_dir, model = dataset_dir
+        from simplexnest.baselines import BaselineFit
+
+        vertices = save_baseline(BaselineFit(model.vertices, "theirs", {}), tmp_path / "theirs") / "vertices.csv"
+        argv = [a.format(vertices=vertices, table=table_path_k3) for a in argv]
+        if argv[0] == "fit":
+            argv += ["--data", str(data_dir)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("metric", ["heldout", "likelihood"])
+    def test_heldout_metric_without_heldout_data_exit_code(self, dataset_dir, tmp_path, metric, capsys):
+        data_dir, _ = dataset_dir
+        fit_dir = cmd_fit(data_dir, "spa", tmp_path / "fit")
+        assert main(["eval", "--fit", str(fit_dir), "--data", str(data_dir), "--metrics", metric]) == 2
+        assert "config error: the heldout and likelihood metrics need a held-out dataset" in capsys.readouterr().err
+        assert not (fit_dir / "eval.json").exists()
+        # checked before anything is loaded
+        assert main(["eval", "--fit", str(tmp_path / "none"), "--data", str(tmp_path / "none"),
+                     "--metrics", metric]) == 2
+        assert "held-out dataset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,required,optional", [
+        ("cmd_fit", ["fit", "--data", "d", "--method", "spa", "--out", "o"],
+         ["--K", "3", "--gamma", "2", "--gamma-table", "t", "--alpha", "1", "--alpha-search", "0.1", "5",
+          "--restarts", "2", "--seed", "1", "--raw-counts"]),
+        ("cmd_eval", ["eval", "--fit", "f", "--data", "d"],
+         ["--heldout", "h", "--metrics", "mm", "--results-csv", "r", "--raw-counts"]),
+        ("cmd_alpha_curve", ["alpha-curve"], ["--K", "4", "--grid", "0.1", "5", "3", "--out", "c"]),
+        ("cmd_gamma_table", ["gamma-table", "--K", "3"],
+         ["--grid", "0.1", "5", "3", "--m", "100", "--seed", "1", "--restarts", "2", "--workers", "1",
+          "--out", "t"]),
+    ])
+    def test_subcommand_passes_only_the_flags_given(self, monkeypatch, command, required, optional):
+        keywords = inspect.signature(getattr(harness, command)).parameters
+        calls = []
+        monkeypatch.setattr(harness, command, lambda **kwargs: calls.append(kwargs) or "written")
+        assert main(required) == 0
+        assert set(calls[0]) == {k for k in keywords if keywords[k].default is inspect.Parameter.empty}
+        assert main(required + optional) == 0
+        assert set(calls[1]) == set(keywords)  # one flag per keyword, each flag's dest a keyword
+        if command in ("cmd_fit", "cmd_eval"):
+            assert calls[1]["normalize"] is False
 
     def test_numerical_error_exit_code(self, tmp_path):
         # fitting K = 3 on 3 observations violates n > K
