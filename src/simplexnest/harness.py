@@ -51,6 +51,9 @@ class ConfigError(ValueError):
 
 KNOWN_METHODS = ("vlad", "vlad_alpha", "gdm", "gdm_mc", "spa")
 KNOWN_ALPHA_METHODS = ("vlad", "gdm", "gdm_mc")  # gamma from a known, symmetric alpha
+# A log-spaced alpha grid is a table for a person to read or a gamma
+# calibration; far beyond 40 points it is a typo that would exhaust memory.
+GRID_MAX_POINTS = 10_000
 
 # Salts separating the random streams derived from (seed, cell).
 _SALT_VERTICES = 11
@@ -129,7 +132,7 @@ class ExperimentConfig:
             _require_numbers(name, [getattr(cfg, name)], integer=True)
         _require_numbers("sigma", [cfg.sigma])
         _require_k(cfg.K)
-        for name, least in (("restarts", 1), ("n_heldout", 0)):
+        for name, least in (("restarts", 1), ("n_heldout", 0), ("workers", 1)):
             if getattr(cfg, name) < least:
                 raise ConfigError(f"{name} must be >= {least}")
         if cfg.D is None:
@@ -228,10 +231,12 @@ def _require_k(K) -> None:
 
 def _log_grid(name: str, grid) -> tuple[float, float, int]:
     """(lo, hi, n_points) of a log-spaced alpha grid; ConfigError unless
-    0 < lo < hi and n_points is a whole number >= 1."""
+    0 < lo < hi and n_points is a whole number in [1, GRID_MAX_POINTS]."""
     _require_numbers(name, grid)
-    if len(grid) != 3 or not 0 < grid[0] < grid[1] or not (float(grid[2]).is_integer() and grid[2] >= 1):
-        raise ConfigError(f"{name} must be (lo, hi, n_points) with 0 < lo < hi, whole n_points >= 1")
+    if (len(grid) != 3 or not 0 < grid[0] < grid[1]
+            or not (float(grid[2]).is_integer() and 1 <= grid[2] <= GRID_MAX_POINTS)):
+        raise ConfigError(f"{name} must be (lo, hi, n_points) with 0 < lo < hi, "
+                          f"whole n_points in [1, {GRID_MAX_POINTS}]")
     return float(grid[0]), float(grid[1]), int(grid[2])
 
 
@@ -514,9 +519,9 @@ def cmd_fit(
     gamma: float | None = None,
     gamma_table: str | None = None,
     alpha: float | None = None,
-    alpha_search: tuple[float, float] = (0.02, 10.0),
-    restarts: int = 8,
-    seed: int = 0,
+    alpha_search: tuple[float, float] | None = None,
+    restarts: int | None = None,
+    seed: int | None = None,
     normalize: bool = True,
 ) -> Path:
     """Fit one method on a saved dataset; write a fit directory.
@@ -524,21 +529,25 @@ def cmd_fit(
     The known-alpha methods take ``gamma`` directly, or else gamma(K, alpha)
     from the saved ``gamma_table``, whose alpha range also clamps
     ``alpha_search``, or from the exact quadrature. A value the method ignores
-    (``vlad_alpha`` estimates gamma and alpha, ``spa`` and ``external:`` use
-    neither) is a ConfigError.
+    is a ConfigError: ``vlad_alpha`` estimates gamma and alpha, only it
+    searches alpha, and ``spa`` and ``external:`` use neither gamma nor the
+    K-means ``restarts`` and ``seed``. Left at None, ``alpha_search`` and
+    ``restarts`` take the ExperimentConfig defaults and ``seed`` is 0.
     """
     data = load_dataset(data_dir)
     if K is None:
         if data.truth is None:
             raise ConfigError("K is required when the dataset has no truth block")
         K = data.truth.simplex.n_vertices
+    defaults = ExperimentConfig()
+    search = defaults.alpha_search if alpha_search is None else list(alpha_search)
     cfg = ExperimentConfig(
         kernel=data.kernel.name,
         sigma=data.kernel.sigma or 1.0,
         trials=data.kernel.trials or 500,
-        D=data.dim, K=K, methods=[method], restarts=restarts, normalize=normalize,
-        gamma_table=gamma_table, alpha_search=list(alpha_search),
-        gamma_grid=[*alpha_search, 2],  # the quadrature covers every alpha: only a table clamps
+        D=data.dim, K=K, methods=[method], normalize=normalize, gamma_table=gamma_table,
+        restarts=defaults.restarts if restarts is None else restarts, alpha_search=search,
+        gamma_grid=[*search, 2],  # the quadrature covers every alpha: only a table clamps
     ).resolved()
     for name, value in (("alpha", alpha), ("gamma", gamma)):
         if value is not None and not 0 < value < np.inf:
@@ -551,6 +560,11 @@ def cmd_fit(
         raise ConfigError("give --gamma or --gamma-table, not both")
     if method in KNOWN_ALPHA_METHODS and gamma is None and alpha is None:
         raise ConfigError(f"method {method!r} needs --alpha (or an explicit --gamma)")
+    if alpha_search is not None and method != "vlad_alpha":
+        raise ConfigError(f"method {method!r} searches no alpha; drop --alpha-search")
+    if (restarts, seed) != (None, None) and method not in (*KNOWN_ALPHA_METHODS, "vlad_alpha"):
+        raise ConfigError(f"method {method!r} runs no K-means; drop --restarts and --seed")
+    seed = 0 if seed is None else seed
     gamma_fn, cfg = _gamma_and_search(cfg, gamma)
     started = time.perf_counter()
     fit, info = run_method(method, data, cfg, gamma_fn, alpha, _rng(seed, _SALT_FIT))

@@ -311,8 +311,10 @@ def generate(model: SimplexNest, n: int, rng: np.random.Generator) -> Dataset:
     elif kern.name == "poisson":
         X = rng.poisson(mu).astype(float)
     elif kern.name == "multinomial":
-        p = mu / mu.sum(axis=1, keepdims=True)
-        X = rng.multinomial(kern.trials, p).astype(float)
+        mu /= mu.sum(axis=1, keepdims=True)  # the draw probabilities, in place
+        X = rng.multinomial(kern.trials, mu)
+        del mu  # free the (n, D) means before the float copy and the Dataset checks
+        X = X.astype(float)
     else:  # pragma: no cover - Kernel validates names
         raise ValueError(f"unknown kernel {kern.name!r}")
     return Dataset(X, kern, truth=DatasetTruth(weights=theta, simplex=model))

@@ -23,7 +23,7 @@ from . import alpha_est
 from ._matrix_io import read_matrix_csv, write_json, write_matrix_csv
 from .extension import quadrature_gamma
 from .model import Dataset, affine_rank_deficient
-from .numerics import SvdFactors, center, kmeans, truncated_svd
+from .numerics import SvdFactors, kmeans, truncated_svd
 
 PROJECTION_TOL = 1e-10
 PROJECTION_MAX_ITER = 10_000
@@ -123,10 +123,13 @@ def fit(
     if data.n <= K:
         raise ValueError(f"need n > K observations, got n = {data.n}")
     X = data.fitting_matrix(normalize)
-    if not np.all(np.isfinite(X)):
+    # a NaN or +-inf makes its column mean non-finite, so only then is X scanned
+    with np.errstate(invalid="ignore"):  # inf and -inf in a column sum to NaN; reported below
+        c0 = X.mean(axis=0)
+    if not np.isfinite(c0).all() and not np.isfinite(X).all():
         raise ValueError("observations must be finite")
-
-    Xbar, c0 = center(X)
+    # centre in place a copy made for this fit (normalized counts), never the observations
+    Xbar = X - c0 if np.may_share_memory(X, data.observations) else np.subtract(X, c0, out=X)
     factors = truncated_svd(Xbar, K - 1)
     km = kmeans(factors.left, K, restarts=restarts, rng=rng)
     scaled = factors.right * factors.singular          # (D, K-1) columns W_j * s_j
@@ -211,28 +214,44 @@ def simplex_least_squares(
 ) -> np.ndarray:
     """Rowwise argmin over the simplex of ||B theta - x||^2.
 
-    FISTA (Beck & Teboulle 2009) with step 1/L, L = ||B||_2^2, and the
-    sorting projection, run on all rows at once with one projection call
-    per iteration. Each row stops on its own: the first iteration whose
-    gradient-mapping norm L * ||y - z|| is <= tol writes that iterate z to
-    the output and drops the row from the working set. Each row also keeps
-    its own momentum, restarted (O'Donoghue & Candes 2015, gradient scheme)
+    FISTA (Beck & Teboulle 2009) with step 1/L_t and the sorting projection,
+    run on all rows at once with one projection call per iteration. With c
+    the vertex mean and Bc = B - c 1^T, on the simplex
+    ||B theta - x|| = ||Bc theta - (x - c)||, and the two gradients differ by
+    a multiple of 1, which the projection ignores. So the solver runs on the
+    centred problem, whose Lipschitz constant L_t = ||Bc||_2^2 is B's
+    curvature along the simplex alone. For count-scale vertices the shared
+    mean direction dominates ||B||_2^2, and L_t is several times smaller:
+    the step is that much longer, and the gradient's rounding floor lower.
+
+    Each row stops on its own: the first iteration whose gradient-mapping
+    norm L_t * ||y - z|| is <= tol writes that iterate z to the output and
+    drops the row from the working set. Each row also keeps its own
+    momentum, restarted (O'Donoghue & Candes 2015, gradient scheme)
     whenever <y - z, z - theta_prev> > 0, i.e. the step moved uphill.
 
-    Rows still short of tol after ``max_iter`` iterations return their last
-    iterate, and one RuntimeWarning gives their count and largest gap.
+    When every vertex is the same point, up to rounding, every theta is
+    optimal and the rows are uniform; B = 0 is an error. Rows still short of tol after
+    ``max_iter`` iterations return their last iterate, and one
+    RuntimeWarning gives their count and largest gap.
     """
     B = np.asarray(B, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     K = B.shape[1]
-    G = B.T @ B
-    L = float(np.linalg.eigvalsh(G)[-1])
-    if L <= 0:
+    if not B.any():
         raise ValueError("degenerate vertex matrix")
+    c = B.mean(axis=1)
+    Bc = B - c[:, None]
+    # vertices that differ by no more than the rounding of their mean are one
+    # point; a step 1/L_t from such a Bc would swamp the projection in rounding
+    if np.abs(Bc).max() <= 4 * K * np.finfo(float).eps * np.abs(B).max():
+        return np.full((X.shape[0], K), 1.0 / K)
+    G = Bc.T @ Bc
+    L = float(np.linalg.eigvalsh(G)[-1])
     n = X.shape[0]
     out = np.empty((n, K))
     rows = np.arange(n)               # output row of each working row
-    XB = X @ B
+    XB = X @ Bc - c @ Bc
     theta = np.full((n, K), 1.0 / K)
     Y = theta.copy()
     t = np.ones(n)

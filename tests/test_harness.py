@@ -13,6 +13,7 @@ from simplexnest.baselines import save_baseline, spa
 from simplexnest.cli import _config_from_args, build_parser, main
 from simplexnest.extension import GammaTable, build_gamma_table, quadrature_gamma, varphi
 from simplexnest.harness import (
+    GRID_MAX_POINTS,
     ConfigError,
     ExperimentConfig,
     cmd_alpha_curve,
@@ -118,6 +119,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             run_experiment(cfg)
         assert not (tmp_path / "runs").exists()
+
+    def test_log_grid_bounds_the_point_count(self):
+        assert harness._log_grid("grid", [0.1, 5.0, GRID_MAX_POINTS]) == (0.1, 5.0, GRID_MAX_POINTS)
+        for n_points in (GRID_MAX_POINTS + 1, 1e9):
+            with pytest.raises(ConfigError, match="n_points"):
+                harness._log_grid("grid", [0.1, 5.0, n_points])
 
     def test_hash_excludes_outdir_and_workers(self):
         a = _tiny_config("/tmp/a", workers=1).resolved()
@@ -617,7 +624,15 @@ class TestCli:
         [*_EXPERIMENT, "--n", "0"],
         [*_EXPERIMENT, "--n-heldout", "-3"],
         [*_EXPERIMENT, "--seeds", "-1"],
+        [*_EXPERIMENT, "--workers", "0"],
+        [*_EXPERIMENT, "--workers", "-2"],
         # fit flags the method would ignore, and values that only failed in the fit
+        ["fit", "--method", "spa", "--alpha-search", "5", "9"],
+        ["fit", "--method", "vlad", "--alpha", "2", "--alpha-search", "0.5", "5"],
+        ["fit", "--method", "spa", "--seed", "1"],
+        ["fit", "--method", "spa", "--restarts", "2"],
+        ["fit", "--method", "external:{vertices}", "--seed", "1"],
+        ["fit", "--method", "external:{vertices}", "--restarts", "2"],
         ["fit", "--method", "spa", "--gamma", "2"],
         ["fit", "--method", "spa", "--alpha", "2"],
         ["fit", "--method", "external:{vertices}", "--gamma", "2"],
@@ -627,8 +642,9 @@ class TestCli:
         ["fit", "--method", "vlad", "--gamma", "2", "--gamma-table", "{table}"],
         ["fit", "--method", "vlad", "--gamma", "-1"],
         ["fit", "--method", "vlad", "--alpha", "2", "--restarts", "0"],
-        # a point count that is not a whole number
+        # a point count that is not a whole number, or past GRID_MAX_POINTS
         ["alpha-curve", "--K", "3", "--grid", "0.1", "5", "2.9"],
+        ["alpha-curve", "--K", "3", "--grid", "0.1", "5", "1e9"],
         ["gamma-table", "--K", "3", "--m", "200", "--grid", "0.5", "5", "1.5"],
     ])
     def test_rejected_before_any_output(self, dataset_dir, table_path_k3, tmp_path, argv, capsys):

@@ -180,6 +180,16 @@ class TestGenerate:
         assert np.all(data.observations.sum(axis=1) == 57)
         assert np.all(data.observations == np.round(data.observations))
 
+    def test_multinomial_draws_match_out_of_place_probabilities(self):
+        # generate divides the means by their row sums in place; the draws are those of
+        # the probabilities computed into a new array from the same stream
+        model = _model(Kernel.multinomial(57), D=40)
+        data = generate(model, 300, np.random.default_rng(14))
+        rng = np.random.default_rng(14)
+        mu = sample_weights(model.n_vertices, model.alpha, 300, rng) @ model.vertices.T
+        expected = rng.multinomial(57, mu / mu.sum(axis=1, keepdims=True)).astype(float)
+        np.testing.assert_array_equal(data.observations, expected)
+
     def test_poisson_column_means_match_law_of_large_numbers(self):
         # column mean of X -> B E[theta] = (1/K) B 1 within 3 standard errors
         model = _model(Kernel.poisson(), D=500, K=10, alpha=2.0, seed=15)
