@@ -653,10 +653,20 @@ def cmd_gamma_table(
     restarts: int = 8,
     workers: int | None = None,
 ) -> Path:
-    """Build and save a gamma lookup table by the paper's Monte-Carlo protocol."""
+    """Build and save a gamma lookup table by the paper's Monte-Carlo protocol.
+
+    A value the build would fail on or ignore is a ConfigError, as in
+    ``ExperimentConfig.resolved``; ``workers`` left at None takes the
+    thread pool's default.
+    """
     _require_k(K)
     if m < K:
         raise ConfigError("need m >= K Monte Carlo samples")
+    for name, value, least in (("seed", seed, 0), ("restarts", restarts, 1), ("workers", workers, 1)):
+        if value is not None:
+            _require_numbers(name, [value], integer=True)
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}")
     alphas = np.geomspace(*_log_grid("grid", grid))
     table = build_gamma_table(K, alphas, m=m, seed=seed, restarts=restarts, workers=workers)
     table.save(out_path)

@@ -22,10 +22,15 @@ result of every restart equals that of running it alone wherever the
 BLAS rounds the batched product as it rounds a one-restart product.
 
 The truncated SVD computes only the top r singular triplets, by implicitly
-restarted Lanczos (ARPACK, through ``scipy.sparse.linalg.svds``) from a
-start vector drawn from a fixed seed, so it is deterministic and draws
-nothing from the caller's generator. LAPACK's full SVD remains for the two
-inputs ARPACK cannot take: r equal to the smaller dimension, and the
+restarted Lanczos (ARPACK, through ``scipy.sparse.linalg.eigsh`` on the
+short-side Gram operator, as ``svds`` runs it) from a start vector drawn
+from a fixed seed, so it is deterministic and draws nothing from the
+caller's generator. The Rayleigh-Ritz finish, the SVD of the (long side,
+r) product with the Ritz vectors, runs in numpy's LAPACK: ``svds`` ends in
+``scipy.linalg.svd``, which runs on the OpenBLAS bundled with scipy's
+wheel, a second thread pool beside numpy's that one call per fit wakes at
+a cost of up to tens of milliseconds. LAPACK's full SVD remains for the
+two inputs ARPACK cannot take: r equal to the smaller dimension, and the
 all-zero matrix.
 """
 
@@ -34,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import svds
+from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh
 
 LLOYD_MAX_ITER = 300
 ARPACK_V0_SEED = 0
@@ -84,18 +89,51 @@ def sample_covariance(X: np.ndarray) -> np.ndarray:
     return (S + S.T) / 2.0
 
 
+def _arpack_svd(Xbar: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ARPACK branch of ``svds(Xbar, k=r, v0=...)``: (U, s, Vh), s ascending.
+
+    The operator matvecs are one-column matrix products, as in ``svds``; a
+    1-D ``Xbar @ x`` would run another BLAS kernel, with other rounding.
+    """
+    A = aslinearoperator(Xbar)
+    tall = A.shape[0] >= A.shape[1]
+    X_dot, X_mat = (A.matvec, A.matmat) if tall else (A.rmatvec, A.rmatmat)
+    XH_dot, XH_mat = (A.rmatvec, A.rmatmat) if tall else (A.matvec, A.matmat)
+    m = min(A.shape)
+    gram = LinearOperator(shape=(m, m), dtype=A.dtype, matvec=lambda x: XH_dot(X_dot(x)),
+                          matmat=lambda x: XH_mat(X_mat(x)))
+    v0 = np.random.default_rng(ARPACK_V0_SEED).standard_normal(m)
+    _, Q = eigsh(gram, k=r, tol=0.0, v0=v0)
+    Q, _ = np.linalg.qr(Q)  # ARPACK's eigenvectors are not exactly orthonormal
+    P, s, Ph = np.linalg.svd(X_mat(Q), full_matrices=False)
+    P, Ph = np.asfortranarray(P), np.asfortranarray(Ph)  # scipy.linalg.svd's layout
+    P, s, Ph = P[:, ::-1], s[::-1], Ph[::-1]
+    if tall:
+        return P, s, Ph @ Q.T
+    return Q @ Ph.T, s, P.T
+
+
 def truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
     """Best rank-r factors of Xbar in Frobenius norm.
 
-    For r < min(n, D) the top r triplets come from ARPACK's implicitly
-    restarted Lanczos (``svds``) with the start vector
-    ``default_rng(ARPACK_V0_SEED).standard_normal(min(n, D))``. A fixed
-    vector keeps the factors bit-identical from call to call without
-    drawing from the caller's generator; it is random because the all-ones
-    vector is orthogonal to the rows of centered normalized counts. ARPACK
-    failing to converge raises ``ArpackNoConvergence``. For r == min(n, D),
-    which ARPACK cannot compute, and for the all-zero matrix, whose zero
-    start residual ARPACK rejects, the factors come from LAPACK's full SVD.
+    For r < min(n, D) the top r triplets come from the ARPACK branch of
+    ``svds``, run here: implicitly restarted Lanczos (``eigsh``, ``tol=0``,
+    default ``ncv`` and ``which``) on the short-side Gram operator of
+    ``aslinearoperator(Xbar)`` with the start vector
+    ``default_rng(ARPACK_V0_SEED).standard_normal(min(n, D))``, a QR of the
+    eigenvectors, then the SVD of Xbar times them. A fixed start vector
+    keeps the factors bit-identical from call to call without drawing from
+    the caller's generator; it is random because the all-ones vector is
+    orthogonal to the rows of centered normalized counts. ARPACK failing to
+    converge raises ``ArpackNoConvergence``. For r == min(n, D), which
+    ARPACK cannot compute, and for the all-zero matrix, whose zero start
+    residual ARPACK rejects, the factors come from LAPACK's full SVD.
+
+    That last small SVD runs in numpy's LAPACK, where ``svds`` calls
+    ``scipy.linalg.svd``, which wakes the second OpenBLAS thread pool
+    scipy's wheel brings. The values are the same; put in scipy's Fortran
+    order, they make every later product round as in ``svds``, so the
+    factors are bit-identical to those of ``svds``.
 
     Singular values are descending. Deterministic up to sign; the sign of
     each right-singular vector is fixed so that its largest-magnitude
@@ -106,8 +144,7 @@ def truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
     if not (1 <= r <= min(n, D)):
         raise ValueError(f"r must be in [1, {min(n, D)}], got {r}")
     if r < min(n, D) and Xbar.any():
-        v0 = np.random.default_rng(ARPACK_V0_SEED).standard_normal(min(n, D))
-        U, s, Vh = svds(Xbar, k=r, v0=v0, solver="arpack")
+        U, s, Vh = _arpack_svd(Xbar, r)
         order = np.argsort(s)[::-1]
         U, s, W = U[:, order], s[order], Vh[order].T
     else:

@@ -27,6 +27,7 @@ from .numerics import SvdFactors, kmeans, truncated_svd
 
 PROJECTION_TOL = 1e-10
 PROJECTION_MAX_ITER = 10_000
+SIMPLEX_ATOL = 1e-9  # a projected row sums to 1 within this, as Dataset checks weights
 
 
 @dataclass(frozen=True)
@@ -193,17 +194,35 @@ def fit_auto(
 def project_rows_onto_simplex(V: np.ndarray) -> np.ndarray:
     """Euclidean projection of each row onto the probability simplex.
 
-    Standard O(K log K) sort-and-threshold rule.
+    Standard O(K log K) sort-and-threshold rule. Its rounding grows with
+    the size of a row's entries: from about 1e6 a row can miss sum 1 by
+    more than ``SIMPLEX_ATOL``, and from about 1/eps the rule can find no
+    active coordinate at all (rho = 0). The projection is unchanged by
+    adding a multiple of 1 to a row, so those rows alone are projected
+    again after subtracting their maximum, which keeps the top coordinate
+    active and the threshold arithmetic near 0; every other row is
+    projected as it is.
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
+    P, rho = _threshold_projection(V)
+    lost = (rho == 0) | ~(np.abs(P.sum(axis=1) - 1.0) <= SIMPLEX_ATOL)
+    if lost.any():
+        W = V[lost]
+        P[lost] = _threshold_projection(W - W.max(axis=1, keepdims=True))[0]
+    return P
+
+
+def _threshold_projection(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sort-and-threshold projection of each row, and its count rho of
+    active coordinates; a row with rho = 0 is not on the simplex."""
     n, K = V.shape
     U = np.sort(V, axis=1)[:, ::-1]
     css = np.cumsum(U, axis=1) - 1.0
     idx = np.arange(1, K + 1)
     cond = U - css / idx > 0
     rho = np.count_nonzero(cond, axis=1)
-    tau = css[np.arange(n), rho - 1] / rho
-    return np.maximum(V - tau[:, None], 0.0)
+    tau = css[np.arange(n), rho - 1] / np.maximum(rho, 1)
+    return np.maximum(V - tau[:, None], 0.0), rho
 
 
 def simplex_least_squares(

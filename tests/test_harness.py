@@ -646,6 +646,11 @@ class TestCli:
         ["alpha-curve", "--K", "3", "--grid", "0.1", "5", "2.9"],
         ["alpha-curve", "--K", "3", "--grid", "0.1", "5", "1e9"],
         ["gamma-table", "--K", "3", "--m", "200", "--grid", "0.5", "5", "1.5"],
+        # gamma-table values that ran serially, ran no ++ restart, or failed in the build
+        ["gamma-table", "--K", "3", "--m", "200", "--workers", "0"],
+        ["gamma-table", "--K", "3", "--m", "200", "--workers", "-1"],
+        ["gamma-table", "--K", "3", "--m", "200", "--restarts", "0"],
+        ["gamma-table", "--K", "3", "--m", "200", "--seed", "-1"],
     ])
     def test_rejected_before_any_output(self, dataset_dir, table_path_k3, tmp_path, argv, capsys):
         data_dir, model = dataset_dir

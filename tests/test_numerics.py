@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import ArpackNoConvergence, svds
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh, svds
 
 from simplexnest import Kernel, SimplexNest, dirichlet_covariance, generate, sample_vertices, sample_weights
 from simplexnest import numerics, vlad
 from simplexnest.numerics import (
+    ARPACK_V0_SEED,
     LLOYD_MAX_ITER,
     KMeansResult,
     SvdFactors,
@@ -28,6 +29,28 @@ def _lapack_truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
     """Reference: full LAPACK SVD cut to r factors, with the package's sign convention."""
     U, s, Vh = np.linalg.svd(np.asarray(Xbar, dtype=float), full_matrices=False)
     U, s, W = U[:, :r], s[:r], Vh[:r].T
+    for j in range(r):
+        i = int(np.argmax(np.abs(W[:, j])))
+        if W[i, j] < 0:
+            W[:, j] = -W[:, j]
+            U[:, j] = -U[:, j]
+    return SvdFactors(left=U, singular=s, right=W)
+
+
+def _svds_truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
+    """Reference: ``truncated_svd`` through ``scipy.sparse.linalg.svds``, whose last SVD runs in scipy."""
+    Xbar = np.asarray(Xbar, dtype=float)
+    n, D = Xbar.shape
+    if not (1 <= r <= min(n, D)):
+        raise ValueError(f"r must be in [1, {min(n, D)}], got {r}")
+    if r < min(n, D) and Xbar.any():
+        v0 = np.random.default_rng(ARPACK_V0_SEED).standard_normal(min(n, D))
+        U, s, Vh = svds(Xbar, k=r, v0=v0, solver="arpack")
+        order = np.argsort(s)[::-1]
+        U, s, W = U[:, order], s[order], Vh[order].T
+    else:
+        U, s, Vh = np.linalg.svd(Xbar, full_matrices=False)
+        U, s, W = U[:, :r], s[:r], Vh[:r].T
     for j in range(r):
         i = int(np.argmax(np.abs(W[:, j])))
         if W[i, j] < 0:
@@ -158,7 +181,7 @@ class TestTruncatedSvd:
         _assert_sign_convention(fac.right)
 
     def test_no_convergence_raises(self, monkeypatch):
-        monkeypatch.setattr(numerics, "svds", functools.partial(svds, maxiter=1))
+        monkeypatch.setattr(numerics, "eigsh", functools.partial(eigsh, maxiter=1))
         X = np.random.default_rng(6).normal(size=(200, 40))
         with pytest.raises(ArpackNoConvergence):
             truncated_svd(X, 5)
@@ -169,19 +192,58 @@ def _low_rank(n, D, rank, seed):
     return rng.normal(size=(n, rank)) @ rng.normal(size=(rank, D))
 
 
+_ARPACK_CASES = pytest.mark.parametrize(
+    "X, r, rank",
+    [
+        (np.random.default_rng(40).normal(size=(300, 25)), 6, 25),     # tall
+        (np.random.default_rng(41).normal(size=(15, 70)), 4, 15),      # wide, n < D
+        (np.random.default_rng(42).normal(size=(60, 12)), 11, 12),     # r = min(n, D) - 1
+        (_low_rank(80, 14, 3, 43), 6, 3),                              # r above the rank
+    ],
+    ids=["tall", "wide", "min-1", "rank-deficient"],
+)
+
+
+def _centred_fitting_matrix(kern: Kernel, D: int, K: int, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    data = generate(SimplexNest(sample_vertices(D, K, kern, rng), 0.5, kern), n, rng)
+    X = data.fitting_matrix()
+    return X - X.mean(axis=0)
+
+
+class TestArpackAgainstSvds:
+    """The ARPACK path against ``svds`` itself, bit for bit and layout for layout."""
+
+    @staticmethod
+    def _assert_identical(X: np.ndarray, r: int) -> None:
+        fac, ref = truncated_svd(X, r), _svds_truncated_svd(X, r)
+        for got, want in [(fac.left, ref.left), (fac.singular, ref.singular), (fac.right, ref.right)]:
+            np.testing.assert_array_equal(got, want)
+            assert got.strides == want.strides  # later BLAS products round by layout
+
+    @_ARPACK_CASES
+    def test_matches_svds(self, X, r, rank):
+        self._assert_identical(X, r)
+
+    @pytest.mark.parametrize("n, D, r", [(1000, 300, 30), (60, 600, 20)], ids=["tall", "wide"])
+    def test_products_after_the_small_svd(self, n, D, r):
+        # shapes where products with C-ordered factors of the small SVD round differently
+        X = np.random.default_rng(49).normal(size=(n, D))
+        self._assert_identical(X - X.mean(axis=0), r)
+
+    @pytest.mark.parametrize("n, D", [(600, 150), (120, 300)], ids=["tall", "wide"])
+    def test_normalized_multinomial(self, n, D):
+        self._assert_identical(_centred_fitting_matrix(Kernel.multinomial(200), D, 5, n, 47), 4)
+
+    @pytest.mark.parametrize("n, D", [(600, 150), (120, 300)], ids=["tall", "wide"])
+    def test_poisson_counts(self, n, D):
+        self._assert_identical(_centred_fitting_matrix(Kernel.poisson(), D, 5, n, 48), 4)
+
+
 class TestArpackAgainstLapack:
     """The Lanczos path against the full LAPACK SVD as oracle."""
 
-    @pytest.mark.parametrize(
-        "X, r, rank",
-        [
-            (np.random.default_rng(40).normal(size=(300, 25)), 6, 25),     # tall
-            (np.random.default_rng(41).normal(size=(15, 70)), 4, 15),      # wide, n < D
-            (np.random.default_rng(42).normal(size=(60, 12)), 11, 12),     # r = min(n, D) - 1
-            (_low_rank(80, 14, 3, 43), 6, 3),                              # r above the rank
-        ],
-        ids=["tall", "wide", "min-1", "rank-deficient"],
-    )
+    @_ARPACK_CASES
     def test_matches_lapack(self, X, r, rank):
         fac = truncated_svd(X, r)
         ref = _lapack_truncated_svd(X, r)

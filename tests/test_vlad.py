@@ -446,6 +446,50 @@ def test_projection_satisfies_kkt(V):
         assert np.all(v[~support] <= tau.max() + tol)
 
 
+def _sort_threshold_reference(V: np.ndarray) -> np.ndarray:
+    """Reference: the plain sort-and-threshold rule, with no re-projection of any row."""
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    n, K = V.shape
+    U = np.sort(V, axis=1)[:, ::-1]
+    css = np.cumsum(U, axis=1) - 1.0
+    idx = np.arange(1, K + 1)
+    cond = U - css / idx > 0
+    rho = np.count_nonzero(cond, axis=1)
+    tau = css[np.arange(n), rho - 1] / rho
+    return np.maximum(V - tau[:, None], 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 9)), elements=_finite))
+def test_projection_of_ordinary_rows_is_the_plain_rule(V):
+    np.testing.assert_array_equal(project_rows_onto_simplex(V), _sort_threshold_reference(V))
+
+
+@pytest.mark.parametrize(
+    "V, expected",
+    [
+        ([[1e17, 1e17 + 64, 3.0]], [[0.0, 1.0, 0.0]]),  # the plain rule returns [0, 0, 0]
+        ([[-1e17] * 3], [[1 / 3] * 3]),                   # the plain rule returns inf
+    ],
+    ids=["large-gap", "large-negative"],
+)
+def test_projection_of_rows_beyond_one_over_eps(V, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(project_rows_onto_simplex(V), expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 9)), elements=_finite),
+       st.lists(st.floats(1e6, 1e200) | st.floats(-1e200, -1e6), min_size=4, max_size=4))
+def test_projection_stays_on_the_simplex_under_huge_offsets(V, offsets):
+    # projection ignores a multiple of 1 added to a row; the plain rule's
+    # rounding would leave such rows off the simplex, or with no active coordinate
+    P = project_rows_onto_simplex(V + np.array(offsets[: V.shape[0]])[:, None])
+    assert np.all(P >= 0)
+    np.testing.assert_allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), arrays(np.float64, 8, elements=_finite))
 def test_simplex_least_squares_invariant_to_a_common_shift(seed, shift):
