@@ -148,17 +148,22 @@ def heldout_likelihood(fit, test: Dataset, normalize: bool | None = None) -> Lik
     the implied mean is mu = B theta. Gaussian and noiseless data score the
     mean squared residual, Poisson data the mean of sum(mu - x log mu)
     (log-factorial constant omitted), multinomial data the perplexity
-    exp(-sum(x log mu) / total count). Non-positive entries hitting log are
-    floored at 1e-12 and counted, never silently dropped.
+    exp(-sum(x log mu) / total count), with mu divided by the trial count
+    when ``normalize=False`` made the fitting matrix raw counts.
+    Non-positive entries hitting log are floored at 1e-12 and counted,
+    never silently dropped.
     """
     B = _vertices_of(fit)
     X = test.fitting_matrix(normalize)
-    return _likelihood(test, X, simplex_least_squares(B, X) @ B.T)
+    return _likelihood(test, X, simplex_least_squares(B, X) @ B.T, normalize)
 
 
-def _likelihood(test: Dataset, X: np.ndarray, mu: np.ndarray) -> LikelihoodReport:
+def _likelihood(test: Dataset, X: np.ndarray, mu: np.ndarray,
+                normalize: bool | None) -> LikelihoodReport:
     """The score of :func:`heldout_likelihood` given the projected means mu."""
     kern = test.kernel
+    if kern.name == "multinomial" and normalize is not None and not normalize:
+        mu = mu / float(kern.trials)  # count-scale means to probabilities
 
     if kern.name in ("gaussian", "noiseless"):
         value = float(((X - mu) ** 2).sum(axis=1).mean())
@@ -250,7 +255,7 @@ def evaluate_fit(
     if "heldout" in metrics:
         report.frobenius_heldout = float(np.linalg.norm(X - mu, axis=1).mean())
     if "likelihood" in metrics:
-        like = _likelihood(heldout, X, mu)
+        like = _likelihood(heldout, X, mu, normalize)
         if like.kind == "perplexity":
             report.perplexity = like.value
         else:

@@ -21,17 +21,23 @@ restart leaves the batch when it converges or reaches the cap, and the
 result of every restart equals that of running it alone wherever the
 BLAS rounds the batched product as it rounds a one-restart product.
 
-The truncated SVD computes only the top r singular triplets, by implicitly
-restarted Lanczos (ARPACK, through ``scipy.sparse.linalg.eigsh`` on the
-short-side Gram operator, as ``svds`` runs it) from a start vector drawn
-from a fixed seed, so it is deterministic and draws nothing from the
-caller's generator. The Rayleigh-Ritz finish, the SVD of the (long side,
-r) product with the Ritz vectors, runs in numpy's LAPACK: ``svds`` ends in
-``scipy.linalg.svd``, which runs on the OpenBLAS bundled with scipy's
-wheel, a second thread pool beside numpy's that one call per fit wakes at
-a cost of up to tens of milliseconds. LAPACK's full SVD remains for the
-two inputs ARPACK cannot take: r equal to the smaller dimension, and the
-all-zero matrix.
+The truncated SVD computes only the top r singular triplets and picks its
+branch from the short side m = min(n, D) of the matrix. Up to
+``GRAM_MAX_SIDE`` it takes the top r eigenvectors of the (m, m)
+short-side Gram (``np.linalg.eigh``) and finishes with the SVD of the
+data times them, all on numpy's BLAS and LAPACK. Above it, it runs
+implicitly restarted Lanczos (ARPACK, through ``scipy.sparse.linalg.eigsh``
+on the short-side Gram operator, as ``svds`` runs it) and finishes the
+same way in numpy's LAPACK. The rule exists because ARPACK's BLAS calls
+run on the OpenBLAS bundled with scipy's wheel, a second thread pool
+beside numpy's, and waking it slows the K-means that follows on the same
+cores; on narrow data the Gram's O(n m^2) products are also cheaper, and
+ARPACK wins only once m is large (the crossover table is in
+``truncated_svd``). Neither branch draws from the caller's generator: the
+Gram branch draws nothing, and ARPACK starts from a vector drawn from the
+fixed seed ``ARPACK_V0_SEED``, so both are deterministic. The Gram branch
+also takes the two inputs ARPACK cannot, r equal to the smaller dimension
+and the all-zero matrix.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh
 
 LLOYD_MAX_ITER = 300
 ARPACK_V0_SEED = 0
+GRAM_MAX_SIDE = 750  # largest short side factored from its Gram; see truncated_svd
 
 
 @dataclass(frozen=True)
@@ -113,27 +120,69 @@ def _arpack_svd(Xbar: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return Q @ Ph.T, s, P.T
 
 
+def _gram_svd(Xbar: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top r factors from the short-side Gram on numpy's BLAS: (U, s, W), s descending.
+
+    With A the tall one of Xbar and Xbar^T, the top r eigenvectors Q of
+    the (m, m) Gram A^T A span the leading right-singular space of A; the
+    SVD of A Q (Rayleigh-Ritz, as in the ARPACK branch) gives the factors.
+    """
+    tall = Xbar.shape[0] >= Xbar.shape[1]
+    A = Xbar if tall else Xbar.T
+    _, V = np.linalg.eigh(A.T @ A)  # eigenvalues ascending
+    Q = V[:, : -r - 1 : -1]
+    P, s, Ph = np.linalg.svd(A @ Q, full_matrices=False)
+    if tall:
+        return P, s, Q @ Ph.T
+    return Q @ Ph.T, s, P
+
+
 def truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
     """Best rank-r factors of Xbar in Frobenius norm.
 
-    For r < min(n, D) the top r triplets come from the ARPACK branch of
-    ``svds``, run here: implicitly restarted Lanczos (``eigsh``, ``tol=0``,
-    default ``ncv`` and ``which``) on the short-side Gram operator of
-    ``aslinearoperator(Xbar)`` with the start vector
-    ``default_rng(ARPACK_V0_SEED).standard_normal(min(n, D))``, a QR of the
+    The branch follows the short side m = min(n, D). For m <=
+    ``GRAM_MAX_SIDE`` the top r eigenvectors of the (m, m) short-side Gram
+    (``np.linalg.eigh``) are finished by the SVD of Xbar times them, all on
+    numpy's BLAS and LAPACK; no draw is made. Above it the top r triplets
+    come from the ARPACK branch of ``svds``, run here: implicitly restarted
+    Lanczos (``eigsh``, ``tol=0``, default ``ncv`` and ``which``) on the
+    short-side Gram operator of ``aslinearoperator(Xbar)`` with the start
+    vector ``default_rng(ARPACK_V0_SEED).standard_normal(m)``, a QR of the
     eigenvectors, then the SVD of Xbar times them. A fixed start vector
     keeps the factors bit-identical from call to call without drawing from
     the caller's generator; it is random because the all-ones vector is
     orthogonal to the rows of centered normalized counts. ARPACK failing to
-    converge raises ``ArpackNoConvergence``. For r == min(n, D), which
-    ARPACK cannot compute, and for the all-zero matrix, whose zero start
-    residual ARPACK rejects, the factors come from LAPACK's full SVD.
+    converge raises ``ArpackNoConvergence``. The Gram branch also takes the
+    two inputs ARPACK cannot, whatever m: r == m and the all-zero matrix,
+    whose zero start residual ARPACK rejects.
 
-    That last small SVD runs in numpy's LAPACK, where ``svds`` calls
-    ``scipy.linalg.svd``, which wakes the second OpenBLAS thread pool
-    scipy's wheel brings. The values are the same; put in scipy's Fortran
-    order, they make every later product round as in ``svds``, so the
-    factors are bit-identical to those of ``svds``.
+    The rule keeps narrow data off scipy's second OpenBLAS pool. ARPACK's
+    own BLAS calls inside ``eigsh`` run on the OpenBLAS bundled in scipy's
+    wheel, a thread pool beside numpy's, and waking it slows the K-means
+    that follows the factorization on the same cores. The Gram costs
+    O(n m^2) against ARPACK's O(n m r) per restart cycle, so ARPACK wins
+    once m is large. Measured on 2 cores (numpy 2.4.6, scipy 1.17.1,
+    OpenBLAS 0.3.31), normalized-multinomial data, n = 10^4, r = 9, then
+    K-means (K = 10, 8 restarts) on the left factors; median ms over 2-5
+    processes of 7-9 calls each, each branch in its own process:
+
+    =====  ======================  ======================
+    m      Gram: SVD / +K-means    ARPACK: SVD / +K-means
+    =====  ======================  ======================
+    300     32 / 112               49 / 124
+    500     70 / 143               89 / 220
+    625     90 / 150              128 / 230
+    750    154 / 211              142 / 248
+    875    235 / 322              181 / 296
+    1000   265 / 340              206 / 326
+    1500   632 / 695              360 / 466
+    2000   1456 / 1543            558 / 656
+    =====  ======================  ======================
+
+    In the ARPACK branch the last small SVD runs in numpy's LAPACK, where
+    ``svds`` calls ``scipy.linalg.svd`` on scipy's pool. The values are the
+    same; put in scipy's Fortran order, they make every later product round
+    as in ``svds``, so the factors are bit-identical to those of ``svds``.
 
     Singular values are descending. Deterministic up to sign; the sign of
     each right-singular vector is fixed so that its largest-magnitude
@@ -141,15 +190,15 @@ def truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
     """
     Xbar = np.asarray(Xbar, dtype=float)
     n, D = Xbar.shape
-    if not (1 <= r <= min(n, D)):
-        raise ValueError(f"r must be in [1, {min(n, D)}], got {r}")
-    if r < min(n, D) and Xbar.any():
+    m = min(n, D)
+    if not (1 <= r <= m):
+        raise ValueError(f"r must be in [1, {m}], got {r}")
+    if m <= GRAM_MAX_SIDE or r == m or not Xbar.any():
+        U, s, W = _gram_svd(Xbar, r)
+    else:
         U, s, Vh = _arpack_svd(Xbar, r)
         order = np.argsort(s)[::-1]
         U, s, W = U[:, order], s[order], Vh[order].T
-    else:
-        U, s, Vh = np.linalg.svd(Xbar, full_matrices=False)
-        U, s, W = U[:, :r], s[:r], Vh[:r].T
     for j in range(r):
         i = int(np.argmax(np.abs(W[:, j])))
         if W[i, j] < 0:

@@ -181,6 +181,7 @@ class TestTruncatedSvd:
         _assert_sign_convention(fac.right)
 
     def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "GRAM_MAX_SIDE", 0)
         monkeypatch.setattr(numerics, "eigsh", functools.partial(eigsh, maxiter=1))
         X = np.random.default_rng(6).normal(size=(200, 40))
         with pytest.raises(ArpackNoConvergence):
@@ -211,6 +212,20 @@ def _centred_fitting_matrix(kern: Kernel, D: int, K: int, n: int, seed: int) -> 
     return X - X.mean(axis=0)
 
 
+@pytest.fixture
+def arpack_branch(monkeypatch):
+    monkeypatch.setattr(numerics, "GRAM_MAX_SIDE", 0)
+
+
+@pytest.fixture
+def no_eigsh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigsh called")
+
+    monkeypatch.setattr(numerics, "eigsh", refuse)
+
+
+@pytest.mark.usefixtures("arpack_branch")
 class TestArpackAgainstSvds:
     """The ARPACK path against ``svds`` itself, bit for bit and layout for layout."""
 
@@ -240,24 +255,45 @@ class TestArpackAgainstSvds:
         self._assert_identical(_centred_fitting_matrix(Kernel.poisson(), D, 5, n, 48), 4)
 
 
+def _assert_matches_oracle(fac: SvdFactors, ref: SvdFactors, r: int, rank: int) -> None:
+    """``fac`` against an oracle's factors: same values, spans and product, sign rule kept."""
+    assert fac.left.shape == ref.left.shape and fac.right.shape == ref.right.shape
+    np.testing.assert_allclose(fac.singular, ref.singular, rtol=1e-10, atol=1e-12 * ref.singular[0])
+    # singular vectors of zero singular values are not unique; compare the nonzero part
+    q = min(r, rank)
+    np.testing.assert_allclose(fac.right[:, :q] @ fac.right[:, :q].T,
+                               ref.right[:, :q] @ ref.right[:, :q].T, atol=1e-9)
+    np.testing.assert_allclose(fac.left[:, :q] @ fac.left[:, :q].T,
+                               ref.left[:, :q] @ ref.left[:, :q].T, atol=1e-9)
+    np.testing.assert_allclose(fac.right.T @ fac.right, np.eye(r), atol=1e-12)
+    np.testing.assert_allclose(fac.reconstruct(), ref.reconstruct(), atol=1e-9 * ref.singular[0])
+    _assert_sign_convention(fac.right)
+
+
+def _recorded_fit_partitions(monkeypatch, data, K: int, svd) -> tuple[list, list]:
+    """Fit twice, through ``truncated_svd`` and through ``svd``: (K-means results, fits)."""
+    runs = []
+
+    def recording_kmeans(*args, **kwargs):
+        result = kmeans(*args, **kwargs)
+        runs.append(result)
+        return result
+
+    monkeypatch.setattr(vlad, "kmeans", recording_kmeans)
+    fits = [vlad.fit(data, K, gamma=2.0, rng=np.random.default_rng(46))]
+    monkeypatch.setattr(vlad, "truncated_svd", svd)
+    fits.append(vlad.fit(data, K, gamma=2.0, rng=np.random.default_rng(46)))
+    return runs, fits
+
+
+@pytest.mark.usefixtures("arpack_branch")
 class TestArpackAgainstLapack:
     """The Lanczos path against the full LAPACK SVD as oracle."""
 
     @_ARPACK_CASES
     def test_matches_lapack(self, X, r, rank):
         fac = truncated_svd(X, r)
-        ref = _lapack_truncated_svd(X, r)
-        assert fac.left.shape == ref.left.shape and fac.right.shape == ref.right.shape
-        np.testing.assert_allclose(fac.singular, ref.singular, rtol=1e-10, atol=1e-12 * ref.singular[0])
-        # singular vectors of zero singular values are not unique; compare the nonzero part
-        q = min(r, rank)
-        np.testing.assert_allclose(fac.right[:, :q] @ fac.right[:, :q].T,
-                                   ref.right[:, :q] @ ref.right[:, :q].T, atol=1e-9)
-        np.testing.assert_allclose(fac.left[:, :q] @ fac.left[:, :q].T,
-                                   ref.left[:, :q] @ ref.left[:, :q].T, atol=1e-9)
-        np.testing.assert_allclose(fac.right.T @ fac.right, np.eye(r), atol=1e-12)
-        np.testing.assert_allclose(fac.reconstruct(), ref.reconstruct(), atol=1e-9 * ref.singular[0])
-        _assert_sign_convention(fac.right)
+        _assert_matches_oracle(fac, _lapack_truncated_svd(X, r), r, rank)
         again = truncated_svd(X, r)
         np.testing.assert_array_equal(again.left, fac.left)
         np.testing.assert_array_equal(again.singular, fac.singular)
@@ -267,19 +303,92 @@ class TestArpackAgainstLapack:
         kern = Kernel.multinomial(200)
         V = sample_vertices(150, 4, kern, np.random.default_rng(44))
         data = generate(SimplexNest(V, 0.5, kern), 2000, np.random.default_rng(45))
-        runs = []
-
-        def recording_kmeans(*args, **kwargs):
-            result = kmeans(*args, **kwargs)
-            runs.append(result)
-            return result
-
-        monkeypatch.setattr(vlad, "kmeans", recording_kmeans)
-        lanczos = vlad.fit(data, 4, gamma=2.0, rng=np.random.default_rng(46))
-        monkeypatch.setattr(vlad, "truncated_svd", _lapack_truncated_svd)
-        lapack = vlad.fit(data, 4, gamma=2.0, rng=np.random.default_rng(46))
+        runs, (lanczos, lapack) = _recorded_fit_partitions(monkeypatch, data, 4, _lapack_truncated_svd)
         np.testing.assert_array_equal(runs[0].assignments, runs[1].assignments)
         np.testing.assert_allclose(lanczos.vertices, lapack.vertices, rtol=0, atol=1e-12)
+
+
+def _repeated_top(n: int, D: int, singular, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.normal(size=(n, len(singular))))
+    W, _ = np.linalg.qr(rng.normal(size=(D, len(singular))))
+    return (U * np.asarray(singular)) @ W.T
+
+
+@pytest.mark.usefixtures("no_eigsh")
+class TestGramAgainstOracles:
+    """The short-side Gram branch against LAPACK's full SVD and ``svds``."""
+
+    @staticmethod
+    def _assert_matches_oracles(X: np.ndarray, r: int, rank: int) -> None:
+        fac = truncated_svd(X, r)
+        _assert_matches_oracle(fac, _lapack_truncated_svd(X, r), r, rank)
+        _assert_matches_oracle(fac, _svds_truncated_svd(X, r), r, rank)
+        again = truncated_svd(X, r)
+        for got, want in [(again.left, fac.left), (again.singular, fac.singular), (again.right, fac.right)]:
+            np.testing.assert_array_equal(got, want)
+
+    @_ARPACK_CASES
+    def test_matches_oracles(self, X, r, rank):
+        self._assert_matches_oracles(X, r, rank)
+
+    @pytest.mark.parametrize("n, D", [(600, 150), (120, 300)], ids=["tall", "wide"])
+    def test_normalized_multinomial(self, n, D):
+        self._assert_matches_oracles(_centred_fitting_matrix(Kernel.multinomial(200), D, 5, n, 47), 4, 4)
+
+    @pytest.mark.parametrize("n, D", [(600, 150), (120, 300)], ids=["tall", "wide"])
+    def test_poisson_counts(self, n, D):
+        self._assert_matches_oracles(_centred_fitting_matrix(Kernel.poisson(), D, 5, n, 48), 4, 4)
+
+    @pytest.mark.parametrize("n, D", [(40, 12), (9, 30)], ids=["tall", "wide"])
+    def test_full_rank_request(self, n, D):
+        X = np.random.default_rng(50).normal(size=(n, D))
+        self._assert_matches_oracles(X, min(n, D), min(n, D))
+
+    @pytest.mark.parametrize("shape", [(20, 6), (6, 20)], ids=["tall", "wide"])
+    def test_zero_matrix(self, shape):
+        self._assert_matches_oracles(np.zeros(shape), 2, 0)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("n, D", [(200, 30), (30, 200)], ids=["tall", "wide"])
+    def test_repeated_top_singular_value(self, n, D, r):
+        X = _repeated_top(n, D, [5.0, 5.0, 3.0, 2.0, 1.0, 0.5], 51)
+        self._assert_matches_oracles(X, r, 6)
+        np.testing.assert_allclose(truncated_svd(X, r).singular, [5.0, 5.0, 3.0][:r], rtol=1e-12)
+
+    def test_poisson_fit_partition_unchanged(self, monkeypatch):
+        kern = Kernel.poisson()
+        V = sample_vertices(150, 4, kern, np.random.default_rng(52))
+        data = generate(SimplexNest(V, 0.5, kern), 2000, np.random.default_rng(53))
+        runs, (gram, arpack) = _recorded_fit_partitions(monkeypatch, data, 4, _svds_truncated_svd)
+        np.testing.assert_array_equal(runs[0].assignments, runs[1].assignments)
+        np.testing.assert_allclose(gram.vertices, arpack.vertices, rtol=0, atol=1e-12)
+
+
+class TestBranchRule:
+    """The short side alone picks the branch: the Gram up to ``GRAM_MAX_SIDE``, ARPACK above."""
+
+    @pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
+    @pytest.mark.parametrize("extra, calls", [(0, 0), (1, 1)], ids=["at", "above"])
+    def test_eigsh_called_only_above_the_constant(self, monkeypatch, tall, extra, calls):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(args[0].shape)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "eigsh", spy)
+        m = numerics.GRAM_MAX_SIDE + extra
+        X = np.random.default_rng(54).normal(size=(m + 5, m) if tall else (m, m + 5))
+        fac = truncated_svd(X, 2)
+        assert len(seen) == calls
+        assert fac.right.shape == (X.shape[1], 2)
+
+    @pytest.mark.parametrize("X, r", [(np.zeros((20, 6)), 2), (np.random.default_rng(55).normal(size=(40, 12)), 12)],
+                             ids=["zero", "r=min"])
+    @pytest.mark.usefixtures("arpack_branch", "no_eigsh")
+    def test_gram_takes_what_arpack_cannot(self, X, r):
+        _assert_matches_oracle(truncated_svd(X, r), _lapack_truncated_svd(X, r), r, np.linalg.matrix_rank(X))
 
 
 def _lloyd_reference(points: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansResult:
