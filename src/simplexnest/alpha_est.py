@@ -22,9 +22,10 @@ right singular vectors W, and Xbar W = U S, so from the fit's own factors
 - multinomial: the Poisson term and <A, m m^T> = ||R^T m||^2, both over N,
   and the whole over 1 - 1/N.
 
-The D x D route, ``corrected_covariance`` with ``estimate_alpha`` and
-``gmm_objective``, remains as the test oracle and for the diagnostic
-objective value, which needs ||T||_F^2.
+Nothing in the program calls the D x D route, ``corrected_covariance`` with
+``estimate_alpha`` and ``gmm_objective``: it is the exported oracle the tests
+check the reduced moments against, and it moves into the tests once the
+benchmark's tracer no longer looks its functions up by name (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -123,12 +124,14 @@ def _moments(fit: "VladFit", target: MomentTarget) -> tuple[float, float, float]
             float(np.vdot(T, T)))
 
 
-def _reduced_moments(fit: "VladFit", data: Dataset, normalize: bool | None) -> tuple[float, float]:
-    """<A,A> and <A,T> from the fit's own factors and center, in O(D K^2).
+def _reduced_moments(fit: "VladFit", data: Dataset,
+                     normalize: bool | None) -> tuple[float, float, float | None]:
+    """<A,A>, <A,T> and sigma2_hat from the fit's own factors and center, in O(D K^2).
 
     ``fit`` must come from ``data.fitting_matrix(normalize)``: its factors,
     centroids and center are read as they are. Only the gaussian kernel
-    reads the observations again, for ||Xbar||_F^2.
+    reads the observations again, for ||Xbar||_F^2; sigma2_hat is None for
+    the other kernels.
     """
     kern = data.kernel
     K = fit.n_vertices
@@ -140,6 +143,7 @@ def _reduced_moments(fit: "VladFit", data: Dataset, normalize: bool | None) -> t
     n = fit.factors.left.shape[0]
     aa = float(np.linalg.norm(R.T @ R) ** 2)
     at = float(np.linalg.norm(s[:, None] * (fit.factors.right.T @ R)) ** 2) / n
+    sigma2 = None
     if kern.name == "gaussian":
         Xbar = data.observations - m
         sigma2 = (float(np.vdot(Xbar, Xbar)) - float(s @ s)) / (n * (D - K + 1))
@@ -151,7 +155,7 @@ def _reduced_moments(fit: "VladFit", data: Dataset, normalize: bool | None) -> t
         diag = float(np.einsum("d,dk,dk->", m, R, R))
         outer = float(np.linalg.norm(R.T @ m) ** 2)
         at = (at - diag / N + outer / N) / (1.0 - 1.0 / N)
-    return aa, at
+    return aa, at, sigma2
 
 
 def gmm_objective(fit: "VladFit", target: MomentTarget, gamma: Callable, alphas) -> np.ndarray:
@@ -179,6 +183,11 @@ def estimate_alpha(
     return _solve_alpha(fit.n_vertices, aa, at, gamma, search)
 
 
+def _phi_star(aa: float, at: float) -> float:
+    """<A,T> / <A,A>, the phi the moment match solves for."""
+    return at / aa if aa > 0 else 0.0  # coincident centroids imply zero covariance
+
+
 def _solve_alpha(K: int, aa: float, at: float, gamma: Callable, search: tuple[float, float]) -> float:
     """Brent's root of phi(alpha) = <A,T> / <A,A> on ``search``, or its nearer edge.
 
@@ -188,7 +197,7 @@ def _solve_alpha(K: int, aa: float, at: float, gamma: Callable, search: tuple[fl
     lo, hi = float(search[0]), float(search[1])
     if not (0.0 < lo < hi):
         raise ValueError("search interval must satisfy 0 < lo < hi")
-    phi_star = at / aa if aa > 0 else 0.0  # coincident centroids imply zero covariance
+    phi_star = _phi_star(aa, at)
 
     def phi(a: float) -> float:
         return varphi(K, a, gamma(K, a))

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import baselines, vlad
 from ._matrix_io import format_float, write_json
+from .alpha_est import _phi_star, _reduced_moments
 from .extension import GammaTable, build_gamma_table, quadrature_gamma, varphi
 from .metrics import HELDOUT_METRICS, METRIC_NAMES, evaluate_fit
 from .model import (
@@ -192,9 +193,11 @@ class ExperimentConfig:
             raise ConfigError("sigma must be finite and > 0")
         if cfg.kernel == "multinomial" and cfg.trials < 2:
             raise ConfigError("multinomial trials must be >= 2")
+        if cfg.kernel == "multinomial" and not cfg.normalize and "vlad_alpha" in cfg.methods:
+            raise ConfigError("vlad_alpha matches multinomial moments on normalized counts; drop raw counts")
         s = cfg.alpha_search
-        if len(s) != 2 or not 0 < s[0] < s[1]:
-            raise ConfigError("alpha_search must be [lo, hi] with 0 < lo < hi")
+        if len(s) != 2 or not 0 < s[0] < s[1] < np.inf:
+            raise ConfigError("alpha_search must be [lo, hi] with 0 < lo < hi < inf")
         _log_grid("gamma_grid", cfg.gamma_grid)
         return cfg
 
@@ -231,11 +234,11 @@ def _require_k(K) -> None:
 
 def _log_grid(name: str, grid) -> tuple[float, float, int]:
     """(lo, hi, n_points) of a log-spaced alpha grid; ConfigError unless
-    0 < lo < hi and n_points is a whole number in [1, GRID_MAX_POINTS]."""
+    0 < lo < hi < inf and n_points is a whole number in [1, GRID_MAX_POINTS]."""
     _require_numbers(name, grid)
-    if (len(grid) != 3 or not 0 < grid[0] < grid[1]
+    if (len(grid) != 3 or not 0 < grid[0] < grid[1] < np.inf
             or not (float(grid[2]).is_integer() and 1 <= grid[2] <= GRID_MAX_POINTS)):
-        raise ConfigError(f"{name} must be (lo, hi, n_points) with 0 < lo < hi, "
+        raise ConfigError(f"{name} must be (lo, hi, n_points) with 0 < lo < hi < inf, "
                           f"whole n_points in [1, {GRID_MAX_POINTS}]")
     return float(grid[0]), float(grid[1]), int(grid[2])
 
@@ -579,19 +582,20 @@ def cmd_fit(
 
 
 def _alpha_report(fit, data: Dataset, cfg: ExperimentConfig, gamma_fn: Callable, out_dir: Path) -> dict:
-    """Objective value at alpha_hat, the noise-variance estimate when one
-    was used, and the objective curve over cfg.alpha_search as grid_curve.csv."""
-    from .alpha_est import corrected_covariance, gmm_objective
+    """phi* = <A,T>/<A,A>, which phi(alpha_hat) matches, the noise-variance
+    estimate when one was used, and grid_curve.csv over cfg.alpha_search.
 
-    target = corrected_covariance(data, cfg.K, normalize=cfg.normalize)
+    The curve is the excess mismatch sqrt(<A,A>) |phi(alpha) - phi*|, whose
+    square is ||phi A - T||_F^2 less its phi-free floor ||T||_F^2 -
+    <A,T>^2/<A,A>; only that floor needs a D x D matrix.
+    """
+    aa, at, sigma2 = _reduced_moments(fit, data, cfg.normalize)
+    phi_star = _phi_star(aa, at)
     grid = np.geomspace(*cfg.alpha_search, 64)
-    values = gmm_objective(fit, target, gamma_fn, grid)
-    _write_rows_csv(out_dir / "grid_curve.csv", ("alpha", "objective"),
-                    [{"alpha": a, "objective": v} for a, v in zip(grid, values)])
-    report = {"objective_value": float(gmm_objective(fit, target, gamma_fn, fit.alpha)[0])}
-    if "sigma2_hat" in target.correction_meta:
-        report["sigma2_hat"] = target.correction_meta["sigma2_hat"]
-    return report
+    excess = [np.sqrt(aa) * abs(varphi(cfg.K, a, gamma_fn(cfg.K, a)) - phi_star) for a in grid]
+    _write_rows_csv(out_dir / "grid_curve.csv", ("alpha", "excess_mismatch"),
+                    [{"alpha": a, "excess_mismatch": v} for a, v in zip(grid, excess)])
+    return {"phi_star": phi_star, **({} if sigma2 is None else {"sigma2_hat": sigma2})}
 
 
 def cmd_eval(

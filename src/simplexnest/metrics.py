@@ -7,7 +7,6 @@ kernel likelihood scores, and simplex volume.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -18,7 +17,6 @@ from scipy.optimize import linear_sum_assignment
 from .model import Dataset, affine_rank_deficient
 from .vlad import simplex_least_squares
 
-_BRUTE_FORCE_MAX_K = 7
 _LOG_FLOOR = 1e-12
 
 
@@ -65,40 +63,24 @@ def _bottleneck_assignment(M: np.ndarray) -> tuple[float, np.ndarray]:
     return t, perm
 
 
-def min_matching(A: np.ndarray, B: np.ndarray, method: str = "auto") -> MinMatch:
+def min_matching(A: np.ndarray, B: np.ndarray) -> MinMatch:
     """Permutation-minimized distance between two vertex sets (columns).
 
     The headline distance is min over permutations of the worst matched
-    pair; the Frobenius field is the stacked-matrix form min over
+    pair, found exactly for every K by a bottleneck threshold search over
+    the pairwise distances with an assignment feasibility check; among the
+    permutations attaining it, the one of least stacked squared distance is
+    returned. The Frobenius field is the stacked-matrix form min over
     permutations of ||A_pi - B||_F (its optimal permutation may differ).
-    ``method`` forces "brute" (K! enumeration) or "hungarian" (assignment +
-    bottleneck threshold search); "auto" enumerates up to K = 7.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape or A.ndim != 2:
         raise ValueError(f"vertex sets must share one (D, K) shape, got {A.shape} vs {B.shape}")
-    K = A.shape[1]
     M = _pairwise_column_distances(A, B)
-
     rows, cols = linear_sum_assignment(M**2)
     frobenius = float(np.sqrt((M[rows, cols] ** 2).sum()))
-
-    if method not in ("auto", "brute", "hungarian"):
-        raise ValueError(f"unknown method {method!r}")
-    use_brute = method == "brute" or (method == "auto" and K <= _BRUTE_FORCE_MAX_K)
-    if use_brute:
-        best_val = np.inf
-        best_perm: tuple[int, ...] | None = None
-        for p in itertools.permutations(range(K)):
-            val = max(M[p[j], j] for j in range(K))
-            if val < best_val:
-                best_val = val
-                best_perm = p
-        distance = float(best_val)
-        perm = np.asarray(best_perm, dtype=int)
-    else:
-        distance, perm = _bottleneck_assignment(M)
+    distance, perm = _bottleneck_assignment(M)
     return MinMatch(distance=distance, permutation=perm, frobenius=frobenius)
 
 

@@ -177,7 +177,7 @@ def fit_auto(
     """
     alpha_est._check_correction(data.kernel, data.dim, K, normalize)
     base = fit(data, K, gamma=1.0, restarts=restarts, rng=rng, normalize=normalize, renormalize=False)
-    aa, at = alpha_est._reduced_moments(base, data, normalize)
+    aa, at, _ = alpha_est._reduced_moments(base, data, normalize)
     alpha_hat = alpha_est._solve_alpha(K, aa, at, gamma, alpha_search)
     gamma_hat = float(gamma(K, alpha_hat))
 

@@ -218,7 +218,7 @@ def test_criterion_08_minimum_matching_oracle():
             max(M[p[j], j] for j in range(K))
             for p in itertools.permutations(range(K))
         )
-        res = min_matching(A, B, method="hungarian")
+        res = min_matching(A, B)
         achieved = max(M[res.permutation[j], j] for j in range(K))
         exact += int(res.distance == oracle and achieved == oracle)
     ok = exact == 100

@@ -265,7 +265,12 @@ class TestReducedMoments:
         base = fit(data, K, gamma=1.0, rng=np.random.default_rng(61), renormalize=False)
         target = corrected_covariance(data, K)
         aa, at, _ = _moments(base, target)
-        np.testing.assert_allclose(_reduced_moments(base, data, None), (aa, at), rtol=1e-10)
+        *reduced, sigma2 = _reduced_moments(base, data, None)
+        np.testing.assert_allclose(reduced, (aa, at), rtol=1e-10)
+        if kernel.name == "gaussian":
+            assert sigma2 == pytest.approx(target.correction_meta["sigma2_hat"], rel=1e-12)
+        else:
+            assert sigma2 is None
         reference = estimate_alpha(base, target, quadrature_gamma)
         auto = fit_auto(data, K, rng=np.random.default_rng(61))
         assert abs(np.log(auto.alpha) - np.log(reference)) <= 1e-10

@@ -167,6 +167,13 @@ def dataset_dir(tmp_path):
 
 
 @pytest.fixture(scope="module")
+def multinomial_dir(tmp_path_factory):
+    kern = Kernel.multinomial(50)
+    model = SimplexNest(sample_vertices(10, 3, kern, np.random.default_rng(0)), 2.0, kern)
+    return save_dataset(generate(model, 200, np.random.default_rng(1)), tmp_path_factory.mktemp("data") / "counts")
+
+
+@pytest.fixture(scope="module")
 def table_path_k3(tmp_path_factory):
     path = tmp_path_factory.mktemp("tables") / "k3.json"
     build_gamma_table(3, np.geomspace(0.5, 5.0, 6), m=4000, seed=2, workers=1).save(path)
@@ -187,9 +194,9 @@ class TestCmdFit:
                       alpha_search=(0.5, 5.0), seed=5)
         meta = json.loads((out / "meta.json").read_text())
         assert meta["alpha_hat"] > 0
-        assert meta["objective_value"] >= 0
+        assert meta["phi_star"] > 0
         curve = (out / "grid_curve.csv").read_text().splitlines()
-        assert curve[0] == "alpha,objective" and len(curve) == 65
+        assert curve[0] == "alpha,excess_mismatch" and len(curve) == 65
 
     def test_gdm_and_spa(self, dataset_dir, tmp_path, table_path_k3):
         data_dir, _ = dataset_dir
@@ -209,18 +216,30 @@ class TestCmdFit:
         got = np.loadtxt(out / "vertices.csv", delimiter=",", skiprows=1)
         np.testing.assert_allclose(got, model.vertices)
 
-    def test_vlad_alpha_builds_the_dxd_target_once(self, dataset_dir, tmp_path, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("kernel", [Kernel.noiseless(), Kernel.gaussian(0.1)], ids=lambda k: k.name)
+    def test_vlad_alpha_reports_without_a_dxd_matrix(self, tmp_path, monkeypatch, kernel):
+        data = generate(SimplexNest(sample_vertices(10, 3, kernel, np.random.default_rng(0)), 2.0, kernel),
+                        400, np.random.default_rng(1))
+        data_dir = save_dataset(data, tmp_path / "data")
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return corrected_covariance(*args, **kwargs)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("D x D matrix formed")
 
-        monkeypatch.setattr("simplexnest.alpha_est.corrected_covariance", spy)
-        data_dir, _ = dataset_dir
+        for name in ("alpha_est.corrected_covariance", "alpha_est.gmm_objective", "numerics.sample_covariance"):
+            monkeypatch.setattr(f"simplexnest.{name}", forbidden)
         out = cmd_fit(data_dir, "vlad_alpha", tmp_path / "fit", alpha_search=(0.5, 5.0), seed=5)
-        assert len(calls) == 1  # the diagnostic objective in meta.json
-        assert json.loads((out / "meta.json").read_text())["objective_value"] >= 0
+        monkeypatch.undo()
+        meta = json.loads((out / "meta.json").read_text())
+        phi_hat = varphi(3, meta["alpha_hat"], meta["gamma"])
+        assert meta["phi_star"] == pytest.approx(phi_hat, rel=1e-10)
+        curve = np.loadtxt(out / "grid_curve.csv", delimiter=",", skiprows=1)
+        phis = np.array([varphi(3, a, quadrature_gamma(3, a)) for a in curve[:, 0]])
+        assert np.argmin(curve[:, 1]) == np.argmin(np.abs(phis - phi_hat))
+        if kernel.name == "gaussian":
+            dense = corrected_covariance(data.without_truth(), 3).correction_meta["sigma2_hat"]
+            assert meta["sigma2_hat"] == pytest.approx(dense, rel=1e-12)
+        else:
+            assert "sigma2_hat" not in meta
 
     @pytest.mark.parametrize("method,flags", [("vlad_alpha", {}), ("gdm", {"alpha": 2.0}), ("spa", {})])
     def test_meta_json_written_once(self, dataset_dir, tmp_path, monkeypatch, method, flags):
@@ -249,7 +268,7 @@ class TestCmdFit:
         assert json.loads((out / "meta.json").read_text())["gamma"] == quadrature_gamma(3, 2.0)
         out = cmd_fit(data_dir, "vlad_alpha", tmp_path / "auto", alpha_search=(0.5, 5.0), seed=5)
         meta = json.loads((out / "meta.json").read_text())
-        assert 0.5 <= meta["alpha_hat"] <= 5.0 and meta["objective_value"] >= 0
+        assert 0.5 <= meta["alpha_hat"] <= 5.0 and meta["phi_star"] > 0
 
     def test_table_for_another_k_rejected(self, dataset_dir, tmp_path):
         data_dir, _ = dataset_dir
@@ -651,14 +670,21 @@ class TestCli:
         ["gamma-table", "--K", "3", "--m", "200", "--workers", "-1"],
         ["gamma-table", "--K", "3", "--m", "200", "--restarts", "0"],
         ["gamma-table", "--K", "3", "--m", "200", "--seed", "-1"],
+        # non-finite bounds, and alpha fits on raw multinomial counts
+        ["fit", "--method", "vlad_alpha", "--alpha-search", "0.5", "inf"],
+        ["alpha-curve", "--K", "3", "--grid", "0.1", "inf", "5"],
+        ["gamma-table", "--K", "3", "--m", "300", "--grid", "0.5", "inf", "3"],
+        ["fit", "--method", "vlad_alpha", "--raw-counts", "--data", "{multinomial}"],
+        ["experiment", "--kernel", "multinomial", "--D", "10", "--K", "3", "--n", "100", "--seeds", "0",
+         "--methods", "vlad_alpha", "--raw-counts"],
     ])
-    def test_rejected_before_any_output(self, dataset_dir, table_path_k3, tmp_path, argv, capsys):
+    def test_rejected_before_any_output(self, dataset_dir, table_path_k3, multinomial_dir, tmp_path, argv, capsys):
         data_dir, model = dataset_dir
         from simplexnest.baselines import BaselineFit
 
         vertices = save_baseline(BaselineFit(model.vertices, "theirs", {}), tmp_path / "theirs") / "vertices.csv"
-        argv = [a.format(vertices=vertices, table=table_path_k3) for a in argv]
-        if argv[0] == "fit":
+        argv = [a.format(vertices=vertices, table=table_path_k3, multinomial=multinomial_dir) for a in argv]
+        if argv[0] == "fit" and "--data" not in argv:
             argv += ["--data", str(data_dir)]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from simplexnest import Dataset, Kernel, SimplexNest, generate, sample_vertices
 from simplexnest.metrics import (
     EvalReport,
+    _pairwise_column_distances,
     evaluate_fit,
     heldout_frobenius,
     heldout_likelihood,
@@ -65,16 +66,16 @@ class TestMinMatching:
             K = int(rng.integers(2, 8))
             A = rng.normal(size=(4, K))
             B = rng.normal(size=(4, K))
-            brute = min_matching(A, B, method="brute")
-            hung = min_matching(A, B, method="hungarian")
-            assert hung.distance == brute.distance
-            assert hung.frobenius == brute.frobenius
+            M = _pairwise_column_distances(A, B)
+            res = min_matching(A, B)
+            assert res.distance == _brute_force_max_form(M)
+            assert max(M[res.permutation[k], k] for k in range(K)) == res.distance
 
     def test_large_k_bottleneck_consistency(self):
         rng = np.random.default_rng(4)
         A = rng.normal(size=(6, 9))
         B = rng.normal(size=(6, 9))
-        res = min_matching(A, B)  # auto -> hungarian for K = 9
+        res = min_matching(A, B)
         achieved = max(
             np.linalg.norm(A[:, res.permutation[k]] - B[:, k]) for k in range(9)
         )
