@@ -11,7 +11,6 @@ refitting happens.
 import numpy as np
 
 import simplexnest as sn
-from simplexnest.alpha_est import corrected_covariance
 
 K, D, n, alpha_true = 10, 500, 10_000, 2.0
 
@@ -21,11 +20,8 @@ for kernel in (sn.Kernel.noiseless(), sn.Kernel.gaussian(1.0), sn.Kernel.poisson
     model = sn.SimplexNest(vertices, alpha_true, kernel)
     data = sn.generate(model, n, rng)
 
-    target = corrected_covariance(data, K)
     fit = sn.fit_auto(data, K, alpha_search=(0.5, 6.0), rng=np.random.default_rng(13))
-    note = ""
-    if "sigma2_hat" in target.correction_meta:
-        note = f" (noise variance estimate {target.correction_meta['sigma2_hat']:.3f})"
+    note = "" if fit.sigma2_hat is None else f" (noise variance estimate {fit.sigma2_hat:.3f})"
     print(f"{kernel.name:10s}: alpha_hat = {fit.alpha:.3f} (truth {alpha_true}){note}")
 
     mm = sn.min_matching(fit.vertices, model.vertices)

@@ -15,9 +15,10 @@ right singular vectors W, and Xbar W = U S, so from the fit's own factors
 (n rows, singular values s_j) and its center m:
 
 - <A, Sigma_hat> = ||S W^T R||_F^2 / n;
-- gaussian: <A, I> = ||R||_F^2, with sigma2_hat = (||Xbar||_F^2 - sum_j
-  s_j^2) / (n (D - K + 1)), the mean of the trailing eigenvalues written
-  as a trace identity (one O(nD) pass);
+- gaussian: <A, I> = ||R||_F^2, times the fit's own sigma2_hat =
+  (||Xbar||_F^2 - sum_j s_j^2) / (n (D - K + 1)), the mean of the trailing
+  eigenvalues written as a trace identity (one O(nD) pass, which
+  ``vlad.fit`` makes on the centred copy it factors);
 - poisson: <A, Diag(m)> = sum_d m_d ||R_d||^2;
 - multinomial: the Poisson term and <A, m m^T> = ||R^T m||^2, both over N,
   and the whole over 1 - 1/N.
@@ -54,12 +55,7 @@ class MomentTarget:
     correction_meta: dict
 
 
-def corrected_covariance(
-    data: Dataset,
-    K: int,
-    kernel: Kernel | None = None,
-    normalize: bool | None = None,
-) -> MomentTarget:
+def corrected_covariance(data: Dataset, K: int, normalize: bool = True) -> MomentTarget:
     """Kernel-specific correction of the sample covariance.
 
     - noiseless: the sample covariance itself.
@@ -76,7 +72,7 @@ def corrected_covariance(
     """
     if data.n < 2:
         raise ValueError("need at least 2 observations")
-    kern = data.kernel if kernel is None else kernel
+    kern = data.kernel
     _check_correction(kern, data.dim, K, normalize)
     X = data.fitting_matrix(normalize)
     sigma_hat = sample_covariance(X)
@@ -99,12 +95,12 @@ def corrected_covariance(
     return MomentTarget(target, kern, {"N": N})
 
 
-def _check_correction(kern: Kernel, D: int, K: int, normalize: bool | None) -> None:
+def _check_correction(kern: Kernel, D: int, K: int, normalize: bool) -> None:
     """Raise ValueError where a kernel's noise correction is undefined."""
     if kern.name == "gaussian" and D <= K - 1:
         raise ValueError("need D > K - 1 to estimate the noise variance from trailing eigenvalues")
     if kern.name == "multinomial":
-        if normalize is False:
+        if not normalize:
             raise ValueError("the multinomial correction is defined on normalized observations")
         if int(kern.trials) <= 1:
             raise ValueError("multinomial correction requires N > 1 trials")
@@ -124,38 +120,29 @@ def _moments(fit: "VladFit", target: MomentTarget) -> tuple[float, float, float]
             float(np.vdot(T, T)))
 
 
-def _reduced_moments(fit: "VladFit", data: Dataset,
-                     normalize: bool | None) -> tuple[float, float, float | None]:
-    """<A,A>, <A,T> and sigma2_hat from the fit's own factors and center, in O(D K^2).
+def _reduced_moments(fit: "VladFit", kernel: Kernel) -> tuple[float, float]:
+    """<A,A> and <A,T> from the fit's own factors, center and sigma2_hat, in O(D K^2).
 
-    ``fit`` must come from ``data.fitting_matrix(normalize)``: its factors,
-    centroids and center are read as they are. Only the gaussian kernel
-    reads the observations again, for ||Xbar||_F^2; sigma2_hat is None for
-    the other kernels.
+    ``fit`` comes from ``vlad.fit`` on data of ``kernel`` whose noise
+    correction is defined (``_check_correction``); its factors, centroids,
+    center and, for the gaussian kernel, sigma2_hat are read as they are.
     """
-    kern = data.kernel
-    K = fit.n_vertices
-    D = fit.center.shape[0]
-    _check_correction(kern, D, K, normalize)
     R = _centered_rays(fit)
     m = fit.center
     s = fit.factors.singular
     n = fit.factors.left.shape[0]
     aa = float(np.linalg.norm(R.T @ R) ** 2)
     at = float(np.linalg.norm(s[:, None] * (fit.factors.right.T @ R)) ** 2) / n
-    sigma2 = None
-    if kern.name == "gaussian":
-        Xbar = data.observations - m
-        sigma2 = (float(np.vdot(Xbar, Xbar)) - float(s @ s)) / (n * (D - K + 1))
-        at -= sigma2 * float(np.vdot(R, R))
-    elif kern.name == "poisson":
+    if kernel.name == "gaussian":
+        at -= fit.sigma2_hat * float(np.vdot(R, R))
+    elif kernel.name == "poisson":
         at -= float(np.einsum("d,dk,dk->", m, R, R))
-    elif kern.name == "multinomial":
-        N = int(kern.trials)
+    elif kernel.name == "multinomial":
+        N = int(kernel.trials)
         diag = float(np.einsum("d,dk,dk->", m, R, R))
         outer = float(np.linalg.norm(R.T @ m) ** 2)
         at = (at - diag / N + outer / N) / (1.0 - 1.0 / N)
-    return aa, at, sigma2
+    return aa, at
 
 
 def gmm_objective(fit: "VladFit", target: MomentTarget, gamma: Callable, alphas) -> np.ndarray:

@@ -32,15 +32,15 @@ def gdm(
     gamma: float,
     restarts: int = 8,
     rng: np.random.Generator | None = None,
-    normalize: bool | None = None,
+    normalize: bool = True,
     method_tag: str = "gdm",
 ) -> BaselineFit:
     """Raw-space K-means centroids extended from the data center.
 
-    Uses the identical extension arithmetic as the reduced-space estimator;
-    the two differ only in clustering geometry. ``method_tag`` only names the
-    fit: the harness methods ``gdm`` and ``gdm_mc`` both run this function
-    with the same gamma(K, alpha).
+    The rays extend as in the reduced-space estimator, but the vertices are
+    the raw extension, never put back on the probability simplex, even for
+    multinomial data. ``method_tag`` only names the fit: the harness methods
+    ``gdm`` and ``gdm_mc`` both run this function with the same gamma(K, alpha).
     """
     if K < 2:
         raise ValueError("K must be >= 2")
@@ -52,13 +52,13 @@ def gdm(
     km = kmeans(X, K, restarts=restarts, rng=rng)
     c0 = X.mean(axis=0)
     return BaselineFit(
-        vertices=_extended(c0, km.centroids.T, gamma, data, normalize, renormalize=False)[0],
+        vertices=_extended(c0, km.centroids.T, gamma, onto_simplex=False)[0],
         method_tag=method_tag,
         meta={"gamma": float(gamma), "kmeans_cost": km.cost},
     )
 
 
-def spa(data: Dataset, K: int, normalize: bool | None = None) -> BaselineFit:
+def spa(data: Dataset, K: int, normalize: bool = True) -> BaselineFit:
     """Successive projection: greedy maximal-norm row selection.
 
     Repeatedly picks the row of largest Euclidean norm, records it as a

@@ -180,13 +180,9 @@ class GammaTable:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def default_alpha_grid(n_points: int = 40, lo: float = 0.02, hi: float = 10.0) -> np.ndarray:
-    return np.geomspace(lo, hi, n_points)
-
-
 def build_gamma_table(
     K: int,
-    alpha_grid: np.ndarray | None = None,
+    alpha_grid: np.ndarray,
     m: int = 100_000,
     seed: int = 0,
     restarts: int = 8,
@@ -197,7 +193,7 @@ def build_gamma_table(
     Grid points get independent streams spawned from ``seed``, so the table
     is identical for any worker count.
     """
-    grid = default_alpha_grid() if alpha_grid is None else np.asarray(alpha_grid, dtype=float)
+    grid = np.asarray(alpha_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("alpha grid must be non-empty")
     children = np.random.SeedSequence(seed).spawn(grid.size)

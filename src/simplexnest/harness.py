@@ -30,7 +30,7 @@ import numpy as np
 
 from . import baselines, vlad
 from ._matrix_io import format_float, write_json
-from .alpha_est import _phi_star, _reduced_moments
+from .alpha_est import _check_correction, _phi_star, _reduced_moments
 from .extension import GammaTable, build_gamma_table, quadrature_gamma, varphi
 from .metrics import HELDOUT_METRICS, METRIC_NAMES, evaluate_fit
 from .model import (
@@ -193,8 +193,11 @@ class ExperimentConfig:
             raise ConfigError("sigma must be finite and > 0")
         if cfg.kernel == "multinomial" and cfg.trials < 2:
             raise ConfigError("multinomial trials must be >= 2")
-        if cfg.kernel == "multinomial" and not cfg.normalize and "vlad_alpha" in cfg.methods:
-            raise ConfigError("vlad_alpha matches multinomial moments on normalized counts; drop raw counts")
+        if "vlad_alpha" in cfg.methods:
+            try:
+                _check_correction(_kernel_from_config(cfg), cfg.D, cfg.K, cfg.normalize)
+            except ValueError as exc:
+                raise ConfigError(f"vlad_alpha: {exc}") from exc
         s = cfg.alpha_search
         if len(s) != 2 or not 0 < s[0] < s[1] < np.inf:
             raise ConfigError("alpha_search must be [lo, hi] with 0 < lo < hi < inf")
@@ -589,13 +592,13 @@ def _alpha_report(fit, data: Dataset, cfg: ExperimentConfig, gamma_fn: Callable,
     square is ||phi A - T||_F^2 less its phi-free floor ||T||_F^2 -
     <A,T>^2/<A,A>; only that floor needs a D x D matrix.
     """
-    aa, at, sigma2 = _reduced_moments(fit, data, cfg.normalize)
+    aa, at = _reduced_moments(fit, data.kernel)
     phi_star = _phi_star(aa, at)
     grid = np.geomspace(*cfg.alpha_search, 64)
     excess = [np.sqrt(aa) * abs(varphi(cfg.K, a, gamma_fn(cfg.K, a)) - phi_star) for a in grid]
     _write_rows_csv(out_dir / "grid_curve.csv", ("alpha", "excess_mismatch"),
                     [{"alpha": a, "excess_mismatch": v} for a, v in zip(grid, excess)])
-    return {"phi_star": phi_star, **({} if sigma2 is None else {"sigma2_hat": sigma2})}
+    return {"phi_star": phi_star, **({} if fit.sigma2_hat is None else {"sigma2_hat": fit.sigma2_hat})}
 
 
 def cmd_eval(

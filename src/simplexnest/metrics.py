@@ -123,7 +123,7 @@ class LikelihoodReport:
     floored: int   # log arguments clipped up to the floor
 
 
-def heldout_likelihood(fit, test: Dataset, normalize: bool | None = None) -> LikelihoodReport:
+def heldout_likelihood(fit, test: Dataset, normalize: bool = True) -> LikelihoodReport:
     """Kernel-appropriate held-out score under the fitted simplex.
 
     Weights come from projecting each test row onto the fitted simplex;
@@ -141,10 +141,10 @@ def heldout_likelihood(fit, test: Dataset, normalize: bool | None = None) -> Lik
 
 
 def _likelihood(test: Dataset, X: np.ndarray, mu: np.ndarray,
-                normalize: bool | None) -> LikelihoodReport:
+                normalize: bool) -> LikelihoodReport:
     """The score of :func:`heldout_likelihood` given the projected means mu."""
     kern = test.kernel
-    if kern.name == "multinomial" and normalize is not None and not normalize:
+    if kern.name == "multinomial" and not normalize:
         mu = mu / float(kern.trials)  # count-scale means to probabilities
 
     if kern.name in ("gaussian", "noiseless"):
@@ -203,7 +203,7 @@ def evaluate_fit(
     heldout: Dataset | None = None,
     metrics: tuple[str, ...] = ("mm", "volume"),
     wall_time_s: float | None = None,
-    normalize: bool | None = None,
+    normalize: bool = True,
 ) -> EvalReport:
     """Compute the requested metrics for one fitted vertex set.
 

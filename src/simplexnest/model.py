@@ -90,14 +90,14 @@ def _as_alpha_vector(alpha, K: int) -> np.ndarray:
     return a
 
 
-def affine_rank_deficient(vertices: np.ndarray, rtol: float = _DEGENERACY_RTOL) -> bool:
+def affine_rank_deficient(vertices: np.ndarray) -> bool:
     """True when the K columns do not span a (K-1)-dimensional affine set."""
     V = np.asarray(vertices, dtype=float)
     K = V.shape[1]
     G = V - V.mean(axis=1, keepdims=True)
     s = np.linalg.svd(G, compute_uv=False)
     scale = max(s[0], 1.0) if s.size else 1.0
-    return bool(s[K - 2] <= rtol * scale)
+    return bool(s[K - 2] <= _DEGENERACY_RTOL * scale)
 
 
 @dataclass(frozen=True)
@@ -143,10 +143,6 @@ class SimplexNest:
     @property
     def n_vertices(self) -> int:
         return self.vertices.shape[1]
-
-    @property
-    def symmetric(self) -> bool:
-        return bool(np.all(self.alpha == self.alpha[0]))
 
     @property
     def centroid(self) -> np.ndarray:
@@ -203,7 +199,7 @@ class Dataset:
     def dim(self) -> int:
         return self.observations.shape[1]
 
-    def fitting_matrix(self, normalize: bool | None = None) -> np.ndarray:
+    def fitting_matrix(self, normalize: bool = True) -> np.ndarray:
         """Observations as the real matrix handed to estimators.
 
         Multinomial counts are divided by the trial count N by default,
@@ -211,7 +207,7 @@ class Dataset:
         ``normalize=False`` to fit raw counts. Other kernels ignore the flag.
         """
         X = self.observations
-        if self.kernel.name == "multinomial" and (normalize is None or normalize):
+        if self.kernel.name == "multinomial" and normalize:
             return X / float(self.kernel.trials)
         return X
 

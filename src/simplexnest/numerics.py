@@ -60,10 +60,6 @@ class SvdFactors:
     singular: np.ndarray   # (r,) descending, >= 0
     right: np.ndarray      # (D, r), orthonormal columns
 
-    @property
-    def rank(self) -> int:
-        return self.singular.shape[0]
-
     def reconstruct(self) -> np.ndarray:
         return (self.left * self.singular) @ self.right.T
 

@@ -34,9 +34,10 @@ SIMPLEX_ATOL = 1e-9  # a projected row sums to 1 within this, as Dataset checks 
 class VladFit:
     """Fitted simplex: vertices, the CVT centroids they extend, and factors.
 
-    vertices[:, k] == center + gamma * (cvt_centroids[:, k] - center) holds
-    exactly unless the probability-simplex post-step rewrote the vertices
-    (multinomial data, ``renormalize=True``).
+    vertices == extend_rays(center, cvt_centroids, gamma) holds exactly
+    unless vertices fitted to normalized multinomial counts were put back on
+    the probability simplex. ``sigma2_hat`` is the Gaussian noise-floor
+    estimate, else None.
     """
 
     vertices: np.ndarray        # (D, K)
@@ -46,6 +47,7 @@ class VladFit:
     gamma: float
     alpha: float | None
     kmeans_cost: float
+    sigma2_hat: float | None = None
 
     @property
     def n_vertices(self) -> int:
@@ -65,18 +67,14 @@ def _lexsorted_columns(V: np.ndarray) -> np.ndarray:
     return np.lexsort(V[::-1])
 
 
-def _extended(center_point: np.ndarray, centroids: np.ndarray, gamma: float, data: Dataset,
-              normalize: bool | None, renormalize: bool | None) -> tuple[np.ndarray, np.ndarray]:
-    """Extend the rays to the centroids by gamma, optionally clip the vertices
-    to >= 0 and rescale their columns onto the probability simplex, and return
-    vertices and centroids with columns in lexicographic vertex order.
-
-    ``renormalize=None`` means: only for normalized multinomial data.
-    """
+def _extended(center_point: np.ndarray, centroids: np.ndarray, gamma: float,
+              onto_simplex: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Extend the rays to the centroids by gamma, with ``onto_simplex`` clip
+    the vertices to >= 0 and rescale their columns onto the probability
+    simplex, and return vertices and centroids with columns in
+    lexicographic vertex order."""
     vertices = extend_rays(center_point, centroids, gamma)
-    if renormalize is None:
-        renormalize = data.kernel.name == "multinomial" and (normalize is None or normalize)
-    if renormalize:
+    if onto_simplex:
         vertices = np.clip(vertices, 0.0, None)
         sums = vertices.sum(axis=0)
         if np.any(sums <= 0):
@@ -86,14 +84,63 @@ def _extended(center_point: np.ndarray, centroids: np.ndarray, gamma: float, dat
     return vertices[:, order], centroids[:, order]
 
 
+def _on_probability_simplex(data: Dataset, normalize: bool) -> bool:
+    """Whether the vertices fitted to ``data.fitting_matrix(normalize)`` are distributions."""
+    return data.kernel.name == "multinomial" and normalize
+
+
+def _fit(data: Dataset, K: int, gamma: float, restarts: int, rng: np.random.Generator | None,
+         normalize: bool, onto_simplex: bool) -> VladFit:
+    """:func:`fit`, with the probability-simplex step chosen by the caller."""
+    if K < 2:
+        raise ValueError("K must be >= 2")
+    if data.n <= K:
+        raise ValueError(f"need n > K observations, got n = {data.n}")
+    X = data.fitting_matrix(normalize)
+    # a NaN or +-inf makes its column mean non-finite, so only then is X scanned
+    with np.errstate(invalid="ignore"):  # inf and -inf in a column sum to NaN; reported below
+        c0 = X.mean(axis=0)
+    if not np.isfinite(c0).all() and not np.isfinite(X).all():
+        raise ValueError("observations must be finite")
+    # centre in place a copy made for this fit (normalized counts), never the observations
+    Xbar = X - c0 if np.may_share_memory(X, data.observations) else np.subtract(X, c0, out=X)
+    factors = truncated_svd(Xbar, K - 1)
+    n, D = Xbar.shape
+    sigma2 = None  # the mean of the trailing eigenvalues of Xbar^T Xbar / n, as a trace identity
+    if data.kernel.name == "gaussian" and D > K - 1:
+        s = factors.singular
+        sigma2 = (float(np.vdot(Xbar, Xbar)) - float(s @ s)) / (n * (D - K + 1))
+    km = kmeans(factors.left, K, restarts=restarts, rng=rng)
+    scaled = factors.right * factors.singular          # (D, K-1) columns W_j * s_j
+    centroids = c0[:, None] + scaled @ km.centroids.T  # (D, K)
+
+    gaps = centroids.T[:, None, :] - centroids.T[None, :, :]
+    pair = np.sqrt((gaps**2).sum(axis=2))
+    np.fill_diagonal(pair, np.inf)
+    scale = max(1.0, float(np.abs(centroids).max()))
+    if pair.min() <= 1e-12 * scale:
+        warnings.warn("two fitted vertices coincide (degenerate K-means winner)", stacklevel=3)
+
+    vertices, centroids = _extended(c0, centroids, gamma, onto_simplex)
+    return VladFit(
+        vertices=vertices,
+        cvt_centroids=centroids,
+        center=c0,
+        factors=factors,
+        gamma=float(gamma),
+        alpha=None,
+        kmeans_cost=km.cost,
+        sigma2_hat=sigma2,
+    )
+
+
 def fit(
     data: Dataset,
     K: int,
     gamma: float,
     restarts: int = 8,
     rng: np.random.Generator | None = None,
-    normalize: bool | None = None,
-    renormalize: bool | None = None,
+    normalize: bool = True,
 ) -> VladFit:
     """Estimate the K simplex vertices with a known extension factor.
 
@@ -110,49 +157,17 @@ def fit(
         Independent ++-initialized K-means restarts.
     rng : numpy.random.Generator
         Source for the K-means restarts.
-    renormalize : bool, optional
-        Clip fitted vertices to >= 0 and rescale columns onto the
-        probability simplex. Defaults to True for normalized multinomial
-        data and False otherwise; extended rays can leave the simplex, so
-        this keeps multinomial vertices interpretable as distributions.
+    normalize : bool
+        Fit multinomial counts divided by the trial count; their vertices
+        are then clipped to >= 0 and rescaled onto the probability simplex,
+        which extended rays can leave. Other data keep the raw extension.
 
-    Vertex columns are ordered lexicographically by coordinates so that
-    repeated runs serialize identically.
+    Gaussian fits carry sigma2_hat = (||Xbar||_F^2 - sum_j s_j^2) /
+    (n (D - K + 1)) from the centred copy they factor. Vertex columns are
+    ordered lexicographically by coordinates so that repeated runs
+    serialize identically.
     """
-    if K < 2:
-        raise ValueError("K must be >= 2")
-    if data.n <= K:
-        raise ValueError(f"need n > K observations, got n = {data.n}")
-    X = data.fitting_matrix(normalize)
-    # a NaN or +-inf makes its column mean non-finite, so only then is X scanned
-    with np.errstate(invalid="ignore"):  # inf and -inf in a column sum to NaN; reported below
-        c0 = X.mean(axis=0)
-    if not np.isfinite(c0).all() and not np.isfinite(X).all():
-        raise ValueError("observations must be finite")
-    # centre in place a copy made for this fit (normalized counts), never the observations
-    Xbar = X - c0 if np.may_share_memory(X, data.observations) else np.subtract(X, c0, out=X)
-    factors = truncated_svd(Xbar, K - 1)
-    km = kmeans(factors.left, K, restarts=restarts, rng=rng)
-    scaled = factors.right * factors.singular          # (D, K-1) columns W_j * s_j
-    centroids = c0[:, None] + scaled @ km.centroids.T  # (D, K)
-
-    gaps = centroids.T[:, None, :] - centroids.T[None, :, :]
-    pair = np.sqrt((gaps**2).sum(axis=2))
-    np.fill_diagonal(pair, np.inf)
-    scale = max(1.0, float(np.abs(centroids).max()))
-    if pair.min() <= 1e-12 * scale:
-        warnings.warn("two fitted vertices coincide (degenerate K-means winner)", stacklevel=2)
-
-    vertices, centroids = _extended(c0, centroids, gamma, data, normalize, renormalize)
-    return VladFit(
-        vertices=vertices,
-        cvt_centroids=centroids,
-        center=c0,
-        factors=factors,
-        gamma=float(gamma),
-        alpha=None,
-        kmeans_cost=km.cost,
-    )
+    return _fit(data, K, gamma, restarts, rng, normalize, _on_probability_simplex(data, normalize))
 
 
 def fit_auto(
@@ -162,26 +177,28 @@ def fit_auto(
     alpha_search: tuple[float, float] = (0.02, 10.0),
     restarts: int = 8,
     rng: np.random.Generator | None = None,
-    normalize: bool | None = None,
-    renormalize: bool | None = None,
+    normalize: bool = True,
 ) -> VladFit:
     """Estimate vertices and the concentration parameter jointly.
 
-    Runs the estimator once with a reference extension, recovers alpha by
-    moment matching against the noise-corrected covariance, then re-extends
-    the same centroids with gamma(K, alpha_hat); clustering is never
-    repeated. The moments come from the fit's own rank-(K-1) factors, so no
-    D x D matrix is formed. ``gamma`` is the exact quadrature unless a saved
-    ``GammaTable`` is passed, which raises if it was built for another K or
-    does not cover ``alpha_search``.
+    Runs the estimator once with the reference extension gamma = 1 and no
+    probability-simplex step, recovers alpha by moment matching against the
+    noise-corrected covariance, then re-extends the same centroids with
+    gamma(K, alpha_hat), as :func:`fit` would; clustering is never
+    repeated. The moments come from the fit's own rank-(K-1) factors and
+    sigma2_hat, so no D x D matrix or second copy of the data is formed.
+    ``gamma`` is the exact quadrature unless a saved ``GammaTable`` is
+    passed, which raises if it was built for another K or does not cover
+    ``alpha_search``.
     """
     alpha_est._check_correction(data.kernel, data.dim, K, normalize)
-    base = fit(data, K, gamma=1.0, restarts=restarts, rng=rng, normalize=normalize, renormalize=False)
-    aa, at, _ = alpha_est._reduced_moments(base, data, normalize)
+    base = _fit(data, K, 1.0, restarts, rng, normalize, onto_simplex=False)
+    aa, at = alpha_est._reduced_moments(base, data.kernel)
     alpha_hat = alpha_est._solve_alpha(K, aa, at, gamma, alpha_search)
     gamma_hat = float(gamma(K, alpha_hat))
 
-    vertices, centroids = _extended(base.center, base.cvt_centroids, gamma_hat, data, normalize, renormalize)
+    vertices, centroids = _extended(base.center, base.cvt_centroids, gamma_hat,
+                                    _on_probability_simplex(data, normalize))
     return replace(
         base,
         vertices=vertices,
@@ -304,7 +321,7 @@ def simplex_least_squares(
     return out
 
 
-def recover_weights(fit_result: VladFit, data: Dataset, normalize: bool | None = None) -> np.ndarray:
+def recover_weights(fit_result: VladFit, data: Dataset, normalize: bool = True) -> np.ndarray:
     """Barycentric weights of each observation's projection onto the fit.
 
     Rows of the result lie on the probability simplex; points outside the

@@ -195,7 +195,7 @@ _ORACLE_KERNELS = [Kernel.noiseless(), Kernel.gaussian(0.5), Kernel.poisson(), K
 
 def _base_fit(kernel, alpha, seed):
     _, data = _data(kernel, D=100, K=5, alpha=alpha, n=4000, seed=seed)
-    f = fit(data, 5, gamma=1.0, rng=np.random.default_rng(seed + 1), renormalize=False)
+    f = fit(data, 5, gamma=1.0, rng=np.random.default_rng(seed + 1))
     return f, corrected_covariance(data, 5)
 
 
@@ -240,7 +240,7 @@ class TestSearchEdge:
         with pytest.warns(RuntimeWarning, match="edge alpha = 0.02") as rec:
             fit_auto(data, 4, rng=np.random.default_rng(1))
         assert [w.filename for w in rec] == [__file__]
-        base = fit(data, 4, gamma=1.0, rng=np.random.default_rng(1), renormalize=False)
+        base = fit(data, 4, gamma=1.0, rng=np.random.default_rng(1))
         with pytest.warns(RuntimeWarning, match="edge alpha = 0.02") as rec:
             estimate_alpha(base, corrected_covariance(data, 4), quadrature_gamma)
         assert [w.filename for w in rec] == [__file__]
@@ -262,15 +262,17 @@ class TestReducedMoments:
     @pytest.mark.parametrize("kernel", _REDUCED_KERNELS, ids=lambda k: k.name)
     def test_matches_the_dense_oracle(self, kernel, D, K):
         _, data = _data(kernel, D=D, K=K, n=3000, seed=60 + K)
-        base = fit(data, K, gamma=1.0, rng=np.random.default_rng(61), renormalize=False)
+        base = fit(data, K, gamma=1.0, rng=np.random.default_rng(61))
         target = corrected_covariance(data, K)
         aa, at, _ = _moments(base, target)
-        *reduced, sigma2 = _reduced_moments(base, data, None)
-        np.testing.assert_allclose(reduced, (aa, at), rtol=1e-10)
+        np.testing.assert_allclose(_reduced_moments(base, kernel), (aa, at), rtol=1e-10)
         if kernel.name == "gaussian":
-            assert sigma2 == pytest.approx(target.correction_meta["sigma2_hat"], rel=1e-12)
+            Xbar = data.observations - base.center
+            s = base.factors.singular
+            assert base.sigma2_hat == (float(np.vdot(Xbar, Xbar)) - float(s @ s)) / (data.n * (D - K + 1))
+            assert base.sigma2_hat == pytest.approx(target.correction_meta["sigma2_hat"], rel=1e-12)
         else:
-            assert sigma2 is None
+            assert base.sigma2_hat is None
         reference = estimate_alpha(base, target, quadrature_gamma)
         auto = fit_auto(data, K, rng=np.random.default_rng(61))
         assert abs(np.log(auto.alpha) - np.log(reference)) <= 1e-10

@@ -34,6 +34,18 @@ class TestGdm:
         order = np.lexsort(manual[::-1])
         np.testing.assert_array_equal(extended.vertices, manual[:, order])
 
+    def test_multinomial_vertices_are_the_raw_extension(self):
+        # unlike vlad's, gdm's multinomial vertices are never clipped or rescaled
+        kern = Kernel.multinomial(60)
+        model = SimplexNest(sample_vertices(30, 3, kern, np.random.default_rng(25)), 1.0, kern)
+        data = generate(model, 3000, np.random.default_rng(26))
+        f = gdm(data, 3, gamma=2.5, rng=np.random.default_rng(27))
+        X = data.fitting_matrix()
+        km = kmeans(X, 3, restarts=8, rng=np.random.default_rng(27))
+        raw = extend_rays(X.mean(axis=0), km.centroids.T, 2.5)
+        np.testing.assert_array_equal(f.vertices, raw[:, np.lexsort(raw[::-1])])
+        assert f.vertices.min() < 0
+
     def test_equilateral_simplex_matches_reduced_space_estimator(self):
         # on an equilateral simplex the raw-space and reduced-space
         # estimators agree up to K-means noise

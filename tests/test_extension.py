@@ -6,7 +6,6 @@ import pytest
 from simplexnest.extension import (
     GammaTable,
     build_gamma_table,
-    default_alpha_grid,
     estimate_gamma,
     quadrature_gamma,
     varphi,
@@ -188,12 +187,6 @@ class TestBuildGammaTable:
         for i in range(2):
             direct = estimate_gamma(3, float(grid[i]), 2000, np.random.default_rng(children[i]))
             assert table.gammas[i] == direct
-
-    def test_default_grid(self):
-        grid = default_alpha_grid()
-        assert grid.size == 40
-        np.testing.assert_allclose(grid[0], 0.02)
-        np.testing.assert_allclose(grid[-1], 10.0)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

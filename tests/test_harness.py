@@ -174,6 +174,14 @@ def multinomial_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def narrow_gaussian_dir(tmp_path_factory):
+    # D = K - 1: the vertices fit, but no trailing eigenvalue is left for the noise variance
+    kern = Kernel.gaussian(1.0)
+    model = SimplexNest(sample_vertices(2, 3, kern, np.random.default_rng(0)), 2.0, kern)
+    return save_dataset(generate(model, 100, np.random.default_rng(1)), tmp_path_factory.mktemp("data") / "narrow")
+
+
+@pytest.fixture(scope="module")
 def table_path_k3(tmp_path_factory):
     path = tmp_path_factory.mktemp("tables") / "k3.json"
     build_gamma_table(3, np.geomspace(0.5, 5.0, 6), m=4000, seed=2, workers=1).save(path)
@@ -677,13 +685,19 @@ class TestCli:
         ["fit", "--method", "vlad_alpha", "--raw-counts", "--data", "{multinomial}"],
         ["experiment", "--kernel", "multinomial", "--D", "10", "--K", "3", "--n", "100", "--seeds", "0",
          "--methods", "vlad_alpha", "--raw-counts"],
+        # gaussian alpha fits with no trailing eigenvalue to estimate the noise from (D = K - 1)
+        ["experiment", "--kernel", "gaussian", "--D", "2", "--K", "3", "--n", "100", "--seeds", "0",
+         "--methods", "vlad_alpha"],
+        ["fit", "--method", "vlad_alpha", "--data", "{narrow}"],
     ])
-    def test_rejected_before_any_output(self, dataset_dir, table_path_k3, multinomial_dir, tmp_path, argv, capsys):
+    def test_rejected_before_any_output(self, dataset_dir, table_path_k3, multinomial_dir, narrow_gaussian_dir,
+                                        tmp_path, argv, capsys):
         data_dir, model = dataset_dir
         from simplexnest.baselines import BaselineFit
 
         vertices = save_baseline(BaselineFit(model.vertices, "theirs", {}), tmp_path / "theirs") / "vertices.csv"
-        argv = [a.format(vertices=vertices, table=table_path_k3, multinomial=multinomial_dir) for a in argv]
+        argv = [a.format(vertices=vertices, table=table_path_k3, multinomial=multinomial_dir,
+                         narrow=narrow_gaussian_dir) for a in argv]
         if argv[0] == "fit" and "--data" not in argv:
             argv += ["--data", str(data_dir)]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2

@@ -17,7 +17,7 @@ from simplexnest.metrics import (
     min_matching,
     simplex_volume,
 )
-from simplexnest.vlad import fit, simplex_least_squares
+from simplexnest.vlad import extend_rays, fit, simplex_least_squares
 
 
 def _brute_force_max_form(M):
@@ -183,9 +183,10 @@ class TestHeldoutLikelihood:
         test = Dataset(data.observations[3000:], kern)
         scores = []
         for normalize in (True, False):
-            f = fit(train, K, gamma=2.0, rng=np.random.default_rng(15), normalize=normalize, renormalize=False)
-            scores.append(heldout_likelihood(f, test, normalize=normalize).value)
-            scores.append(evaluate_fit(f, heldout=test, metrics=("likelihood",), normalize=normalize).perplexity)
+            f = fit(train, K, gamma=2.0, rng=np.random.default_rng(15), normalize=normalize)
+            raw = extend_rays(f.center, f.cvt_centroids, f.gamma)  # normalized fits also renormalize
+            scores.append(heldout_likelihood(raw, test, normalize=normalize).value)
+            scores.append(evaluate_fit(raw, heldout=test, metrics=("likelihood",), normalize=normalize).perplexity)
         assert min(scores) >= 1.0
         np.testing.assert_allclose(scores, scores[0], rtol=1e-6)
 

@@ -137,9 +137,10 @@ class TestFit:
         f = fit(data, 3, gamma=2.5, rng=np.random.default_rng(27))
         assert np.all(f.vertices >= 0)
         np.testing.assert_allclose(f.vertices.sum(axis=0), 1.0, atol=1e-12)
-        raw = fit(data, 3, gamma=2.5, rng=np.random.default_rng(27), renormalize=False)
-        expected = raw.center[:, None] + 2.5 * (raw.cvt_centroids - raw.center[:, None])
-        np.testing.assert_array_equal(raw.vertices, expected)
+        raw = extend_rays(f.center, f.cvt_centroids, f.gamma)
+        assert raw.min() < 0  # the extension left the simplex, so the step did something
+        clipped = np.clip(raw, 0.0, None)
+        np.testing.assert_allclose(f.vertices, clipped / clipped.sum(axis=0), rtol=0, atol=1e-15)
 
     def test_coincident_vertex_warning(self):
         X = np.vstack([np.tile([0.0, 0.0, 0.0], (30, 1)), np.tile([1.0, 1.0, 0.0], (30, 1))])
