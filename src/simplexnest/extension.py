@@ -121,8 +121,8 @@ class GammaTable:
         g = np.asarray(self.gammas, dtype=float)
         if a.ndim != 1 or a.size == 0 or a.shape != g.shape:
             raise ValueError("alphas and gammas must be matching non-empty 1-D arrays")
-        if np.any(a <= 0) or np.any(np.diff(a) <= 0):
-            raise ValueError("alpha grid must be positive and strictly ascending")
+        if not np.all(np.isfinite(a)) or np.any(a <= 0) or np.any(np.diff(a) <= 0):
+            raise ValueError("alpha grid must be finite, positive and strictly ascending")
         if not np.all(np.isfinite(g) & (g > 0)):
             raise ValueError("gammas must be finite and > 0")
         object.__setattr__(self, "alphas", a)

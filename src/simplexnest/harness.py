@@ -407,6 +407,7 @@ def _write_rows_csv(path: Path, columns: tuple[str, ...], rows: list[dict]) -> N
 def _run_cell(cfg, gamma_fn, run_root, cell: _Cell) -> list[dict]:
     """Generate one dataset cell, run every method, return result rows."""
     model, data = _cell_data(cfg, cell)
+    blind = data.without_truth()  # validated once per cell; run_method leaves it as it is
     heldout = None
     if cfg.n_heldout > 0:
         heldout = generate(model, cfg.n_heldout, _rng(*cell[:4], _SALT_HELDOUT))
@@ -422,7 +423,7 @@ def _run_cell(cfg, gamma_fn, run_root, cell: _Cell) -> list[dict]:
         try:
             rng = _rng(*cell[:4], j, _SALT_FIT)
             started = time.perf_counter()
-            fit, info = run_method(method, data, cfg, gamma_fn, cell.alpha, rng)
+            fit, info = run_method(method, blind, cfg, gamma_fn, cell.alpha, rng)
             elapsed = time.perf_counter() - started
             _save(fit, cell_dir, cell.seed)
             report = evaluate_fit(

@@ -21,23 +21,20 @@ restart leaves the batch when it converges or reaches the cap, and the
 result of every restart equals that of running it alone wherever the
 BLAS rounds the batched product as it rounds a one-restart product.
 
-The truncated SVD computes only the top r singular triplets and picks its
-branch from the short side m = min(n, D) of the matrix. Up to
-``GRAM_MAX_SIDE`` it takes the top r eigenvectors of the (m, m)
-short-side Gram (``np.linalg.eigh``) and finishes with the SVD of the
-data times them, all on numpy's BLAS and LAPACK. Above it, it runs
-implicitly restarted Lanczos (ARPACK, through ``scipy.sparse.linalg.eigsh``
-on the short-side Gram operator, as ``svds`` runs it) and finishes the
-same way in numpy's LAPACK. The rule exists because ARPACK's BLAS calls
-run on the OpenBLAS bundled with scipy's wheel, a second thread pool
-beside numpy's, and waking it slows the K-means that follows on the same
-cores; on narrow data the Gram's O(n m^2) products are also cheaper, and
-ARPACK wins only once m is large (the crossover table is in
-``truncated_svd``). Neither branch draws from the caller's generator: the
-Gram branch draws nothing, and ARPACK starts from a vector drawn from the
-fixed seed ``ARPACK_V0_SEED``, so both are deterministic. The Gram branch
-also takes the two inputs ARPACK cannot, r equal to the smaller dimension
-and the all-zero matrix.
+The truncated SVD computes only the top r singular triplets and runs on
+numpy's BLAS and LAPACK alone. It picks its branch from the short side
+m = min(n, D) of the matrix. Up to ``GRAM_MAX_SIDE`` it takes the top r
+eigenvectors of the (m, m) short-side Gram from ``np.linalg.eigh``; above
+it, it runs Lanczos on that Gram through one-column products, without
+forming it, and accepts the top r pairs by ARPACK's own convergence test.
+Both branches finish with the SVD of the data times the eigenvectors.
+Nothing runs on the OpenBLAS bundled with scipy's wheel, a second thread
+pool whose threads kept spinning on the cores the K-means that follows
+needs. Neither branch draws from the caller's generator: the Gram branch
+draws nothing, and Lanczos draws its start vector, and any fresh direction,
+from a generator of its own seeded with ``LANCZOS_SEED``, so both are
+deterministic. The Gram branch also takes r equal to the short side and the
+all-zero matrix, whatever m.
 """
 
 from __future__ import annotations
@@ -45,11 +42,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh
 
 LLOYD_MAX_ITER = 300
-ARPACK_V0_SEED = 0
 GRAM_MAX_SIDE = 750  # largest short side factored from its Gram; see truncated_svd
+LANCZOS_SEED = 0  # seeds the start vector and every fresh direction of Lanczos
+LANCZOS_BASIS = 48  # Lanczos basis vectors held, at least; see truncated_svd
+LANCZOS_PROBE = 4  # products run from a fresh direction before the top r are accepted
+LANCZOS_MAX_PRODUCTS = 10_000  # Gram products before LanczosNoConvergence
 
 
 @dataclass(frozen=True)
@@ -92,28 +91,120 @@ def sample_covariance(X: np.ndarray) -> np.ndarray:
     return (S + S.T) / 2.0
 
 
-def _arpack_svd(Xbar: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ARPACK branch of ``svds(Xbar, k=r, v0=...)``: (U, s, Vh), s ascending.
+class LanczosNoConvergence(RuntimeError):
+    """The Lanczos branch of ``truncated_svd`` took ``LANCZOS_MAX_PRODUCTS`` products unconverged."""
 
-    The operator matvecs are one-column matrix products, as in ``svds``; a
-    1-D ``Xbar @ x`` would run another BLAS kernel, with other rounding.
+
+def _unit_orthogonal(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``x`` made orthogonal to the orthonormal rows of ``basis`` (two passes), then normalized."""
+    for _ in range(2):
+        x = x - (basis @ x) @ basis
+    return x / np.linalg.norm(x)
+
+
+def _lanczos_svd(Xbar: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top r factors by Lanczos on the short-side Gram: (U, s, W), s descending.
+
+    With A the tall one of Xbar and Xbar^T and G = A^T A, the rows of V
+    are an orthonormal basis and M[i, j] = v_i . G v_j. Vectors take their
+    product in the order they joined the basis: the first d are done and
+    the others pending. The product of v_j fills column j of M against
+    every vector then held, and its remainder after two Gram-Schmidt passes
+    joins the basis, so G v_j lies in the span of the basis. With H the
+    done block of M and B the pending rows of the done columns, both read
+    from the lower triangle,
+
+        G V_d^T = V_d^T H + V_p^T B,
+
+    so a Ritz pair (theta, s) of H has the residual norm |B s|. With one
+    pending vector, H is Lanczos's tridiagonal matrix and |B s| is
+    ARPACK's Ritz estimate |beta s_d|. A fresh direction joins with zero
+    coupling, as the identity requires: after a breakdown, the remainder
+    it replaces is dropped; in a probe, it is orthogonal to every G v_j.
     """
-    A = aslinearoperator(Xbar)
-    tall = A.shape[0] >= A.shape[1]
-    X_dot, X_mat = (A.matvec, A.matmat) if tall else (A.rmatvec, A.rmatmat)
-    XH_dot, XH_mat = (A.rmatvec, A.rmatmat) if tall else (A.matvec, A.matmat)
-    m = min(A.shape)
-    gram = LinearOperator(shape=(m, m), dtype=A.dtype, matvec=lambda x: XH_dot(X_dot(x)),
-                          matmat=lambda x: XH_mat(X_mat(x)))
-    v0 = np.random.default_rng(ARPACK_V0_SEED).standard_normal(m)
-    _, Q = eigsh(gram, k=r, tol=0.0, v0=v0)
-    Q, _ = np.linalg.qr(Q)  # ARPACK's eigenvectors are not exactly orthonormal
-    P, s, Ph = np.linalg.svd(X_mat(Q), full_matrices=False)
-    P, Ph = np.asfortranarray(P), np.asfortranarray(Ph)  # scipy.linalg.svd's layout
-    P, s, Ph = P[:, ::-1], s[::-1], Ph[::-1]
+    tall = Xbar.shape[0] >= Xbar.shape[1]
+    A = Xbar if tall else Xbar.T
+    m = A.shape[1]
+    eps = np.finfo(float).eps / 2  # LAPACK's dlamch('E'), ARPACK's tol = 0
+    floor = eps ** (2.0 / 3.0)
+    ncv = min(m, max(LANCZOS_BASIS, 3 * r))
+    rng = np.random.default_rng(LANCZOS_SEED)
+    V = np.empty((ncv, m))
+    M = np.zeros((ncv, ncv))
+    V[0] = _unit_orthogonal(rng.standard_normal(m), V[:0])
+    d, k = 0, 1          # vectors done, vectors held
+    scale = 0.0          # largest |G v| seen, for the breakdown test
+    settled = None       # top r values when the running probe was started
+    probe_end = 0
+    for products in range(1, LANCZOS_MAX_PRODUCTS + 1):
+        if k == ncv < m:
+            d, k = _thick_restart(V, M, d, k, r)
+        w = (A.T @ (A @ V[d][:, None]))[:, 0]
+        norm = float(np.linalg.norm(w))
+        if not np.isfinite(norm):
+            raise ValueError("Xbar must be finite")
+        scale = max(scale, norm)
+        h = V[:k] @ w
+        w -= h @ V[:k]
+        h2 = V[:k] @ w
+        w -= h2 @ V[:k]
+        M[:k, d] = h + h2
+        beta = float(np.linalg.norm(w))
+        d += 1
+        if k < m:
+            if beta > eps * scale:
+                M[k, d - 1] = beta
+                V[k] = w / beta
+            else:  # G V_d is inside the basis: go on from a fresh direction
+                V[k] = _unit_orthogonal(rng.standard_normal(m), V[:k])
+            k += 1
+        if d < k and (d < r or products < probe_end):
+            continue
+        theta, S = np.linalg.eigh(M[:d, :d])
+        theta, S = theta[: -r - 1 : -1], S[:, : -r - 1 : -1]
+        bounds = np.linalg.norm(M[d:k, :d] @ S, axis=0)
+        if not np.all(bounds <= eps * np.maximum(floor, np.abs(theta))):
+            settled = None
+            continue
+        if k == m or (settled is not None
+                      and np.all(np.abs(theta - settled) <= d * eps * theta[0])):
+            break
+        # A single vector's Krylov space holds one direction of each repeated
+        # eigenvalue: probe for missing ones from a fresh direction.
+        if k == ncv:
+            d, k = _thick_restart(V, M, d, k, r)
+        V[k] = _unit_orthogonal(rng.standard_normal(m), V[:k])
+        k += 1
+        settled, probe_end = theta, products + LANCZOS_PROBE
+    else:
+        raise LanczosNoConvergence(
+            f"top {r} singular values unconverged after {LANCZOS_MAX_PRODUCTS} Gram products")
+    Q = S.T @ V[:d]
+    Q, _ = np.linalg.qr(Q.T)
+    P, s, Ph = np.linalg.svd(A @ Q, full_matrices=False)
     if tall:
-        return P, s, Ph @ Q.T
-    return Q @ Ph.T, s, P.T
+        return P, s, Q @ Ph.T
+    return Q @ Ph.T, s, P
+
+
+def _thick_restart(V: np.ndarray, M: np.ndarray, d: int, k: int, r: int) -> tuple[int, int]:
+    """Replace the d done vectors by their (d + r) // 2 leading Ritz vectors.
+
+    The pending vectors move up behind them with their couplings B S, so
+    the identity of ``_lanczos_svd`` still holds; returns the new (d, k).
+    """
+    p = k - d
+    keep = (d + r) // 2
+    if not r <= keep < d:
+        raise LanczosNoConvergence("no room left in the Lanczos basis")
+    theta, S = np.linalg.eigh(M[:d, :d])
+    S = S[:, : -keep - 1 : -1]
+    B = M[d:k, :d] @ S
+    V[:keep], V[keep : keep + p] = S.T @ V[:d], V[d:k].copy()
+    M[:] = 0.0
+    M[np.arange(keep), np.arange(keep)] = theta[: -keep - 1 : -1]
+    M[keep : keep + p, :keep] = B
+    return keep, keep + p
 
 
 def _gram_svd(Xbar: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -136,49 +227,57 @@ def _gram_svd(Xbar: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 def truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
     """Best rank-r factors of Xbar in Frobenius norm.
 
-    The branch follows the short side m = min(n, D). For m <=
-    ``GRAM_MAX_SIDE`` the top r eigenvectors of the (m, m) short-side Gram
-    (``np.linalg.eigh``) are finished by the SVD of Xbar times them, all on
-    numpy's BLAS and LAPACK; no draw is made. Above it the top r triplets
-    come from the ARPACK branch of ``svds``, run here: implicitly restarted
-    Lanczos (``eigsh``, ``tol=0``, default ``ncv`` and ``which``) on the
-    short-side Gram operator of ``aslinearoperator(Xbar)`` with the start
-    vector ``default_rng(ARPACK_V0_SEED).standard_normal(m)``, a QR of the
-    eigenvectors, then the SVD of Xbar times them. A fixed start vector
-    keeps the factors bit-identical from call to call without drawing from
-    the caller's generator; it is random because the all-ones vector is
-    orthogonal to the rows of centered normalized counts. ARPACK failing to
-    converge raises ``ArpackNoConvergence``. The Gram branch also takes the
-    two inputs ARPACK cannot, whatever m: r == m and the all-zero matrix,
-    whose zero start residual ARPACK rejects.
+    The branch follows the short side m = min(n, D). With A the tall one of
+    Xbar and Xbar^T, both branches find the top r eigenvectors of the (m, m)
+    Gram A^T A and finish with the SVD of A times them. For m <=
+    ``GRAM_MAX_SIDE`` the Gram is formed and ``np.linalg.eigh`` gives them;
+    no draw is made. Above it Lanczos (``_lanczos_svd``) gives them, with
+    no Gram formed, and a QR makes its Ritz vectors orthonormal first:
 
-    The rule keeps narrow data off scipy's second OpenBLAS pool. ARPACK's
-    own BLAS calls inside ``eigsh`` run on the OpenBLAS bundled in scipy's
-    wheel, a thread pool beside numpy's, and waking it slows the K-means
-    that follows the factorization on the same cores. The Gram costs
-    O(n m^2) against ARPACK's O(n m r) per restart cycle, so ARPACK wins
-    once m is large. Measured on 2 cores (numpy 2.4.6, scipy 1.17.1,
-    OpenBLAS 0.3.31), normalized-multinomial data, n = 10^4, r = 9, then
-    K-means (K = 10, 8 restarts) on the left factors; median ms over 2-5
-    processes of 7-9 calls each, each branch in its own process:
+    - each step is one product A^T (A q) on a single column, orthogonalized
+      against the whole basis by two passes of classical Gram-Schmidt;
+    - the start vector is ``default_rng(LANCZOS_SEED).standard_normal(m)``.
+      It is random because the all-ones vector is orthogonal to the rows
+      of centered normalized counts, and fixed so that repeated calls give
+      bit-identical factors without drawing from the caller's generator;
+    - the top r pairs are accepted by ARPACK's test with ``tol = 0``
+      (``dsconv``): each Ritz estimate is at most eps max(eps^(2/3),
+      |theta|), with eps = 2^-53, LAPACK's ``dlamch('E')``;
+    - a residual at rounding level means the basis holds an invariant
+      subspace, as when r exceeds the rank; a fresh direction from the
+      same stream, orthogonalized against the basis, takes its place;
+    - one vector's Krylov space holds a single direction of a repeated
+      eigenvalue. So once the top r pass the test, a fresh direction joins
+      the basis, and they are accepted only when ``LANCZOS_PROBE`` more
+      products leave their values unchanged and the test still holds;
+    - a thick restart (Wu & Simon 2000) keeps the basis at max(
+      ``LANCZOS_BASIS``, 3 r) vectors, or m, by keeping the leading Ritz
+      vectors; ``LanczosNoConvergence`` is raised after
+      ``LANCZOS_MAX_PRODUCTS`` products without acceptance, and
+      ``ValueError`` on a product that is not finite.
 
-    =====  ======================  ======================
-    m      Gram: SVD / +K-means    ARPACK: SVD / +K-means
-    =====  ======================  ======================
-    300     32 / 112               49 / 124
-    500     70 / 143               89 / 220
-    625     90 / 150              128 / 230
-    750    154 / 211              142 / 248
-    875    235 / 322              181 / 296
-    1000   265 / 340              206 / 326
-    1500   632 / 695              360 / 466
-    2000   1456 / 1543            558 / 656
-    =====  ======================  ======================
+    The Gram costs O(n m^2) against Lanczos's O(n m) per product, about 30
+    products on the paper's data, so Lanczos wins once m is large. Measured
+    on 2 cores (numpy 2.4.6, OpenBLAS 0.3.31), normalized-multinomial data,
+    n = 10^4, r = 9, then K-means (K = 10, 8 restarts) on the left factors;
+    ms, the median over 3 processes of each one's median of 7 calls, each
+    branch in its own process:
 
-    In the ARPACK branch the last small SVD runs in numpy's LAPACK, where
-    ``svds`` calls ``scipy.linalg.svd`` on scipy's pool. The values are the
-    same; put in scipy's Fortran order, they make every later product round
-    as in ``svds``, so the factors are bit-identical to those of ``svds``.
+    =====  ======================  =======================
+    m      Gram: SVD / +K-means    Lanczos: SVD / +K-means
+    =====  ======================  =======================
+    300      35 / 115                48 / 123
+    500      75 / 139                74 / 137
+    625      90 / 152                87 / 166
+    750     159 / 229                99 / 162
+    875     184 / 243               113 / 172
+    1000    252 / 323               144 / 212
+    1500    628 / 684               252 / 326
+    2000   1202 / 1278              393 / 464
+    =====  ======================  =======================
+
+    Against ARPACK the crossover sat between 750 and 875; against Lanczos
+    it sits between 500 and 750, below ``GRAM_MAX_SIDE``.
 
     Singular values are descending. Deterministic up to sign; the sign of
     each right-singular vector is fixed so that its largest-magnitude
@@ -192,9 +291,7 @@ def truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
     if m <= GRAM_MAX_SIDE or r == m or not Xbar.any():
         U, s, W = _gram_svd(Xbar, r)
     else:
-        U, s, Vh = _arpack_svd(Xbar, r)
-        order = np.argsort(s)[::-1]
-        U, s, W = U[:, order], s[order], Vh[order].T
+        U, s, W = _lanczos_svd(Xbar, r)
     for j in range(r):
         i = int(np.argmax(np.abs(W[:, j])))
         if W[i, j] < 0:

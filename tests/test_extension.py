@@ -150,6 +150,12 @@ class TestGammaTable:
         with pytest.raises(ValueError):
             GammaTable(K=3, alphas=np.array([]), gammas=np.array([]), m=1, seed=0)
 
+    @pytest.mark.parametrize("alphas", [[0.5, np.nan, 2.0], [0.5, 1.0, np.inf], [np.nan, 1.0, 2.0]],
+                             ids=["nan", "inf-last", "nan-first"])
+    def test_non_finite_alpha_knot_rejected(self, alphas):
+        with pytest.raises(ValueError, match="alpha grid must be finite"):
+            GammaTable(K=3, alphas=np.array(alphas), gammas=np.array([2.0, 2.5, 3.0]), m=0, seed=0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
     def test_gamma_validation(self, bad):
         with pytest.raises(ValueError, match="finite and > 0"):

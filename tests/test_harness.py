@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import simplexnest.model
 import simplexnest.vlad
 from simplexnest import Kernel, SimplexNest, generate, sample_vertices, save_dataset
 from simplexnest import harness
@@ -380,6 +381,23 @@ class TestRunExperiment:
         run_experiment(_tiny_config(tmp_path / "runs"))
         assert seen and all(t is None for t in seen)
 
+    def test_truth_stripped_once_per_cell(self, tmp_path, monkeypatch):
+        # a Dataset re-runs its full count checks on construction, 0.12 s at multinomial paper scale
+        stripped = []
+        validate = simplexnest.model.Dataset.__post_init__
+
+        def counting(data):
+            stripped.append(data.truth is None)
+            validate(data)
+
+        monkeypatch.setattr(simplexnest.model.Dataset, "__post_init__", counting)
+        counts = []
+        for methods in (["vlad"], ["vlad", "vlad_alpha", "gdm", "spa"]):
+            stripped.clear()
+            run_experiment(_tiny_config(tmp_path / str(len(methods)), methods=methods, seeds=[0]))
+            counts.append(stripped.count(True))
+        assert counts == [1, 1]
+
     def test_no_monte_carlo_without_a_table_file(self, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("estimate_gamma called")
@@ -601,6 +619,8 @@ class TestCli:
         ('{"K": 3, "m": 1, "alphas": [1.0, 2.0], "gammas": [2.0, 3.0]}', "missing seed"),
         ('{"K": 3, "m": 1, "seed": 0,', "Expecting"),
         ('[1, 2]', "must be a JSON object"),
+        ('{"K": 3, "m": 0, "seed": 0, "alphas": [0.5, NaN, 2.0], "gammas": [2, 2.5, 3]}', "must be finite"),
+        ('{"K": 3, "m": 0, "seed": 0, "alphas": [0.5, 1.0, Infinity], "gammas": [2, 2.5, 3]}', "must be finite"),
     ])
     def test_malformed_table_exit_code(self, dataset_dir, tmp_path, payload, message, capsys):
         data_dir, _ = dataset_dir
@@ -613,6 +633,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("config error: cannot read gamma table") == 2
         assert err.count(message) == 2
+        assert not (tmp_path / "fit").exists() and not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("flags", [["--method", "vlad", "--alpha", "-1"],
                                        ["--method", "vlad_alpha", "--alpha-search", "0", "5"],

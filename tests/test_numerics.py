@@ -1,4 +1,4 @@
-import functools
+import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh, svds
+from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh, svds
 
 from simplexnest import Kernel, SimplexNest, dirichlet_covariance, generate, sample_vertices, sample_weights
 from simplexnest import numerics, vlad
 from simplexnest.numerics import (
-    ARPACK_V0_SEED,
+    LANCZOS_SEED as ARPACK_V0_SEED,
     LLOYD_MAX_ITER,
     KMeansResult,
+    LanczosNoConvergence,
     SvdFactors,
     _cluster_sums,
     _plusplus_init,
@@ -25,16 +26,20 @@ from simplexnest.numerics import (
 )
 
 
-def _lapack_truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
-    """Reference: full LAPACK SVD cut to r factors, with the package's sign convention."""
-    U, s, Vh = np.linalg.svd(np.asarray(Xbar, dtype=float), full_matrices=False)
-    U, s, W = U[:, :r], s[:r], Vh[:r].T
-    for j in range(r):
+def _with_sign_rule(U: np.ndarray, s: np.ndarray, W: np.ndarray) -> SvdFactors:
+    """The package's sign convention: each right vector's largest-magnitude entry is positive."""
+    for j in range(W.shape[1]):
         i = int(np.argmax(np.abs(W[:, j])))
         if W[i, j] < 0:
             W[:, j] = -W[:, j]
             U[:, j] = -U[:, j]
     return SvdFactors(left=U, singular=s, right=W)
+
+
+def _lapack_truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
+    """Reference: full LAPACK SVD cut to r factors, with the package's sign convention."""
+    U, s, Vh = np.linalg.svd(np.asarray(Xbar, dtype=float), full_matrices=False)
+    return _with_sign_rule(U[:, :r], s[:r], Vh[:r].T)
 
 
 def _svds_truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
@@ -47,16 +52,44 @@ def _svds_truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
         v0 = np.random.default_rng(ARPACK_V0_SEED).standard_normal(min(n, D))
         U, s, Vh = svds(Xbar, k=r, v0=v0, solver="arpack")
         order = np.argsort(s)[::-1]
-        U, s, W = U[:, order], s[order], Vh[order].T
-    else:
-        U, s, Vh = np.linalg.svd(Xbar, full_matrices=False)
-        U, s, W = U[:, :r], s[:r], Vh[:r].T
-    for j in range(r):
-        i = int(np.argmax(np.abs(W[:, j])))
-        if W[i, j] < 0:
-            W[:, j] = -W[:, j]
-            U[:, j] = -U[:, j]
-    return SvdFactors(left=U, singular=s, right=W)
+        return _with_sign_rule(U[:, order], s[order], Vh[order].T)
+    U, s, Vh = np.linalg.svd(Xbar, full_matrices=False)
+    return _with_sign_rule(U[:, :r], s[:r], Vh[:r].T)
+
+
+def _arpack_svd(Xbar: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ARPACK branch of ``svds(Xbar, k=r, v0=...)``: (U, s, Vh), s ascending.
+
+    The operator matvecs are one-column matrix products, as in ``svds``; a
+    1-D ``Xbar @ x`` would run another BLAS kernel, with other rounding.
+    """
+    A = aslinearoperator(Xbar)
+    tall = A.shape[0] >= A.shape[1]
+    X_dot, X_mat = (A.matvec, A.matmat) if tall else (A.rmatvec, A.rmatmat)
+    XH_dot, XH_mat = (A.rmatvec, A.rmatmat) if tall else (A.matvec, A.matmat)
+    m = min(A.shape)
+    gram = LinearOperator(shape=(m, m), dtype=A.dtype, matvec=lambda x: XH_dot(X_dot(x)),
+                          matmat=lambda x: XH_mat(X_mat(x)))
+    v0 = np.random.default_rng(ARPACK_V0_SEED).standard_normal(m)
+    _, Q = eigsh(gram, k=r, tol=0.0, v0=v0)
+    Q, _ = np.linalg.qr(Q)  # ARPACK's eigenvectors are not exactly orthonormal
+    P, s, Ph = np.linalg.svd(X_mat(Q), full_matrices=False)
+    P, Ph = np.asfortranarray(P), np.asfortranarray(Ph)  # scipy.linalg.svd's layout
+    P, s, Ph = P[:, ::-1], s[::-1], Ph[::-1]
+    if tall:
+        return P, s, Ph @ Q.T
+    return Q @ Ph.T, s, P.T
+
+
+def _arpack_truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
+    """Reference: the package's ARPACK branch, which the Lanczos branch replaced.
+
+    ``_arpack_svd`` is that branch verbatim, kept as the oracle; its
+    factors equal those of ``_svds_truncated_svd`` bit for bit.
+    """
+    U, s, Vh = _arpack_svd(np.asarray(Xbar, dtype=float), r)
+    order = np.argsort(s)[::-1]
+    return _with_sign_rule(U[:, order], s[order], Vh[order].T)
 
 
 def _assert_sign_convention(W: np.ndarray) -> None:
@@ -173,18 +206,26 @@ class TestTruncatedSvd:
                 truncated_svd(X, bad)
 
     def test_zero_matrix(self):
-        # ARPACK rejects the zero start residual of an all-zero matrix
+        # the branch rule sends the all-zero matrix to the Gram whatever its short side
         fac = truncated_svd(np.zeros((20, 6)), 2)
         np.testing.assert_array_equal(fac.singular, [0.0, 0.0])
         np.testing.assert_allclose(fac.left.T @ fac.left, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(fac.right.T @ fac.right, np.eye(2), atol=1e-12)
         _assert_sign_convention(fac.right)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected_by_lanczos(self, monkeypatch, bad):
+        monkeypatch.setattr(numerics, "GRAM_MAX_SIDE", 0)
+        X = np.random.default_rng(6).normal(size=(30, 20))
+        X[3, 4] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            truncated_svd(X, 3)
+
     def test_no_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(numerics, "GRAM_MAX_SIDE", 0)
-        monkeypatch.setattr(numerics, "eigsh", functools.partial(eigsh, maxiter=1))
+        monkeypatch.setattr(numerics, "LANCZOS_MAX_PRODUCTS", 5)
         X = np.random.default_rng(6).normal(size=(200, 40))
-        with pytest.raises(ArpackNoConvergence):
+        with pytest.raises(LanczosNoConvergence, match="after 5 Gram products"):
             truncated_svd(X, 5)
 
 
@@ -213,46 +254,16 @@ def _centred_fitting_matrix(kern: Kernel, D: int, K: int, n: int, seed: int) -> 
 
 
 @pytest.fixture
-def arpack_branch(monkeypatch):
+def lanczos_branch(monkeypatch):
     monkeypatch.setattr(numerics, "GRAM_MAX_SIDE", 0)
 
 
 @pytest.fixture
-def no_eigsh(monkeypatch):
+def no_lanczos(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("eigsh called")
+        raise AssertionError("the Lanczos branch ran")
 
-    monkeypatch.setattr(numerics, "eigsh", refuse)
-
-
-@pytest.mark.usefixtures("arpack_branch")
-class TestArpackAgainstSvds:
-    """The ARPACK path against ``svds`` itself, bit for bit and layout for layout."""
-
-    @staticmethod
-    def _assert_identical(X: np.ndarray, r: int) -> None:
-        fac, ref = truncated_svd(X, r), _svds_truncated_svd(X, r)
-        for got, want in [(fac.left, ref.left), (fac.singular, ref.singular), (fac.right, ref.right)]:
-            np.testing.assert_array_equal(got, want)
-            assert got.strides == want.strides  # later BLAS products round by layout
-
-    @_ARPACK_CASES
-    def test_matches_svds(self, X, r, rank):
-        self._assert_identical(X, r)
-
-    @pytest.mark.parametrize("n, D, r", [(1000, 300, 30), (60, 600, 20)], ids=["tall", "wide"])
-    def test_products_after_the_small_svd(self, n, D, r):
-        # shapes where products with C-ordered factors of the small SVD round differently
-        X = np.random.default_rng(49).normal(size=(n, D))
-        self._assert_identical(X - X.mean(axis=0), r)
-
-    @pytest.mark.parametrize("n, D", [(600, 150), (120, 300)], ids=["tall", "wide"])
-    def test_normalized_multinomial(self, n, D):
-        self._assert_identical(_centred_fitting_matrix(Kernel.multinomial(200), D, 5, n, 47), 4)
-
-    @pytest.mark.parametrize("n, D", [(600, 150), (120, 300)], ids=["tall", "wide"])
-    def test_poisson_counts(self, n, D):
-        self._assert_identical(_centred_fitting_matrix(Kernel.poisson(), D, 5, n, 48), 4)
+    monkeypatch.setattr(numerics, "_lanczos_svd", refuse)
 
 
 def _assert_matches_oracle(fac: SvdFactors, ref: SvdFactors, r: int, rank: int) -> None:
@@ -268,6 +279,46 @@ def _assert_matches_oracle(fac: SvdFactors, ref: SvdFactors, r: int, rank: int) 
     np.testing.assert_allclose(fac.right.T @ fac.right, np.eye(r), atol=1e-12)
     np.testing.assert_allclose(fac.reconstruct(), ref.reconstruct(), atol=1e-9 * ref.singular[0])
     _assert_sign_convention(fac.right)
+
+
+def _assert_repeatable(X: np.ndarray, r: int, fac: SvdFactors) -> None:
+    again = truncated_svd(X, r)
+    for got, want in [(again.left, fac.left), (again.singular, fac.singular), (again.right, fac.right)]:
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.usefixtures("lanczos_branch")
+class TestArpackAgainstSvds:
+    """The Lanczos branch against the ARPACK branch it replaced, kept here as the oracle.
+
+    Each case also checks that the oracle still equals ``svds`` bit for bit.
+    """
+
+    @staticmethod
+    def _assert_matches_arpack(X: np.ndarray, r: int, rank: int | None = None) -> None:
+        ref = _arpack_truncated_svd(X, r)
+        svds_ref = _svds_truncated_svd(X, r)
+        for got, want in [(ref.left, svds_ref.left), (ref.singular, svds_ref.singular),
+                          (ref.right, svds_ref.right)]:
+            np.testing.assert_array_equal(got, want)
+        _assert_matches_oracle(truncated_svd(X, r), ref, r, r if rank is None else rank)
+
+    @_ARPACK_CASES
+    def test_matches_svds(self, X, r, rank):
+        self._assert_matches_arpack(X, r, rank)
+
+    @pytest.mark.parametrize("n, D, r", [(1000, 300, 30), (60, 600, 20)], ids=["tall", "wide"])
+    def test_products_after_the_small_svd(self, n, D, r):
+        X = np.random.default_rng(49).normal(size=(n, D))
+        self._assert_matches_arpack(X - X.mean(axis=0), r)
+
+    @pytest.mark.parametrize("n, D", [(600, 150), (120, 300)], ids=["tall", "wide"])
+    def test_normalized_multinomial(self, n, D):
+        self._assert_matches_arpack(_centred_fitting_matrix(Kernel.multinomial(200), D, 5, n, 47), 4)
+
+    @pytest.mark.parametrize("n, D", [(600, 150), (120, 300)], ids=["tall", "wide"])
+    def test_poisson_counts(self, n, D):
+        self._assert_matches_arpack(_centred_fitting_matrix(Kernel.poisson(), D, 5, n, 48), 4)
 
 
 def _recorded_fit_partitions(monkeypatch, data, K: int, svd) -> tuple[list, list]:
@@ -286,28 +337,6 @@ def _recorded_fit_partitions(monkeypatch, data, K: int, svd) -> tuple[list, list
     return runs, fits
 
 
-@pytest.mark.usefixtures("arpack_branch")
-class TestArpackAgainstLapack:
-    """The Lanczos path against the full LAPACK SVD as oracle."""
-
-    @_ARPACK_CASES
-    def test_matches_lapack(self, X, r, rank):
-        fac = truncated_svd(X, r)
-        _assert_matches_oracle(fac, _lapack_truncated_svd(X, r), r, rank)
-        again = truncated_svd(X, r)
-        np.testing.assert_array_equal(again.left, fac.left)
-        np.testing.assert_array_equal(again.singular, fac.singular)
-        np.testing.assert_array_equal(again.right, fac.right)
-
-    def test_multinomial_fit_partition_unchanged(self, monkeypatch):
-        kern = Kernel.multinomial(200)
-        V = sample_vertices(150, 4, kern, np.random.default_rng(44))
-        data = generate(SimplexNest(V, 0.5, kern), 2000, np.random.default_rng(45))
-        runs, (lanczos, lapack) = _recorded_fit_partitions(monkeypatch, data, 4, _lapack_truncated_svd)
-        np.testing.assert_array_equal(runs[0].assignments, runs[1].assignments)
-        np.testing.assert_allclose(lanczos.vertices, lapack.vertices, rtol=0, atol=1e-12)
-
-
 def _repeated_top(n: int, D: int, singular, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     U, _ = np.linalg.qr(rng.normal(size=(n, len(singular))))
@@ -315,7 +344,88 @@ def _repeated_top(n: int, D: int, singular, seed: int) -> np.ndarray:
     return (U * np.asarray(singular)) @ W.T
 
 
-@pytest.mark.usefixtures("no_eigsh")
+def _assert_repeated_top_matches(n: int, D: int, r: int, oracle) -> None:
+    """Top values of multiplicity 2, 3 and 4 against LAPACK and ``oracle``.
+
+    Where r splits the repeated value, any r of its singular directions
+    are right: those cases check that the factors lie in its subspace.
+    """
+    for mult in (2, 3, 4):
+        singular = [5.0] * mult + [3.0, 2.0, 1.0, 0.5]
+        X = _repeated_top(n, D, singular, 51)
+        fac = truncated_svd(X, r)
+        np.testing.assert_allclose(fac.singular, singular[:r], rtol=1e-12)
+        if r >= mult:
+            _assert_matches_oracle(fac, _lapack_truncated_svd(X, r), r, len(singular))
+            _assert_matches_oracle(fac, oracle(X, r), r, len(singular))
+        else:
+            top = _lapack_truncated_svd(X, mult)
+            for got, basis in [(fac.right, top.right), (fac.left, top.left)]:
+                np.testing.assert_allclose(basis @ (basis.T @ got), got, atol=1e-9)
+                np.testing.assert_allclose(got.T @ got, np.eye(r), atol=1e-12)
+            _assert_sign_convention(fac.right)
+        _assert_repeatable(X, r, fac)
+
+
+@pytest.mark.usefixtures("lanczos_branch")
+class TestArpackAgainstLapack:
+    """The Lanczos path against the full LAPACK SVD as oracle."""
+
+    @_ARPACK_CASES
+    def test_matches_lapack(self, X, r, rank):
+        fac = truncated_svd(X, r)
+        _assert_matches_oracle(fac, _lapack_truncated_svd(X, r), r, rank)
+        _assert_repeatable(X, r, fac)
+
+    def test_multinomial_fit_partition_unchanged(self, monkeypatch):
+        kern = Kernel.multinomial(200)
+        V = sample_vertices(150, 4, kern, np.random.default_rng(44))
+        data = generate(SimplexNest(V, 0.5, kern), 2000, np.random.default_rng(45))
+        for oracle in (_lapack_truncated_svd, _arpack_truncated_svd):
+            with monkeypatch.context() as patch:
+                runs, (lanczos, ref) = _recorded_fit_partitions(patch, data, 4, oracle)
+            np.testing.assert_array_equal(runs[0].assignments, runs[1].assignments)
+            np.testing.assert_allclose(lanczos.vertices, ref.vertices, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n, D", [(400, 120), (120, 400)], ids=["tall", "wide"])
+    def test_repeated_top_singular_value(self, n, D, r):
+        _assert_repeated_top_matches(n, D, r, _arpack_truncated_svd)
+
+    @pytest.mark.parametrize("r", [2, 4])
+    def test_repeated_top_through_restarts(self, monkeypatch, r):
+        # a basis of 3 r vectors restarts while a probe's fresh direction is pending
+        monkeypatch.setattr(numerics, "LANCZOS_BASIS", 1)
+        pending = []
+        thick_restart = numerics._thick_restart
+
+        def spy(V, M, d, k, r):
+            pending.append(k - d)
+            return thick_restart(V, M, d, k, r)
+
+        monkeypatch.setattr(numerics, "_thick_restart", spy)
+        _assert_repeated_top_matches(400, 120, r, _arpack_truncated_svd)
+        assert max(pending) >= 2
+
+    @pytest.mark.parametrize("shape", [(400, 300), (300, 900)], ids=["tall", "wide"])
+    def test_rank_below_r(self, shape):
+        # the Krylov space of the start vector is invariant after rank + 1 products
+        X = _low_rank(*shape, 3, 56)
+        fac = truncated_svd(X, 6)
+        _assert_matches_oracle(fac, _lapack_truncated_svd(X, 6), 6, 3)
+        _assert_matches_oracle(fac, _arpack_truncated_svd(X, 6), 6, 3)
+        _assert_repeatable(X, 6, fac)
+
+    def test_pure_noise(self):
+        # no spectral gap: the thick restart bounds the basis at LANCZOS_BASIS vectors
+        X = np.random.default_rng(57).normal(size=(1500, 900))
+        X -= X.mean(axis=0)
+        fac = truncated_svd(X, 9)
+        _assert_matches_oracle(fac, _lapack_truncated_svd(X, 9), 9, 9)
+        _assert_matches_oracle(fac, _arpack_truncated_svd(X, 9), 9, 9)
+
+
+@pytest.mark.usefixtures("no_lanczos")
 class TestGramAgainstOracles:
     """The short-side Gram branch against LAPACK's full SVD and ``svds``."""
 
@@ -324,9 +434,7 @@ class TestGramAgainstOracles:
         fac = truncated_svd(X, r)
         _assert_matches_oracle(fac, _lapack_truncated_svd(X, r), r, rank)
         _assert_matches_oracle(fac, _svds_truncated_svd(X, r), r, rank)
-        again = truncated_svd(X, r)
-        for got, want in [(again.left, fac.left), (again.singular, fac.singular), (again.right, fac.right)]:
-            np.testing.assert_array_equal(got, want)
+        _assert_repeatable(X, r, fac)
 
     @_ARPACK_CASES
     def test_matches_oracles(self, X, r, rank):
@@ -349,12 +457,10 @@ class TestGramAgainstOracles:
     def test_zero_matrix(self, shape):
         self._assert_matches_oracles(np.zeros(shape), 2, 0)
 
-    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
     @pytest.mark.parametrize("n, D", [(200, 30), (30, 200)], ids=["tall", "wide"])
     def test_repeated_top_singular_value(self, n, D, r):
-        X = _repeated_top(n, D, [5.0, 5.0, 3.0, 2.0, 1.0, 0.5], 51)
-        self._assert_matches_oracles(X, r, 6)
-        np.testing.assert_allclose(truncated_svd(X, r).singular, [5.0, 5.0, 3.0][:r], rtol=1e-12)
+        _assert_repeated_top_matches(n, D, r, _svds_truncated_svd)
 
     def test_poisson_fit_partition_unchanged(self, monkeypatch):
         kern = Kernel.poisson()
@@ -366,18 +472,19 @@ class TestGramAgainstOracles:
 
 
 class TestBranchRule:
-    """The short side alone picks the branch: the Gram up to ``GRAM_MAX_SIDE``, ARPACK above."""
+    """The short side alone picks the branch: the Gram up to ``GRAM_MAX_SIDE``, Lanczos above."""
 
     @pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
     @pytest.mark.parametrize("extra, calls", [(0, 0), (1, 1)], ids=["at", "above"])
-    def test_eigsh_called_only_above_the_constant(self, monkeypatch, tall, extra, calls):
+    def test_lanczos_called_only_above_the_constant(self, monkeypatch, tall, extra, calls):
         seen = []
+        lanczos = numerics._lanczos_svd
 
-        def spy(*args, **kwargs):
-            seen.append(args[0].shape)
-            return eigsh(*args, **kwargs)
+        def spy(Xbar, r):
+            seen.append(Xbar.shape)
+            return lanczos(Xbar, r)
 
-        monkeypatch.setattr(numerics, "eigsh", spy)
+        monkeypatch.setattr(numerics, "_lanczos_svd", spy)
         m = numerics.GRAM_MAX_SIDE + extra
         X = np.random.default_rng(54).normal(size=(m + 5, m) if tall else (m, m + 5))
         fac = truncated_svd(X, 2)
@@ -386,9 +493,28 @@ class TestBranchRule:
 
     @pytest.mark.parametrize("X, r", [(np.zeros((20, 6)), 2), (np.random.default_rng(55).normal(size=(40, 12)), 12)],
                              ids=["zero", "r=min"])
-    @pytest.mark.usefixtures("arpack_branch", "no_eigsh")
+    @pytest.mark.usefixtures("lanczos_branch", "no_lanczos")
     def test_gram_takes_what_arpack_cannot(self, X, r):
         _assert_matches_oracle(truncated_svd(X, r), _lapack_truncated_svd(X, r), r, np.linalg.matrix_rank(X))
+
+    def test_wide_fit_calls_nothing_in_scipy_sparse_linalg(self):
+        kern = Kernel.multinomial(500)
+        rng = np.random.default_rng(58)
+        data = generate(SimplexNest(sample_vertices(800, 4, kern, rng), 0.5, kern), 1000, rng).without_truth()
+        called = set()
+
+        def record(frame, event, arg):
+            if event == "call":
+                called.add((frame.f_globals.get("__name__", ""), frame.f_code.co_name))
+
+        sys.setprofile(record)
+        try:
+            fit = vlad.fit_auto(data, 4, rng=np.random.default_rng(59))
+            vlad.recover_weights(fit, data)
+        finally:
+            sys.setprofile(None)
+        assert ("simplexnest.numerics", "_lanczos_svd") in called  # short side 800 > GRAM_MAX_SIDE
+        assert not sorted(name for name, _ in called if name.startswith("scipy.sparse.linalg"))
 
 
 def _lloyd_reference(points: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansResult:
