@@ -55,7 +55,7 @@ class MomentTarget:
     correction_meta: dict
 
 
-def corrected_covariance(data: Dataset, K: int, normalize: bool = True) -> MomentTarget:
+def corrected_covariance(data: Dataset, K: int) -> MomentTarget:
     """Kernel-specific correction of the sample covariance.
 
     - noiseless: the sample covariance itself.
@@ -64,7 +64,8 @@ def corrected_covariance(data: Dataset, K: int, normalize: bool = True) -> Momen
       K-1 directions, so trailing eigenvalues estimate the noise floor).
     - poisson: subtract Diag of the column means.
     - multinomial: invert (1 - 1/N) B S B^T + (1/N) Diag(m) - (1/N) m m^T
-      for B S B^T on observations normalized by the trial count N.
+      for B S B^T on the counts divided by the trial count N, the
+      matrix every estimator fits.
 
     Negative eigenvalues introduced by the subtraction are left in place;
     the scalar moment objective tolerates them and projecting them out
@@ -73,8 +74,8 @@ def corrected_covariance(data: Dataset, K: int, normalize: bool = True) -> Momen
     if data.n < 2:
         raise ValueError("need at least 2 observations")
     kern = data.kernel
-    _check_correction(kern, data.dim, K, normalize)
-    X = data.fitting_matrix(normalize)
+    _check_correction(kern, data.dim, K)
+    X = data.fitting_matrix()
     sigma_hat = sample_covariance(X)
     D = X.shape[1]
 
@@ -95,15 +96,12 @@ def corrected_covariance(data: Dataset, K: int, normalize: bool = True) -> Momen
     return MomentTarget(target, kern, {"N": N})
 
 
-def _check_correction(kern: Kernel, D: int, K: int, normalize: bool) -> None:
+def _check_correction(kern: Kernel, D: int, K: int) -> None:
     """Raise ValueError where a kernel's noise correction is undefined."""
     if kern.name == "gaussian" and D <= K - 1:
         raise ValueError("need D > K - 1 to estimate the noise variance from trailing eigenvalues")
-    if kern.name == "multinomial":
-        if not normalize:
-            raise ValueError("the multinomial correction is defined on normalized observations")
-        if int(kern.trials) <= 1:
-            raise ValueError("multinomial correction requires N > 1 trials")
+    if kern.name == "multinomial" and int(kern.trials) <= 1:
+        raise ValueError("multinomial correction requires N > 1 trials")
 
 
 def _centered_rays(fit: "VladFit") -> np.ndarray:

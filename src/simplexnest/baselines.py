@@ -32,7 +32,6 @@ def gdm(
     gamma: float,
     restarts: int = 8,
     rng: np.random.Generator | None = None,
-    normalize: bool = True,
     method_tag: str = "gdm",
 ) -> BaselineFit:
     """Raw-space K-means centroids extended from the data center.
@@ -46,7 +45,7 @@ def gdm(
         raise ValueError("K must be >= 2")
     if data.n <= K:
         raise ValueError(f"need n > K observations, got n = {data.n}")
-    X = data.fitting_matrix(normalize)
+    X = data.fitting_matrix()
     if not np.all(np.isfinite(X)):
         raise ValueError("observations must be finite")
     km = kmeans(X, K, restarts=restarts, rng=rng)
@@ -58,7 +57,7 @@ def gdm(
     )
 
 
-def spa(data: Dataset, K: int, normalize: bool = True) -> BaselineFit:
+def spa(data: Dataset, K: int) -> BaselineFit:
     """Successive projection: greedy maximal-norm row selection.
 
     Repeatedly picks the row of largest Euclidean norm, records it as a
@@ -70,7 +69,7 @@ def spa(data: Dataset, K: int, normalize: bool = True) -> BaselineFit:
         raise ValueError("K must be >= 1")
     if data.n < K:
         raise ValueError(f"need n >= K observations, got n = {data.n}")
-    X = data.fitting_matrix(normalize)
+    X = data.fitting_matrix()
     R = np.array(X, dtype=float)
     scale = float(np.linalg.norm(R, axis=1).max())
     if scale == 0.0:
@@ -107,8 +106,12 @@ def save_baseline(fit: BaselineFit, directory: str | Path, seed: int | None = No
 
 
 def load_vertices(path: str | Path) -> np.ndarray:
-    """Read a vertices.csv (either a fit directory or the file itself)."""
+    """Read a vertices.csv (either a fit directory or the file itself);
+    a non-finite entry is a ValueError naming the file."""
     path = Path(path)
     if path.is_dir():
         path = path / "vertices.csv"
-    return read_matrix_csv(path)
+    vertices = read_matrix_csv(path)
+    if not np.isfinite(vertices).all():
+        raise ValueError(f"vertices in {path} must be finite")
+    return vertices

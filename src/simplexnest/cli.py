@@ -43,11 +43,6 @@ def _run_with_flags(command: Callable) -> Callable:
     return run
 
 
-def _add_raw_counts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--raw-counts", dest="normalize", action="store_false", default=None,
-                   help="fit multinomial counts without normalizing by N")
-
-
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--kernel", choices=KERNEL_NAMES)
@@ -60,7 +55,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c-min", dest="c_min", type=float, nargs="+", help="skew factor lower bound(s)")
     p.add_argument("--seeds", type=int, nargs="+")
     p.add_argument("--out", help="output directory")
-    _add_raw_counts(p)
     p.add_argument("--paper-scale", action="store_true", default=None,
                    help="use the full simulation-protocol defaults instead of desk scale")
 
@@ -85,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-search", dest="alpha_search", type=float, nargs=2)
     p.add_argument("--restarts", type=int)
     p.add_argument("--seed", type=int)
-    _add_raw_counts(p)
     p.set_defaults(func=_run_with_flags(harness.cmd_fit))
 
     p = sub.add_parser("eval", help="score a fit directory against dataset truth")
@@ -94,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heldout", dest="heldout_dir", help="held-out dataset directory")
     p.add_argument("--metrics", nargs="+", choices=METRIC_NAMES)
     p.add_argument("--results-csv", dest="results_csv", help="append a row to this CSV")
-    _add_raw_counts(p)
     p.set_defaults(func=_run_with_flags(harness.cmd_eval))
 
     p = sub.add_parser("experiment", help="run a full sweep from a config")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -94,7 +95,6 @@ class ExperimentConfig:
     gamma_grid: list = field(default_factory=lambda: [0.02, 10.0, 40])
     gamma_m: int | None = None  # read by nothing; the benchmark's desk config still passes it
     restarts: int = 8
-    normalize: bool = True
     n_heldout: int = 0
     alpha_search: list = field(default_factory=lambda: [0.02, 10.0])
     out: str = "runs"
@@ -126,9 +126,8 @@ class ExperimentConfig:
         cfg = replace(self)
         if cfg.kernel not in KERNEL_NAMES:
             raise ConfigError(f"unknown kernel {cfg.kernel!r}")
-        for name in ("normalize", "paper_scale"):
-            if not isinstance(getattr(cfg, name), bool):
-                raise ConfigError(f"{name} must be true or false, got {getattr(cfg, name)!r}")
+        if not isinstance(cfg.paper_scale, bool):
+            raise ConfigError(f"paper_scale must be true or false, got {cfg.paper_scale!r}")
         for name in ("trials", "restarts", "n_heldout", "workers"):
             _require_numbers(name, [getattr(cfg, name)], integer=True)
         _require_numbers("sigma", [cfg.sigma])
@@ -195,7 +194,7 @@ class ExperimentConfig:
             raise ConfigError("multinomial trials must be >= 2")
         if "vlad_alpha" in cfg.methods:
             try:
-                _check_correction(_kernel_from_config(cfg), cfg.D, cfg.K, cfg.normalize)
+                _check_correction(_kernel_from_config(cfg), cfg.D, cfg.K)
             except ValueError as exc:
                 raise ConfigError(f"vlad_alpha: {exc}") from exc
         s = cfg.alpha_search
@@ -311,18 +310,17 @@ def run_method(
     if method in KNOWN_ALPHA_METHODS:
         gamma = float(gamma_fn(cfg.K, alpha))
         if method == "vlad":
-            fit = vlad.fit(blind, cfg.K, gamma=gamma, restarts=cfg.restarts, rng=rng,
-                           normalize=cfg.normalize)
+            fit = vlad.fit(blind, cfg.K, gamma=gamma, restarts=cfg.restarts, rng=rng)
             return fit, {"gamma": gamma, "alpha_hat": None}
         fit = baselines.gdm(blind, cfg.K, gamma=gamma, restarts=cfg.restarts, rng=rng,
-                            normalize=cfg.normalize, method_tag=method)
+                            method_tag=method)
         return fit, {"gamma": gamma, "alpha_hat": None}
     if method == "vlad_alpha":
         fit = vlad.fit_auto(blind, cfg.K, gamma_fn, alpha_search=tuple(cfg.alpha_search),
-                            restarts=cfg.restarts, rng=rng, normalize=cfg.normalize)
+                            restarts=cfg.restarts, rng=rng)
         return fit, {"gamma": fit.gamma, "alpha_hat": fit.alpha}
     if method == "spa":
-        fit = baselines.spa(blind, cfg.K, normalize=cfg.normalize)
+        fit = baselines.spa(blind, cfg.K)
         return fit, {"gamma": None, "alpha_hat": None}
     if method.startswith("external:"):
         path = method.split(":", 1)[1]
@@ -429,12 +427,14 @@ def _run_cell(cfg, gamma_fn, run_root, cell: _Cell) -> list[dict]:
             report = evaluate_fit(
                 fit, dataset=data, heldout=heldout,
                 metrics=tuple(cfg.metrics), wall_time_s=elapsed,
-                normalize=cfg.normalize,
             ).to_dict()
             write_json(cell_dir / "eval.json", report)
             rows.append({**base, "status": "ok", **info, **report, "_wall_time_s": elapsed})
         except Exception as exc:  # record the failure, keep sweeping
             rows.append({**base, "status": f"error({type(exc).__name__})"})
+            cell_dir.mkdir(parents=True, exist_ok=True)
+            write_json(cell_dir / "error.json", {"type": type(exc).__name__, "message": str(exc),
+                                                 "traceback": traceback.format_exc()})
     return rows
 
 
@@ -529,7 +529,6 @@ def cmd_fit(
     alpha_search: tuple[float, float] | None = None,
     restarts: int | None = None,
     seed: int | None = None,
-    normalize: bool = True,
 ) -> Path:
     """Fit one method on a saved dataset; write a fit directory.
 
@@ -552,7 +551,7 @@ def cmd_fit(
         kernel=data.kernel.name,
         sigma=data.kernel.sigma or 1.0,
         trials=data.kernel.trials or 500,
-        D=data.dim, K=K, methods=[method], normalize=normalize, gamma_table=gamma_table,
+        D=data.dim, K=K, methods=[method], gamma_table=gamma_table,
         restarts=defaults.restarts if restarts is None else restarts, alpha_search=search,
         gamma_grid=[*search, 2],  # the quadrature covers every alpha: only a table clamps
     ).resolved()
@@ -608,12 +607,13 @@ def cmd_eval(
     metrics: tuple[str, ...] = ("mm", "volume"),
     heldout_dir: str | Path | None = None,
     results_csv: str | Path | None = None,
-    normalize: bool = True,
 ) -> dict:
     """Score a fit directory against a dataset's truth sidecar.
 
-    With ``results_csv``, append one row to it; a file whose header is not
-    the eval columns is a ConfigError and is left untouched.
+    The vertices come from outside the program: a non-finite entry, or a
+    shape other than (D, K) of the dataset (K of its truth), is a
+    ConfigError. With ``results_csv``, append one row to it; a file whose
+    header is not the eval columns is a ConfigError and is left untouched.
     """
     if not heldout_dir and set(HELDOUT_METRICS).intersection(metrics):
         raise ConfigError("the heldout and likelihood metrics need a held-out dataset (--heldout)")
@@ -623,11 +623,17 @@ def cmd_eval(
         with open(results_csv) as fh:
             if fh.readline().rstrip("\n") != header:
                 raise ConfigError(f"{results_csv} does not start with the eval header {header!r}")
-    vertices = baselines.load_vertices(Path(fit_dir))
+    try:
+        vertices = baselines.load_vertices(Path(fit_dir))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     data = load_dataset(data_dir)
+    K = data.truth.simplex.n_vertices if data.truth is not None else vertices.shape[1]
+    if vertices.shape != (data.dim, K):
+        raise ConfigError(f"vertices in {fit_dir} have shape {vertices.shape}, expected {(data.dim, K)}")
     heldout = load_dataset(heldout_dir) if heldout_dir else None
     out = evaluate_fit(vertices, dataset=data, heldout=heldout,
-                       metrics=tuple(metrics), normalize=normalize).to_dict()
+                       metrics=tuple(metrics)).to_dict()
     write_json(Path(fit_dir) / "eval.json", out)
     if results_csv is not None:
         row = {**out, "fit_dir": str(fit_dir), "data_dir": str(data_dir)}

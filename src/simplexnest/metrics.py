@@ -123,30 +123,26 @@ class LikelihoodReport:
     floored: int   # log arguments clipped up to the floor
 
 
-def heldout_likelihood(fit, test: Dataset, normalize: bool = True) -> LikelihoodReport:
+def heldout_likelihood(fit, test: Dataset) -> LikelihoodReport:
     """Kernel-appropriate held-out score under the fitted simplex.
 
     Weights come from projecting each test row onto the fitted simplex;
     the implied mean is mu = B theta. Gaussian and noiseless data score the
     mean squared residual, Poisson data the mean of sum(mu - x log mu)
     (log-factorial constant omitted), multinomial data the perplexity
-    exp(-sum(x log mu) / total count), with mu divided by the trial count
-    when ``normalize=False`` made the fitting matrix raw counts.
+    exp(-sum(x log mu) / total count), the vertices and mu being word
+    distributions fitted to the counts divided by the trial count.
     Non-positive entries hitting log are floored at 1e-12 and counted,
     never silently dropped.
     """
     B = _vertices_of(fit)
-    X = test.fitting_matrix(normalize)
-    return _likelihood(test, X, simplex_least_squares(B, X) @ B.T, normalize)
+    X = test.fitting_matrix()
+    return _likelihood(test, X, simplex_least_squares(B, X) @ B.T)
 
 
-def _likelihood(test: Dataset, X: np.ndarray, mu: np.ndarray,
-                normalize: bool) -> LikelihoodReport:
+def _likelihood(test: Dataset, X: np.ndarray, mu: np.ndarray) -> LikelihoodReport:
     """The score of :func:`heldout_likelihood` given the projected means mu."""
     kern = test.kernel
-    if kern.name == "multinomial" and not normalize:
-        mu = mu / float(kern.trials)  # count-scale means to probabilities
-
     if kern.name in ("gaussian", "noiseless"):
         value = float(((X - mu) ** 2).sum(axis=1).mean())
         return LikelihoodReport("frobenius", value, 0)
@@ -203,12 +199,13 @@ def evaluate_fit(
     heldout: Dataset | None = None,
     metrics: tuple[str, ...] = ("mm", "volume"),
     wall_time_s: float | None = None,
-    normalize: bool = True,
 ) -> EvalReport:
     """Compute the requested metrics for one fitted vertex set.
 
     "mm" needs ``dataset`` with a truth block; "heldout" and "likelihood"
-    need ``heldout`` observations. Only evaluation touches ground truth.
+    need ``heldout`` observations, which are projected as
+    ``heldout.fitting_matrix()``, so multinomial vertices are scored as
+    word distributions. Only evaluation touches ground truth.
     """
     report = EvalReport(wall_time_s=wall_time_s)
     vertices = _vertices_of(fit)
@@ -232,12 +229,12 @@ def evaluate_fit(
     if "heldout" in metrics and affine_rank_deficient(vertices):
         raise ValueError("degenerate simplex")
     # both scores project the held-out rows onto the fit: do it once
-    X = heldout.fitting_matrix(normalize)
+    X = heldout.fitting_matrix()
     mu = simplex_least_squares(vertices, X) @ vertices.T
     if "heldout" in metrics:
         report.frobenius_heldout = float(np.linalg.norm(X - mu, axis=1).mean())
     if "likelihood" in metrics:
-        like = _likelihood(heldout, X, mu, normalize)
+        like = _likelihood(heldout, X, mu)
         if like.kind == "perplexity":
             report.perplexity = like.value
         else:

@@ -199,15 +199,17 @@ class Dataset:
     def dim(self) -> int:
         return self.observations.shape[1]
 
-    def fitting_matrix(self, normalize: bool = True) -> np.ndarray:
+    def fitting_matrix(self) -> np.ndarray:
         """Observations as the real matrix handed to estimators.
 
-        Multinomial counts are divided by the trial count N by default,
-        exposing each row as an empirical distribution; pass
-        ``normalize=False`` to fit raw counts. Other kernels ignore the flag.
+        Multinomial counts are divided by the trial count N, exposing each
+        row as an empirical distribution. Every estimator scales with its
+        input, so raw counts would give N times the raw extension of this
+        fit and nothing more. Other kernels' observations are returned as
+        they are.
         """
         X = self.observations
-        if self.kernel.name == "multinomial" and normalize:
+        if self.kernel.name == "multinomial":
             return X / float(self.kernel.trials)
         return X
 

@@ -213,10 +213,15 @@ def _gram_svd(Xbar: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     With A the tall one of Xbar and Xbar^T, the top r eigenvectors Q of
     the (m, m) Gram A^T A span the leading right-singular space of A; the
     SVD of A Q (Rayleigh-Ritz, as in the ARPACK branch) gives the factors.
+    A NaN or an infinity in Xbar makes its diagonal entry of the Gram
+    non-finite, so the (m, m) Gram is checked rather than Xbar.
     """
     tall = Xbar.shape[0] >= Xbar.shape[1]
     A = Xbar if tall else Xbar.T
-    _, V = np.linalg.eigh(A.T @ A)  # eigenvalues ascending
+    G = A.T @ A
+    if not np.isfinite(G).all():
+        raise ValueError("Xbar must be finite")
+    _, V = np.linalg.eigh(G)  # eigenvalues ascending
     Q = V[:, : -r - 1 : -1]
     P, s, Ph = np.linalg.svd(A @ Q, full_matrices=False)
     if tall:
@@ -254,7 +259,8 @@ def truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
       ``LANCZOS_BASIS``, 3 r) vectors, or m, by keeping the leading Ritz
       vectors; ``LanczosNoConvergence`` is raised after
       ``LANCZOS_MAX_PRODUCTS`` products without acceptance, and
-      ``ValueError`` on a product that is not finite.
+      ``ValueError`` on a product that is not finite, as the Gram branch
+      raises on a Gram that is not.
 
     The Gram costs O(n m^2) against Lanczos's O(n m) per product, about 30
     products on the paper's data, so Lanczos wins once m is large. Measured

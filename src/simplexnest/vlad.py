@@ -35,8 +35,8 @@ class VladFit:
     """Fitted simplex: vertices, the CVT centroids they extend, and factors.
 
     vertices == extend_rays(center, cvt_centroids, gamma) holds exactly
-    unless vertices fitted to normalized multinomial counts were put back on
-    the probability simplex. ``sigma2_hat`` is the Gaussian noise-floor
+    unless the fit is multinomial, whose vertices are put back on the
+    probability simplex. ``sigma2_hat`` is the Gaussian noise-floor
     estimate, else None.
     """
 
@@ -84,19 +84,14 @@ def _extended(center_point: np.ndarray, centroids: np.ndarray, gamma: float,
     return vertices[:, order], centroids[:, order]
 
 
-def _on_probability_simplex(data: Dataset, normalize: bool) -> bool:
-    """Whether the vertices fitted to ``data.fitting_matrix(normalize)`` are distributions."""
-    return data.kernel.name == "multinomial" and normalize
-
-
 def _fit(data: Dataset, K: int, gamma: float, restarts: int, rng: np.random.Generator | None,
-         normalize: bool, onto_simplex: bool) -> VladFit:
+         onto_simplex: bool) -> VladFit:
     """:func:`fit`, with the probability-simplex step chosen by the caller."""
     if K < 2:
         raise ValueError("K must be >= 2")
     if data.n <= K:
         raise ValueError(f"need n > K observations, got n = {data.n}")
-    X = data.fitting_matrix(normalize)
+    X = data.fitting_matrix()
     # a NaN or +-inf makes its column mean non-finite, so only then is X scanned
     with np.errstate(invalid="ignore"):  # inf and -inf in a column sum to NaN; reported below
         c0 = X.mean(axis=0)
@@ -140,15 +135,16 @@ def fit(
     gamma: float,
     restarts: int = 8,
     rng: np.random.Generator | None = None,
-    normalize: bool = True,
 ) -> VladFit:
     """Estimate the K simplex vertices with a known extension factor.
 
     Parameters
     ----------
     data : Dataset
-        Observations; multinomial counts are normalized by the trial count
-        unless ``normalize=False``.
+        Observations; multinomial counts are fitted divided by the trial
+        count, and their vertices are clipped to >= 0 and rescaled onto the
+        probability simplex, which extended rays can leave. Other data keep
+        the raw extension.
     K : int
         Number of vertices to recover.
     gamma : float
@@ -157,17 +153,14 @@ def fit(
         Independent ++-initialized K-means restarts.
     rng : numpy.random.Generator
         Source for the K-means restarts.
-    normalize : bool
-        Fit multinomial counts divided by the trial count; their vertices
-        are then clipped to >= 0 and rescaled onto the probability simplex,
-        which extended rays can leave. Other data keep the raw extension.
 
     Gaussian fits carry sigma2_hat = (||Xbar||_F^2 - sum_j s_j^2) /
     (n (D - K + 1)) from the centred copy they factor. Vertex columns are
     ordered lexicographically by coordinates so that repeated runs
-    serialize identically.
+    serialize identically. The count-scale vertices of a multinomial fit
+    are N * extend_rays(center, cvt_centroids, gamma).
     """
-    return _fit(data, K, gamma, restarts, rng, normalize, _on_probability_simplex(data, normalize))
+    return _fit(data, K, gamma, restarts, rng, data.kernel.name == "multinomial")
 
 
 def fit_auto(
@@ -177,7 +170,6 @@ def fit_auto(
     alpha_search: tuple[float, float] = (0.02, 10.0),
     restarts: int = 8,
     rng: np.random.Generator | None = None,
-    normalize: bool = True,
 ) -> VladFit:
     """Estimate vertices and the concentration parameter jointly.
 
@@ -191,14 +183,14 @@ def fit_auto(
     passed, which raises if it was built for another K or does not cover
     ``alpha_search``.
     """
-    alpha_est._check_correction(data.kernel, data.dim, K, normalize)
-    base = _fit(data, K, 1.0, restarts, rng, normalize, onto_simplex=False)
+    alpha_est._check_correction(data.kernel, data.dim, K)
+    base = _fit(data, K, 1.0, restarts, rng, onto_simplex=False)
     aa, at = alpha_est._reduced_moments(base, data.kernel)
     alpha_hat = alpha_est._solve_alpha(K, aa, at, gamma, alpha_search)
     gamma_hat = float(gamma(K, alpha_hat))
 
     vertices, centroids = _extended(base.center, base.cvt_centroids, gamma_hat,
-                                    _on_probability_simplex(data, normalize))
+                                    data.kernel.name == "multinomial")
     return replace(
         base,
         vertices=vertices,
@@ -321,7 +313,7 @@ def simplex_least_squares(
     return out
 
 
-def recover_weights(fit_result: VladFit, data: Dataset, normalize: bool = True) -> np.ndarray:
+def recover_weights(fit_result: VladFit, data: Dataset) -> np.ndarray:
     """Barycentric weights of each observation's projection onto the fit.
 
     Rows of the result lie on the probability simplex; points outside the
@@ -330,7 +322,7 @@ def recover_weights(fit_result: VladFit, data: Dataset, normalize: bool = True) 
     B = fit_result.vertices
     if affine_rank_deficient(B):
         raise ValueError("fitted simplex is degenerate; weights are not identifiable")
-    X = data.fitting_matrix(normalize)
+    X = data.fitting_matrix()
     return simplex_least_squares(B, X)
 
 

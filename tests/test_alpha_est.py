@@ -77,9 +77,6 @@ class TestCorrectedCovariance:
         assert rel < 0.10
 
     def test_parameter_errors(self):
-        _, data = _data(Kernel.multinomial(50), D=20, K=3, n=100, seed=3)
-        with pytest.raises(ValueError, match="normalized"):
-            corrected_covariance(data, 3, normalize=False)
         one_trial = Dataset(np.eye(4)[:3], Kernel.multinomial(1))
         with pytest.raises(ValueError, match="N > 1"):
             corrected_covariance(one_trial, 2)
@@ -289,9 +286,6 @@ class TestReducedMoments:
             assert 0.02 <= fit_auto(data, 4, rng=np.random.default_rng(71)).alpha <= 10.0
 
     def test_fit_auto_keeps_the_correction_errors(self):
-        _, counts = _data(Kernel.multinomial(50), D=20, K=3, n=200, seed=72)
-        with pytest.raises(ValueError, match="normalized"):
-            fit_auto(counts, 3, rng=np.random.default_rng(0), normalize=False)
         _, one_trial = _data(Kernel.multinomial(1), D=20, K=3, n=200, seed=73)
         with pytest.raises(ValueError, match="N > 1"):
             fit_auto(one_trial, 3, rng=np.random.default_rng(0))
@@ -306,9 +300,6 @@ class TestReducedMoments:
         calls = []
         monkeypatch.setattr("simplexnest.vlad.truncated_svd", lambda *a, **k: calls.append("svd"))
         monkeypatch.setattr("simplexnest.vlad.kmeans", lambda *a, **k: calls.append("kmeans"))
-        _, counts = _data(Kernel.multinomial(50), D=20, K=3, n=200, seed=72)
-        with pytest.raises(ValueError, match="normalized"):
-            fit_auto(counts, 3, rng=np.random.default_rng(0), normalize=False)
         _, one_trial = _data(Kernel.multinomial(1), D=20, K=3, n=200, seed=73)
         with pytest.raises(ValueError, match="N > 1"):
             fit_auto(one_trial, 3, rng=np.random.default_rng(0))

@@ -10,7 +10,7 @@ import simplexnest.vlad
 from simplexnest import Kernel, SimplexNest, generate, sample_vertices, save_dataset
 from simplexnest import harness
 from simplexnest.alpha_est import _moments, corrected_covariance
-from simplexnest.baselines import save_baseline, spa
+from simplexnest.baselines import BaselineFit, save_baseline, spa
 from simplexnest.cli import _config_from_args, build_parser, main
 from simplexnest.extension import GammaTable, build_gamma_table, quadrature_gamma, varphi
 from simplexnest.harness import (
@@ -218,8 +218,6 @@ class TestCmdFit:
     def test_external_passthrough(self, dataset_dir, tmp_path):
         data_dir, model = dataset_dir
         src = tmp_path / "third_party"
-        from simplexnest.baselines import BaselineFit
-
         save_baseline(BaselineFit(model.vertices, "theirs", {}), src)
         out = cmd_fit(data_dir, f"external:{src / 'vertices.csv'}", tmp_path / "ext")
         got = np.loadtxt(out / "vertices.csv", delimiter=",", skiprows=1)
@@ -335,6 +333,22 @@ class TestCmdEval:
         assert "config error" in capsys.readouterr().err
         assert csv.read_text() == "a,b,c\n1,2,3\n"
 
+    @pytest.mark.parametrize("edit", ["nan", "inf", "extra column", "missing row"])
+    def test_unusable_vertices_file_rejected(self, dataset_dir, tmp_path, edit, capsys):
+        data_dir, model = dataset_dir
+        V = model.vertices.copy()
+        if edit in ("nan", "inf"):
+            V[1, 2] = float(edit)
+        elif edit == "extra column":
+            V = np.hstack([V, V[:, :1]])
+        else:
+            V = V[:-1]
+        fit_dir = save_baseline(BaselineFit(V, "theirs", {}), tmp_path / "theirs")
+        assert main(["eval", "--fit", str(fit_dir), "--data", str(data_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(fit_dir) in err
+        assert not (fit_dir / "eval.json").exists()
+
     def test_heldout_directory(self, dataset_dir, tmp_path):
         data_dir, model = dataset_dir
         heldout = generate(model, 80, np.random.default_rng(99))
@@ -368,6 +382,17 @@ class TestRunExperiment:
         statuses = [r.split(",")[8] for r in rows]
         assert statuses.count("ok") == 2
         assert sum(s.startswith("error") for s in statuses) == 2
+
+    def test_failed_cell_keeps_its_message_and_traceback(self, tmp_path):
+        missing = tmp_path / "missing" / "vertices.csv"
+        cfg = _tiny_config(tmp_path / "runs", seeds=[0], methods=["spa", f"external:{missing}"])
+        root = run_experiment(cfg)
+        assert [r["status"] for r in _rows(root)] == ["ok", "error(FileNotFoundError)"]
+        error = json.loads(next(root.rglob("error.json")).read_text())
+        assert error["type"] == "FileNotFoundError"
+        assert str(missing) in error["message"]
+        assert error["traceback"].startswith("Traceback") and "load_vertices" in error["traceback"]
+        assert len(list(root.rglob("error.json"))) == 1  # none beside the spa fit
 
     def test_fitting_never_sees_truth(self, tmp_path, monkeypatch):
         seen = []
@@ -556,7 +581,7 @@ class TestCli:
         {"seeds": 3},
         {"alpha_search": [1, "x"]},
         {"n": [100.5]},
-        {"normalize": "false"},
+        {"normalize": False},  # a field no longer read is unknown
         {"paper_scale": 1},
         {"kernel": "noiseless", "D": 10, "K": 3, "alpha": [[1.0, 2.0]], "methods": ["spa"]},
     ])
@@ -583,7 +608,6 @@ class TestCli:
             "c_min": (["--c-min", "0.5"], [0.5]),
             "seeds": (["--seeds", "3", "4"], [3, 4]),
             "out": (["--out", "elsewhere"], "elsewhere"),
-            "normalize": (["--raw-counts"], False),
             "paper_scale": (["--paper-scale"], True),
             "methods": (["--methods", "spa", "vlad"], ["spa", "vlad"]),
             "metrics": (["--metrics", "mm"], ["mm"]),
@@ -603,9 +627,9 @@ class TestCli:
             assert getattr(by_flag, name) != getattr(ExperimentConfig(), name)
             assert by_flag.resolved() == by_json.resolved()
         path = tmp_path / "kept.json"
-        path.write_text(json.dumps({"paper_scale": True, "normalize": False}))
+        path.write_text(json.dumps({"paper_scale": True}))
         kept = _config_from_args(parser.parse_args([command, "--config", str(path)]))
-        assert kept.paper_scale is True and kept.normalize is False
+        assert kept.paper_scale is True
 
     def test_fit_without_a_table_then_eval(self, tmp_path):
         assert main(["generate", "--kernel", "gaussian", "--sigma", "0.1", "--D", "12", "--K", "3",
@@ -703,9 +727,10 @@ class TestCli:
         ["fit", "--method", "vlad_alpha", "--alpha-search", "0.5", "inf"],
         ["alpha-curve", "--K", "3", "--grid", "0.1", "inf", "5"],
         ["gamma-table", "--K", "3", "--m", "300", "--grid", "0.5", "inf", "3"],
-        ["fit", "--method", "vlad_alpha", "--raw-counts", "--data", "{multinomial}"],
-        ["experiment", "--kernel", "multinomial", "--D", "10", "--K", "3", "--n", "100", "--seeds", "0",
-         "--methods", "vlad_alpha", "--raw-counts"],
+        # multinomial fits with more vertices than words, or alpha fits with no count noise to correct
+        ["fit", "--method", "vlad_alpha", "--K", "11", "--data", "{multinomial}"],
+        ["experiment", "--kernel", "multinomial", "--trials", "1", "--D", "10", "--K", "3", "--n", "100",
+         "--seeds", "0", "--methods", "vlad_alpha"],
         # gaussian alpha fits with no trailing eigenvalue to estimate the noise from (D = K - 1)
         ["experiment", "--kernel", "gaussian", "--D", "2", "--K", "3", "--n", "100", "--seeds", "0",
          "--methods", "vlad_alpha"],
@@ -714,8 +739,6 @@ class TestCli:
     def test_rejected_before_any_output(self, dataset_dir, table_path_k3, multinomial_dir, narrow_gaussian_dir,
                                         tmp_path, argv, capsys):
         data_dir, model = dataset_dir
-        from simplexnest.baselines import BaselineFit
-
         vertices = save_baseline(BaselineFit(model.vertices, "theirs", {}), tmp_path / "theirs") / "vertices.csv"
         argv = [a.format(vertices=vertices, table=table_path_k3, multinomial=multinomial_dir,
                          narrow=narrow_gaussian_dir) for a in argv]
@@ -723,6 +746,19 @@ class TestCli:
             argv += ["--data", str(data_dir)]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--method", "vlad", "--alpha", "2", "--data", "{multinomial}"],
+        ["experiment", "--kernel", "multinomial", "--D", "10", "--K", "3", "--n", "100", "--seeds", "0"],
+        ["generate", "--kernel", "multinomial", "--D", "10", "--K", "3", "--n", "100", "--seeds", "0"],
+    ])
+    def test_raw_counts_flag_is_gone(self, multinomial_dir, tmp_path, argv, capsys):
+        argv = [a.format(multinomial=multinomial_dir) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--raw-counts", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --raw-counts" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("metric", ["heldout", "likelihood"])
@@ -740,9 +776,9 @@ class TestCli:
     @pytest.mark.parametrize("command,required,optional", [
         ("cmd_fit", ["fit", "--data", "d", "--method", "spa", "--out", "o"],
          ["--K", "3", "--gamma", "2", "--gamma-table", "t", "--alpha", "1", "--alpha-search", "0.1", "5",
-          "--restarts", "2", "--seed", "1", "--raw-counts"]),
+          "--restarts", "2", "--seed", "1"]),
         ("cmd_eval", ["eval", "--fit", "f", "--data", "d"],
-         ["--heldout", "h", "--metrics", "mm", "--results-csv", "r", "--raw-counts"]),
+         ["--heldout", "h", "--metrics", "mm", "--results-csv", "r"]),
         ("cmd_alpha_curve", ["alpha-curve"], ["--K", "4", "--grid", "0.1", "5", "3", "--out", "c"]),
         ("cmd_gamma_table", ["gamma-table", "--K", "3"],
          ["--grid", "0.1", "5", "3", "--m", "100", "--seed", "1", "--restarts", "2", "--workers", "1",
@@ -756,8 +792,6 @@ class TestCli:
         assert set(calls[0]) == {k for k in keywords if keywords[k].default is inspect.Parameter.empty}
         assert main(required + optional) == 0
         assert set(calls[1]) == set(keywords)  # one flag per keyword, each flag's dest a keyword
-        if command in ("cmd_fit", "cmd_eval"):
-            assert calls[1]["normalize"] is False
 
     def test_numerical_error_exit_code(self, tmp_path):
         # fitting K = 3 on 3 observations violates n > K

@@ -17,7 +17,7 @@ from simplexnest.metrics import (
     min_matching,
     simplex_volume,
 )
-from simplexnest.vlad import extend_rays, fit, simplex_least_squares
+from simplexnest.vlad import fit, simplex_least_squares
 
 
 def _brute_force_max_form(M):
@@ -173,22 +173,6 @@ class TestHeldoutLikelihood:
         truth_perp = heldout_likelihood(V, test).value
         uniform_perp = heldout_likelihood(np.full((D, 3), 1.0 / D), test).value
         assert truth_perp < uniform_perp
-
-    def test_raw_count_perplexity_matches_normalized(self):
-        D, N, K = 40, 200, 4
-        kern = Kernel.multinomial(N)
-        data = generate(SimplexNest(sample_vertices(D, K, kern, np.random.default_rng(13)), 0.5, kern),
-                        4000, np.random.default_rng(14))
-        train = Dataset(data.observations[:3000], kern)
-        test = Dataset(data.observations[3000:], kern)
-        scores = []
-        for normalize in (True, False):
-            f = fit(train, K, gamma=2.0, rng=np.random.default_rng(15), normalize=normalize)
-            raw = extend_rays(f.center, f.cvt_centroids, f.gamma)  # normalized fits also renormalize
-            scores.append(heldout_likelihood(raw, test, normalize=normalize).value)
-            scores.append(evaluate_fit(raw, heldout=test, metrics=("likelihood",), normalize=normalize).perplexity)
-        assert min(scores) >= 1.0
-        np.testing.assert_allclose(scores, scores[0], rtol=1e-6)
 
     def test_poisson_nll_minimal_when_mean_equals_counts(self):
         # test rows equal the vertices, so projection returns them exactly

@@ -247,7 +247,6 @@ class TestDataset:
         model = _model(Kernel.multinomial(50), D=40)
         data = generate(model, 100, np.random.default_rng(22))
         np.testing.assert_allclose(data.fitting_matrix().sum(axis=1), 1.0, atol=1e-12)
-        np.testing.assert_array_equal(data.fitting_matrix(normalize=False), data.observations)
 
     def test_without_truth(self):
         model = _model(Kernel.noiseless())

@@ -221,6 +221,14 @@ class TestTruncatedSvd:
         with pytest.raises(ValueError, match="must be finite"):
             truncated_svd(X, 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("shape", [(30, 20), (20, 30)])
+    def test_non_finite_rejected_by_gram(self, bad, shape):
+        X = np.random.default_rng(6).normal(size=shape)
+        X[3, 4] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            truncated_svd(X, 3)
+
     def test_no_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(numerics, "GRAM_MAX_SIDE", 0)
         monkeypatch.setattr(numerics, "LANCZOS_MAX_PRODUCTS", 5)

@@ -16,7 +16,7 @@ from simplexnest import (
     sample_vertices,
     skew_simplex,
 )
-from simplexnest import vlad
+from simplexnest import baselines, numerics, vlad
 from simplexnest.extension import build_gamma_table, quadrature_gamma
 from simplexnest.numerics import center, truncated_svd
 from simplexnest.vlad import (
@@ -180,17 +180,19 @@ class TestFit:
             with pytest.raises(ValueError, match="observations must be finite"):
                 fit(Dataset(X, Kernel.noiseless()), 2, gamma=1.0, rng=np.random.default_rng(0))
 
-    @pytest.mark.parametrize("kernel,normalize", [
+    @pytest.mark.parametrize("kernel,gram_max_side", [
         (Kernel.noiseless(), None), (Kernel.gaussian(0.5), None), (Kernel.poisson(), None),
-        (Kernel.multinomial(50), None), (Kernel.multinomial(50), False),
+        (Kernel.multinomial(50), None), (Kernel.multinomial(50), 0),
     ])
-    def test_observations_unchanged_and_factors_as_from_center(self, kernel, normalize):
+    def test_observations_unchanged_and_factors_as_from_center(self, monkeypatch, kernel, gram_max_side):
+        if gram_max_side is not None:  # factor on the Lanczos branch
+            monkeypatch.setattr(numerics, "GRAM_MAX_SIDE", gram_max_side)
         rng = np.random.default_rng(31)
         data = generate(SimplexNest(sample_vertices(12, 3, kernel, rng), 1.0, kernel), 400, rng)
         before = data.observations.copy()
-        f = fit(data, 3, gamma=2.0, rng=np.random.default_rng(32), normalize=normalize)
+        f = fit(data, 3, gamma=2.0, rng=np.random.default_rng(32))
         np.testing.assert_array_equal(data.observations, before)
-        Xbar, c0 = center(data.fitting_matrix(normalize))
+        Xbar, c0 = center(data.fitting_matrix())
         np.testing.assert_array_equal(f.center, c0)
         expected = truncated_svd(Xbar, 2)
         np.testing.assert_array_equal(f.factors.singular, expected.singular)
@@ -231,6 +233,47 @@ class TestFitAuto:
         _, data = _noiseless_data(D=10, K=3, alpha=1.0, n=500, seed=36)
         with pytest.raises(ValueError):
             fit_auto(data, 3, table_k4, rng=np.random.default_rng(0))
+
+
+def _assert_scaled(actual, reference, c):
+    expected = c * reference
+    assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+class TestScaleEquivariance:
+    """Every estimator scales with its input: fitting c X gives c times the
+    vertices, the same alpha and K-means partition, and the same SPA rows.
+    So multinomial counts are fitted once, divided by N; raw counts would
+    only give N times the raw extension."""
+
+    @pytest.fixture(scope="class")
+    def gaussian(self):
+        kern = Kernel.gaussian(0.5)
+        rng = np.random.default_rng(40)
+        return generate(SimplexNest(sample_vertices(12, 4, kern, rng), 1.5, kern), 1500, rng).without_truth()
+
+    @pytest.mark.parametrize("branch", ["gram", "lanczos"])
+    @pytest.mark.parametrize("c", [2.0**-8, 3.0, 500.0, 2.0**8])
+    def test_fits_scale_with_the_data(self, gaussian, monkeypatch, branch, c):
+        if branch == "lanczos":
+            monkeypatch.setattr(numerics, "GRAM_MAX_SIDE", 0)
+
+        def fits(data):
+            return (fit(data, 4, gamma=2.0, rng=np.random.default_rng(41)),
+                    fit_auto(data, 4, rng=np.random.default_rng(42)),
+                    baselines.gdm(data, 4, gamma=2.0, rng=np.random.default_rng(43)),
+                    baselines.spa(data, 4))
+
+        f, fa, g, s = fits(gaussian)
+        f_c, fa_c, g_c, s_c = fits(Dataset(c * gaussian.observations, gaussian.kernel))
+        _assert_scaled(f_c.vertices, f.vertices, c)
+        _assert_scaled(fa_c.vertices, fa.vertices, c)
+        assert fa_c.alpha == pytest.approx(fa.alpha, rel=1e-12, abs=0)
+        assert fa_c.kmeans_cost == pytest.approx(fa.kmeans_cost, rel=1e-12, abs=0)
+        assert f_c.kmeans_cost == pytest.approx(f.kmeans_cost, rel=1e-12, abs=0)
+        _assert_scaled(g_c.vertices, g.vertices, c)
+        assert s_c.meta["rows"] == s.meta["rows"]
+        _assert_scaled(s_c.vertices, s.vertices, c)
 
 
 class TestSimplexProjection:
