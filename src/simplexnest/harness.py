@@ -190,8 +190,8 @@ class ExperimentConfig:
             raise ConfigError("heldout/likelihood metrics require n_heldout >= 1")
         if cfg.kernel == "gaussian" and not 0 < cfg.sigma < np.inf:
             raise ConfigError("sigma must be finite and > 0")
-        if cfg.kernel == "multinomial" and cfg.trials < 2:
-            raise ConfigError("multinomial trials must be >= 2")
+        if cfg.kernel == "multinomial" and cfg.trials < 1:
+            raise ConfigError("multinomial trials must be >= 1")
         if "vlad_alpha" in cfg.methods:
             try:
                 _check_correction(_kernel_from_config(cfg), cfg.D, cfg.K)
@@ -324,7 +324,10 @@ def run_method(
         return fit, {"gamma": None, "alpha_hat": None}
     if method.startswith("external:"):
         path = method.split(":", 1)[1]
-        vertices = baselines.load_vertices(path)
+        try:
+            vertices = baselines.load_vertices(path)
+        except ValueError as exc:  # the file comes from outside the program, as in cmd_eval
+            raise ConfigError(str(exc)) from exc
         if vertices.shape != (data.dim, cfg.K):
             raise ConfigError(
                 f"external vertices at {path} have shape {vertices.shape}, expected {(data.dim, cfg.K)}"

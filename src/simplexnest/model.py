@@ -13,6 +13,7 @@ Conventions
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ._matrix_io import read_matrix_csv, write_json, write_matrix_csv
+from .numerics import row_blocks
 
 KERNEL_NAMES = ("noiseless", "gaussian", "poisson", "multinomial")
 
@@ -175,14 +177,16 @@ class Dataset:
         X = np.asarray(self.observations, dtype=float)
         if X.ndim != 2:
             raise ValueError("observations must be an (n, D) matrix")
-        if self.kernel.name == "poisson":
-            if np.any(X < 0) or np.any(X != np.round(X)):
-                raise ValueError("poisson observations must be non-negative integers")
-        if self.kernel.name == "multinomial":
-            if np.any(X < 0) or np.any(X != np.round(X)):
-                raise ValueError("multinomial observations must be non-negative counts")
-            if np.any(X.sum(axis=1) != self.kernel.trials):
-                raise ValueError("multinomial rows must each sum to the trial count")
+        if self.kernel.name in ("poisson", "multinomial"):
+            # a block of rows at a time, so that no check makes an (n, D) temporary
+            for rows in row_blocks(X.shape[0], X.shape[1] * X.itemsize):
+                block = X[rows]
+                if np.any(block < 0) or np.any(block != np.round(block)):
+                    raise ValueError("poisson observations must be non-negative integers"
+                                     if self.kernel.name == "poisson"
+                                     else "multinomial observations must be non-negative counts")
+                if self.kernel.name == "multinomial" and np.any(block.sum(axis=1) != self.kernel.trials):
+                    raise ValueError("multinomial rows must each sum to the trial count")
         if self.truth is not None:
             W = np.asarray(self.truth.weights, dtype=float)
             if W.shape != (X.shape[0], self.truth.simplex.n_vertices):
@@ -199,6 +203,12 @@ class Dataset:
     def dim(self) -> int:
         return self.observations.shape[1]
 
+    @property
+    def divisor(self) -> float:
+        """What estimators divide the observations by: the trial count N of
+        multinomial counts, else 1."""
+        return float(self.kernel.trials) if self.kernel.name == "multinomial" else 1.0
+
     def fitting_matrix(self) -> np.ndarray:
         """Observations as the real matrix handed to estimators.
 
@@ -207,16 +217,26 @@ class Dataset:
         input, so raw counts would give N times the raw extension of this
         fit and nothing more. Other kernels' observations are returned as
         they are.
+
+        For multinomial data this is an (n, D) copy. ``vlad.fit`` and
+        ``vlad.fit_auto`` make it only on the Gram branch of
+        ``truncated_svd``, which centres it in place, and
+        ``vlad.recover_weights`` never does. ``baselines.gdm`` and
+        ``baselines.spa``, ``alpha_est.corrected_covariance`` and the
+        ``metrics`` scores still copy.
         """
         X = self.observations
         if self.kernel.name == "multinomial":
-            return X / float(self.kernel.trials)
+            return X / self.divisor
         return X
 
     def without_truth(self) -> "Dataset":
+        """The same observations with no truth block, not checked again."""
         if self.truth is None:
             return self
-        return Dataset(self.observations, self.kernel, truth=None)
+        blind = copy.copy(self)  # copies no array and runs no __post_init__
+        object.__setattr__(blind, "truth", None)
+        return blind
 
 
 def sample_weights(K: int, alpha, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -295,26 +315,32 @@ def generate(model: SimplexNest, n: int, rng: np.random.Generator) -> Dataset:
     Latent means are mu_i = B theta_i with theta_i ~ Dir(alpha); the kernel
     then emits x_i with conditional mean mu_i. The returned Dataset carries
     the generating weights and model in its truth block.
+
+    The stream: all n weight rows are drawn first, then the kernel's noise
+    row by row in C order. The means are formed once, into the array that
+    becomes the observations, and the noise is drawn for one block of rows
+    at a time (``numerics.row_blocks``) and written over their means, so
+    no other (n, D) array exists. The means equal those of one product and
+    the draws those of one call over all rows.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     K = model.n_vertices
     theta = sample_weights(K, model.alpha, n, rng)
-    mu = theta @ model.vertices.T
+    X = theta @ model.vertices.T  # the means, replaced block by block by the draws around them
     kern = model.kernel
-    if kern.name == "noiseless":
-        X = mu
-    elif kern.name == "gaussian":
-        X = mu + rng.normal(0.0, kern.sigma, size=mu.shape)
-    elif kern.name == "poisson":
-        X = rng.poisson(mu).astype(float)
-    elif kern.name == "multinomial":
-        mu /= mu.sum(axis=1, keepdims=True)  # the draw probabilities, in place
-        X = rng.multinomial(kern.trials, mu)
-        del mu  # free the (n, D) means before the float copy and the Dataset checks
-        X = X.astype(float)
-    else:  # pragma: no cover - Kernel validates names
-        raise ValueError(f"unknown kernel {kern.name!r}")
+    if kern.name != "noiseless":
+        for rows in row_blocks(n, X.shape[1] * X.itemsize):
+            mu = X[rows]
+            if kern.name == "gaussian":
+                mu += rng.normal(0.0, kern.sigma, size=mu.shape)
+            elif kern.name == "poisson":
+                mu[:] = rng.poisson(mu)
+            elif kern.name == "multinomial":
+                mu /= mu.sum(axis=1, keepdims=True)  # the draw probabilities, in place
+                mu[:] = rng.multinomial(kern.trials, mu)
+            else:  # pragma: no cover - Kernel validates names
+                raise ValueError(f"unknown kernel {kern.name!r}")
     return Dataset(X, kern, truth=DatasetTruth(weights=theta, simplex=model))
 
 

@@ -35,6 +35,17 @@ draws nothing, and Lanczos draws its start vector, and any fresh direction,
 from a generator of its own seeded with ``LANCZOS_SEED``, so both are
 deterministic. The Gram branch also takes r equal to the short side and the
 all-zero matrix, whatever m.
+
+Lanczos touches the data only through products, so it also runs on
+``_CentredOperator``, which stands for Xbar = X / N - 1 c^T of raw
+observations X, a divisor N (the multinomial trial count, else 1) and
+their column mean c, and never forms it: Xbar q = (X q) / N - (c . q) 1
+and Xbar^T u = (X^T u) / N - c (1 . u). A fit on wide data thus holds no
+(n, D) float copy of its observations. The Gram branch keeps an
+explicitly centred copy: Xbar^T Xbar formed as X^T X / N^2 - n c c^T
+would lose to cancellation twice the digits by which the mean outweighs
+the spread (Chan, Golub & LeVeque 1983), where the one subtraction of a
+Lanczos product loses them once.
 """
 
 from __future__ import annotations
@@ -49,6 +60,7 @@ LANCZOS_SEED = 0  # seeds the start vector and every fresh direction of Lanczos
 LANCZOS_BASIS = 48  # Lanczos basis vectors held, at least; see truncated_svd
 LANCZOS_PROBE = 4  # products run from a fresh direction before the top r are accepted
 LANCZOS_MAX_PRODUCTS = 10_000  # Gram products before LanczosNoConvergence
+ROW_BLOCK_BYTES = 1 << 21  # bytes of (n, D) rows a pass over the data handles at once; see row_blocks
 
 
 @dataclass(frozen=True)
@@ -91,6 +103,64 @@ def sample_covariance(X: np.ndarray) -> np.ndarray:
     return (S + S.T) / 2.0
 
 
+def row_blocks(n: int, row_nbytes: int) -> list[slice]:
+    """Slices cutting n rows of ``row_nbytes`` each into blocks of about ``ROW_BLOCK_BYTES``."""
+    step = max(1, ROW_BLOCK_BYTES // max(1, row_nbytes))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+class _CentredOperator:
+    """Xbar = X / N - 1 c^T of observations X, divisor N and mean c, as products.
+
+    ``A @ Q`` gives (X Q) / N - 1 (c^T Q) and ``A.T @ U`` gives
+    (X^T U) / N - c (1^T U), the products Lanczos needs, without forming
+    Xbar; ``.T`` swaps the two. See the module docstring for its precision.
+    """
+
+    def __init__(self, X: np.ndarray, mean: np.ndarray, divisor: float = 1.0,
+                 transposed: bool = False):
+        self.X, self.mean, self.divisor, self.transposed = X, mean, float(divisor), transposed
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.X.shape[::-1] if self.transposed else self.X.shape
+
+    @property
+    def T(self) -> "_CentredOperator":
+        return _CentredOperator(self.X, self.mean, self.divisor, not self.transposed)
+
+    def __matmul__(self, Q: np.ndarray) -> np.ndarray:
+        if self.transposed:
+            return (self.X.T @ Q) / self.divisor - np.outer(self.mean, Q.sum(axis=0))
+        return (self.X @ Q) / self.divisor - self.mean @ Q
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """Xbar itself, an (n, D) copy: for oracles, never on a fit's path."""
+        Xbar = self.X / self.divisor - self.mean
+        return np.asarray(Xbar.T if self.transposed else Xbar, dtype=dtype)
+
+    def squared_norm(self) -> float:
+        """||Xbar||_F^2, centring one block of rows at a time (``row_blocks``)."""
+        total = 0.0
+        n, D = self.X.shape
+        for rows in row_blocks(n, D * self.X.itemsize):
+            block = self.X[rows] / self.divisor
+            block -= self.mean
+            total += float(np.vdot(block, block))
+        return total
+
+    def finite(self) -> bool:
+        return bool(np.isfinite(self.X).all() and np.isfinite(self.mean).all())
+
+
+def _not_finite(A) -> ValueError:
+    """The error for a Gram or a product of ``A`` that is not finite: it names
+    a NaN or an infinity in ``A``, else the overflow of a finite ``A``."""
+    if A.finite() if isinstance(A, _CentredOperator) else np.isfinite(A).all():
+        return ValueError("Xbar is finite, but its Gram overflows float64; scale it down")
+    return ValueError("Xbar must be finite")
+
+
 class LanczosNoConvergence(RuntimeError):
     """The Lanczos branch of ``truncated_svd`` took ``LANCZOS_MAX_PRODUCTS`` products unconverged."""
 
@@ -102,7 +172,7 @@ def _unit_orthogonal(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def _lanczos_svd(Xbar: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lanczos_svd(Xbar: np.ndarray | _CentredOperator, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top r factors by Lanczos on the short-side Gram: (U, s, W), s descending.
 
     With A the tall one of Xbar and Xbar^T and G = A^T A, the rows of V
@@ -142,7 +212,7 @@ def _lanczos_svd(Xbar: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.n
         w = (A.T @ (A @ V[d][:, None]))[:, 0]
         norm = float(np.linalg.norm(w))
         if not np.isfinite(norm):
-            raise ValueError("Xbar must be finite")
+            raise _not_finite(A)
         scale = max(scale, norm)
         h = V[:k] @ w
         w -= h @ V[:k]
@@ -214,13 +284,14 @@ def _gram_svd(Xbar: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     the (m, m) Gram A^T A span the leading right-singular space of A; the
     SVD of A Q (Rayleigh-Ritz, as in the ARPACK branch) gives the factors.
     A NaN or an infinity in Xbar makes its diagonal entry of the Gram
-    non-finite, so the (m, m) Gram is checked rather than Xbar.
+    non-finite, so the (m, m) Gram is checked rather than Xbar, and Xbar
+    only when the Gram is not finite, to tell that from an overflow.
     """
     tall = Xbar.shape[0] >= Xbar.shape[1]
     A = Xbar if tall else Xbar.T
     G = A.T @ A
     if not np.isfinite(G).all():
-        raise ValueError("Xbar must be finite")
+        raise _not_finite(A)
     _, V = np.linalg.eigh(G)  # eigenvalues ascending
     Q = V[:, : -r - 1 : -1]
     P, s, Ph = np.linalg.svd(A @ Q, full_matrices=False)
@@ -229,7 +300,13 @@ def _gram_svd(Xbar: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return Q @ Ph.T, s, P
 
 
-def truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
+def factors_by_gram(n: int, D: int, r: int) -> bool:
+    """Whether ``truncated_svd`` factors an (n, D) array at rank r from its Gram."""
+    m = min(n, D)
+    return m <= GRAM_MAX_SIDE or r == m
+
+
+def truncated_svd(Xbar: np.ndarray | _CentredOperator, r: int) -> SvdFactors:
     """Best rank-r factors of Xbar in Frobenius norm.
 
     The branch follows the short side m = min(n, D). With A the tall one of
@@ -260,7 +337,15 @@ def truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
       vectors; ``LanczosNoConvergence`` is raised after
       ``LANCZOS_MAX_PRODUCTS`` products without acceptance, and
       ``ValueError`` on a product that is not finite, as the Gram branch
-      raises on a Gram that is not.
+      raises on a Gram that is not. The message tells a NaN or an
+      infinity in Xbar from the overflow of a finite Xbar.
+
+    Xbar may also be a ``_CentredOperator``, the centred observations
+    given as products (see the module docstring). It is always factored
+    by Lanczos, which needs nothing else, so its caller builds one only
+    where ``factors_by_gram`` is false; on the Gram branch, forming
+    A^T A from the raw observations would cancel, and the caller centres
+    a copy instead.
 
     The Gram costs O(n m^2) against Lanczos's O(n m) per product, about 30
     products on the paper's data, so Lanczos wins once m is large. Measured
@@ -289,12 +374,14 @@ def truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
     each right-singular vector is fixed so that its largest-magnitude
     entry is positive.
     """
-    Xbar = np.asarray(Xbar, dtype=float)
+    operator = isinstance(Xbar, _CentredOperator)
+    if not operator:
+        Xbar = np.asarray(Xbar, dtype=float)
     n, D = Xbar.shape
     m = min(n, D)
     if not (1 <= r <= m):
         raise ValueError(f"r must be in [1, {m}], got {r}")
-    if m <= GRAM_MAX_SIDE or r == m or not Xbar.any():
+    if not operator and (factors_by_gram(n, D, r) or not Xbar.any()):
         U, s, W = _gram_svd(Xbar, r)
     else:
         U, s, W = _lanczos_svd(Xbar, r)

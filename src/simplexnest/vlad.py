@@ -23,7 +23,7 @@ from . import alpha_est
 from ._matrix_io import read_matrix_csv, write_json, write_matrix_csv
 from .extension import quadrature_gamma
 from .model import Dataset, affine_rank_deficient
-from .numerics import SvdFactors, kmeans, truncated_svd
+from .numerics import SvdFactors, _CentredOperator, factors_by_gram, kmeans, truncated_svd
 
 PROJECTION_TOL = 1e-10
 PROJECTION_MAX_ITER = 10_000
@@ -63,8 +63,12 @@ def extend_rays(center_point: np.ndarray, centroids: np.ndarray, gamma: float) -
 
 
 def _lexsorted_columns(V: np.ndarray) -> np.ndarray:
-    """Column order sorting vertices lexicographically by coordinates."""
-    return np.lexsort(V[::-1])
+    """Column order sorting vertices lexicographically by coordinates, ties kept in order.
+
+    ``np.lexsort(V[::-1])`` gives the same order, but holds about 2.8 kB per
+    coordinate, 5.5 MB at D = 2000, more than a fit on wide counts needs.
+    """
+    return np.array(sorted(range(V.shape[1]), key=lambda j: V[:, j].tolist()), dtype=np.intp)
 
 
 def _extended(center_point: np.ndarray, centroids: np.ndarray, gamma: float,
@@ -91,20 +95,27 @@ def _fit(data: Dataset, K: int, gamma: float, restarts: int, rng: np.random.Gene
         raise ValueError("K must be >= 2")
     if data.n <= K:
         raise ValueError(f"need n > K observations, got n = {data.n}")
-    X = data.fitting_matrix()
+    n, D = data.observations.shape
+    gram = factors_by_gram(n, D, K - 1)
+    # the Gram branch centres a copy; Lanczos reads the observations through products
+    X = data.fitting_matrix() if gram else data.observations
     # a NaN or +-inf makes its column mean non-finite, so only then is X scanned
     with np.errstate(invalid="ignore"):  # inf and -inf in a column sum to NaN; reported below
         c0 = X.mean(axis=0)
     if not np.isfinite(c0).all() and not np.isfinite(X).all():
         raise ValueError("observations must be finite")
-    # centre in place a copy made for this fit (normalized counts), never the observations
-    Xbar = X - c0 if np.may_share_memory(X, data.observations) else np.subtract(X, c0, out=X)
+    if gram:
+        # centre in place a copy made for this fit (normalized counts), never the observations
+        Xbar = X - c0 if np.may_share_memory(X, data.observations) else np.subtract(X, c0, out=X)
+    else:
+        c0 /= data.divisor
+        Xbar = _CentredOperator(X, c0, data.divisor)
     factors = truncated_svd(Xbar, K - 1)
-    n, D = Xbar.shape
     sigma2 = None  # the mean of the trailing eigenvalues of Xbar^T Xbar / n, as a trace identity
     if data.kernel.name == "gaussian" and D > K - 1:
         s = factors.singular
-        sigma2 = (float(np.vdot(Xbar, Xbar)) - float(s @ s)) / (n * (D - K + 1))
+        squared = float(np.vdot(Xbar, Xbar)) if gram else Xbar.squared_norm()
+        sigma2 = (squared - float(s @ s)) / (n * (D - K + 1))
     km = kmeans(factors.left, K, restarts=restarts, rng=rng)
     scaled = factors.right * factors.singular          # (D, K-1) columns W_j * s_j
     centroids = c0[:, None] + scaled @ km.centroids.T  # (D, K)
@@ -155,7 +166,9 @@ def fit(
         Source for the K-means restarts.
 
     Gaussian fits carry sigma2_hat = (||Xbar||_F^2 - sum_j s_j^2) /
-    (n (D - K + 1)) from the centred copy they factor. Vertex columns are
+    (n (D - K + 1)) from the centred data they factor: the centred copy
+    of the Gram branch, or, above ``numerics.GRAM_MAX_SIDE``, the
+    observations centred one block of rows at a time. Vertex columns are
     ordered lexicographically by coordinates so that repeated runs
     serialize identically. The count-scale vertices of a multinomial fit
     are N * extend_rays(center, cvt_centroids, gamma).
@@ -317,13 +330,17 @@ def recover_weights(fit_result: VladFit, data: Dataset) -> np.ndarray:
     """Barycentric weights of each observation's projection onto the fit.
 
     Rows of the result lie on the probability simplex; points outside the
-    fitted simplex project onto its boundary.
+    fitted simplex project onto its boundary. Multinomial counts are
+    projected onto N times the vertices (``Dataset.divisor``), which gives
+    the weights of the normalized counts without forming them.
     """
     B = fit_result.vertices
     if affine_rank_deficient(B):
         raise ValueError("fitted simplex is degenerate; weights are not identifiable")
-    X = data.fitting_matrix()
-    return simplex_least_squares(B, X)
+    # on the simplex ||B theta - x / N|| = ||N B theta - x|| / N: the same minimizer from the
+    # observations, with no (n, D) copy, and tol N^2 there is tol on the fitted scale
+    N = data.divisor
+    return simplex_least_squares(N * B, data.observations, tol=PROJECTION_TOL * N * N)
 
 
 def save_fit(fit_result: VladFit, directory: str | Path, seed: int | None = None, **meta) -> Path:

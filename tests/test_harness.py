@@ -407,21 +407,28 @@ class TestRunExperiment:
         assert seen and all(t is None for t in seen)
 
     def test_truth_stripped_once_per_cell(self, tmp_path, monkeypatch):
-        # a Dataset re-runs its full count checks on construction, 0.12 s at multinomial paper scale
-        stripped = []
+        # one blind copy per cell, shared by every method, and stripping re-runs no data check
+        stripped, checked = [], []
+        strip = simplexnest.model.Dataset.without_truth
         validate = simplexnest.model.Dataset.__post_init__
 
-        def counting(data):
-            stripped.append(data.truth is None)
+        def counting_strip(data):
+            stripped.append(data.truth is not None)
+            return strip(data)
+
+        def counting_check(data):
+            checked.append(data.truth is None)
             validate(data)
 
-        monkeypatch.setattr(simplexnest.model.Dataset, "__post_init__", counting)
+        monkeypatch.setattr(simplexnest.model.Dataset, "without_truth", counting_strip)
+        monkeypatch.setattr(simplexnest.model.Dataset, "__post_init__", counting_check)
         counts = []
         for methods in (["vlad"], ["vlad", "vlad_alpha", "gdm", "spa"]):
             stripped.clear()
+            checked.clear()
             run_experiment(_tiny_config(tmp_path / str(len(methods)), methods=methods, seeds=[0]))
-            counts.append(stripped.count(True))
-        assert counts == [1, 1]
+            counts.append((stripped.count(True), checked.count(True)))
+        assert counts == [(1, 0), (1, 0)]
 
     def test_no_monte_carlo_without_a_table_file(self, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -746,6 +753,28 @@ class TestCli:
             argv += ["--data", str(data_dir)]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_one_trial_counts_fit_by_every_method_but_vlad_alpha(self, tmp_path, capsys):
+        kern = Kernel.multinomial(1)
+        model = SimplexNest(sample_vertices(10, 3, kern, np.random.default_rng(0)), 2.0, kern)
+        data_dir = save_dataset(generate(model, 200, np.random.default_rng(1)), tmp_path / "one_trial")
+        assert main(["fit", "--data", str(data_dir), "--method", "spa", "--out", str(tmp_path / "spa")]) == 0
+        assert (tmp_path / "spa" / "vertices.csv").exists()
+        capsys.readouterr()
+        # only the alpha fit's noise correction needs N > 1
+        assert main(["fit", "--data", str(data_dir), "--method", "vlad_alpha", "--out", str(tmp_path / "alpha")]) == 2
+        assert "N > 1" in capsys.readouterr().err
+        assert not (tmp_path / "alpha").exists()
+
+    def test_external_vertices_with_a_nan_are_a_config_error(self, dataset_dir, tmp_path, capsys):
+        data_dir, model = dataset_dir
+        vertices = model.vertices.copy()
+        vertices[1, 0] = np.nan
+        path = save_baseline(BaselineFit(vertices, "theirs", {}), tmp_path / "theirs") / "vertices.csv"
+        assert main(["fit", "--data", str(data_dir), "--method", f"external:{path}",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from simplexnest import numerics
 from simplexnest import (
     Dataset,
     DatasetTruth,
@@ -224,6 +227,99 @@ class TestGenerate:
         d2 = generate(model, 500, np.random.default_rng(21))
         np.testing.assert_array_equal(d1.observations, d2.observations)
         np.testing.assert_array_equal(d1.truth.weights, d2.truth.weights)
+
+
+def _generate_reference(model: SimplexNest, n: int, rng: np.random.Generator) -> Dataset:
+    """``generate`` as it was before it drew by row blocks, verbatim: the oracle of the blocked draw."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    K = model.n_vertices
+    theta = sample_weights(K, model.alpha, n, rng)
+    mu = theta @ model.vertices.T
+    kern = model.kernel
+    if kern.name == "noiseless":
+        X = mu
+    elif kern.name == "gaussian":
+        X = mu + rng.normal(0.0, kern.sigma, size=mu.shape)
+    elif kern.name == "poisson":
+        X = rng.poisson(mu).astype(float)
+    elif kern.name == "multinomial":
+        mu /= mu.sum(axis=1, keepdims=True)  # the draw probabilities, in place
+        X = rng.multinomial(kern.trials, mu)
+        del mu  # free the (n, D) means before the float copy and the Dataset checks
+        X = X.astype(float)
+    else:  # pragma: no cover - Kernel validates names
+        raise ValueError(f"unknown kernel {kern.name!r}")
+    return Dataset(X, kern, truth=DatasetTruth(weights=theta, simplex=model))
+
+
+_ALL_KERNELS = pytest.mark.parametrize("kernel", [
+    Kernel.noiseless(), Kernel.gaussian(0.5), Kernel.poisson(), Kernel.multinomial(57),
+], ids=["noiseless", "gaussian", "poisson", "multinomial"])
+
+
+class TestBlockedGenerate:
+    """``generate`` and the Dataset checks work one block of rows at a time."""
+
+    @_ALL_KERNELS
+    @pytest.mark.parametrize("block_rows", [1, 7, 200, 10**6])
+    def test_draws_equal_the_one_shot_reference(self, monkeypatch, kernel, block_rows):
+        # n = 200 rows of D = 30: 7 rows a block leaves a short last block
+        model = _model(kernel, D=30, K=4, alpha=0.7, seed=40)
+        monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", block_rows * 30 * 8)
+        rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
+        data = generate(model, 200, rng)
+        ref = _generate_reference(model, 200, ref_rng)
+        np.testing.assert_array_equal(data.observations, ref.observations)
+        np.testing.assert_array_equal(data.truth.weights, ref.truth.weights)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state  # the stream goes on alike
+
+    @pytest.mark.parametrize("case, message", [
+        ("poisson-fraction", "non-negative integers"),
+        ("poisson-negative", "non-negative integers"),
+        ("counts-fraction", "non-negative counts"),  # the row sum kept: only the count check fails
+        ("counts-negative", "non-negative counts"),
+        ("counts-sum", "sum to the trial count"),
+    ])
+    def test_checks_reach_the_short_last_block(self, monkeypatch, case, message):
+        kernel = Kernel.poisson() if case.startswith("poisson") else Kernel.multinomial(57)
+        monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 7 * 30 * 8)
+        X = generate(_model(kernel, D=30, K=4, seed=42), 200, np.random.default_rng(43)).observations
+
+        def spoil(row):
+            a, b = row[:2]
+            row[:2] = {"poisson-fraction": (0.5, b), "poisson-negative": (-1.0, b),
+                       "counts-fraction": (a + 0.5, b - 0.5), "counts-negative": (-1.0, a + b + 1.0),
+                       "counts-sum": (a + 1.0, b)}[case]
+
+        spoil(X[-1])  # in the last block, of 4 rows
+        with pytest.raises(ValueError, match=message):
+            Dataset(X, kernel)
+        spoil(X[0])  # in the first and only block
+        with pytest.raises(ValueError, match=message):
+            Dataset(X[:7], kernel)
+
+    def test_without_truth_checks_nothing_again(self, monkeypatch):
+        data = generate(_model(Kernel.multinomial(57), D=30), 100, np.random.default_rng(44))
+        checked = []
+        monkeypatch.setattr(Dataset, "__post_init__", lambda d: checked.append(d))
+        blind = data.without_truth()
+        assert checked == []
+        assert blind.truth is None and data.truth is not None
+        assert blind.observations is data.observations and blind.kernel == data.kernel
+        assert blind.without_truth() is blind
+
+    @_ALL_KERNELS
+    def test_generate_holds_one_copy_of_the_observations(self, kernel):
+        # the one-shot draw held the means, the draw and its float copy at once (2.13 x for counts)
+        model = _model(kernel, D=1500, K=10, alpha=0.5, seed=45)
+        tracemalloc.start()
+        try:
+            data = generate(model, 2000, np.random.default_rng(46))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * data.observations.nbytes
 
 
 class TestDataset:

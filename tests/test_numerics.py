@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh, svds
 
-from simplexnest import Kernel, SimplexNest, dirichlet_covariance, generate, sample_vertices, sample_weights
+from simplexnest import (Dataset, Kernel, SimplexNest, dirichlet_covariance, generate, sample_vertices,
+                         sample_weights)
 from simplexnest import numerics, vlad
 from simplexnest.numerics import (
     LANCZOS_SEED as ARPACK_V0_SEED,
@@ -229,6 +230,28 @@ class TestTruncatedSvd:
         with pytest.raises(ValueError, match="must be finite"):
             truncated_svd(X, 3)
 
+    @pytest.mark.parametrize("branch", ["gram", "lanczos", "operator"])
+    @pytest.mark.parametrize("shape", [(30, 20), (20, 30)])
+    def test_overflow_is_named_as_such(self, monkeypatch, branch, shape):
+        # finite entries whose Gram passes the largest float64
+        X = np.random.default_rng(6).normal(size=shape) * 1e160
+        if branch != "gram":
+            monkeypatch.setattr(numerics, "GRAM_MAX_SIDE", 0)
+        A = numerics._CentredOperator(X, X.mean(axis=0)) if branch == "operator" else X
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's own overflow warning
+            with pytest.raises(ValueError, match="finite, but its Gram overflows"):
+                truncated_svd(A, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected_through_the_operator(self, bad):
+        X = np.random.default_rng(6).normal(size=(30, 20))
+        X[3, 4] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="Xbar must be finite"):
+                truncated_svd(numerics._CentredOperator(X, X.mean(axis=0)), 3)
+
     def test_no_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(numerics, "GRAM_MAX_SIDE", 0)
         monkeypatch.setattr(numerics, "LANCZOS_MAX_PRODUCTS", 5)
@@ -431,6 +454,79 @@ class TestArpackAgainstLapack:
         fac = truncated_svd(X, 9)
         _assert_matches_oracle(fac, _lapack_truncated_svd(X, 9), 9, 9)
         _assert_matches_oracle(fac, _arpack_truncated_svd(X, 9), 9, 9)
+
+
+def _subspace_sine(W: np.ndarray, ref: np.ndarray) -> float:
+    """Sine of the largest principal angle between two orthonormal column spans."""
+    return float(np.linalg.norm(W - ref @ (ref.T @ W), 2))
+
+
+def _operator_case(case: str) -> tuple[np.ndarray, int, int]:
+    """(raw observations X, divisor N, rank r) of one operator-oracle case."""
+    if case == "gaussian-offset":  # a mean 10^4 times the spread: the subtraction costs digits
+        kern = Kernel.gaussian(1.0)
+        rng = np.random.default_rng(60)
+        data = generate(SimplexNest(sample_vertices(60, 5, kern, rng), 0.5, kern), 800, rng)
+        return data.observations + 1e4, 1, 4
+    kern = Kernel.multinomial(200)
+    n, D = (1500, 120) if case == "tall-counts" else (100, 400)
+    rng = np.random.default_rng(61)
+    data = generate(SimplexNest(sample_vertices(D, 5, kern, rng), 0.5, kern), n, rng)
+    return data.observations, 200, 4
+
+
+@pytest.mark.usefixtures("lanczos_branch")
+class TestCentredOperator:
+    """Lanczos on the centring operator against Lanczos on the centred copy it replaces."""
+
+    @pytest.mark.parametrize("case", ["tall-counts", "wide-counts", "gaussian-offset"])
+    def test_factors_match_the_dense_centred_path(self, case):
+        X, N, r = _operator_case(case)
+        Xn = X / N
+        dense = Xn - Xn.mean(axis=0)
+        fac = truncated_svd(numerics._CentredOperator(X, X.mean(axis=0) / N, N), r)
+        ref = truncated_svd(dense, r)
+        np.testing.assert_allclose(fac.singular, ref.singular, rtol=1e-12, atol=0)
+        assert _subspace_sine(fac.right, ref.right) <= 1e-12
+        # The left factor is the product A Q itself, whose entries carry an error of about
+        # eps * offset * |1^T q|, as the copy's own column mean carries eps * offset: at an
+        # offset 10^4 times the spread the two sit 5e-13 to 1.6e-12 apart (six seeds).
+        assert _subspace_sine(fac.left, ref.left) <= (1e-11 if case == "gaussian-offset" else 1e-12)
+        _assert_sign_convention(fac.right)
+        _assert_repeatable(numerics._CentredOperator(X, X.mean(axis=0) / N, N), r, fac)
+
+    @pytest.mark.parametrize("case", ["tall-counts", "wide-counts", "gaussian-offset"])
+    def test_products_and_norm_match_the_dense_matrix(self, monkeypatch, case):
+        X, N, _ = _operator_case(case)
+        n, D = X.shape
+        op = numerics._CentredOperator(X, X.mean(axis=0) / N, N)
+        dense = np.asarray(op)
+        assert op.shape == dense.shape == (n, D) and op.T.shape == (D, n)
+        np.testing.assert_array_equal(np.asarray(op.T), dense.T)
+        rng = np.random.default_rng(62)
+        Q, U = rng.normal(size=(D, 3)), rng.normal(size=(n, 3))
+        scale = np.abs(X).max() / N * max(n, D)
+        np.testing.assert_allclose(op @ Q, dense @ Q, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(op.T @ U, dense.T @ U, rtol=0, atol=1e-13 * scale)
+        # several blocks, the last one short
+        monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 7 * D * X.itemsize)
+        assert n % 7
+        assert op.squared_norm() == pytest.approx(float(np.vdot(dense, dense)), rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["tall-counts", "wide-counts", "gaussian-offset"])
+    def test_fit_partition_and_vertices_match_the_dense_centred_path(self, monkeypatch, case):
+        X, N, r = _operator_case(case)
+        data = Dataset(X, Kernel.multinomial(N) if N > 1 else Kernel.gaussian(1.0))
+
+        def dense_path(Xbar, rank):
+            assert isinstance(Xbar, numerics._CentredOperator)
+            return truncated_svd(center(data.fitting_matrix())[0], rank)
+
+        runs, (lanczos, ref) = _recorded_fit_partitions(monkeypatch, data, r + 1, dense_path)
+        np.testing.assert_array_equal(runs[0].assignments, runs[1].assignments)
+        scale = np.abs(ref.vertices).max()
+        np.testing.assert_allclose(lanczos.vertices, ref.vertices, rtol=0, atol=1e-12 * scale)
+        assert lanczos.kmeans_cost == pytest.approx(ref.kmeans_cost, rel=1e-12, abs=0)
 
 
 @pytest.mark.usefixtures("no_lanczos")

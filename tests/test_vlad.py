@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -192,11 +193,46 @@ class TestFit:
         before = data.observations.copy()
         f = fit(data, 3, gamma=2.0, rng=np.random.default_rng(32))
         np.testing.assert_array_equal(data.observations, before)
-        Xbar, c0 = center(data.fitting_matrix())
+        if gram_max_side is None:
+            Xbar, c0 = center(data.fitting_matrix())
+        else:  # the raw observations through the centring operator, no centred copy
+            N = kernel.trials or 1
+            c0 = data.observations.mean(axis=0) / N
+            Xbar = numerics._CentredOperator(data.observations, c0, N)
         np.testing.assert_array_equal(f.center, c0)
         expected = truncated_svd(Xbar, 2)
         np.testing.assert_array_equal(f.factors.singular, expected.singular)
         np.testing.assert_array_equal(f.factors.left, expected.left)
+
+
+class TestMemory:
+    """A fit on wide counts, then its weights, holds no (n, D) float copy of the counts."""
+
+    def test_fit_auto_and_weights_copy_no_observations(self):
+        kern = Kernel.multinomial(500)
+        rng = np.random.default_rng(47)
+        data = generate(SimplexNest(sample_vertices(1500, 10, kern, rng), 0.5, kern), 2000, rng)
+        data = data.without_truth()  # short side 1500 > GRAM_MAX_SIDE: the Lanczos branch
+        tracemalloc.start()
+        try:
+            f = fit_auto(data, 10, alpha_search=(0.1, 5.0), rng=np.random.default_rng(48))
+            recover_weights(f, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * data.observations.nbytes
+
+
+def test_lexsorted_columns_match_numpy_lexsort():
+    # integer entries in {-2, ..., 2} tie often; -0.0 ties with 0.0 in both
+    rng = np.random.default_rng(49)
+    for trial in range(300):
+        V = rng.integers(-2, 3, size=(int(rng.integers(1, 6)), int(rng.integers(1, 8)))).astype(float)
+        if trial % 2:
+            V[V == 0] = -0.0
+        np.testing.assert_array_equal(vlad._lexsorted_columns(V), np.lexsort(V[::-1]))
+    V = rng.normal(size=(1500, 10))
+    np.testing.assert_array_equal(vlad._lexsorted_columns(V), np.lexsort(V[::-1]))
 
 
 class TestFitAuto:
@@ -589,6 +625,26 @@ class TestRecoverWeights:
         )
         theta = recover_weights(f, Dataset(np.array([[1.5], [-0.5]]), Kernel.noiseless()))
         np.testing.assert_allclose(theta, [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
+
+    def test_counts_give_the_weights_of_the_normalized_counts(self, monkeypatch):
+        # the counts against N times the vertices, with the tolerance scaled by N^2
+        kern = Kernel.multinomial(300)
+        rng = np.random.default_rng(44)
+        data = generate(SimplexNest(sample_vertices(40, 4, kern, rng), 0.5, kern), 1500, rng)
+        f = fit(data, 4, gamma=2.0, rng=np.random.default_rng(45))
+        calls = _counted_projection(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta = recover_weights(f, data)
+        on_counts, calls[0] = calls[0], 0
+        X = data.fitting_matrix()
+        expected = simplex_least_squares(f.vertices, X)
+        assert on_counts == calls[0]  # the stopping rule means the same on both scales (18 each)
+        np.testing.assert_allclose(_row_objective(f.vertices, X, theta),
+                                   _row_objective(f.vertices, X, expected), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(theta, expected, rtol=0, atol=1e-6)
+        assert np.all(theta >= 0)
+        np.testing.assert_allclose(theta.sum(axis=1), 1.0, atol=1e-12)
 
     def test_degenerate_simplex_rejected(self):
         f = VladFit(
