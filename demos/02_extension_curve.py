@@ -6,10 +6,12 @@ only on K and alpha, never on the simplex shape. With the centroids
 symmetric on the center-to-vertex segments, each Voronoi cell is the set
 where one weight is the largest, so gamma follows exactly from E[max] of
 K iid Gamma(alpha) draws: one quadrature (``quadrature_gamma``). The paper
-calibrates gamma by Monte Carlo instead (``estimate_gamma``); both are
-printed side by side. The scalar phi(alpha) = gamma^2 / (K (K alpha + 1))
-is what second moments can identify: it rises with alpha and flattens past
-alpha ~ 2.5, which is where concentration estimates lose precision.
+calibrates gamma by Monte Carlo instead (``estimate_gamma``,
+``build_gamma_table``); both are printed side by side, and the program
+itself always uses the quadrature. The scalar
+phi(alpha) = gamma^2 / (K (K alpha + 1)) is what second moments can
+identify: it rises with alpha and flattens past alpha ~ 2.5, which is where
+concentration estimates lose precision.
 """
 
 import numpy as np
@@ -34,7 +36,3 @@ print(f"\n{'alpha':>8s} {'gamma':>8s} {'MC':>8s} {'phi':>8s}")
 for a, q, g in zip(alphas, exact, table.gammas):
     print(f"{a:8.3f} {q:8.3f} {g:8.3f} {sn.varphi(K, a, q):8.4f}")
 print("\nphi flattens at the right end: alpha above ~2.5 is hard to pin down")
-
-table.save("gamma_table_k10.json")
-print("saved the Monte-Carlo table as gamma_table_k10.json (the paper's protocol; "
-      "pass it with --gamma-table to reproduce it)")

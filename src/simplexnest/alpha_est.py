@@ -8,7 +8,8 @@ c0 with gamma(alpha) is exactly phi(alpha) A, with phi = gamma^2 /
 (K (K alpha + 1)), A = R R^T and R = (C - c0 1^T)(I - 11^T / K). The
 mismatch ||phi A - T||_F is a quadratic in phi with minimizer
 phi* = <A,T> / <A,A>; alpha solves phi(alpha) = phi*. gamma is any function
-gamma(K, alpha): the exact ``quadrature_gamma`` or a saved ``GammaTable``.
+gamma(K, alpha): the exact ``quadrature_gamma`` on every program path, or an
+in-memory Monte-Carlo ``GammaTable`` that the tests and the benchmark pass.
 
 ``vlad.fit_auto`` forms no D x D matrix. R lies in the span of the fit's
 right singular vectors W, and Xbar W = U S, so from the fit's own factors

@@ -1,6 +1,9 @@
 """Command-line entry point.
 
-Subcommands: generate, fit, eval, experiment, alpha-curve, gamma-table.
+Subcommands: generate, fit, eval, experiment, alpha-curve. gamma(K, alpha)
+comes from the exact quadrature, or from fit's fixed --gamma; no command
+reads or writes a saved table, and the subcommand and flags that once did
+are usage errors (exit 2).
 Exit codes: 0 success, 2 configuration error, 3 numerical failure. A flag's
 dest is the ExperimentConfig field (generate, experiment) or the harness
 command keyword (the others) it sets; a flag left out parses to None and sets
@@ -73,8 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=" | ".join((*KNOWN_METHODS, "external:<vertices.csv>")))
     p.add_argument("--out", dest="out_dir", required=True, help="fit output directory")
     p.add_argument("--K", type=int)
-    p.add_argument("--gamma", type=float, help="extension factor (skips the table lookup; not vlad_alpha)")
-    p.add_argument("--gamma-table", dest="gamma_table", help="saved gamma table (default: quadrature)")
+    p.add_argument("--gamma", type=float, help="fixed extension factor (default: quadrature; not vlad_alpha)")
     p.add_argument("--alpha", type=float, help="known concentration that sets gamma")
     p.add_argument("--alpha-search", dest="alpha_search", type=float, nargs=2)
     p.add_argument("--restarts", type=int)
@@ -93,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--methods", nargs="+")
     p.add_argument("--metrics", nargs="+")
-    p.add_argument("--gamma-table", dest="gamma_table")
     p.add_argument("--restarts", type=int)
     p.add_argument("--n-heldout", dest="n_heldout", type=int)
     p.add_argument("--workers", type=int)
@@ -105,15 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_path")
     p.set_defaults(func=_run_with_flags(harness.cmd_alpha_curve))
 
-    p = sub.add_parser("gamma-table", help="build and save a gamma table by Monte Carlo (paper protocol)")
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--grid", type=float, nargs=3, metavar=("LO", "HI", "NPOINTS"))
-    p.add_argument("--m", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out", dest="out_path")
-    p.set_defaults(func=_run_with_flags(harness.cmd_gamma_table))
     return parser
 
 

@@ -3,9 +3,17 @@
 The ray-extension factor gamma is the ratio of vertex-to-center distance
 over CVT-centroid-to-center distance for a symmetric Dirichlet on the
 (K-1)-simplex. It depends only on (K, alpha), never on the geometry of the
-simplex being fitted. Consumers take gamma as a function ``gamma(K, alpha)``:
-``quadrature_gamma`` is exact and the default; a saved ``GammaTable`` of the
-paper's Monte Carlo (``estimate_gamma``, ``build_gamma_table``) is another.
+simplex being fitted. Consumers take gamma as a function ``gamma(K, alpha)``,
+and every program path uses the exact ``quadrature_gamma``.
+
+The paper's Monte-Carlo calibration stays for reproducing its protocol and as
+the oracle the tests check the quadrature against: ``estimate_gamma`` for one
+alpha, and ``build_gamma_table`` over a grid into an in-memory
+``GammaTable``. Such a table is also a function gamma(K, alpha); the tests
+pass one to ``vlad.fit_auto``, and the benchmark's paper workloads load their
+committed fixture through ``GammaTable.load``. That fixture, written by
+``perfbench/make_gamma_fixture.py`` from ``to_dict``, is the only saved table:
+no command writes or reads one.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammainc
 
-from ._matrix_io import write_json
 from .model import sample_weights
 from .numerics import kmeans
 
@@ -107,7 +114,9 @@ class GammaTable:
     """Cached map alpha -> gamma(alpha) for a fixed K, callable as gamma(K, alpha).
 
     Lookups interpolate linearly between grid points; a query outside the
-    grid, or for another K, raises ValueError.
+    grid, or for another K, raises ValueError. ``to_dict`` gives the JSON
+    format ``{K, m, seed, alphas, gammas}`` of the benchmark's fixture, and
+    ``load`` reads it, checking every entry.
     """
 
     K: int
@@ -171,9 +180,6 @@ class GammaTable:
             m=int(d["m"]),
             seed=int(d["seed"]),
         )
-
-    def save(self, path: str | Path) -> None:
-        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "GammaTable":

@@ -10,10 +10,10 @@ kept out of results.csv for the same reason; they live in the fit meta.json
 files and in timings.csv. A config field of the wrong type or value is a
 ConfigError from ``resolved()``.
 
-The alpha-aware methods take gamma as a function gamma(K, alpha): the exact
-``quadrature_gamma``, or a saved ``GammaTable`` when one is named. The alpha
-search is ``alpha_search`` clamped to that function's alpha range (the
-``gamma_grid`` ends for the quadrature in a sweep).
+The alpha-aware methods take gamma(K, alpha) from the exact
+``quadrature_gamma``, or ``cmd_fit``'s fixed ``gamma``. A sweep searches
+alpha over ``alpha_search`` clamped to the [lo, hi] of ``gamma_grid``;
+``cmd_fit`` searches ``alpha_search`` as given.
 """
 
 from __future__ import annotations
@@ -25,14 +25,14 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import baselines, vlad
 from ._matrix_io import format_float, write_json
 from .alpha_est import _check_correction, _phi_star, _reduced_moments
-from .extension import GammaTable, build_gamma_table, quadrature_gamma, varphi
+from .extension import quadrature_gamma, varphi
 from .metrics import HELDOUT_METRICS, METRIC_NAMES, evaluate_fit
 from .model import (
     KERNEL_NAMES,
@@ -53,8 +53,8 @@ class ConfigError(ValueError):
 
 KNOWN_METHODS = ("vlad", "vlad_alpha", "gdm", "gdm_mc", "spa")
 KNOWN_ALPHA_METHODS = ("vlad", "gdm", "gdm_mc")  # gamma from a known, symmetric alpha
-# A log-spaced alpha grid is a table for a person to read or a gamma
-# calibration; far beyond 40 points it is a typo that would exhaust memory.
+# A log-spaced alpha grid is a table for a person to read; far beyond 40
+# points it is a typo that would exhaust memory.
 GRID_MAX_POINTS = 10_000
 
 # Salts separating the random streams derived from (seed, cell).
@@ -90,8 +90,8 @@ class ExperimentConfig:
     seeds: list | None = None
     methods: list = field(default_factory=lambda: ["vlad"])
     metrics: list = field(default_factory=lambda: ["mm", "volume"])
-    gamma_table: str | None = None
-    # only [lo, hi] is read: without gamma_table it bounds the alpha search
+    # only [lo, hi] is read, to clamp a sweep's alpha_search; the benchmark's
+    # desk config still passes a whole grid
     gamma_grid: list = field(default_factory=lambda: [0.02, 10.0, 40])
     gamma_m: int | None = None  # read by nothing; the benchmark's desk config still passes it
     restarts: int = 8
@@ -111,6 +111,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config must be a JSON object, got {data!r}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -268,47 +270,24 @@ def build_model(cfg: ExperimentConfig, seed: int, c_min: float, c_idx: int, alph
     return SimplexNest(vertices, np.asarray(alpha, dtype=float), kern)
 
 
-def _gamma_and_search(cfg: ExperimentConfig, gamma: float | None = None) -> tuple[Callable, ExperimentConfig]:
-    """gamma(K, alpha) for a run, and cfg with alpha_search clamped to its alpha range.
-
-    A fixed ``gamma`` is used as given (nothing searches alpha then); else the
-    saved cfg.gamma_table, whose every defect is a ConfigError, or the exact
-    quadrature over gamma_grid's [lo, hi].
-    """
-    if gamma is not None:
-        return (lambda K, alpha: gamma), cfg
-    gamma_fn, lo, hi = quadrature_gamma, float(cfg.gamma_grid[0]), float(cfg.gamma_grid[1])
-    if cfg.gamma_table:
-        try:
-            gamma_fn = GammaTable.load(cfg.gamma_table)
-        except (OSError, TypeError, ValueError) as exc:
-            raise ConfigError(f"cannot read gamma table {cfg.gamma_table}: {exc}") from exc
-        if gamma_fn.K != cfg.K:
-            raise ConfigError(f"gamma table K = {gamma_fn.K} does not match K = {cfg.K}")
-        lo, hi = gamma_fn.alpha_min, gamma_fn.alpha_max
-    s_lo, s_hi = max(float(cfg.alpha_search[0]), lo), min(float(cfg.alpha_search[1]), hi)
-    if not s_lo < s_hi:
-        raise ConfigError(f"alpha_search {cfg.alpha_search} is outside gamma's alpha range [{lo}, {hi}]")
-    return gamma_fn, replace(cfg, alpha_search=[s_lo, s_hi])
-
-
 def run_method(
     method: str,
     data: Dataset,
     cfg: ExperimentConfig,
-    gamma_fn: Callable,
     alpha,
     rng: np.random.Generator,
+    gamma: float | None = None,
 ):
     """Dispatch one estimator on truth-stripped data.
 
-    Returns (vertices-bearing fit object, info dict). ``gamma_fn`` is
-    gamma(K, alpha). ``alpha`` is the generating concentration, used only as
-    the known hyperparameter of the alpha-aware methods.
+    Returns (vertices-bearing fit object, info dict). ``alpha`` is the
+    generating concentration, used only as the known hyperparameter of the
+    alpha-aware methods, which take gamma(K, alpha) from ``quadrature_gamma``
+    unless a fixed ``gamma`` is given.
     """
     blind = data.without_truth()
     if method in KNOWN_ALPHA_METHODS:
-        gamma = float(gamma_fn(cfg.K, alpha))
+        gamma = float(quadrature_gamma(cfg.K, alpha)) if gamma is None else gamma
         if method == "vlad":
             fit = vlad.fit(blind, cfg.K, gamma=gamma, restarts=cfg.restarts, rng=rng)
             return fit, {"gamma": gamma, "alpha_hat": None}
@@ -316,7 +295,7 @@ def run_method(
                             method_tag=method)
         return fit, {"gamma": gamma, "alpha_hat": None}
     if method == "vlad_alpha":
-        fit = vlad.fit_auto(blind, cfg.K, gamma_fn, alpha_search=tuple(cfg.alpha_search),
+        fit = vlad.fit_auto(blind, cfg.K, alpha_search=tuple(cfg.alpha_search),
                             restarts=cfg.restarts, rng=rng)
         return fit, {"gamma": fit.gamma, "alpha_hat": fit.alpha}
     if method == "spa":
@@ -405,7 +384,7 @@ def _write_rows_csv(path: Path, columns: tuple[str, ...], rows: list[dict]) -> N
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_cell(cfg, gamma_fn, run_root, cell: _Cell) -> list[dict]:
+def _run_cell(cfg, run_root, cell: _Cell) -> list[dict]:
     """Generate one dataset cell, run every method, return result rows."""
     model, data = _cell_data(cfg, cell)
     blind = data.without_truth()  # validated once per cell; run_method leaves it as it is
@@ -424,7 +403,7 @@ def _run_cell(cfg, gamma_fn, run_root, cell: _Cell) -> list[dict]:
         try:
             rng = _rng(*cell[:4], j, _SALT_FIT)
             started = time.perf_counter()
-            fit, info = run_method(method, blind, cfg, gamma_fn, cell.alpha, rng)
+            fit, info = run_method(method, blind, cfg, cell.alpha, rng)
             elapsed = time.perf_counter() - started
             _save(fit, cell_dir, cell.seed)
             report = evaluate_fit(
@@ -450,16 +429,20 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     cfg = cfg.resolved()
     run_root = Path(cfg.out) / cfg.config_hash()
     scientific = cfg.scientific_dict()
-    gamma_fn, cfg = _gamma_and_search(cfg)
+    lo, hi = float(cfg.gamma_grid[0]), float(cfg.gamma_grid[1])
+    search = [max(float(cfg.alpha_search[0]), lo), min(float(cfg.alpha_search[1]), hi)]
+    if not search[0] < search[1]:
+        raise ConfigError(f"alpha_search {cfg.alpha_search} is outside gamma's alpha range [{lo}, {hi}]")
+    cfg = replace(cfg, alpha_search=search)
     run_root.mkdir(parents=True, exist_ok=True)
     write_json(run_root / "config.json", scientific)
 
     cells = _cells(cfg)
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            cell_rows = list(pool.map(lambda c: _run_cell(cfg, gamma_fn, run_root, c), cells))
+            cell_rows = list(pool.map(lambda c: _run_cell(cfg, run_root, c), cells))
     else:
-        cell_rows = [_run_cell(cfg, gamma_fn, run_root, cell) for cell in cells]
+        cell_rows = [_run_cell(cfg, run_root, cell) for cell in cells]
 
     rows = [row for group in cell_rows for row in group]
     method_order = {m: i for i, m in enumerate(cfg.methods)}
@@ -521,13 +504,24 @@ def cmd_generate(cfg: ExperimentConfig) -> list[Path]:
     return written
 
 
+def _read_dataset(directory: str | Path) -> Dataset:
+    """load_dataset on a directory from outside the program: a dataset.json
+    that is not JSON or lacks an entry, and a kernel, matrix or truth that
+    load_dataset rejects, are a ConfigError naming the directory."""
+    try:
+        return load_dataset(directory)
+    except KeyError as exc:
+        raise ConfigError(f"{Path(directory) / 'dataset.json'} has no entry {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read dataset {directory}: {exc}") from exc
+
+
 def cmd_fit(
     data_dir: str | Path,
     method: str,
     out_dir: str | Path,
     K: int | None = None,
     gamma: float | None = None,
-    gamma_table: str | None = None,
     alpha: float | None = None,
     alpha_search: tuple[float, float] | None = None,
     restarts: int | None = None,
@@ -536,14 +530,14 @@ def cmd_fit(
     """Fit one method on a saved dataset; write a fit directory.
 
     The known-alpha methods take ``gamma`` directly, or else gamma(K, alpha)
-    from the saved ``gamma_table``, whose alpha range also clamps
-    ``alpha_search``, or from the exact quadrature. A value the method ignores
-    is a ConfigError: ``vlad_alpha`` estimates gamma and alpha, only it
-    searches alpha, and ``spa`` and ``external:`` use neither gamma nor the
-    K-means ``restarts`` and ``seed``. Left at None, ``alpha_search`` and
-    ``restarts`` take the ExperimentConfig defaults and ``seed`` is 0.
+    from the exact quadrature; ``vlad_alpha`` searches ``alpha_search`` as
+    given. A value the method ignores is a ConfigError: ``vlad_alpha``
+    estimates gamma and alpha, only it searches alpha, and ``spa`` and
+    ``external:`` use neither gamma nor the K-means ``restarts`` and
+    ``seed``. Left at None, ``alpha_search`` and ``restarts`` take the
+    ExperimentConfig defaults and ``seed`` is 0.
     """
-    data = load_dataset(data_dir)
+    data = _read_dataset(data_dir)
     if K is None:
         if data.truth is None:
             raise ConfigError("K is required when the dataset has no truth block")
@@ -554,19 +548,16 @@ def cmd_fit(
         kernel=data.kernel.name,
         sigma=data.kernel.sigma or 1.0,
         trials=data.kernel.trials or 500,
-        D=data.dim, K=K, methods=[method], gamma_table=gamma_table,
+        D=data.dim, K=K, methods=[method],
         restarts=defaults.restarts if restarts is None else restarts, alpha_search=search,
-        gamma_grid=[*search, 2],  # the quadrature covers every alpha: only a table clamps
     ).resolved()
     for name, value in (("alpha", alpha), ("gamma", gamma)):
         if value is not None and not 0 < value < np.inf:
             raise ConfigError(f"{name} must be finite and > 0")
     if method == "vlad_alpha" and (gamma, alpha) != (None, None):
         raise ConfigError("method 'vlad_alpha' estimates gamma and alpha; drop --gamma and --alpha")
-    if method not in (*KNOWN_ALPHA_METHODS, "vlad_alpha") and (gamma, alpha, gamma_table) != (None,) * 3:
-        raise ConfigError(f"method {method!r} uses no gamma; drop --gamma, --alpha and --gamma-table")
-    if gamma is not None and gamma_table is not None:
-        raise ConfigError("give --gamma or --gamma-table, not both")
+    if method not in (*KNOWN_ALPHA_METHODS, "vlad_alpha") and (gamma, alpha) != (None, None):
+        raise ConfigError(f"method {method!r} uses no gamma; drop --gamma and --alpha")
     if method in KNOWN_ALPHA_METHODS and gamma is None and alpha is None:
         raise ConfigError(f"method {method!r} needs --alpha (or an explicit --gamma)")
     if alpha_search is not None and method != "vlad_alpha":
@@ -574,20 +565,19 @@ def cmd_fit(
     if (restarts, seed) != (None, None) and method not in (*KNOWN_ALPHA_METHODS, "vlad_alpha"):
         raise ConfigError(f"method {method!r} runs no K-means; drop --restarts and --seed")
     seed = 0 if seed is None else seed
-    gamma_fn, cfg = _gamma_and_search(cfg, gamma)
     started = time.perf_counter()
-    fit, info = run_method(method, data, cfg, gamma_fn, alpha, _rng(seed, _SALT_FIT))
+    fit, info = run_method(method, data, cfg, alpha, _rng(seed, _SALT_FIT), gamma)
     elapsed = time.perf_counter() - started
     out_dir = Path(out_dir)
     meta = {"method": method, "wall_time_s": elapsed, **{k: v for k, v in info.items() if v is not None}}
     if method == "vlad_alpha":
         out_dir.mkdir(parents=True, exist_ok=True)
-        meta.update(_alpha_report(fit, data, cfg, gamma_fn, out_dir))
+        meta.update(_alpha_report(fit, data, cfg, out_dir))
     _save(fit, out_dir, seed, **meta)
     return out_dir
 
 
-def _alpha_report(fit, data: Dataset, cfg: ExperimentConfig, gamma_fn: Callable, out_dir: Path) -> dict:
+def _alpha_report(fit, data: Dataset, cfg: ExperimentConfig, out_dir: Path) -> dict:
     """phi* = <A,T>/<A,A>, which phi(alpha_hat) matches, the noise-variance
     estimate when one was used, and grid_curve.csv over cfg.alpha_search.
 
@@ -598,7 +588,7 @@ def _alpha_report(fit, data: Dataset, cfg: ExperimentConfig, gamma_fn: Callable,
     aa, at = _reduced_moments(fit, data.kernel)
     phi_star = _phi_star(aa, at)
     grid = np.geomspace(*cfg.alpha_search, 64)
-    excess = [np.sqrt(aa) * abs(varphi(cfg.K, a, gamma_fn(cfg.K, a)) - phi_star) for a in grid]
+    excess = [np.sqrt(aa) * abs(varphi(cfg.K, a, quadrature_gamma(cfg.K, a)) - phi_star) for a in grid]
     _write_rows_csv(out_dir / "grid_curve.csv", ("alpha", "excess_mismatch"),
                     [{"alpha": a, "excess_mismatch": v} for a, v in zip(grid, excess)])
     return {"phi_star": phi_star, **({} if fit.sigma2_hat is None else {"sigma2_hat": fit.sigma2_hat})}
@@ -613,10 +603,12 @@ def cmd_eval(
 ) -> dict:
     """Score a fit directory against a dataset's truth sidecar.
 
-    The vertices come from outside the program: a non-finite entry, or a
-    shape other than (D, K) of the dataset (K of its truth), is a
-    ConfigError. With ``results_csv``, append one row to it; a file whose
-    header is not the eval columns is a ConfigError and is left untouched.
+    The vertices and datasets come from outside the program: a non-finite
+    vertex entry, a vertices shape other than (D, K) of the dataset (K of its
+    truth), a held-out dataset of another D and a dataset directory that
+    ``_read_dataset`` rejects are a ConfigError. With ``results_csv``,
+    append one row to it; a file whose header is not the eval columns is a
+    ConfigError and is left untouched.
     """
     if not heldout_dir and set(HELDOUT_METRICS).intersection(metrics):
         raise ConfigError("the heldout and likelihood metrics need a held-out dataset (--heldout)")
@@ -630,11 +622,14 @@ def cmd_eval(
         vertices = baselines.load_vertices(Path(fit_dir))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    data = load_dataset(data_dir)
+    data = _read_dataset(data_dir)
     K = data.truth.simplex.n_vertices if data.truth is not None else vertices.shape[1]
     if vertices.shape != (data.dim, K):
         raise ConfigError(f"vertices in {fit_dir} have shape {vertices.shape}, expected {(data.dim, K)}")
-    heldout = load_dataset(heldout_dir) if heldout_dir else None
+    heldout = _read_dataset(heldout_dir) if heldout_dir else None
+    if heldout is not None and heldout.dim != data.dim:
+        raise ConfigError(f"held-out observations in {heldout_dir} have shape {heldout.observations.shape}, "
+                          f"but the vertices have shape {vertices.shape}")
     out = evaluate_fit(vertices, dataset=data, heldout=heldout,
                        metrics=tuple(metrics)).to_dict()
     write_json(Path(fit_dir) / "eval.json", out)
@@ -658,33 +653,4 @@ def cmd_alpha_curve(
     rows = [{"alpha": a, "gamma": g, "varphi": varphi(K, a, g)}
             for a, g in zip(alphas, quadrature_gamma(K, alphas))]
     _write_rows_csv(Path(out_path), ("alpha", "gamma", "varphi"), rows)
-    return Path(out_path)
-
-
-def cmd_gamma_table(
-    K: int,
-    grid: tuple[float, float, int] = (0.02, 10.0, 40),
-    m: int = 100_000,
-    seed: int = 7,
-    out_path: str | Path = "gamma_table.json",
-    restarts: int = 8,
-    workers: int | None = None,
-) -> Path:
-    """Build and save a gamma lookup table by the paper's Monte-Carlo protocol.
-
-    A value the build would fail on or ignore is a ConfigError, as in
-    ``ExperimentConfig.resolved``; ``workers`` left at None takes the
-    thread pool's default.
-    """
-    _require_k(K)
-    if m < K:
-        raise ConfigError("need m >= K Monte Carlo samples")
-    for name, value, least in (("seed", seed, 0), ("restarts", restarts, 1), ("workers", workers, 1)):
-        if value is not None:
-            _require_numbers(name, [value], integer=True)
-            if value < least:
-                raise ConfigError(f"{name} must be >= {least}")
-    alphas = np.geomspace(*_log_grid("grid", grid))
-    table = build_gamma_table(K, alphas, m=m, seed=seed, restarts=restarts, workers=workers)
-    table.save(out_path)
     return Path(out_path)

@@ -192,9 +192,10 @@ def fit_auto(
     gamma(K, alpha_hat), as :func:`fit` would; clustering is never
     repeated. The moments come from the fit's own rank-(K-1) factors and
     sigma2_hat, so no D x D matrix or second copy of the data is formed.
-    ``gamma`` is the exact quadrature unless a saved ``GammaTable`` is
-    passed, which raises if it was built for another K or does not cover
-    ``alpha_search``.
+    ``gamma`` is the exact quadrature unless another function gamma(K, alpha)
+    is passed, such as the Monte-Carlo ``GammaTable`` the tests and the
+    benchmark's paper workloads use, which raises if it was built for another
+    K or does not cover ``alpha_search``.
     """
     alpha_est._check_correction(data.kernel, data.dim, K)
     base = _fit(data, K, 1.0, restarts, rng, onto_simplex=False)

@@ -167,10 +167,18 @@ class TestGammaTable:
         with pytest.raises(ValueError, match="missing gammas"):
             GammaTable.from_dict(d)
 
+    @pytest.mark.parametrize("payload,message", [("[1, 2]", "must be a JSON object"), ('{"K": 3,', "Expecting")])
+    def test_load_rejects_a_file_that_is_not_a_table(self, tmp_path, payload, message):
+        path = tmp_path / "table.json"
+        path.write_text(payload)
+        with pytest.raises(ValueError, match=message):
+            GammaTable.load(path)
+
     def test_json_roundtrip(self, tmp_path):
+        # the format of the benchmark's fixture: to_dict as JSON, read back by load
         t = self._table()
         path = tmp_path / "table.json"
-        t.save(path)
+        path.write_text(json.dumps(t.to_dict()))
         back = GammaTable.load(path)
         assert back.K == t.K and back.m == t.m and back.seed == t.seed
         np.testing.assert_array_equal(back.alphas, t.alphas)

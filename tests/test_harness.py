@@ -12,7 +12,7 @@ from simplexnest import harness
 from simplexnest.alpha_est import _moments, corrected_covariance
 from simplexnest.baselines import BaselineFit, save_baseline, spa
 from simplexnest.cli import _config_from_args, build_parser, main
-from simplexnest.extension import GammaTable, build_gamma_table, quadrature_gamma, varphi
+from simplexnest.extension import GammaTable, quadrature_gamma, varphi
 from simplexnest.harness import (
     GRID_MAX_POINTS,
     ConfigError,
@@ -20,7 +20,6 @@ from simplexnest.harness import (
     cmd_alpha_curve,
     cmd_eval,
     cmd_fit,
-    cmd_gamma_table,
     cmd_generate,
     run_experiment,
 )
@@ -39,12 +38,6 @@ def _tiny_config(out, **overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-def _quadrature_table(K, alphas):
-    """A saved-table stand-in whose gammas are exact."""
-    alphas = np.asarray(alphas, dtype=float)
-    return GammaTable(K=K, alphas=alphas, gammas=quadrature_gamma(K, alphas), m=0, seed=0)
 
 
 def _rows(root):
@@ -183,10 +176,24 @@ def narrow_gaussian_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def table_path_k3(tmp_path_factory):
-    path = tmp_path_factory.mktemp("tables") / "k3.json"
-    build_gamma_table(3, np.geomspace(0.5, 5.0, 6), m=4000, seed=2, workers=1).save(path)
-    return path
+def foreign_dataset_dirs(tmp_path_factory):
+    """Dataset directories, as from outside the program, whose dataset.json lacks
+    its kernel, is not JSON, or names an unknown kernel."""
+    kern = Kernel.noiseless()
+    data = generate(SimplexNest(sample_vertices(10, 3, kern, np.random.default_rng(0)), 2.0, kern),
+                    100, np.random.default_rng(1))
+    root = tmp_path_factory.mktemp("foreign")
+    dirs = {}
+    for defect in ("no_kernel", "not_json", "unknown_kernel"):
+        sidecar = save_dataset(data, root / defect) / "dataset.json"
+        meta = json.loads(sidecar.read_text())
+        if defect == "no_kernel":
+            del meta["kernel"]
+        elif defect == "unknown_kernel":
+            meta["kernel"]["name"] = "cauchy"
+        sidecar.write_text("{not json" if defect == "not_json" else json.dumps(meta))
+        dirs[defect] = sidecar.parent
+    return dirs
 
 
 class TestCmdFit:
@@ -197,20 +204,9 @@ class TestCmdFit:
         assert meta["gamma"] == 3.0 and meta["method"] == "vlad"
         assert (out / "vertices.csv").exists()
 
-    def test_vlad_alpha_with_table(self, dataset_dir, tmp_path, table_path_k3):
+    def test_gdm_and_spa(self, dataset_dir, tmp_path):
         data_dir, _ = dataset_dir
-        out = cmd_fit(data_dir, "vlad_alpha", tmp_path / "fit", gamma_table=str(table_path_k3),
-                      alpha_search=(0.5, 5.0), seed=5)
-        meta = json.loads((out / "meta.json").read_text())
-        assert meta["alpha_hat"] > 0
-        assert meta["phi_star"] > 0
-        curve = (out / "grid_curve.csv").read_text().splitlines()
-        assert curve[0] == "alpha,excess_mismatch" and len(curve) == 65
-
-    def test_gdm_and_spa(self, dataset_dir, tmp_path, table_path_k3):
-        data_dir, _ = dataset_dir
-        out = cmd_fit(data_dir, "gdm_mc", tmp_path / "g", gamma_table=str(table_path_k3),
-                      alpha=2.0, seed=5)
+        out = cmd_fit(data_dir, "gdm_mc", tmp_path / "g", alpha=2.0, seed=5)
         assert json.loads((out / "meta.json").read_text())["method"] == "gdm_mc"
         out = cmd_fit(data_dir, "spa", tmp_path / "s")
         assert (out / "vertices.csv").exists()
@@ -277,38 +273,14 @@ class TestCmdFit:
         meta = json.loads((out / "meta.json").read_text())
         assert 0.5 <= meta["alpha_hat"] <= 5.0 and meta["phi_star"] > 0
 
-    def test_table_for_another_k_rejected(self, dataset_dir, tmp_path):
-        data_dir, _ = dataset_dir
-        path = tmp_path / "k7.json"
-        _quadrature_table(7, [0.5, 2.0, 5.0]).save(path)
-        for method, alpha in (("vlad", 2.0), ("vlad_alpha", None)):
-            with pytest.raises(ConfigError, match="K = 7"):
-                cmd_fit(data_dir, method, tmp_path / method, gamma_table=str(path), alpha=alpha)
-
     def test_search_clamped_to_a_saved_table_only(self, dataset_dir, tmp_path, monkeypatch):
+        # cmd_fit searches alpha_search as given: only a sweep clamps it, to gamma_grid
         data_dir, _ = dataset_dir
         seen = _spy_search(monkeypatch)
-        path = tmp_path / "narrow.json"
-        _quadrature_table(3, np.geomspace(0.7, 4.0, 6)).save(path)
-        out = cmd_fit(data_dir, "vlad_alpha", tmp_path / "t", gamma_table=str(path),
-                      alpha_search=(0.3, 7.0), seed=5)
-        curve = np.loadtxt(out / "grid_curve.csv", delimiter=",", skiprows=1)
-        assert (curve[0, 0], curve[-1, 0]) == (0.7, 4.0)
         out = cmd_fit(data_dir, "vlad_alpha", tmp_path / "q", alpha_search=(0.3, 7.0), seed=5)
         curve = np.loadtxt(out / "grid_curve.csv", delimiter=",", skiprows=1)
-        assert (curve[0, 0], curve[-1, 0]) == (0.3, 7.0)
-        assert seen == [(0.7, 4.0), (0.3, 7.0)]
-        with pytest.raises(ConfigError, match="outside gamma's alpha range"):
-            cmd_fit(data_dir, "vlad_alpha", tmp_path / "x", gamma_table=str(path), alpha_search=(5.0, 7.0))
-
-    @pytest.mark.parametrize("gammas", [[float("nan"), 2.0], [-1.0, 2.0]])
-    def test_table_with_bad_gamma_rejected(self, dataset_dir, tmp_path, gammas):
-        data_dir, _ = dataset_dir
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"K": 3, "m": 1, "seed": 0, "alphas": [1.0, 2.0], "gammas": gammas}))
-        with pytest.raises(ConfigError, match="finite and > 0"):
-            cmd_fit(data_dir, "vlad", tmp_path / "fit", gamma_table=str(path), alpha=1.5)
-        assert not (tmp_path / "fit").exists()
+        assert curve.shape == (64, 2) and (curve[0, 0], curve[-1, 0]) == (0.3, 7.0)
+        assert seen == [(0.3, 7.0)]
 
 
 class TestCmdEval:
@@ -459,27 +431,13 @@ class TestRunExperiment:
 
     def test_search_clamped_to_gamma_range(self, tmp_path, monkeypatch):
         seen = _spy_search(monkeypatch)
-        path = tmp_path / "narrow.json"
-        _quadrature_table(3, np.geomspace(0.7, 4.0, 6)).save(path)
         run_experiment(_tiny_config(tmp_path / "a", methods=["vlad_alpha"], seeds=[0]))
-        run_experiment(_tiny_config(tmp_path / "b", methods=["vlad_alpha"], seeds=[0],
-                                    gamma_table=str(path)))
-        assert seen == [(0.5, 5.0), (0.7, 4.0)]  # gamma_grid ends, then the table's range
+        assert seen == [(0.5, 5.0)]  # gamma_grid ends
 
     def test_search_outside_gamma_range_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="outside gamma's alpha range"):
             run_experiment(_tiny_config(tmp_path / "a", alpha_search=[6.0, 9.0]))
-        path = tmp_path / "narrow.json"
-        _quadrature_table(3, [0.7, 4.0]).save(path)
-        with pytest.raises(ConfigError, match="outside gamma's alpha range"):
-            run_experiment(_tiny_config(tmp_path / "b", alpha_search=[0.1, 0.6], gamma_table=str(path)))
-        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
-
-    def test_table_file_for_another_k_rejected(self, tmp_path):
-        path = tmp_path / "k7.json"
-        _quadrature_table(7, [0.5, 5.0]).save(path)
-        with pytest.raises(ConfigError, match="K = 7"):
-            run_experiment(_tiny_config(tmp_path / "runs", gamma_table=str(path)))
+        assert not (tmp_path / "a").exists()
 
     def test_timings_separate_from_results(self, tmp_path):
         root = run_experiment(_tiny_config(tmp_path / "runs"))
@@ -541,14 +499,6 @@ class TestAlphaCurveAndGammaTable:
         np.testing.assert_allclose(curve[:, 1], quadrature_gamma(3, curve[:, 0]), rtol=1e-15)
         assert np.all(np.diff(curve[:, 2]) > 0)
 
-    def test_gamma_table_cmd(self, tmp_path):
-        from simplexnest.extension import GammaTable
-
-        out = cmd_gamma_table(K=3, grid=(0.5, 3.0, 4), m=2000, seed=6,
-                              out_path=tmp_path / "table.json", workers=1)
-        table = GammaTable.load(out)
-        assert table.K == 3 and table.alphas.size == 4
-
 
 class TestCli:
     def test_generate_and_fit_and_eval(self, tmp_path):
@@ -591,6 +541,10 @@ class TestCli:
         {"normalize": False},  # a field no longer read is unknown
         {"paper_scale": 1},
         {"kernel": "noiseless", "D": 10, "K": 3, "alpha": [[1.0, 2.0]], "methods": ["spa"]},
+        {"gamma_table": "t.json"},  # gamma comes from the quadrature alone
+        5,  # a top level that is not a JSON object
+        None,
+        "abc",
     ])
     def test_wrong_typed_config_exit_code(self, tmp_path, payload, capsys):
         cfg = tmp_path / "bad.json"
@@ -618,12 +572,11 @@ class TestCli:
             "paper_scale": (["--paper-scale"], True),
             "methods": (["--methods", "spa", "vlad"], ["spa", "vlad"]),
             "metrics": (["--metrics", "mm"], ["mm"]),
-            "gamma_table": (["--gamma-table", "t.json"], "t.json"),
             "restarts": (["--restarts", "3"], 3),
             "n_heldout": (["--n-heldout", "5"], 5),
             "workers": (["--workers", "2"], 2),
         }
-        experiment_only = {"methods", "metrics", "gamma_table", "restarts", "n_heldout", "workers"}
+        experiment_only = {"methods", "metrics", "restarts", "n_heldout", "workers"}
         assert settable == set(values) - (experiment_only if command == "generate" else set())
         for name in settable:
             flags, value = values[name]
@@ -646,26 +599,6 @@ class TestCli:
                      "--out", str(tmp_path / "fit")]) == 0
         assert main(["eval", "--fit", str(tmp_path / "fit"), "--data", str(data_dir)]) == 0
 
-    @pytest.mark.parametrize("payload,message", [
-        ('{"K": 3, "m": 1, "alphas": [1.0, 2.0], "gammas": [2.0, 3.0]}', "missing seed"),
-        ('{"K": 3, "m": 1, "seed": 0,', "Expecting"),
-        ('[1, 2]', "must be a JSON object"),
-        ('{"K": 3, "m": 0, "seed": 0, "alphas": [0.5, NaN, 2.0], "gammas": [2, 2.5, 3]}', "must be finite"),
-        ('{"K": 3, "m": 0, "seed": 0, "alphas": [0.5, 1.0, Infinity], "gammas": [2, 2.5, 3]}', "must be finite"),
-    ])
-    def test_malformed_table_exit_code(self, dataset_dir, tmp_path, payload, message, capsys):
-        data_dir, _ = dataset_dir
-        path = tmp_path / "table.json"
-        path.write_text(payload)
-        assert main(["fit", "--data", str(data_dir), "--method", "vlad", "--alpha", "1.5",
-                     "--gamma-table", str(path), "--out", str(tmp_path / "fit")]) == 2
-        assert main(["experiment", "--kernel", "noiseless", "--D", "10", "--K", "3", "--n", "100",
-                     "--seeds", "0", "--gamma-table", str(path), "--out", str(tmp_path / "runs")]) == 2
-        err = capsys.readouterr().err
-        assert err.count("config error: cannot read gamma table") == 2
-        assert err.count(message) == 2
-        assert not (tmp_path / "fit").exists() and not (tmp_path / "runs").exists()
-
     @pytest.mark.parametrize("flags", [["--method", "vlad", "--alpha", "-1"],
                                        ["--method", "vlad_alpha", "--alpha-search", "0", "5"],
                                        ["--method", "vlad_alpha", "--alpha-search", "5", "0.5"]])
@@ -682,9 +615,8 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["alpha-curve", "--K", "1"],
-        ["gamma-table", "--K", "1"],
-        ["gamma-table", "--K", "3", "--m", "2"],
         ["experiment", "--kernel", "noiseless", "--D", "10", "--K", "1", "--n", "100", "--seeds", "0"],
+        ["generate", "--kernel", "noiseless", "--D", "10", "--K", "1", "--n", "100", "--seeds", "0"],
     ])
     def test_bad_k_exit_code(self, tmp_path, argv, capsys):
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
@@ -717,23 +649,14 @@ class TestCli:
         ["fit", "--method", "external:{vertices}", "--gamma", "2"],
         ["fit", "--method", "external:{vertices}", "--alpha", "2"],
         ["fit", "--method", "vlad_alpha", "--alpha", "2"],
-        ["fit", "--method", "spa", "--gamma-table", "{table}"],
-        ["fit", "--method", "vlad", "--gamma", "2", "--gamma-table", "{table}"],
         ["fit", "--method", "vlad", "--gamma", "-1"],
         ["fit", "--method", "vlad", "--alpha", "2", "--restarts", "0"],
         # a point count that is not a whole number, or past GRID_MAX_POINTS
         ["alpha-curve", "--K", "3", "--grid", "0.1", "5", "2.9"],
         ["alpha-curve", "--K", "3", "--grid", "0.1", "5", "1e9"],
-        ["gamma-table", "--K", "3", "--m", "200", "--grid", "0.5", "5", "1.5"],
-        # gamma-table values that ran serially, ran no ++ restart, or failed in the build
-        ["gamma-table", "--K", "3", "--m", "200", "--workers", "0"],
-        ["gamma-table", "--K", "3", "--m", "200", "--workers", "-1"],
-        ["gamma-table", "--K", "3", "--m", "200", "--restarts", "0"],
-        ["gamma-table", "--K", "3", "--m", "200", "--seed", "-1"],
         # non-finite bounds, and alpha fits on raw multinomial counts
         ["fit", "--method", "vlad_alpha", "--alpha-search", "0.5", "inf"],
         ["alpha-curve", "--K", "3", "--grid", "0.1", "inf", "5"],
-        ["gamma-table", "--K", "3", "--m", "300", "--grid", "0.5", "inf", "3"],
         # multinomial fits with more vertices than words, or alpha fits with no count noise to correct
         ["fit", "--method", "vlad_alpha", "--K", "11", "--data", "{multinomial}"],
         ["experiment", "--kernel", "multinomial", "--trials", "1", "--D", "10", "--K", "3", "--n", "100",
@@ -742,13 +665,17 @@ class TestCli:
         ["experiment", "--kernel", "gaussian", "--D", "2", "--K", "3", "--n", "100", "--seeds", "0",
          "--methods", "vlad_alpha"],
         ["fit", "--method", "vlad_alpha", "--data", "{narrow}"],
+        # a dataset directory from outside the program that cannot be read as a dataset
+        ["fit", "--method", "spa", "--data", "{no_kernel}"],
+        ["fit", "--method", "spa", "--data", "{not_json}"],
+        ["fit", "--method", "spa", "--data", "{unknown_kernel}"],
     ])
-    def test_rejected_before_any_output(self, dataset_dir, table_path_k3, multinomial_dir, narrow_gaussian_dir,
-                                        tmp_path, argv, capsys):
+    def test_rejected_before_any_output(self, dataset_dir, multinomial_dir, narrow_gaussian_dir,
+                                        foreign_dataset_dirs, tmp_path, argv, capsys):
         data_dir, model = dataset_dir
         vertices = save_baseline(BaselineFit(model.vertices, "theirs", {}), tmp_path / "theirs") / "vertices.csv"
-        argv = [a.format(vertices=vertices, table=table_path_k3, multinomial=multinomial_dir,
-                         narrow=narrow_gaussian_dir) for a in argv]
+        argv = [a.format(vertices=vertices, multinomial=multinomial_dir, narrow=narrow_gaussian_dir,
+                         **foreign_dataset_dirs) for a in argv]
         if argv[0] == "fit" and "--data" not in argv:
             argv += ["--data", str(data_dir)]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
@@ -790,6 +717,47 @@ class TestCli:
         assert "unrecognized arguments: --raw-counts" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["gamma-table", "--K", "3"],
+        ["fit", "--method", "vlad", "--alpha", "2", "--gamma-table", "{table}"],
+        [*_EXPERIMENT, "--gamma-table", "{table}"],
+    ])
+    def test_saved_gamma_table_route_is_gone(self, dataset_dir, tmp_path, argv, capsys):
+        path = tmp_path / "t.json"
+        alphas = np.geomspace(0.5, 5.0, 6)
+        path.write_text(json.dumps(GammaTable(K=3, alphas=alphas, gammas=quadrature_gamma(3, alphas),
+                                              m=0, seed=0).to_dict()))
+        argv = [a.format(table=path) for a in argv]
+        if argv[0] == "fit":
+            argv += ["--data", str(dataset_dir[0])]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and ("invalid choice: 'gamma-table'" in err or "unrecognized arguments: --gamma-table" in err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("defect", ["no_kernel", "not_json", "unknown_kernel", "heldout_D"])
+    def test_foreign_dataset_is_a_config_error(self, dataset_dir, foreign_dataset_dirs, tmp_path, defect,
+                                               capsys):
+        # fit on the same directories is a row of test_rejected_before_any_output
+        data_dir, model = dataset_dir
+        fit_dir = save_baseline(BaselineFit(model.vertices, "theirs", {}), tmp_path / "theirs")
+        if defect == "heldout_D":
+            kern = Kernel.noiseless()
+            other = generate(SimplexNest(sample_vertices(12, 3, kern, np.random.default_rng(2)), 2.0, kern),
+                             50, np.random.default_rng(3))
+            heldout_dir = save_dataset(other, tmp_path / "heldout")
+            argv = ["--data", str(data_dir), "--heldout", str(heldout_dir), "--metrics", "heldout"]
+            named = [str(heldout_dir), "(50, 12)", "(10, 3)"]
+        else:
+            argv = ["--data", str(foreign_dataset_dirs[defect])]
+            named = [str(foreign_dataset_dirs[defect])]
+        assert main(["eval", "--fit", str(fit_dir), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and all(name in err for name in named)
+        assert not (fit_dir / "eval.json").exists()
+
     @pytest.mark.parametrize("metric", ["heldout", "likelihood"])
     def test_heldout_metric_without_heldout_data_exit_code(self, dataset_dir, tmp_path, metric, capsys):
         data_dir, _ = dataset_dir
@@ -804,14 +772,11 @@ class TestCli:
 
     @pytest.mark.parametrize("command,required,optional", [
         ("cmd_fit", ["fit", "--data", "d", "--method", "spa", "--out", "o"],
-         ["--K", "3", "--gamma", "2", "--gamma-table", "t", "--alpha", "1", "--alpha-search", "0.1", "5",
+         ["--K", "3", "--gamma", "2", "--alpha", "1", "--alpha-search", "0.1", "5",
           "--restarts", "2", "--seed", "1"]),
         ("cmd_eval", ["eval", "--fit", "f", "--data", "d"],
          ["--heldout", "h", "--metrics", "mm", "--results-csv", "r"]),
         ("cmd_alpha_curve", ["alpha-curve"], ["--K", "4", "--grid", "0.1", "5", "3", "--out", "c"]),
-        ("cmd_gamma_table", ["gamma-table", "--K", "3"],
-         ["--grid", "0.1", "5", "3", "--m", "100", "--seed", "1", "--restarts", "2", "--workers", "1",
-          "--out", "t"]),
     ])
     def test_subcommand_passes_only_the_flags_given(self, monkeypatch, command, required, optional):
         keywords = inspect.signature(getattr(harness, command)).parameters
