@@ -11,15 +11,16 @@ phi* = <A,T> / <A,A>; alpha solves phi(alpha) = phi*. gamma is any function
 gamma(K, alpha): the exact ``quadrature_gamma`` on every program path, or an
 in-memory Monte-Carlo ``GammaTable`` that the tests and the benchmark pass.
 
-``vlad.fit_auto`` forms no D x D matrix. R lies in the span of the fit's
+``vlad.fit_auto`` forms no D x D covariance. R lies in the span of the fit's
 right singular vectors W, and Xbar W = U S, so from the fit's own factors
 (n rows, singular values s_j) and its center m:
 
 - <A, Sigma_hat> = ||S W^T R||_F^2 / n;
 - gaussian: <A, I> = ||R||_F^2, times the fit's own sigma2_hat =
   (||Xbar||_F^2 - sum_j s_j^2) / (n (D - K + 1)), the mean of the trailing
-  eigenvalues written as a trace identity (one O(nD) pass, which
-  ``vlad.fit`` makes on the centred copy it factors);
+  eigenvalues written as a trace identity (``vlad.fit`` reads ||Xbar||_F^2
+  from the trace of the Gram it formed, or, when it formed none, sums it
+  over centred blocks of rows in one O(nD) pass);
 - poisson: <A, Diag(m)> = sum_d m_d ||R_d||^2;
 - multinomial: the Poisson term and <A, m m^T> = ||R^T m||^2, both over N,
   and the whole over 1 - 1/N.

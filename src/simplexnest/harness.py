@@ -605,7 +605,8 @@ def cmd_eval(
 
     The vertices and datasets come from outside the program: a non-finite
     vertex entry, a vertices shape other than (D, K) of the dataset (K of its
-    truth), a held-out dataset of another D and a dataset directory that
+    truth), a held-out dataset of another D or another kernel (a multinomial
+    one may have another trial count) and a dataset directory that
     ``_read_dataset`` rejects are a ConfigError. With ``results_csv``,
     append one row to it; a file whose header is not the eval columns is a
     ConfigError and is left untouched.
@@ -630,6 +631,10 @@ def cmd_eval(
     if heldout is not None and heldout.dim != data.dim:
         raise ConfigError(f"held-out observations in {heldout_dir} have shape {heldout.observations.shape}, "
                           f"but the vertices have shape {vertices.shape}")
+    # another trial count is fine: both sides are scored as word distributions
+    if heldout is not None and heldout.kernel.name != data.kernel.name:
+        raise ConfigError(f"the held-out dataset in {heldout_dir} has kernel {heldout.kernel.name}, "
+                          f"but the dataset in {data_dir} has kernel {data.kernel.name}")
     out = evaluate_fit(vertices, dataset=data, heldout=heldout,
                        metrics=tuple(metrics)).to_dict()
     write_json(Path(fit_dir) / "eval.json", out)

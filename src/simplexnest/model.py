@@ -218,12 +218,12 @@ class Dataset:
         fit and nothing more. Other kernels' observations are returned as
         they are.
 
-        For multinomial data this is an (n, D) copy. ``vlad.fit`` and
-        ``vlad.fit_auto`` make it only on the Gram branch of
-        ``truncated_svd``, which centres it in place, and
-        ``vlad.recover_weights`` never does. ``baselines.gdm`` and
-        ``baselines.spa``, ``alpha_est.corrected_covariance`` and the
-        ``metrics`` scores still copy.
+        For multinomial data this is an (n, D) copy. ``vlad.fit``,
+        ``vlad.fit_auto`` and ``vlad.recover_weights`` never make it: they
+        divide by ``divisor`` inside their products and blocks.
+        ``baselines.gdm`` and ``baselines.spa``,
+        ``alpha_est.corrected_covariance`` and the ``metrics`` scores still
+        copy.
         """
         X = self.observations
         if self.kernel.name == "multinomial":

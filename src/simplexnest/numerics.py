@@ -22,40 +22,43 @@ result of every restart equals that of running it alone wherever the
 BLAS rounds the batched product as it rounds a one-restart product.
 
 The truncated SVD computes only the top r singular triplets and runs on
-numpy's BLAS and LAPACK alone. It picks its branch from the short side
-m = min(n, D) of the matrix. Up to ``GRAM_MAX_SIDE`` it takes the top r
-eigenvectors of the (m, m) short-side Gram from ``np.linalg.eigh``; above
-it, it runs Lanczos on that Gram through one-column products, without
-forming it, and accepts the top r pairs by ARPACK's own convergence test.
-Both branches finish with the SVD of the data times the eigenvectors.
-Nothing runs on the OpenBLAS bundled with scipy's wheel, a second thread
-pool whose threads kept spinning on the cores the K-means that follows
-needs. Neither branch draws from the caller's generator: the Gram branch
-draws nothing, and Lanczos draws its start vector, and any fresh direction,
-from a generator of its own seeded with ``LANCZOS_SEED``, so both are
-deterministic. The Gram branch also takes r equal to the short side and the
-all-zero matrix, whatever m.
+numpy's BLAS and LAPACK alone. Lanczos finds the top r eigenvectors of the
+(m, m) short-side Gram, m = min(n, D), and accepts them by ARPACK's own
+convergence test; the SVD of the data times them gives the factors. The
+short side decides only whether the Gram is formed: up to
+``GRAM_MAX_SIDE`` Lanczos multiplies by the formed Gram, above it by the
+data twice, one column at a time. Nothing runs on the OpenBLAS bundled
+with scipy's wheel, a second thread pool whose threads kept spinning on
+the cores the K-means that follows needs. Lanczos draws its start vector,
+and any fresh direction, from a generator of its own seeded with
+``LANCZOS_SEED``, never from the caller's, so the factors are
+deterministic.
 
-Lanczos touches the data only through products, so it also runs on
-``_CentredOperator``, which stands for Xbar = X / N - 1 c^T of raw
-observations X, a divisor N (the multinomial trial count, else 1) and
-their column mean c, and never forms it: Xbar q = (X q) / N - (c . q) 1
-and Xbar^T u = (X^T u) / N - c (1 . u). A fit on wide data thus holds no
-(n, D) float copy of its observations. The Gram branch keeps an
-explicitly centred copy: Xbar^T Xbar formed as X^T X / N^2 - n c c^T
-would lose to cancellation twice the digits by which the mean outweighs
-the spread (Chan, Golub & LeVeque 1983), where the one subtraction of a
-Lanczos product loses them once.
+The data reach the SVD as ``_CentredOperator``, which stands for
+Xbar = X / N - 1 c^T of raw observations X, a divisor N (the multinomial
+trial count, else 1) and their column mean c, and never forms it. Lanczos
+on the data runs on its products Xbar q = (X q) / N - (c . q) 1 and
+Xbar^T u = (X^T u) / N - c (1 . u). The formed Gram is summed over
+blocks of rows of the tall one of Xbar and Xbar^T, each centred as
+X_b / N - c into one buffer of about ``ROW_BLOCK_BYTES``, and the finish
+takes the data times the eigenvectors from the same blocks. So
+a fit holds no (n, D) float copy of its observations on either branch.
+Centring each block by the exact mean keeps the precision of a centred
+copy: Xbar^T Xbar formed as X^T X / N^2 - n c c^T would lose to
+cancellation twice the digits by which the mean outweighs the spread
+(Chan, Golub & LeVeque 1983), where the one subtraction of a Lanczos
+product loses them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
 LLOYD_MAX_ITER = 300
-GRAM_MAX_SIDE = 750  # largest short side factored from its Gram; see truncated_svd
+GRAM_MAX_SIDE = 750  # largest short side whose Gram is formed; see truncated_svd
 LANCZOS_SEED = 0  # seeds the start vector and every fresh direction of Lanczos
 LANCZOS_BASIS = 48  # Lanczos basis vectors held, at least; see truncated_svd
 LANCZOS_PROBE = 4  # products run from a fresh direction before the top r are accepted
@@ -110,16 +113,20 @@ def row_blocks(n: int, row_nbytes: int) -> list[slice]:
 
 
 class _CentredOperator:
-    """Xbar = X / N - 1 c^T of observations X, divisor N and mean c, as products.
+    """Xbar = X / N - 1 c^T of observations X, divisor N and mean c, without forming it.
 
     ``A @ Q`` gives (X Q) / N - 1 (c^T Q) and ``A.T @ U`` gives
-    (X^T U) / N - c (1^T U), the products Lanczos needs, without forming
-    Xbar; ``.T`` swaps the two. See the module docstring for its precision.
+    (X^T U) / N - c (1^T U), the products Lanczos needs; ``.T`` swaps the
+    two. ``blocks`` yields the rows of the operator (the columns of Xbar
+    when transposed) one block at a time, each centred as X_b / N - c, and
+    ``gram`` and ``blocked_product`` are built from them. See the module
+    docstring for their precision.
     """
 
     def __init__(self, X: np.ndarray, mean: np.ndarray, divisor: float = 1.0,
                  transposed: bool = False):
         self.X, self.mean, self.divisor, self.transposed = X, mean, float(divisor), transposed
+        self.gram_trace: float | None = None  # ||Xbar||_F^2, once truncated_svd formed the Gram
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -139,30 +146,54 @@ class _CentredOperator:
         Xbar = self.X / self.divisor - self.mean
         return np.asarray(Xbar.T if self.transposed else Xbar, dtype=dtype)
 
+    def blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """(rows, block) pairs covering the operator's rows, each block centred by
+        the exact mean, X_b / N - c, and about ``ROW_BLOCK_BYTES`` (``row_blocks``).
+        Every block is written into one buffer, so it is valid until the next."""
+        X = self.X.T if self.transposed else self.X  # rows of Xbar^T are columns of X
+        spans = row_blocks(X.shape[0], X.shape[1] * X.itemsize)
+        buffer = np.empty((spans[0].stop, X.shape[1]))
+        for rows in spans:
+            block = np.divide(X[rows], self.divisor, out=buffer[: rows.stop - rows.start])
+            block -= self.mean[rows, None] if self.transposed else self.mean
+            yield rows, block
+
+    def gram(self) -> np.ndarray:
+        """A^T A of the operator A, summed over its centred row blocks."""
+        m = self.shape[1]
+        G, part = np.zeros((m, m)), np.empty((m, m))
+        for _, block in self.blocks():
+            G += np.matmul(block.T, block, out=part)
+        return G
+
+    def blocked_product(self, Q: np.ndarray) -> np.ndarray:
+        """A Q, one centred row block of the operator A at a time."""
+        AQ = np.empty((self.shape[0], Q.shape[1]))
+        for rows, block in self.blocks():
+            AQ[rows] = block @ Q
+        return AQ
+
     def squared_norm(self) -> float:
-        """||Xbar||_F^2, centring one block of rows at a time (``row_blocks``)."""
-        total = 0.0
-        n, D = self.X.shape
-        for rows in row_blocks(n, D * self.X.itemsize):
-            block = self.X[rows] / self.divisor
-            block -= self.mean
-            total += float(np.vdot(block, block))
-        return total
+        """||Xbar||_F^2: the trace of the Gram if ``truncated_svd`` formed it, else
+        summed over the centred blocks."""
+        if self.gram_trace is not None:
+            return self.gram_trace
+        return sum(float(np.vdot(block, block)) for _, block in self.blocks())
 
     def finite(self) -> bool:
         return bool(np.isfinite(self.X).all() and np.isfinite(self.mean).all())
 
 
-def _not_finite(A) -> ValueError:
+def _not_finite(A: _CentredOperator) -> ValueError:
     """The error for a Gram or a product of ``A`` that is not finite: it names
     a NaN or an infinity in ``A``, else the overflow of a finite ``A``."""
-    if A.finite() if isinstance(A, _CentredOperator) else np.isfinite(A).all():
+    if A.finite():
         return ValueError("Xbar is finite, but its Gram overflows float64; scale it down")
     return ValueError("Xbar must be finite")
 
 
 class LanczosNoConvergence(RuntimeError):
-    """The Lanczos branch of ``truncated_svd`` took ``LANCZOS_MAX_PRODUCTS`` products unconverged."""
+    """``truncated_svd`` took ``LANCZOS_MAX_PRODUCTS`` Gram products unconverged."""
 
 
 def _unit_orthogonal(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -172,17 +203,17 @@ def _unit_orthogonal(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def _lanczos_svd(Xbar: np.ndarray | _CentredOperator, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top r factors by Lanczos on the short-side Gram: (U, s, W), s descending.
+def _lanczos(gram: Callable[[np.ndarray], np.ndarray], m: int, r: int) -> np.ndarray:
+    """Top r eigenvectors, (m, r) orthonormal, of an (m, m) Gram G given as
+    its product ``gram``, which maps an (m, 1) column v to G v.
 
-    With A the tall one of Xbar and Xbar^T and G = A^T A, the rows of V
-    are an orthonormal basis and M[i, j] = v_i . G v_j. Vectors take their
-    product in the order they joined the basis: the first d are done and
-    the others pending. The product of v_j fills column j of M against
-    every vector then held, and its remainder after two Gram-Schmidt passes
-    joins the basis, so G v_j lies in the span of the basis. With H the
-    done block of M and B the pending rows of the done columns, both read
-    from the lower triangle,
+    The rows of V are an orthonormal basis and M[i, j] = v_i . G v_j.
+    Vectors take their product in the order they joined the basis: the
+    first d are done and the others pending. The product of v_j fills
+    column j of M against every vector then held, and its remainder after
+    two Gram-Schmidt passes joins the basis, so G v_j lies in the span of
+    the basis. With H the done block of M and B the pending rows of the
+    done columns, both read from the lower triangle,
 
         G V_d^T = V_d^T H + V_p^T B,
 
@@ -191,10 +222,8 @@ def _lanczos_svd(Xbar: np.ndarray | _CentredOperator, r: int) -> tuple[np.ndarra
     ARPACK's Ritz estimate |beta s_d|. A fresh direction joins with zero
     coupling, as the identity requires: after a breakdown, the remainder
     it replaces is dropped; in a probe, it is orthogonal to every G v_j.
+    A product that is not finite raises ``FloatingPointError``.
     """
-    tall = Xbar.shape[0] >= Xbar.shape[1]
-    A = Xbar if tall else Xbar.T
-    m = A.shape[1]
     eps = np.finfo(float).eps / 2  # LAPACK's dlamch('E'), ARPACK's tol = 0
     floor = eps ** (2.0 / 3.0)
     ncv = min(m, max(LANCZOS_BASIS, 3 * r))
@@ -209,10 +238,10 @@ def _lanczos_svd(Xbar: np.ndarray | _CentredOperator, r: int) -> tuple[np.ndarra
     for products in range(1, LANCZOS_MAX_PRODUCTS + 1):
         if k == ncv < m:
             d, k = _thick_restart(V, M, d, k, r)
-        w = (A.T @ (A @ V[d][:, None]))[:, 0]
+        w = gram(V[d][:, None])[:, 0]
         norm = float(np.linalg.norm(w))
         if not np.isfinite(norm):
-            raise _not_finite(A)
+            raise FloatingPointError("a Gram product is not finite")
         scale = max(scale, norm)
         h = V[:k] @ w
         w -= h @ V[:k]
@@ -251,17 +280,14 @@ def _lanczos_svd(Xbar: np.ndarray | _CentredOperator, r: int) -> tuple[np.ndarra
             f"top {r} singular values unconverged after {LANCZOS_MAX_PRODUCTS} Gram products")
     Q = S.T @ V[:d]
     Q, _ = np.linalg.qr(Q.T)
-    P, s, Ph = np.linalg.svd(A @ Q, full_matrices=False)
-    if tall:
-        return P, s, Q @ Ph.T
-    return Q @ Ph.T, s, P
+    return Q
 
 
 def _thick_restart(V: np.ndarray, M: np.ndarray, d: int, k: int, r: int) -> tuple[int, int]:
     """Replace the d done vectors by their (d + r) // 2 leading Ritz vectors.
 
     The pending vectors move up behind them with their couplings B S, so
-    the identity of ``_lanczos_svd`` still holds; returns the new (d, k).
+    the identity of ``_lanczos`` still holds; returns the new (d, k).
     """
     p = k - d
     keep = (d + r) // 2
@@ -277,46 +303,22 @@ def _thick_restart(V: np.ndarray, M: np.ndarray, d: int, k: int, r: int) -> tupl
     return keep, keep + p
 
 
-def _gram_svd(Xbar: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top r factors from the short-side Gram on numpy's BLAS: (U, s, W), s descending.
-
-    With A the tall one of Xbar and Xbar^T, the top r eigenvectors Q of
-    the (m, m) Gram A^T A span the leading right-singular space of A; the
-    SVD of A Q (Rayleigh-Ritz, as in the ARPACK branch) gives the factors.
-    A NaN or an infinity in Xbar makes its diagonal entry of the Gram
-    non-finite, so the (m, m) Gram is checked rather than Xbar, and Xbar
-    only when the Gram is not finite, to tell that from an overflow.
-    """
-    tall = Xbar.shape[0] >= Xbar.shape[1]
-    A = Xbar if tall else Xbar.T
-    G = A.T @ A
-    if not np.isfinite(G).all():
-        raise _not_finite(A)
-    _, V = np.linalg.eigh(G)  # eigenvalues ascending
-    Q = V[:, : -r - 1 : -1]
-    P, s, Ph = np.linalg.svd(A @ Q, full_matrices=False)
-    if tall:
-        return P, s, Q @ Ph.T
-    return Q @ Ph.T, s, P
-
-
-def factors_by_gram(n: int, D: int, r: int) -> bool:
-    """Whether ``truncated_svd`` factors an (n, D) array at rank r from its Gram."""
-    m = min(n, D)
-    return m <= GRAM_MAX_SIDE or r == m
-
-
 def truncated_svd(Xbar: np.ndarray | _CentredOperator, r: int) -> SvdFactors:
     """Best rank-r factors of Xbar in Frobenius norm.
 
-    The branch follows the short side m = min(n, D). With A the tall one of
-    Xbar and Xbar^T, both branches find the top r eigenvectors of the (m, m)
-    Gram A^T A and finish with the SVD of A times them. For m <=
-    ``GRAM_MAX_SIDE`` the Gram is formed and ``np.linalg.eigh`` gives them;
-    no draw is made. Above it Lanczos (``_lanczos_svd``) gives them, with
-    no Gram formed, and a QR makes its Ritz vectors orthonormal first:
+    Xbar is an array or a ``_CentredOperator``, the centred observations
+    given as products and blocks (see the module docstring); an array is
+    the operator of itself, with mean 0 and divisor 1. With A the tall one
+    of Xbar and Xbar^T and m = min(n, D) its short side, Lanczos
+    (``_lanczos``) finds the top r eigenvectors Q of the (m, m) Gram
+    A^T A, and the SVD of A Q gives the factors. The branch decides only
+    whether the Gram is formed. For m <= ``GRAM_MAX_SIDE`` it is summed
+    from A's centred row blocks, Lanczos multiplies by it, A Q is taken
+    block by block, and its trace is kept as the operator's
+    ``squared_norm``. Above it Lanczos multiplies by A^T (A q) and A Q is
+    one product. Either way:
 
-    - each step is one product A^T (A q) on a single column, orthogonalized
+    - each step is one product on a single column, orthogonalized
       against the whole basis by two passes of classical Gram-Schmidt;
     - the start vector is ``default_rng(LANCZOS_SEED).standard_normal(m)``.
       It is random because the all-ones vector is orthogonal to the rows
@@ -326,8 +328,9 @@ def truncated_svd(Xbar: np.ndarray | _CentredOperator, r: int) -> SvdFactors:
       (``dsconv``): each Ritz estimate is at most eps max(eps^(2/3),
       |theta|), with eps = 2^-53, LAPACK's ``dlamch('E')``;
     - a residual at rounding level means the basis holds an invariant
-      subspace, as when r exceeds the rank; a fresh direction from the
-      same stream, orthogonalized against the basis, takes its place;
+      subspace, as when r exceeds the rank, r = m or Xbar = 0; a fresh
+      direction from the same stream, orthogonalized against the basis,
+      takes its place;
     - one vector's Krylov space holds a single direction of a repeated
       eigenvalue. So once the top r pass the test, a fresh direction joins
       the basis, and they are accepted only when ``LANCZOS_PROBE`` more
@@ -336,55 +339,62 @@ def truncated_svd(Xbar: np.ndarray | _CentredOperator, r: int) -> SvdFactors:
       ``LANCZOS_BASIS``, 3 r) vectors, or m, by keeping the leading Ritz
       vectors; ``LanczosNoConvergence`` is raised after
       ``LANCZOS_MAX_PRODUCTS`` products without acceptance, and
-      ``ValueError`` on a product that is not finite, as the Gram branch
-      raises on a Gram that is not. The message tells a NaN or an
-      infinity in Xbar from the overflow of a finite Xbar.
+      ``ValueError`` on a Gram or a product that is not finite. The
+      message tells a NaN or an infinity in Xbar from the overflow of a
+      finite Xbar.
 
-    Xbar may also be a ``_CentredOperator``, the centred observations
-    given as products (see the module docstring). It is always factored
-    by Lanczos, which needs nothing else, so its caller builds one only
-    where ``factors_by_gram`` is false; on the Gram branch, forming
-    A^T A from the raw observations would cancel, and the caller centres
-    a copy instead.
+    Forming the Gram costs O(n m^2) against O(n m) for each product with
+    the data, about 30 products on the paper's data, so not forming it wins
+    once m is large.
+    Measured on 2 cores (numpy 2.4.6, OpenBLAS 0.3.31), normalized-multinomial
+    data given as the operator of the raw counts, n = 10^4, r = 9, then
+    K-means (K = 10, 8 restarts) on the left factors; ms, the median over 3
+    processes of each one's median of 7 calls, each branch in its own
+    process:
 
-    The Gram costs O(n m^2) against Lanczos's O(n m) per product, about 30
-    products on the paper's data, so Lanczos wins once m is large. Measured
-    on 2 cores (numpy 2.4.6, OpenBLAS 0.3.31), normalized-multinomial data,
-    n = 10^4, r = 9, then K-means (K = 10, 8 restarts) on the left factors;
-    ms, the median over 3 processes of each one's median of 7 calls, each
-    branch in its own process:
+    =====  ===========================  ========================
+    m      Gram formed: SVD / +K-means  Products: SVD / +K-means
+    =====  ===========================  ========================
+    300      36 / 87                        47 / 99
+    500      78 / 150                       73 / 152
+    625     100 / 163                       90 / 170
+    750     165 / 214                      101 / 159
+    875     219 / 281                      120 / 185
+    1000    265 / 339                      139 / 210
+    =====  ===========================  ========================
 
-    =====  ======================  =======================
-    m      Gram: SVD / +K-means    Lanczos: SVD / +K-means
-    =====  ======================  =======================
-    300      35 / 115                48 / 123
-    500      75 / 139                74 / 137
-    625      90 / 152                87 / 166
-    750     159 / 229                99 / 162
-    875     184 / 243               113 / 172
-    1000    252 / 323               144 / 212
-    1500    628 / 684               252 / 326
-    2000   1202 / 1278              393 / 464
-    =====  ======================  =======================
-
-    Against ARPACK the crossover sat between 750 and 875; against Lanczos
-    it sits between 500 and 750, below ``GRAM_MAX_SIDE``.
+    Forming the Gram wins at m = 300, the two sit within the spread of
+    these runs at 500 and 625, and from 750 on not forming it wins. The
+    crossover lies between 625 and 750, so ``GRAM_MAX_SIDE`` still sits
+    above it; no workload of the benchmark has a short side in between.
 
     Singular values are descending. Deterministic up to sign; the sign of
     each right-singular vector is fixed so that its largest-magnitude
     entry is positive.
     """
-    operator = isinstance(Xbar, _CentredOperator)
-    if not operator:
+    if not isinstance(Xbar, _CentredOperator):
         Xbar = np.asarray(Xbar, dtype=float)
+        Xbar = _CentredOperator(Xbar, np.zeros(Xbar.shape[-1]))
     n, D = Xbar.shape
     m = min(n, D)
     if not (1 <= r <= m):
         raise ValueError(f"r must be in [1, {m}], got {r}")
-    if not operator and (factors_by_gram(n, D, r) or not Xbar.any()):
-        U, s, W = _gram_svd(Xbar, r)
-    else:
-        U, s, W = _lanczos_svd(Xbar, r)
+    tall = n >= D
+    A = Xbar if tall else Xbar.T
+    gram = m <= GRAM_MAX_SIDE
+    if gram:
+        G = A.gram()
+        if not np.isfinite(G).all():
+            raise _not_finite(A)
+        Xbar.gram_trace = float(np.trace(G))
+    try:
+        Q = _lanczos((lambda v: G @ v) if gram else (lambda v: A.T @ (A @ v)), m, r)
+    except FloatingPointError:
+        raise _not_finite(A) from None
+    # A Q from the blocks G was summed from, or from the products Lanczos ran
+    AQ = A.blocked_product(Q) if gram else A @ Q
+    P, s, Ph = np.linalg.svd(AQ, full_matrices=False)
+    U, W = (P, Q @ Ph.T) if tall else (Q @ Ph.T, P)
     for j in range(r):
         i = int(np.argmax(np.abs(W[:, j])))
         if W[i, j] < 0:

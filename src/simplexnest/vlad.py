@@ -23,7 +23,7 @@ from . import alpha_est
 from ._matrix_io import read_matrix_csv, write_json, write_matrix_csv
 from .extension import quadrature_gamma
 from .model import Dataset, affine_rank_deficient
-from .numerics import SvdFactors, _CentredOperator, factors_by_gram, kmeans, truncated_svd
+from .numerics import SvdFactors, _CentredOperator, kmeans, truncated_svd
 
 PROJECTION_TOL = 1e-10
 PROJECTION_MAX_ITER = 10_000
@@ -95,27 +95,20 @@ def _fit(data: Dataset, K: int, gamma: float, restarts: int, rng: np.random.Gene
         raise ValueError("K must be >= 2")
     if data.n <= K:
         raise ValueError(f"need n > K observations, got n = {data.n}")
-    n, D = data.observations.shape
-    gram = factors_by_gram(n, D, K - 1)
-    # the Gram branch centres a copy; Lanczos reads the observations through products
-    X = data.fitting_matrix() if gram else data.observations
+    X = data.observations
+    n, D = X.shape
     # a NaN or +-inf makes its column mean non-finite, so only then is X scanned
     with np.errstate(invalid="ignore"):  # inf and -inf in a column sum to NaN; reported below
         c0 = X.mean(axis=0)
     if not np.isfinite(c0).all() and not np.isfinite(X).all():
         raise ValueError("observations must be finite")
-    if gram:
-        # centre in place a copy made for this fit (normalized counts), never the observations
-        Xbar = X - c0 if np.may_share_memory(X, data.observations) else np.subtract(X, c0, out=X)
-    else:
-        c0 /= data.divisor
-        Xbar = _CentredOperator(X, c0, data.divisor)
+    c0 /= data.divisor
+    Xbar = _CentredOperator(X, c0, data.divisor)  # no centred copy on either branch
     factors = truncated_svd(Xbar, K - 1)
     sigma2 = None  # the mean of the trailing eigenvalues of Xbar^T Xbar / n, as a trace identity
     if data.kernel.name == "gaussian" and D > K - 1:
         s = factors.singular
-        squared = float(np.vdot(Xbar, Xbar)) if gram else Xbar.squared_norm()
-        sigma2 = (squared - float(s @ s)) / (n * (D - K + 1))
+        sigma2 = (Xbar.squared_norm() - float(s @ s)) / (n * (D - K + 1))
     km = kmeans(factors.left, K, restarts=restarts, rng=rng)
     scaled = factors.right * factors.singular          # (D, K-1) columns W_j * s_j
     centroids = c0[:, None] + scaled @ km.centroids.T  # (D, K)
@@ -165,10 +158,13 @@ def fit(
     rng : numpy.random.Generator
         Source for the K-means restarts.
 
-    Gaussian fits carry sigma2_hat = (||Xbar||_F^2 - sum_j s_j^2) /
-    (n (D - K + 1)) from the centred data they factor: the centred copy
-    of the Gram branch, or, above ``numerics.GRAM_MAX_SIDE``, the
-    observations centred one block of rows at a time. Vertex columns are
+    The observations are never copied: ``truncated_svd`` reads them
+    through ``numerics._CentredOperator``, which divides by the trial count
+    and subtracts the column mean inside its products and blocks. Gaussian
+    fits carry sigma2_hat = (||Xbar||_F^2 - sum_j s_j^2) / (n (D - K + 1)),
+    with ||Xbar||_F^2 the trace of the short-side Gram, or, above
+    ``numerics.GRAM_MAX_SIDE``, where none is formed, summed over centred
+    blocks of rows. Vertex columns are
     ordered lexicographically by coordinates so that repeated runs
     serialize identically. The count-scale vertices of a multinomial fit
     are N * extend_rays(center, cvt_centroids, gamma).
@@ -191,7 +187,7 @@ def fit_auto(
     noise-corrected covariance, then re-extends the same centroids with
     gamma(K, alpha_hat), as :func:`fit` would; clustering is never
     repeated. The moments come from the fit's own rank-(K-1) factors and
-    sigma2_hat, so no D x D matrix or second copy of the data is formed.
+    sigma2_hat, so no D x D covariance or second copy of the data is formed.
     ``gamma`` is the exact quadrature unless another function gamma(K, alpha)
     is passed, such as the Monte-Carlo ``GammaTable`` the tests and the
     benchmark's paper workloads use, which raises if it was built for another

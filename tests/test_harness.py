@@ -332,6 +332,25 @@ class TestCmdEval:
         assert rep["nll"] is not None
 
 
+    @pytest.mark.parametrize("kernel, scored", [
+        (Kernel.gaussian(1.0), False),     # real-valued rows are not counts of a word distribution
+        (Kernel.poisson(), False),
+        (Kernel.multinomial(80), True),    # another trial count: both sides are word distributions
+    ], ids=["gaussian", "poisson", "multinomial-other-trials"])
+    def test_heldout_of_another_kernel_rejected(self, multinomial_dir, tmp_path, capsys, kernel, scored):
+        fit_dir = cmd_fit(multinomial_dir, "spa", tmp_path / "fit")
+        rng = np.random.default_rng(2)
+        heldout = generate(SimplexNest(sample_vertices(10, 3, kernel, rng), 2.0, kernel), 60, rng)
+        heldout_dir = save_dataset(heldout, tmp_path / "heldout")
+        code = main(["eval", "--fit", str(fit_dir), "--data", str(multinomial_dir),
+                     "--heldout", str(heldout_dir), "--metrics", "heldout", "likelihood"])
+        assert code == (0 if scored else 2)
+        assert (fit_dir / "eval.json").exists() == scored
+        if not scored:
+            err = capsys.readouterr().err
+            assert "config error" in err and f"kernel {kernel.name}" in err
+
+
 class TestRunExperiment:
     def test_layout_and_results(self, tmp_path):
         cfg = _tiny_config(tmp_path / "runs", methods=["vlad", "spa"], n=[150, 300])

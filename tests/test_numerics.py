@@ -290,11 +290,13 @@ def lanczos_branch(monkeypatch):
 
 
 @pytest.fixture
-def no_lanczos(monkeypatch):
+def gram_formed(monkeypatch):
+    """Refuse the one-column products of the operator, which Lanczos runs on
+    only when the Gram was not formed."""
     def refuse(*args, **kwargs):
-        raise AssertionError("the Lanczos branch ran")
+        raise AssertionError("Lanczos ran without forming the Gram")
 
-    monkeypatch.setattr(numerics, "_lanczos_svd", refuse)
+    monkeypatch.setattr(numerics._CentredOperator, "__matmul__", refuse)
 
 
 def _assert_matches_oracle(fac: SvdFactors, ref: SvdFactors, r: int, rank: int) -> None:
@@ -529,7 +531,7 @@ class TestCentredOperator:
         assert lanczos.kmeans_cost == pytest.approx(ref.kmeans_cost, rel=1e-12, abs=0)
 
 
-@pytest.mark.usefixtures("no_lanczos")
+@pytest.mark.usefixtures("gram_formed")
 class TestGramAgainstOracles:
     """The short-side Gram branch against LAPACK's full SVD and ``svds``."""
 
@@ -575,31 +577,180 @@ class TestGramAgainstOracles:
         np.testing.assert_allclose(gram.vertices, arpack.vertices, rtol=0, atol=1e-12)
 
 
+def _gram_svd(Xbar: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top r factors from the short-side Gram on numpy's BLAS: (U, s, W), s descending.
+
+    With A the tall one of Xbar and Xbar^T, the top r eigenvectors Q of
+    the (m, m) Gram A^T A span the leading right-singular space of A; the
+    SVD of A Q (Rayleigh-Ritz, as in the ARPACK branch) gives the factors.
+    A NaN or an infinity in Xbar makes its diagonal entry of the Gram
+    non-finite, so the (m, m) Gram is checked rather than Xbar, and Xbar
+    only when the Gram is not finite, to tell that from an overflow.
+    """
+    tall = Xbar.shape[0] >= Xbar.shape[1]
+    A = Xbar if tall else Xbar.T
+    G = A.T @ A
+    if not np.isfinite(G).all():
+        raise ValueError("Xbar must be finite")
+    _, V = np.linalg.eigh(G)  # eigenvalues ascending
+    Q = V[:, : -r - 1 : -1]
+    P, s, Ph = np.linalg.svd(A @ Q, full_matrices=False)
+    if tall:
+        return P, s, Q @ Ph.T
+    return Q @ Ph.T, s, P
+
+
+def _centred_copy_svd(data: Dataset, r: int) -> SvdFactors:
+    """Reference: the Gram branch as it ran on a centred copy of the fitting
+    matrix with ``np.linalg.eigh``, before the Gram was summed from centred
+    blocks and its eigenvectors taken by Lanczos. ``_gram_svd`` is that
+    branch verbatim (its non-finite error message shortened)."""
+    X = data.fitting_matrix()
+    c0 = X.mean(axis=0)
+    Xbar = X - c0 if np.may_share_memory(X, data.observations) else np.subtract(X, c0, out=X)
+    return _with_sign_rule(*_gram_svd(Xbar, r))
+
+
+def _gram_case(case: str) -> tuple[Dataset, int]:
+    """(dataset, rank r) of one centred-copy oracle case; the short side is at most 400."""
+    if case == "gaussian-offset":
+        X, _, r = _operator_case(case)
+        return Dataset(X, Kernel.gaussian(1.0)), r
+    name, shape = case.split("-")
+    kern = {"gaussian": Kernel.gaussian(1.0), "poisson": Kernel.poisson(),
+            "multinomial": Kernel.multinomial(200)}[name]
+    n, D = (1500, 120) if shape == "tall" else (100, 400)
+    rng = np.random.default_rng(63)
+    return generate(SimplexNest(sample_vertices(D, 5, kern, rng), 0.5, kern), n, rng).without_truth(), 4
+
+
+_GRAM_CASES = pytest.mark.parametrize("case", [
+    "gaussian-tall", "gaussian-wide", "poisson-tall", "poisson-wide", "multinomial-tall",
+    "multinomial-wide", "gaussian-offset"])
+_BLOCKS = pytest.mark.parametrize("blocks", ["default", "uneven"])
+
+
+def _set_blocks(monkeypatch, blocks: str, shape: tuple[int, int]) -> None:
+    """With ``uneven``, blocks of 7 rows of the tall side, the last one short."""
+    if blocks == "uneven":
+        assert max(shape) % 7
+        monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 7 * min(shape) * 8)
+
+
+def _assert_within(fac: SvdFactors, ref: SvdFactors, tol: float = 1e-12) -> None:
+    """Equal factors to ``tol``: singular values relative to the top one, vectors entrywise."""
+    np.testing.assert_allclose(fac.singular, ref.singular, rtol=0, atol=tol * ref.singular[0])
+    np.testing.assert_allclose(fac.right, ref.right, rtol=0, atol=tol)
+    np.testing.assert_allclose(fac.left, ref.left, rtol=0, atol=tol)
+
+
+@pytest.mark.usefixtures("gram_formed")
+class TestGramAgainstTheCentredCopy:
+    """The Gram summed from centred blocks, with Lanczos for its eigenvectors,
+    against the centred copy with ``eigh`` it replaced."""
+
+    @_BLOCKS
+    @_GRAM_CASES
+    def test_factors(self, monkeypatch, case, blocks):
+        data, r = _gram_case(case)
+        _set_blocks(monkeypatch, blocks, data.observations.shape)
+        N = data.divisor
+        op = numerics._CentredOperator(data.observations, data.observations.mean(axis=0) / N, N)
+        fac = truncated_svd(op, r)
+        _assert_within(fac, _centred_copy_svd(data, r))
+        dense = np.asarray(op)
+        assert op.squared_norm() == pytest.approx(float(np.vdot(dense, dense)), rel=1e-13)
+
+    @_BLOCKS
+    @_GRAM_CASES
+    def test_fit_partition_and_vertices(self, monkeypatch, case, blocks):
+        data, r = _gram_case(case)
+        _set_blocks(monkeypatch, blocks, data.observations.shape)
+
+        def centred_copy(Xbar, rank):
+            assert isinstance(Xbar, numerics._CentredOperator)
+            return _centred_copy_svd(data, rank)
+
+        runs, (gram, ref) = _recorded_fit_partitions(monkeypatch, data, r + 1, centred_copy)
+        np.testing.assert_array_equal(runs[0].assignments, runs[1].assignments)
+        scale = np.abs(ref.vertices).max()
+        np.testing.assert_allclose(gram.vertices, ref.vertices, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n, D", [(200, 30), (30, 200)], ids=["tall", "wide"])
+    def test_repeated_top_singular_value(self, n, D, r):
+        # where r splits a repeated value, any r of its directions are right: the
+        # factors lie in the span of the oracle's leading max(r, mult) vectors
+        for mult in (2, 3, 4):
+            singular = [5.0] * mult + [3.0, 2.0, 1.0, 0.5]
+            X = _repeated_top(n, D, singular, 51)
+            fac = truncated_svd(X, r)
+            ref = _with_sign_rule(*_gram_svd(X, max(r, mult)))
+            np.testing.assert_allclose(fac.singular, ref.singular[:r], rtol=0, atol=1e-12 * 5.0)
+            for got, span in [(fac.right, ref.right), (fac.left, ref.left)]:
+                assert _subspace_sine(got, span) <= 1e-12
+                np.testing.assert_allclose(got.T @ got, np.eye(r), rtol=0, atol=1e-12)
+            _assert_sign_convention(fac.right)
+
+    @pytest.mark.parametrize("n, D", [(40, 12), (9, 30)], ids=["tall", "wide"])
+    def test_full_rank_request(self, n, D):
+        X = np.random.default_rng(50).normal(size=(n, D))
+        m = min(n, D)
+        _assert_within(truncated_svd(X, m), _with_sign_rule(*_gram_svd(X, m)))
+
+    @pytest.mark.parametrize("shape", [(20, 6), (6, 20)], ids=["tall", "wide"])
+    def test_zero_matrix(self, shape):
+        fac = truncated_svd(np.zeros(shape), 2)
+        ref = _with_sign_rule(*_gram_svd(np.zeros(shape), 2))
+        np.testing.assert_array_equal(fac.singular, ref.singular)
+        for got in (fac.left, fac.right):
+            np.testing.assert_allclose(got.T @ got, np.eye(2), rtol=0, atol=1e-12)
+        _assert_sign_convention(fac.right)
+
+
+def _spy_on_gram(monkeypatch) -> list:
+    """Record the shape of every operator whose Gram is formed."""
+    formed = []
+    gram = numerics._CentredOperator.gram
+
+    def spy(op):
+        formed.append(op.shape)
+        return gram(op)
+
+    monkeypatch.setattr(numerics._CentredOperator, "gram", spy)
+    return formed
+
+
 class TestBranchRule:
-    """The short side alone picks the branch: the Gram up to ``GRAM_MAX_SIDE``, Lanczos above."""
+    """The short side alone decides whether the Gram is formed: up to ``GRAM_MAX_SIDE``.
+    Above it, Lanczos runs on the operator's products."""
 
     @pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
     @pytest.mark.parametrize("extra, calls", [(0, 0), (1, 1)], ids=["at", "above"])
     def test_lanczos_called_only_above_the_constant(self, monkeypatch, tall, extra, calls):
-        seen = []
-        lanczos = numerics._lanczos_svd
+        formed, products = _spy_on_gram(monkeypatch), []
+        matmul = numerics._CentredOperator.__matmul__
 
-        def spy(Xbar, r):
-            seen.append(Xbar.shape)
-            return lanczos(Xbar, r)
+        def spy(op, Q):
+            products.append(Q.shape)
+            return matmul(op, Q)
 
-        monkeypatch.setattr(numerics, "_lanczos_svd", spy)
+        monkeypatch.setattr(numerics._CentredOperator, "__matmul__", spy)
         m = numerics.GRAM_MAX_SIDE + extra
         X = np.random.default_rng(54).normal(size=(m + 5, m) if tall else (m, m + 5))
         fac = truncated_svd(X, 2)
-        assert len(seen) == calls
+        assert len(formed) == 1 - calls
+        assert bool(products) == bool(calls)
         assert fac.right.shape == (X.shape[1], 2)
 
     @pytest.mark.parametrize("X, r", [(np.zeros((20, 6)), 2), (np.random.default_rng(55).normal(size=(40, 12)), 12)],
                              ids=["zero", "r=min"])
-    @pytest.mark.usefixtures("lanczos_branch", "no_lanczos")
-    def test_gram_takes_what_arpack_cannot(self, X, r):
+    @pytest.mark.usefixtures("lanczos_branch")
+    def test_gram_takes_what_arpack_cannot(self, monkeypatch, X, r):
+        # Lanczos on the products takes them too: no Gram is formed above the constant
+        formed = _spy_on_gram(monkeypatch)
         _assert_matches_oracle(truncated_svd(X, r), _lapack_truncated_svd(X, r), r, np.linalg.matrix_rank(X))
+        assert not formed
 
     def test_wide_fit_calls_nothing_in_scipy_sparse_linalg(self):
         kern = Kernel.multinomial(500)
@@ -617,7 +768,8 @@ class TestBranchRule:
             vlad.recover_weights(fit, data)
         finally:
             sys.setprofile(None)
-        assert ("simplexnest.numerics", "_lanczos_svd") in called  # short side 800 > GRAM_MAX_SIDE
+        assert ("simplexnest.numerics", "_lanczos") in called
+        assert ("simplexnest.numerics", "gram") not in called  # short side 800 > GRAM_MAX_SIDE
         assert not sorted(name for name, _ in called if name.startswith("scipy.sparse.linalg"))
 
 

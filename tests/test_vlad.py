@@ -193,20 +193,20 @@ class TestFit:
         before = data.observations.copy()
         f = fit(data, 3, gamma=2.0, rng=np.random.default_rng(32))
         np.testing.assert_array_equal(data.observations, before)
-        if gram_max_side is None:
-            Xbar, c0 = center(data.fitting_matrix())
-        else:  # the raw observations through the centring operator, no centred copy
-            N = kernel.trials or 1
-            c0 = data.observations.mean(axis=0) / N
-            Xbar = numerics._CentredOperator(data.observations, c0, N)
+        # the raw observations through the centring operator, no centred copy, on both branches;
+        # multinomial counts are centred at their column mean over N
+        N = data.divisor
+        c0 = data.observations.mean(axis=0) / N
         np.testing.assert_array_equal(f.center, c0)
-        expected = truncated_svd(Xbar, 2)
+        if N == 1:
+            np.testing.assert_array_equal(c0, center(data.fitting_matrix())[1])
+        expected = truncated_svd(numerics._CentredOperator(data.observations, c0, N), 2)
         np.testing.assert_array_equal(f.factors.singular, expected.singular)
         np.testing.assert_array_equal(f.factors.left, expected.left)
 
 
 class TestMemory:
-    """A fit on wide counts, then its weights, holds no (n, D) float copy of the counts."""
+    """A fit, then its weights, holds no (n, D) float copy of the observations."""
 
     def test_fit_auto_and_weights_copy_no_observations(self):
         kern = Kernel.multinomial(500)
@@ -221,6 +221,22 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * data.observations.nbytes
+
+    @pytest.mark.parametrize("kernel, D, n, bound", [
+        (Kernel.poisson(), 500, 10_000, 0.35),       # the paper's Poisson protocol: a tall Gram
+        (Kernel.multinomial(500), 2000, 500, 1.0),  # short side n = 500: a wide Gram
+    ], ids=["tall", "wide"])
+    def test_gram_branch_fit_and_weights_copy_no_observations(self, kernel, D, n, bound):
+        rng = np.random.default_rng(50)
+        data = generate(SimplexNest(sample_vertices(D, 10, kernel, rng), 0.5, kernel), n, rng).without_truth()
+        tracemalloc.start()
+        try:
+            f = fit(data, 10, gamma=2.0, rng=np.random.default_rng(51))
+            recover_weights(f, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * data.observations.nbytes
 
 
 def test_lexsorted_columns_match_numpy_lexsort():
