@@ -23,9 +23,10 @@ BLAS rounds the batched product as it rounds a one-restart product.
 
 The truncated SVD computes only the top r singular triplets and runs on
 numpy's BLAS and LAPACK alone. Lanczos finds the top r eigenvectors of the
-(m, m) short-side Gram, m = min(n, D), and accepts them by ARPACK's own
-convergence test; the SVD of the data times them gives the factors. The
-short side decides only whether the Gram is formed: up to
+(m, m) short-side Gram, m = min(n, D), and accepts them by ARPACK's
+convergence test, whose absolute floor is scaled by the Gram's trace
+where the Gram is formed; the SVD of the data times them gives the
+factors. The short side decides only whether the Gram is formed: up to
 ``GRAM_MAX_SIDE`` Lanczos multiplies by the formed Gram, above it by the
 data twice, one column at a time. Nothing runs on the OpenBLAS bundled
 with scipy's wheel, a second thread pool whose threads kept spinning on
@@ -203,9 +204,11 @@ def _unit_orthogonal(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def _lanczos(gram: Callable[[np.ndarray], np.ndarray], m: int, r: int) -> np.ndarray:
+def _lanczos(gram: Callable[[np.ndarray], np.ndarray], m: int, r: int,
+             size: float = 1.0) -> np.ndarray:
     """Top r eigenvectors, (m, r) orthonormal, of an (m, m) Gram G given as
-    its product ``gram``, which maps an (m, 1) column v to G v.
+    its product ``gram``, which maps an (m, 1) column v to G v. ``size``
+    scales the absolute floor of the convergence test (see ``truncated_svd``).
 
     The rows of V are an orthonormal basis and M[i, j] = v_i . G v_j.
     Vectors take their product in the order they joined the basis: the
@@ -225,7 +228,7 @@ def _lanczos(gram: Callable[[np.ndarray], np.ndarray], m: int, r: int) -> np.nda
     A product that is not finite raises ``FloatingPointError``.
     """
     eps = np.finfo(float).eps / 2  # LAPACK's dlamch('E'), ARPACK's tol = 0
-    floor = eps ** (2.0 / 3.0)
+    floor = eps ** (2.0 / 3.0) * size
     ncv = min(m, max(LANCZOS_BASIS, 3 * r))
     rng = np.random.default_rng(LANCZOS_SEED)
     V = np.empty((ncv, m))
@@ -326,7 +329,10 @@ def truncated_svd(Xbar: np.ndarray | _CentredOperator, r: int) -> SvdFactors:
       bit-identical factors without drawing from the caller's generator;
     - the top r pairs are accepted by ARPACK's test with ``tol = 0``
       (``dsconv``): each Ritz estimate is at most eps max(eps^(2/3),
-      |theta|), with eps = 2^-53, LAPACK's ``dlamch('E')``;
+      |theta|), with eps = 2^-53, LAPACK's ``dlamch('E')``. With the Gram
+      formed, the floor eps^(2/3) is taken times its trace, so the test
+      does not depend on the scale of the data; on the products it is
+      ARPACK's absolute floor;
     - a residual at rounding level means the basis holds an invariant
       subspace, as when r exceeds the rank, r = m or Xbar = 0; a fresh
       direction from the same stream, orthogonalized against the basis,
@@ -388,7 +394,12 @@ def truncated_svd(Xbar: np.ndarray | _CentredOperator, r: int) -> SvdFactors:
             raise _not_finite(A)
         Xbar.gram_trace = float(np.trace(G))
     try:
-        Q = _lanczos((lambda v: G @ v) if gram else (lambda v: A.T @ (A @ v)), m, r)
+        # a product that is not finite becomes the ValueError below, not a RuntimeWarning
+        with np.errstate(invalid="ignore", over="ignore"):
+            if gram:
+                Q = _lanczos(lambda v: G @ v, m, r, Xbar.gram_trace)
+            else:
+                Q = _lanczos(lambda v: A.T @ (A @ v), m, r)
     except FloatingPointError:
         raise _not_finite(A) from None
     # A Q from the blocks G was summed from, or from the products Lanczos ran

@@ -219,16 +219,20 @@ class TestTruncatedSvd:
         monkeypatch.setattr(numerics, "GRAM_MAX_SIDE", 0)
         X = np.random.default_rng(6).normal(size=(30, 20))
         X[3, 4] = bad
-        with pytest.raises(ValueError, match="must be finite"):
-            truncated_svd(X, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                truncated_svd(X, 3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("shape", [(30, 20), (20, 30)])
     def test_non_finite_rejected_by_gram(self, bad, shape):
         X = np.random.default_rng(6).normal(size=shape)
         X[3, 4] = bad
-        with pytest.raises(ValueError, match="must be finite"):
-            truncated_svd(X, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                truncated_svd(X, 3)
 
     @pytest.mark.parametrize("branch", ["gram", "lanczos", "operator"])
     @pytest.mark.parametrize("shape", [(30, 20), (20, 30)])
@@ -617,6 +621,9 @@ def _gram_case(case: str) -> tuple[Dataset, int]:
         X, _, r = _operator_case(case)
         return Dataset(X, Kernel.gaussian(1.0)), r
     name, shape = case.split("-")
+    if name == "small":  # word frequencies scaled by 1e-10: singular values near 1e-10
+        data, r = _gram_case(f"multinomial-{shape}")
+        return Dataset(data.fitting_matrix() * 1e-10, Kernel.noiseless()), r
     kern = {"gaussian": Kernel.gaussian(1.0), "poisson": Kernel.poisson(),
             "multinomial": Kernel.multinomial(200)}[name]
     n, D = (1500, 120) if shape == "tall" else (100, 400)
@@ -626,7 +633,7 @@ def _gram_case(case: str) -> tuple[Dataset, int]:
 
 _GRAM_CASES = pytest.mark.parametrize("case", [
     "gaussian-tall", "gaussian-wide", "poisson-tall", "poisson-wide", "multinomial-tall",
-    "multinomial-wide", "gaussian-offset"])
+    "multinomial-wide", "gaussian-offset", "small-tall", "small-wide"])
 _BLOCKS = pytest.mark.parametrize("blocks", ["default", "uneven"])
 
 

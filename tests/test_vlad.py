@@ -193,14 +193,14 @@ class TestFit:
         before = data.observations.copy()
         f = fit(data, 3, gamma=2.0, rng=np.random.default_rng(32))
         np.testing.assert_array_equal(data.observations, before)
-        # the raw observations through the centring operator, no centred copy, on both branches;
-        # multinomial counts are centred at their column mean over N
-        N = data.divisor
-        c0 = data.observations.mean(axis=0) / N
+        if kernel.trials is None:
+            Xbar, c0 = center(data.fitting_matrix())
+        else:  # multinomial counts: the operator, centred at their column mean over N
+            N = kernel.trials
+            c0 = data.observations.mean(axis=0) / N
+            Xbar = numerics._CentredOperator(data.observations, c0, N)
         np.testing.assert_array_equal(f.center, c0)
-        if N == 1:
-            np.testing.assert_array_equal(c0, center(data.fitting_matrix())[1])
-        expected = truncated_svd(numerics._CentredOperator(data.observations, c0, N), 2)
+        expected = truncated_svd(Xbar, 2)
         np.testing.assert_array_equal(f.factors.singular, expected.singular)
         np.testing.assert_array_equal(f.factors.left, expected.left)
 
