@@ -66,8 +66,8 @@ def corrected_covariance(data: Dataset, K: int) -> MomentTarget:
       K-1 directions, so trailing eigenvalues estimate the noise floor).
     - poisson: subtract Diag of the column means.
     - multinomial: invert (1 - 1/N) B S B^T + (1/N) Diag(m) - (1/N) m m^T
-      for B S B^T on the counts divided by the trial count N, the
-      matrix every estimator fits.
+      for B S B^T on the counts divided by the trial count N, which this
+      oracle, unlike the estimators, divides into a copy.
 
     Negative eigenvalues introduced by the subtraction are left in place;
     the scalar moment objective tolerates them and projecting them out
@@ -77,7 +77,7 @@ def corrected_covariance(data: Dataset, K: int) -> MomentTarget:
         raise ValueError("need at least 2 observations")
     kern = data.kernel
     _check_correction(kern, data.dim, K)
-    X = data.fitting_matrix()
+    X = data.observations / data.divisor
     sigma_hat = sample_covariance(X)
     D = X.shape[1]
 

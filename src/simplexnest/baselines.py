@@ -2,8 +2,8 @@
 
 GDM clusters the raw observations with plain Euclidean K-means and extends
 rays from the data center through the centroids; it is accurate only for
-near-equilateral simplices or tiny concentration. SPA greedily picks
-maximal-norm rows and deflates, which requires near-separable data.
+near-equilateral simplices or tiny concentration. SPA greedily picks the
+row of largest residual, which requires near-separable data.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import numpy as np
 
 from ._matrix_io import read_matrix_csv, write_json, write_matrix_csv
 from .model import Dataset
-from .numerics import kmeans
-from .vlad import _extended, _lexsorted_columns
+from .numerics import kmeans, row_blocks
+from .vlad import _extended, _lexsorted_columns, _warn_if_coincident
 
 
 @dataclass(frozen=True)
@@ -38,54 +38,69 @@ def gdm(
 
     The rays extend as in the reduced-space estimator, but the vertices are
     the raw extension, never put back on the probability simplex, even for
-    multinomial data. ``method_tag`` only names the fit: the harness methods
-    ``gdm`` and ``gdm_mc`` both run this function with the same gamma(K, alpha).
+    multinomial data. K-means runs on the observations; its centroids and
+    the center are divided by ``Dataset.divisor``. ``method_tag`` only names
+    the fit: the harness methods ``gdm`` and ``gdm_mc`` both run this
+    function with the same gamma(K, alpha).
     """
     if K < 2:
         raise ValueError("K must be >= 2")
     if data.n <= K:
         raise ValueError(f"need n > K observations, got n = {data.n}")
-    X = data.fitting_matrix()
-    if not np.all(np.isfinite(X)):
-        raise ValueError("observations must be finite")
-    km = kmeans(X, K, restarts=restarts, rng=rng)
-    c0 = X.mean(axis=0)
+    X = data.observations
+    km = kmeans(X, K, restarts=restarts, rng=rng)  # raises on points that are not finite
+    c0 = X.mean(axis=0) / data.divisor
+    centroids = km.centroids.T / data.divisor
+    _warn_if_coincident(centroids, stacklevel=3)
     return BaselineFit(
-        vertices=_extended(c0, km.centroids.T, gamma, onto_simplex=False)[0],
+        vertices=_extended(c0, centroids, gamma, onto_simplex=False)[0],
         method_tag=method_tag,
         meta={"gamma": float(gamma), "kmeans_cost": km.cost},
     )
 
 
 def spa(data: Dataset, K: int) -> BaselineFit:
-    """Successive projection: greedy maximal-norm row selection.
+    """Successive projection: each step picks the row of largest residual
+    orthogonal to the rows picked so far.
 
-    Repeatedly picks the row of largest Euclidean norm, records it as a
-    vertex, and projects all rows onto the orthogonal complement of the
-    picked row. Deterministic; raises when the data cannot supply K
-    independent directions.
+    With U the orthonormal residual directions of the picks and P = X U^T, a
+    squared residual norm is ||x_i||^2 - ||P_i||^2 (Gillis & Vavasis 2014):
+    a step costs one product X u and copies no data. Below 1e-4 times the
+    largest ||x_i||^2 that difference cancels, and the norms are
+    formed one block of rows at a time. The picked residual, orthogonalised
+    twice, must exceed 1e-12 times the largest row norm, else the data are
+    rank deficient. The picks do not depend on the data's scale; the
+    vertices are the picked rows divided by ``Dataset.divisor``.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if data.n < K:
         raise ValueError(f"need n >= K observations, got n = {data.n}")
-    X = data.fitting_matrix()
-    R = np.array(X, dtype=float)
-    scale = float(np.linalg.norm(R, axis=1).max())
+    X = data.observations
+    residual = np.einsum("ij,ij->i", X, X)  # squared residual norms, ||x_i||^2 - ||P_i||^2
+    scale = float(np.sqrt(residual.max()))
     if scale == 0.0:
         raise ValueError("all-zero data has no extreme rows")
+    U = np.empty((K, X.shape[1]))
     chosen: list[int] = []
-    for _ in range(K):
-        norms = np.linalg.norm(R, axis=1)
-        idx = int(np.argmax(norms))
-        if norms[idx] <= 1e-12 * scale:
+    for k in range(K):
+        if residual.max() <= 1e-4 * scale * scale:
+            for rows in row_blocks(X.shape[0], X.shape[1] * X.itemsize):
+                block = X[rows] - (X[rows] @ U[:k].T) @ U[:k]
+                residual[rows] = np.einsum("ij,ij->i", block, block)
+        idx = int(np.argmax(residual))
+        r = X[idx] - (U[:k] @ X[idx]) @ U[:k]
+        r -= (U[:k] @ r) @ U[:k]
+        norm = float(np.linalg.norm(r))
+        if norm <= 1e-12 * scale:
             raise ValueError(
                 f"rank deficiency: only {len(chosen)} independent directions found, needed {K}"
             )
         chosen.append(idx)
-        u = R[idx] / norms[idx]
-        R = R - np.outer(R @ u, u)
-    vertices = X[chosen].T
+        U[k] = r / norm
+        p = X @ U[k]
+        residual -= p * p
+    vertices = X[chosen].T / data.divisor
     order = _lexsorted_columns(vertices)
     return BaselineFit(
         vertices=vertices[:, order],

@@ -14,8 +14,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import Dataset, affine_rank_deficient
-from .vlad import simplex_least_squares
+from .model import Dataset, Kernel, affine_rank_deficient
+from .numerics import row_blocks
+from .vlad import PROJECTION_TOL, simplex_least_squares
 
 _LOG_FLOOR = 1e-12
 
@@ -95,9 +96,7 @@ def heldout_frobenius(fit_vertices, X_test: np.ndarray) -> float:
     B = _vertices_of(fit_vertices)
     if affine_rank_deficient(B):
         raise ValueError("degenerate simplex")
-    X = np.atleast_2d(np.asarray(X_test, dtype=float))
-    residual = X - simplex_least_squares(B, X) @ B.T
-    return float(np.linalg.norm(residual, axis=1).mean())
+    return _project(B, Dataset(np.atleast_2d(X_test), Kernel.noiseless()))[0]  # rows as given: divisor 1
 
 
 def simplex_volume(vertices) -> float:
@@ -135,30 +134,37 @@ def heldout_likelihood(fit, test: Dataset) -> LikelihoodReport:
     Non-positive entries hitting log are floored at 1e-12 and counted,
     never silently dropped.
     """
-    B = _vertices_of(fit)
-    X = test.fitting_matrix()
-    return _likelihood(test, X, simplex_least_squares(B, X) @ B.T)
+    return _project(_vertices_of(fit), test)[1]
 
 
-def _likelihood(test: Dataset, X: np.ndarray, mu: np.ndarray) -> LikelihoodReport:
-    """The score of :func:`heldout_likelihood` given the projected means mu."""
-    kern = test.kernel
-    if kern.name in ("gaussian", "noiseless"):
-        value = float(((X - mu) ** 2).sum(axis=1).mean())
-        return LikelihoodReport("frobenius", value, 0)
+def _project(B: np.ndarray, test: Dataset) -> tuple[float, LikelihoodReport]:
+    """The mean residual norm ||x / N - mu|| of the held-out rows and the
+    :func:`heldout_likelihood` score, from one projection onto the simplex B.
 
-    floored = int(np.count_nonzero(mu < _LOG_FLOOR))
-    mu_safe = np.maximum(mu, _LOG_FLOOR)
-    if kern.name == "poisson":
-        counts = test.observations
-        nll = float((mu_safe - counts * np.log(mu_safe)).sum(axis=1).mean())
-        return LikelihoodReport("nll", nll, floored)
-    if kern.name == "multinomial":
-        counts = test.observations
-        total = float(counts.sum())
-        log_lik = float((counts * np.log(mu_safe)).sum())
-        return LikelihoodReport("perplexity", math.exp(-log_lik / total), floored)
-    raise ValueError(f"unknown kernel {kern.name!r}")
+    The rows are projected onto N B with tolerance tol N^2, as
+    ``vlad.recover_weights`` projects them, and mu = B theta and the scores
+    are formed one block of rows at a time.
+    """
+    X, N, kind = test.observations, test.divisor, test.kernel.name
+    theta = simplex_least_squares(N * B, X, tol=PROJECTION_TOL * N * N)
+    squared, floored = np.empty(X.shape[0]), 0
+    log_term = np.empty(X.shape[0])  # per row sum(mu - x log mu), or sum(x log mu) if multinomial
+    for rows in row_blocks(X.shape[0], X.shape[1] * X.itemsize):
+        mu = theta[rows] @ B.T
+        residual = X[rows] / N
+        residual -= mu
+        squared[rows] = np.square(residual, out=residual).sum(axis=1)
+        if kind in ("poisson", "multinomial"):
+            floored += int(np.count_nonzero(mu < _LOG_FLOOR))
+            mu_safe = np.maximum(mu, _LOG_FLOOR, out=mu)
+            x_log_mu = np.multiply(X[rows], np.log(mu_safe), out=residual)
+            log_term[rows] = (mu_safe - x_log_mu if kind == "poisson" else x_log_mu).sum(axis=1)
+    residual_norm = float(np.sqrt(squared).mean())
+    if kind == "poisson":
+        return residual_norm, LikelihoodReport("nll", float(log_term.mean()), floored)
+    if kind == "multinomial":
+        return residual_norm, LikelihoodReport("perplexity", math.exp(-log_term.sum() / X.sum()), floored)
+    return residual_norm, LikelihoodReport("frobenius", float(squared.mean()), 0)
 
 
 @dataclass
@@ -203,9 +209,9 @@ def evaluate_fit(
     """Compute the requested metrics for one fitted vertex set.
 
     "mm" needs ``dataset`` with a truth block; "heldout" and "likelihood"
-    need ``heldout`` observations, which are projected as
-    ``heldout.fitting_matrix()``, so multinomial vertices are scored as
-    word distributions. Only evaluation touches ground truth.
+    need ``heldout`` observations, whose multinomial counts are scored
+    divided by the trial count, so against vertices that are word
+    distributions. Only evaluation touches ground truth.
     """
     report = EvalReport(wall_time_s=wall_time_s)
     vertices = _vertices_of(fit)
@@ -228,13 +234,10 @@ def evaluate_fit(
         raise ValueError(f"the {projected[0]} metric needs held-out observations")
     if "heldout" in metrics and affine_rank_deficient(vertices):
         raise ValueError("degenerate simplex")
-    # both scores project the held-out rows onto the fit: do it once
-    X = heldout.fitting_matrix()
-    mu = simplex_least_squares(vertices, X) @ vertices.T
+    residual_norm, like = _project(vertices, heldout)  # both scores from one projection
     if "heldout" in metrics:
-        report.frobenius_heldout = float(np.linalg.norm(X - mu, axis=1).mean())
+        report.frobenius_heldout = residual_norm
     if "likelihood" in metrics:
-        like = _likelihood(heldout, X, mu)
         if like.kind == "perplexity":
             report.perplexity = like.value
         else:

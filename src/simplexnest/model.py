@@ -205,30 +205,9 @@ class Dataset:
 
     @property
     def divisor(self) -> float:
-        """What estimators divide the observations by: the trial count N of
-        multinomial counts, else 1."""
+        """The trial count N of multinomial counts, else 1: the one owner of the rule that estimators
+        and scores read counts divided by N, each dividing inside products, blocks or its vertices."""
         return float(self.kernel.trials) if self.kernel.name == "multinomial" else 1.0
-
-    def fitting_matrix(self) -> np.ndarray:
-        """Observations as the real matrix handed to estimators.
-
-        Multinomial counts are divided by the trial count N, exposing each
-        row as an empirical distribution. Every estimator scales with its
-        input, so raw counts would give N times the raw extension of this
-        fit and nothing more. Other kernels' observations are returned as
-        they are.
-
-        For multinomial data this is an (n, D) copy. ``vlad.fit``,
-        ``vlad.fit_auto`` and ``vlad.recover_weights`` never make it: they
-        divide by ``divisor`` inside their products and blocks.
-        ``baselines.gdm`` and ``baselines.spa``,
-        ``alpha_est.corrected_covariance`` and the ``metrics`` scores still
-        copy.
-        """
-        X = self.observations
-        if self.kernel.name == "multinomial":
-            return X / self.divisor
-        return X
 
     def without_truth(self) -> "Dataset":
         """The same observations with no truth block, not checked again."""

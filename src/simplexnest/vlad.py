@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from . import alpha_est
 from ._matrix_io import read_matrix_csv, write_json, write_matrix_csv
@@ -88,6 +89,12 @@ def _extended(center_point: np.ndarray, centroids: np.ndarray, gamma: float,
     return vertices[:, order], centroids[:, order]
 
 
+def _warn_if_coincident(centroids: np.ndarray, stacklevel: int) -> None:
+    """Warn when two centroid columns, and so two vertices, coincide up to rounding."""
+    if pdist(centroids.T).min() <= 1e-12 * max(1.0, float(np.abs(centroids).max())):
+        warnings.warn("two fitted vertices coincide (degenerate K-means winner)", stacklevel=stacklevel)
+
+
 def _fit(data: Dataset, K: int, gamma: float, restarts: int, rng: np.random.Generator | None,
          onto_simplex: bool) -> VladFit:
     """:func:`fit`, with the probability-simplex step chosen by the caller."""
@@ -112,13 +119,7 @@ def _fit(data: Dataset, K: int, gamma: float, restarts: int, rng: np.random.Gene
     km = kmeans(factors.left, K, restarts=restarts, rng=rng)
     scaled = factors.right * factors.singular          # (D, K-1) columns W_j * s_j
     centroids = c0[:, None] + scaled @ km.centroids.T  # (D, K)
-
-    gaps = centroids.T[:, None, :] - centroids.T[None, :, :]
-    pair = np.sqrt((gaps**2).sum(axis=2))
-    np.fill_diagonal(pair, np.inf)
-    scale = max(1.0, float(np.abs(centroids).max()))
-    if pair.min() <= 1e-12 * scale:
-        warnings.warn("two fitted vertices coincide (degenerate K-means winner)", stacklevel=3)
+    _warn_if_coincident(centroids, stacklevel=4)
 
     vertices, centroids = _extended(c0, centroids, gamma, onto_simplex)
     return VladFit(

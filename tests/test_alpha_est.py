@@ -66,7 +66,7 @@ class TestCorrectedCovariance:
     def test_multinomial_inverts_the_mixing_identity(self):
         model, data = _data(Kernel.multinomial(200), D=60, K=5, n=30_000, seed=2)
         N = 200
-        X = data.fitting_matrix()
+        X = data.observations / data.divisor
         sigma_hat = sample_covariance(X)
         m = X.mean(axis=0)
         expected = (sigma_hat - np.diag(m) / N + np.outer(m, m) / N) / (1.0 - 1.0 / N)

@@ -240,7 +240,7 @@ class TestEvaluateFit:
         monkeypatch.setattr("simplexnest.metrics.simplex_least_squares", spy)
         report = evaluate_fit(V, heldout=heldout, metrics=("heldout", "likelihood"))
         assert len(calls) == 1
-        assert report.frobenius_heldout == heldout_frobenius(V, heldout.fitting_matrix())
+        assert report.frobenius_heldout == heldout_frobenius(V, heldout.observations / heldout.divisor)
         assert report.nll == heldout_likelihood(V, heldout).value
 
     def test_missing_inputs_raise(self):

@@ -208,7 +208,7 @@ class TestGenerate:
     def test_empirical_mean_near_model_centroid(self, kernel):
         model = _model(kernel, D=40, K=5, seed=17)
         data = generate(model, 100_000, np.random.default_rng(18))
-        X = data.fitting_matrix()
+        X = data.observations / data.divisor
         se = X.std(axis=0, ddof=1) / np.sqrt(X.shape[0])
         assert np.all(np.abs(X.mean(axis=0) - model.centroid) <= 3.0 * se)
 
@@ -339,10 +339,13 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.array([[0.5, 1.0]]), Kernel.poisson())
 
-    def test_fitting_matrix_normalization(self):
+    def test_divisor_normalization(self):
         model = _model(Kernel.multinomial(50), D=40)
         data = generate(model, 100, np.random.default_rng(22))
-        np.testing.assert_allclose(data.fitting_matrix().sum(axis=1), 1.0, atol=1e-12)
+        assert data.divisor == 50.0
+        np.testing.assert_allclose((data.observations / data.divisor).sum(axis=1), 1.0, atol=1e-12)
+        for kernel in (Kernel.noiseless(), Kernel.gaussian(0.5), Kernel.poisson()):
+            assert generate(_model(kernel, D=40), 10, np.random.default_rng(23)).divisor == 1.0
 
     def test_without_truth(self):
         model = _model(Kernel.noiseless())

@@ -281,10 +281,10 @@ _ARPACK_CASES = pytest.mark.parametrize(
 )
 
 
-def _centred_fitting_matrix(kern: Kernel, D: int, K: int, n: int, seed: int) -> np.ndarray:
+def _centred_divided_counts(kern: Kernel, D: int, K: int, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     data = generate(SimplexNest(sample_vertices(D, K, kern, rng), 0.5, kern), n, rng)
-    X = data.fitting_matrix()
+    X = data.observations / data.divisor
     return X - X.mean(axis=0)
 
 
@@ -351,11 +351,11 @@ class TestArpackAgainstSvds:
 
     @pytest.mark.parametrize("n, D", [(600, 150), (120, 300)], ids=["tall", "wide"])
     def test_normalized_multinomial(self, n, D):
-        self._assert_matches_arpack(_centred_fitting_matrix(Kernel.multinomial(200), D, 5, n, 47), 4)
+        self._assert_matches_arpack(_centred_divided_counts(Kernel.multinomial(200), D, 5, n, 47), 4)
 
     @pytest.mark.parametrize("n, D", [(600, 150), (120, 300)], ids=["tall", "wide"])
     def test_poisson_counts(self, n, D):
-        self._assert_matches_arpack(_centred_fitting_matrix(Kernel.poisson(), D, 5, n, 48), 4)
+        self._assert_matches_arpack(_centred_divided_counts(Kernel.poisson(), D, 5, n, 48), 4)
 
 
 def _recorded_fit_partitions(monkeypatch, data, K: int, svd) -> tuple[list, list]:
@@ -526,7 +526,7 @@ class TestCentredOperator:
 
         def dense_path(Xbar, rank):
             assert isinstance(Xbar, numerics._CentredOperator)
-            return truncated_svd(center(data.fitting_matrix())[0], rank)
+            return truncated_svd(center(data.observations / data.divisor)[0], rank)
 
         runs, (lanczos, ref) = _recorded_fit_partitions(monkeypatch, data, r + 1, dense_path)
         np.testing.assert_array_equal(runs[0].assignments, runs[1].assignments)
@@ -552,11 +552,11 @@ class TestGramAgainstOracles:
 
     @pytest.mark.parametrize("n, D", [(600, 150), (120, 300)], ids=["tall", "wide"])
     def test_normalized_multinomial(self, n, D):
-        self._assert_matches_oracles(_centred_fitting_matrix(Kernel.multinomial(200), D, 5, n, 47), 4, 4)
+        self._assert_matches_oracles(_centred_divided_counts(Kernel.multinomial(200), D, 5, n, 47), 4, 4)
 
     @pytest.mark.parametrize("n, D", [(600, 150), (120, 300)], ids=["tall", "wide"])
     def test_poisson_counts(self, n, D):
-        self._assert_matches_oracles(_centred_fitting_matrix(Kernel.poisson(), D, 5, n, 48), 4, 4)
+        self._assert_matches_oracles(_centred_divided_counts(Kernel.poisson(), D, 5, n, 48), 4, 4)
 
     @pytest.mark.parametrize("n, D", [(40, 12), (9, 30)], ids=["tall", "wide"])
     def test_full_rank_request(self, n, D):
@@ -605,13 +605,13 @@ def _gram_svd(Xbar: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _centred_copy_svd(data: Dataset, r: int) -> SvdFactors:
-    """Reference: the Gram branch as it ran on a centred copy of the fitting
-    matrix with ``np.linalg.eigh``, before the Gram was summed from centred
-    blocks and its eigenvectors taken by Lanczos. ``_gram_svd`` is that
-    branch verbatim (its non-finite error message shortened)."""
-    X = data.fitting_matrix()
-    c0 = X.mean(axis=0)
-    Xbar = X - c0 if np.may_share_memory(X, data.observations) else np.subtract(X, c0, out=X)
+    """Reference: the Gram branch as it ran on a centred copy of the
+    observations divided by ``Dataset.divisor`` with ``np.linalg.eigh``,
+    before the Gram was summed from centred blocks and its eigenvectors
+    taken by Lanczos. ``_gram_svd`` is that branch verbatim (its non-finite
+    error message shortened)."""
+    X = data.observations / data.divisor
+    Xbar = np.subtract(X, X.mean(axis=0), out=X)
     return _with_sign_rule(*_gram_svd(Xbar, r))
 
 
@@ -623,7 +623,7 @@ def _gram_case(case: str) -> tuple[Dataset, int]:
     name, shape = case.split("-")
     if name == "small":  # word frequencies scaled by 1e-10: singular values near 1e-10
         data, r = _gram_case(f"multinomial-{shape}")
-        return Dataset(data.fitting_matrix() * 1e-10, Kernel.noiseless()), r
+        return Dataset((data.observations / data.divisor) * 1e-10, Kernel.noiseless()), r
     kern = {"gaussian": Kernel.gaussian(1.0), "poisson": Kernel.poisson(),
             "multinomial": Kernel.multinomial(200)}[name]
     n, D = (1500, 120) if shape == "tall" else (100, 400)

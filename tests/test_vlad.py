@@ -17,7 +17,7 @@ from simplexnest import (
     sample_vertices,
     skew_simplex,
 )
-from simplexnest import baselines, numerics, vlad
+from simplexnest import baselines, metrics, numerics, vlad
 from simplexnest.extension import build_gamma_table, quadrature_gamma
 from simplexnest.numerics import center, truncated_svd
 from simplexnest.vlad import (
@@ -194,7 +194,7 @@ class TestFit:
         f = fit(data, 3, gamma=2.0, rng=np.random.default_rng(32))
         np.testing.assert_array_equal(data.observations, before)
         if kernel.trials is None:
-            Xbar, c0 = center(data.fitting_matrix())
+            Xbar, c0 = center(data.observations / data.divisor)
         else:  # multinomial counts: the operator, centred at their column mean over N
             N = kernel.trials
             c0 = data.observations.mean(axis=0) / N
@@ -237,6 +237,47 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < bound * data.observations.nbytes
+
+
+@pytest.fixture(scope="class")
+def wide_counts() -> tuple[np.ndarray, Dataset]:
+    """Multinomial vertices and n = 2000 rows of D = 1500 counts, 24 MB."""
+    kern = Kernel.multinomial(500)
+    rng = np.random.default_rng(52)
+    V = sample_vertices(1500, 10, kern, rng)
+    return V, generate(SimplexNest(V, 0.5, kern), 2000, rng).without_truth()
+
+
+class TestBaselineAndScoreMemory:
+    """The baselines and the held-out scores divide no copy of the counts by N."""
+
+    @staticmethod
+    def _peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_spa(self, wide_counts):
+        _, data = wide_counts
+        assert self._peak(lambda: baselines.spa(data, 10)) < 0.5 * data.observations.nbytes
+
+    def test_gdm(self, wide_counts):
+        # K-means holds a transposed copy of its points, about 1 x the observations
+        _, data = wide_counts
+        peak = self._peak(lambda: baselines.gdm(data, 10, gamma=2.0, rng=np.random.default_rng(53)))
+        assert peak < 1.75 * data.observations.nbytes
+
+    def test_evaluate_fit_heldout_and_likelihood(self, wide_counts):
+        V, data = wide_counts
+        peak = self._peak(lambda: metrics.evaluate_fit(V, heldout=data, metrics=("heldout", "likelihood")))
+        assert peak < 0.5 * data.observations.nbytes
+
+    def test_heldout_likelihood(self, wide_counts):
+        V, data = wide_counts
+        assert self._peak(lambda: metrics.heldout_likelihood(V, data)) < 0.5 * data.observations.nbytes
 
 
 def test_lexsorted_columns_match_numpy_lexsort():
@@ -483,7 +524,8 @@ class TestSimplexLeastSquaresOracle:
         rng = np.random.default_rng(212 + seed)
         kern = Kernel.multinomial(500)
         V = sample_vertices(200, 10, kern, rng)
-        X = generate(SimplexNest(V, 0.5, kern), 300, rng).fitting_matrix()
+        data = generate(SimplexNest(V, 0.5, kern), 300, rng)
+        X = data.observations / data.divisor
         self._check_against_reference(V, X)
 
     @pytest.mark.parametrize("B", [
@@ -653,7 +695,7 @@ class TestRecoverWeights:
             warnings.simplefilter("error")
             theta = recover_weights(f, data)
         on_counts, calls[0] = calls[0], 0
-        X = data.fitting_matrix()
+        X = data.observations / data.divisor
         expected = simplex_least_squares(f.vertices, X)
         assert on_counts == calls[0]  # the stopping rule means the same on both scales (18 each)
         np.testing.assert_allclose(_row_objective(f.vertices, X, theta),
