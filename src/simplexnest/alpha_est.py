@@ -7,7 +7,9 @@ covariance implied by re-extending the fitted centroids C from the center
 c0 with gamma(alpha) is exactly phi(alpha) A, with phi = gamma^2 /
 (K (K alpha + 1)), A = R R^T and R = (C - c0 1^T)(I - 11^T / K). The
 mismatch ||phi A - T||_F is a quadratic in phi with minimizer
-phi* = <A,T> / <A,A>; alpha solves phi(alpha) = phi*. gamma is any function
+phi* = <A,T> / <A,A>; alpha solves phi(alpha) = phi*, by ``numerics.brentq``,
+a port of scipy's Brent root finder that returns its root bit for bit
+without loading scipy. gamma is any function
 gamma(K, alpha): the exact ``quadrature_gamma`` on every program path, or an
 in-memory Monte-Carlo ``GammaTable`` that the tests and the benchmark pass.
 
@@ -38,11 +40,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .extension import varphi
 from .model import Dataset, Kernel
-from .numerics import sample_covariance
+from .numerics import brentq, sample_covariance
 
 if TYPE_CHECKING:  # pragma: no cover
     from .vlad import VladFit
@@ -196,4 +197,4 @@ def _solve_alpha(K: int, aa: float, at: float, gamma: Callable, search: tuple[fl
                       f"[{ends.min():.4g}, {ends.max():.4g}]; returning the edge alpha = {edge:.6g}",
                       RuntimeWarning, stacklevel=3)
         return edge
-    return float(brentq(lambda a: phi(a) - phi_star, lo, hi))
+    return brentq(lambda a: phi(a) - phi_star, lo, hi)

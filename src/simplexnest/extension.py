@@ -14,6 +14,10 @@ pass one to ``vlad.fit_auto``, and the benchmark's paper workloads load their
 committed fixture through ``GammaTable.load``. That fixture, written by
 ``perfbench/make_gamma_fixture.py`` from ``to_dict``, is the only saved table:
 no command writes or reads one.
+
+``quadrature_gamma`` is the package's one use of scipy (``quad`` and
+``gammainc``), imported on its first call, so ``import simplexnest`` and every
+fit given gamma as a number or a table load numpy alone.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammainc
 
 from .model import sample_weights
 from .numerics import kmeans
@@ -89,6 +91,9 @@ def quadrature_gamma(K: int, alpha):
     theta = g / sum(g), g_l iid Gamma(alpha), is independent of sum(g), so
     gamma = (K-1) / (E[max g]/alpha - 1), E[max g] = int_0^inf 1 - P(alpha, x)^K dx.
     """
+    from scipy.integrate import quad  # imported here, not at module level: see the module docstring
+    from scipy.special import gammainc
+
     a = np.asarray(alpha, dtype=float)
     if K < 2 or not np.all(np.isfinite(a) & (a > 0)):
         raise ValueError("need K >= 2 and finite alpha > 0")

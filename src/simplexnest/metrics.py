@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import Dataset, Kernel, affine_rank_deficient
-from .numerics import row_blocks
+from .numerics import min_cost_assignment, row_blocks
 from .vlad import PROJECTION_TOL, simplex_least_squares
 
 _LOG_FLOOR = 1e-12
@@ -38,17 +37,22 @@ def _pairwise_column_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.sqrt((diff**2).sum(axis=2))
 
 
-def _bottleneck_assignment(M: np.ndarray) -> tuple[float, np.ndarray]:
-    """Threshold search: smallest max edge admitting a perfect matching."""
+def _bottleneck_assignment(M: np.ndarray, upper: float) -> tuple[float, np.ndarray]:
+    """Threshold search: smallest max edge admitting a perfect matching.
+
+    ``upper`` is the max edge of some perfect matching. Every row and every
+    column needs an edge, so the answer is at least the largest row or column
+    minimum; only the distances between the two bounds are searched.
+    """
     K = M.shape[0]
-    values = np.unique(M)
+    lower = max(M.min(axis=1).max(), M.min(axis=0).max())
+    values = np.unique(M[(M >= lower) & (M <= upper)])
     lo, hi = 0, values.size - 1
     big = float((M**2).max()) * K + 1.0
 
     def feasible(t: float) -> bool:
         mask = np.where(M <= t, 0.0, 1.0)
-        rows, cols = linear_sum_assignment(mask)
-        return float(mask[rows, cols].sum()) == 0.0
+        return float(mask[np.arange(K), min_cost_assignment(mask)].sum()) == 0.0
 
     while lo < hi:
         mid = (lo + hi) // 2
@@ -57,10 +61,7 @@ def _bottleneck_assignment(M: np.ndarray) -> tuple[float, np.ndarray]:
         else:
             lo = mid + 1
     t = float(values[lo])
-    cost = np.where(M <= t, M**2, big)
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(K, dtype=int)
-    perm[cols] = rows
+    perm = np.argsort(min_cost_assignment(np.where(M <= t, M**2, big)))  # row of each column
     return t, perm
 
 
@@ -73,15 +74,20 @@ def min_matching(A: np.ndarray, B: np.ndarray) -> MinMatch:
     permutations attaining it, the one of least stacked squared distance is
     returned. The Frobenius field is the stacked-matrix form min over
     permutations of ||A_pi - B||_F (its optimal permutation may differ).
+    Every assignment is ``numerics.min_cost_assignment``, the K x K
+    Hungarian method of ``scipy.optimize.linear_sum_assignment`` on Python
+    lists, which gives scipy's permutations without loading scipy. NaN
+    entries raise ``ValueError``.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape or A.ndim != 2:
         raise ValueError(f"vertex sets must share one (D, K) shape, got {A.shape} vs {B.shape}")
     M = _pairwise_column_distances(A, B)
-    rows, cols = linear_sum_assignment(M**2)
-    frobenius = float(np.sqrt((M[rows, cols] ** 2).sum()))
-    distance, perm = _bottleneck_assignment(M)
+    squared = M**2
+    rows, cols = np.arange(M.shape[0]), min_cost_assignment(squared)
+    frobenius = float(np.sqrt(squared[rows, cols].sum()))
+    distance, perm = _bottleneck_assignment(M, float(M[rows, cols].max()))
     return MinMatch(distance=distance, permutation=perm, frobenius=frobenius)
 
 

@@ -1,7 +1,9 @@
 """Dense numerics shared by the estimators.
 
 Column centering, sample covariance, truncated SVD with a fixed sign
-convention, and Lloyd K-means with ++ initialization and restarts. All
+convention, Lloyd K-means with ++ initialization and restarts, and ports of
+scipy's Brent root finder and K x K assignment, so that fits and scores run
+on numpy alone. All
 randomness flows through an explicit generator; per-restart streams are
 spawned from it so restarts could run in any order (or in parallel)
 without changing the result.
@@ -53,6 +55,7 @@ product loses them once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -64,6 +67,7 @@ LANCZOS_SEED = 0  # seeds the start vector and every fresh direction of Lanczos
 LANCZOS_BASIS = 48  # Lanczos basis vectors held, at least; see truncated_svd
 LANCZOS_PROBE = 4  # products run from a fresh direction before the top r are accepted
 LANCZOS_MAX_PRODUCTS = 10_000  # Gram products before LanczosNoConvergence
+BRENT_RTOL = 4 * float(np.finfo(float).eps)  # brentq's least and default relative tolerance
 ROW_BLOCK_BYTES = 1 << 21  # bytes of (n, D) rows a pass over the data handles at once; see row_blocks
 
 
@@ -128,6 +132,7 @@ class _CentredOperator:
                  transposed: bool = False):
         self.X, self.mean, self.divisor, self.transposed = X, mean, float(divisor), transposed
         self.gram_trace: float | None = None  # ||Xbar||_F^2, once truncated_svd formed the Gram
+        self.zero_mean = not mean.any()  # X is Xbar itself up to the divisor, as for a plain array
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -138,9 +143,10 @@ class _CentredOperator:
         return _CentredOperator(self.X, self.mean, self.divisor, not self.transposed)
 
     def __matmul__(self, Q: np.ndarray) -> np.ndarray:
-        if self.transposed:
-            return (self.X.T @ Q) / self.divisor - np.outer(self.mean, Q.sum(axis=0))
-        return (self.X @ Q) / self.divisor - self.mean @ Q
+        XQ = ((self.X.T if self.transposed else self.X) @ Q) / self.divisor
+        if self.zero_mean:
+            return XQ
+        return XQ - (np.outer(self.mean, Q.sum(axis=0)) if self.transposed else self.mean @ Q)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """Xbar itself, an (n, D) copy: for oracles, never on a fit's path."""
@@ -150,13 +156,28 @@ class _CentredOperator:
     def blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
         """(rows, block) pairs covering the operator's rows, each block centred by
         the exact mean, X_b / N - c, and about ``ROW_BLOCK_BYTES`` (``row_blocks``).
-        Every block is written into one buffer, so it is valid until the next."""
+        Every block is written into one buffer, so it is valid until the next, by
+        one subtraction when N = 1, as X_b / 1 is X_b. Rows of a C-ordered X with
+        mean 0 and N = 1 need no buffer: they are X's own rows, as read-only views,
+        which the products see as they saw the buffer. (The columns of X, as
+        views, would change the rounding of the Gram.)"""
         X = self.X.T if self.transposed else self.X  # rows of Xbar^T are columns of X
         spans = row_blocks(X.shape[0], X.shape[1] * X.itemsize)
+        if self.zero_mean and self.divisor == 1.0 and X.flags.c_contiguous:
+            for rows in spans:
+                block = X[rows]
+                block.flags.writeable = False
+                yield rows, block
+            return
         buffer = np.empty((spans[0].stop, X.shape[1]))
         for rows in spans:
-            block = np.divide(X[rows], self.divisor, out=buffer[: rows.stop - rows.start])
-            block -= self.mean[rows, None] if self.transposed else self.mean
+            block = buffer[: rows.stop - rows.start]
+            mean = self.mean[rows, None] if self.transposed else self.mean
+            if self.divisor == 1.0:
+                np.subtract(X[rows], mean, out=block)
+            else:
+                np.divide(X[rows], self.divisor, out=block)
+                block -= mean
             yield rows, block
 
     def gram(self) -> np.ndarray:
@@ -625,3 +646,135 @@ def kmeans(
         runs.extend(_plusplus_init(points, K, child, sqnorms) for child in children)
     # min keeps the first of equal costs
     return min(_lloyd(points, sqnorms, runs, max_iter), key=lambda result: result.cost)
+
+
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
+           rtol: float = BRENT_RTOL, maxiter: int = 100) -> float:
+    """A root of ``f`` in the bracket [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A line-by-line port of ``scipy.optimize.brentq`` (its C ``brentq`` with
+    the Python checks around it): the same defaults, the same iterates in
+    the same IEEE arithmetic, so the same root to the bit. It stops once
+    the bracket's half-width is below (xtol + rtol |x|) / 2. ``ValueError``
+    when f(a) and f(b) have one sign or f returns NaN, ``RuntimeError``
+    after ``maxiter`` iterations.
+    """
+    xtol, rtol = float(xtol), float(rtol)  # Python floats: a division by zero raises, caught below
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {BRENT_RTOL:g})")
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:             # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C divides to +-inf or NaN, which bisects below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis       # bisect
+        else:
+            spre = scur = sbis           # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+
+
+def min_cost_assignment(cost) -> list[int]:
+    """The column assigned to each row by a least-cost perfect matching of a K x K cost.
+
+    The shortest-augmenting-path Hungarian method (Kuhn 1955; Crouse 2016)
+    of ``scipy.optimize.linear_sum_assignment``, step for step and on Python
+    lists, which at the K of a fit beat numpy arrays: each row in turn
+    extends the matching along a shortest path of reduced costs, and the
+    dual potentials keep the reduced costs non-negative. It scans columns
+    and breaks ties as scipy does, so it returns scipy's assignment, not
+    just one of equal cost. ``ValueError`` on a NaN or -inf entry, or when
+    +inf entries leave no perfect matching of finite cost.
+    """
+    rows = np.asarray(cost, dtype=float)
+    if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
+        raise ValueError(f"need a square cost matrix, got shape {rows.shape}")
+    if np.isnan(rows).any() or np.isneginf(rows).any():
+        raise ValueError("matrix contains invalid numeric entries")
+    C = rows.tolist()
+    K = len(C)
+    inf = math.inf
+    u, v = [0.0] * K, [0.0] * K
+    path, col4row, row4col = [-1] * K, [-1] * K, [-1] * K
+    for cur in range(K):
+        short = [inf] * K
+        in_rows, in_cols = [False] * K, [False] * K
+        remaining = list(range(K - 1, -1, -1))  # reversed: a constant cost gives the identity
+        min_val, i, sink = 0.0, cur, -1
+        while sink == -1:
+            in_rows[i] = True
+            index, lowest = -1, inf
+            Ci, ui = C[i], u[i]
+            for it, j in enumerate(remaining):
+                r, sj = min_val + Ci[j] - ui - v[j], short[j]
+                if r < sj:
+                    path[j] = i
+                    short[j] = sj = r
+                # among equal costs prefer a free column: it ends the path
+                if sj < lowest or (sj == lowest and row4col[j] == -1):
+                    lowest, index = sj, it
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            in_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in range(K):
+            if in_rows[i] and i != cur:
+                u[i] += min_val - short[col4row[i]]
+        for j in range(K):
+            if in_cols[j]:
+                v[j] -= min_val - short[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from . import alpha_est
 from ._matrix_io import read_matrix_csv, write_json, write_matrix_csv
@@ -91,8 +90,20 @@ def _extended(center_point: np.ndarray, centroids: np.ndarray, gamma: float,
 
 def _warn_if_coincident(centroids: np.ndarray, stacklevel: int) -> None:
     """Warn when two centroid columns, and so two vertices, coincide up to rounding."""
-    if pdist(centroids.T).min() <= 1e-12 * max(1.0, float(np.abs(centroids).max())):
+    C = centroids.T
+    gap = min(float(np.linalg.norm(C[k + 1:] - C[k], axis=1).min()) for k in range(len(C) - 1))
+    if gap <= 1e-12 * max(1.0, float(np.abs(centroids).max())):
         warnings.warn("two fitted vertices coincide (degenerate K-means winner)", stacklevel=stacklevel)
+
+
+def _warn_if_rank_deficient(s: np.ndarray, n: int, D: int, stacklevel: int) -> None:
+    """Warn when the centred data have rank below K - 1 = len(s): s_{K-1} <= tol s_1, with
+    ``np.linalg.matrix_rank``'s tolerance tol = max(n, D) eps."""
+    tol = max(n, D) * np.finfo(float).eps * float(s[0])
+    if s[-1] <= tol:
+        rank = int(np.count_nonzero(s > tol))
+        warnings.warn(f"the centred data have rank {rank} < K - 1 = {s.size}, so K = {s.size + 1} "
+                      f"vertices are not identifiable", stacklevel=stacklevel)
 
 
 def _fit(data: Dataset, K: int, gamma: float, restarts: int, rng: np.random.Generator | None,
@@ -112,6 +123,7 @@ def _fit(data: Dataset, K: int, gamma: float, restarts: int, rng: np.random.Gene
     c0 /= data.divisor
     Xbar = _CentredOperator(X, c0, data.divisor)  # no centred copy on either branch
     factors = truncated_svd(Xbar, K - 1)
+    _warn_if_rank_deficient(factors.singular, n, D, stacklevel=4)
     sigma2 = None  # the mean of the trailing eigenvalues of Xbar^T Xbar / n, as a trace identity
     if data.kernel.name == "gaussian" and D > K - 1:
         s = factors.singular

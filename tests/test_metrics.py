@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 from simplexnest import Dataset, Kernel, SimplexNest, generate, sample_vertices
 from simplexnest.metrics import (
@@ -30,7 +31,66 @@ def _brute_force_max_form(M):
     return best
 
 
+def _scipy_min_matching(A, B):
+    """``min_matching`` as it ran on ``scipy.optimize.linear_sum_assignment``, verbatim: the oracle
+    of the in-house assignment. Returns (distance, permutation, frobenius)."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    M = _pairwise_column_distances(A, B)
+    rows, cols = linear_sum_assignment(M**2)
+    frobenius = float(np.sqrt((M[rows, cols] ** 2).sum()))
+    K = M.shape[0]
+    values = np.unique(M)
+    lo, hi = 0, values.size - 1
+    big = float((M**2).max()) * K + 1.0
+
+    def feasible(t: float) -> bool:
+        mask = np.where(M <= t, 0.0, 1.0)
+        rows, cols = linear_sum_assignment(mask)
+        return float(mask[rows, cols].sum()) == 0.0
+
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(float(values[mid])):
+            hi = mid
+        else:
+            lo = mid + 1
+    t = float(values[lo])
+    cost = np.where(M <= t, M**2, big)
+    rows, cols = linear_sum_assignment(cost)
+    perm = np.empty(K, dtype=int)
+    perm[cols] = rows
+    return t, perm, frobenius
+
+
+def _assert_matches_scipy(A, B):
+    res = min_matching(A, B)
+    distance, perm, frobenius = _scipy_min_matching(A, B)
+    assert res.distance == distance and res.frobenius == frobenius
+    np.testing.assert_array_equal(res.permutation, perm)
+    assert res.permutation.dtype == perm.dtype
+
+
 class TestMinMatching:
+    def test_matches_the_scipy_version(self):
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            K, D = int(rng.integers(1, 16)), int(rng.integers(1, 6))
+            A = rng.normal(size=(D, K))
+            # near pairs, far pairs, and integer grids whose distances tie
+            B = A[:, rng.permutation(K)] + rng.normal(scale=rng.choice([1e-3, 1.0]), size=(D, K))
+            _assert_matches_scipy(A, B)
+            _assert_matches_scipy(np.round(A), np.round(B))
+
+    def test_nan_raises_as_in_scipy(self):
+        A = np.random.default_rng(31).normal(size=(3, 4))
+        B = A.copy()
+        B[1, 2] = np.nan
+        with pytest.raises(ValueError):
+            _scipy_min_matching(A, B)
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            min_matching(A, B)
+
     def test_identical_sets(self):
         A = np.random.default_rng(0).normal(size=(5, 4))
         res = min_matching(A, A)
@@ -260,5 +320,6 @@ def test_min_matching_is_symmetric(D, K, data):
     A = data.draw(arrays(np.float64, (D, K), elements=finite))
     B = data.draw(arrays(np.float64, (D, K), elements=finite))
     ab, ba = min_matching(A, B), min_matching(B, A)
+    _assert_matches_scipy(A, B)
     assert ab.distance == ba.distance
     assert ab.frobenius == pytest.approx(ba.frobenius, rel=1e-12, abs=1e-12)

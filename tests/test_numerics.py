@@ -1,3 +1,4 @@
+import math
 import sys
 import warnings
 from collections import Counter
@@ -7,11 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
+from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh, svds
 
 from simplexnest import (Dataset, Kernel, SimplexNest, dirichlet_covariance, generate, sample_vertices,
                          sample_weights)
 from simplexnest import numerics, vlad
+from simplexnest.extension import GammaTable, quadrature_gamma, varphi
 from simplexnest.numerics import (
     LANCZOS_SEED as ARPACK_V0_SEED,
     LLOYD_MAX_ITER,
@@ -20,8 +24,10 @@ from simplexnest.numerics import (
     SvdFactors,
     _cluster_sums,
     _plusplus_init,
+    brentq,
     center,
     kmeans,
+    min_cost_assignment,
     sample_covariance,
     truncated_svd,
 )
@@ -715,6 +721,56 @@ class TestGramAgainstTheCentredCopy:
         _assert_sign_convention(fac.right)
 
 
+class _CentredOperatorBefore(numerics._CentredOperator):
+    """The operator as it centred before blocks skipped the division by 1 and a
+    zero mean: its ``__matmul__`` and ``blocks`` verbatim."""
+
+    @property
+    def T(self):
+        return _CentredOperatorBefore(self.X, self.mean, self.divisor, not self.transposed)
+
+    def __matmul__(self, Q):
+        if self.transposed:
+            return (self.X.T @ Q) / self.divisor - np.outer(self.mean, Q.sum(axis=0))
+        return (self.X @ Q) / self.divisor - self.mean @ Q
+
+    def blocks(self):
+        X = self.X.T if self.transposed else self.X
+        spans = numerics.row_blocks(X.shape[0], X.shape[1] * X.itemsize)
+        buffer = np.empty((spans[0].stop, X.shape[1]))
+        for rows in spans:
+            block = np.divide(X[rows], self.divisor, out=buffer[: rows.stop - rows.start])
+            block -= self.mean[rows, None] if self.transposed else self.mean
+            yield rows, block
+
+
+@pytest.mark.parametrize("branch", ["gram", "lanczos"])
+@pytest.mark.parametrize("case", ["gaussian-tall", "gaussian-wide", "poisson-tall", "poisson-wide",
+                                  "multinomial-tall", "plain-tall", "plain-wide"])
+def test_centring_shortcuts_are_bit_identical(monkeypatch, case, branch):
+    """Divisor 1 centred by one subtraction, and a zero mean by no arithmetic at all,
+    give the factors and norm of the full divide-and-subtract path bit for bit."""
+    name, shape = case.split("-")
+    if name == "plain":
+        X = np.random.default_rng(64).normal(size=(300, 40) if shape == "tall" else (40, 300))
+        mean, N = np.zeros(X.shape[1]), 1
+    else:
+        data, _ = _gram_case(case)
+        X, N = data.observations, data.divisor
+        mean = X.mean(axis=0) / N
+    _set_blocks(monkeypatch, "uneven", X.shape)
+    if branch == "lanczos":
+        monkeypatch.setattr(numerics, "GRAM_MAX_SIDE", 0)
+    op, before = numerics._CentredOperator(X, mean, N), _CentredOperatorBefore(X, mean, N)
+    fac, ref = truncated_svd(op, 4), truncated_svd(before, 4)
+    for got in (fac, truncated_svd(X, 4)) if name == "plain" else (fac,):
+        for field in ("left", "singular", "right"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(ref, field))
+    assert op.squared_norm() == before.squared_norm()
+    if name == "plain":
+        assert not any(block.flags.writeable for _, block in op.blocks())
+
+
 def _spy_on_gram(monkeypatch) -> list:
     """Record the shape of every operator whose Gram is formed."""
     formed = []
@@ -1265,3 +1321,104 @@ class TestCvtOnSegments:
             vertex_dir /= np.linalg.norm(vertex_dir)
             cos = float(direction @ vertex_dir)
             assert cos > 0.9995, f"centroid direction misses its vertex ray: cos={cos}"
+
+
+def _same_root(f, a: float, b: float, **kw) -> None:
+    """``brentq`` against scipy's on one bracket: the same root bit for bit, or the same error."""
+    try:
+        want = scipy_brentq(f, a, b, **kw)
+    except (ValueError, RuntimeError) as exc:
+        with pytest.raises(type(exc)):
+            brentq(f, a, b, **kw)
+        return
+    assert brentq(f, a, b, **kw) == want
+
+
+class TestBrentqAgainstScipy:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-5, 5), min_size=4, max_size=4), st.floats(-20, 0), st.floats(0.1, 20),
+           st.sampled_from([2e-12, 1e-6, 5e-324]))
+    def test_same_root_on_random_functions(self, c, a, width, xtol):
+        cases = [
+            lambda x: math.tanh(c[0] * (x - c[1])) + 1e-3 * c[2] * x**3 + 1e-2 * c[3],
+            lambda x: (x - c[0]) * (x - c[1]) * (x - c[2]) + c[3],
+            lambda x: math.exp(c[0] * x / 20) - math.exp(c[1]),
+            lambda x: (x - c[0]) ** 3,  # a flat root: many bisection steps
+        ]
+        for f in cases:
+            _same_root(f, a, a + width, xtol=xtol)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(2, 12), st.floats(0.05, 0.95))
+    def test_same_root_on_the_quadrature_phi_curve(self, K, where):
+        lo, hi = 0.02, 10.0
+        ends = [varphi(K, a, quadrature_gamma(K, a)) for a in (lo, hi)]
+        phi_star = ends[0] + where * (ends[1] - ends[0])
+        _same_root(lambda a: varphi(K, a, quadrature_gamma(K, a)) - phi_star, lo, hi)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    def test_same_root_on_a_gamma_table_phi_curve(self, where):
+        alphas = np.geomspace(0.1, 5.0, 12)
+        table = GammaTable(K=10, alphas=alphas, gammas=quadrature_gamma(10, alphas), m=0, seed=0)
+        ends = [varphi(10, a, table(10, a)) for a in (0.1, 5.0)]
+        phi_star = ends[0] + where * (ends[1] - ends[0])
+        _same_root(lambda a: varphi(10, a, table(10, a)) - phi_star, 0.1, 5.0)
+
+    def test_errors_as_in_scipy(self):
+        for f, a, b, kw in [
+            (lambda x: x * x + 1.0, -1.0, 1.0, {}),            # one sign
+            (lambda x: math.nan if x > 0.3 else x - 0.5, 0.0, 1.0, {}),  # NaN on the way
+            (lambda x: math.copysign(1.0, x - 0.3), 0.0, 1.0, {"maxiter": 3}),
+            (lambda x: x, -1.0, 1.0, {"xtol": 0.0}),
+            (lambda x: x, -1.0, 1.0, {"rtol": 1e-17}),
+        ]:
+            with pytest.raises((ValueError, RuntimeError)) as want:
+                scipy_brentq(f, a, b, **kw)
+            with pytest.raises(want.type):
+                brentq(f, a, b, **kw)
+        assert brentq(lambda x: x - 1.0, 1.0, 3.0) == scipy_brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+
+
+class TestAssignmentAgainstScipy:
+    def test_untied_costs_give_scipy_permutation(self):
+        rng = np.random.default_rng(70)
+        for K in range(1, 21):
+            for _ in range(20):
+                C = rng.normal(size=(K, K)) * rng.choice([1e-6, 1.0, 1e6])
+                rows, cols = linear_sum_assignment(C)
+                assert min_cost_assignment(C) == cols.tolist()
+
+    def test_tied_and_integer_costs_give_scipy_cost(self):
+        rng = np.random.default_rng(71)
+        for K in range(1, 21):
+            for C in (rng.integers(0, 3, size=(K, K)), np.round(rng.random((K, K)), 1),
+                      np.ones((K, K)), (rng.random((K, K)) > 0.5).astype(float)):
+                C = C.astype(float)
+                rows, cols = linear_sum_assignment(C)
+                got = min_cost_assignment(C)
+                assert sorted(got) == list(range(K))
+                assert C[rows, got].sum() == C[rows, cols].sum()
+
+    def test_non_finite_costs_as_in_scipy(self):
+        C = np.random.default_rng(72).random((4, 4))
+        for i, j, bad in [(1, 2, np.nan), (0, 0, -np.inf)]:
+            D = C.copy()
+            D[i, j] = bad
+            with pytest.raises(ValueError):
+                linear_sum_assignment(D)
+            with pytest.raises(ValueError, match="invalid numeric entries"):
+                min_cost_assignment(D)
+        D = C.copy()
+        D[2] = np.inf  # a row with no finite entry: no perfect matching
+        with pytest.raises(ValueError):
+            linear_sum_assignment(D)
+        with pytest.raises(ValueError, match="infeasible"):
+            min_cost_assignment(D)
+        D = C.copy()
+        D[2, :3] = np.inf  # one finite entry left in the row: feasible
+        assert min_cost_assignment(D) == linear_sum_assignment(D)[1].tolist()
+
+    def test_not_square_raises(self):
+        with pytest.raises(ValueError, match="square"):
+            min_cost_assignment(np.zeros((2, 3)))

@@ -146,16 +146,28 @@ class TestFit:
     def test_coincident_vertex_warning(self):
         X = np.vstack([np.tile([0.0, 0.0, 0.0], (30, 1)), np.tile([1.0, 1.0, 0.0], (30, 1))])
         data = Dataset(X, Kernel.noiseless())
-        with pytest.warns(UserWarning, match="coincide"):
+        with pytest.warns(UserWarning, match="coincide"), pytest.warns(UserWarning, match="rank 1 < K - 1"):
             fit(data, 3, gamma=1.0, rng=np.random.default_rng(28))
 
     def test_identical_rows_warn_and_stay_finite(self):
         # every centered row is zero, so the factors come from the all-zero matrix
         data = Dataset(np.tile([0.5, -1.0, 2.0, 0.0], (30, 1)), Kernel.noiseless())
-        with pytest.warns(UserWarning, match="coincide"):
+        with pytest.warns(UserWarning, match="coincide"), pytest.warns(UserWarning, match="rank 0 < K - 1"):
             f = fit(data, 3, gamma=1.5, rng=np.random.default_rng(28))
         assert np.all(np.isfinite(f.vertices))
         np.testing.assert_array_equal(f.factors.singular, [0.0, 0.0])
+
+    def test_rank_deficient_data_warn(self):
+        # noiseless data on a triangle, fitted with K = 4: the third singular value is rounding
+        rng = np.random.default_rng(30)
+        B = rng.random((20, 3))
+        data = Dataset(rng.dirichlet(np.ones(3), 500) @ B.T, Kernel.noiseless())
+        with pytest.warns(UserWarning, match=r"rank 2 < K - 1 = 3, so K = 4 vertices"):
+            f = fit(data, 4, gamma=1.0, rng=np.random.default_rng(31))
+        assert f.factors.singular[2] <= 1e-13 * f.factors.singular[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit(data, 3, gamma=1.0, rng=np.random.default_rng(31))  # full rank at K = 3
 
     def test_input_validation(self):
         _, data = _noiseless_data(n=10, seed=29)
