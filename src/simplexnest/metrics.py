@@ -37,16 +37,10 @@ def _pairwise_column_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.sqrt((diff**2).sum(axis=2))
 
 
-def _bottleneck_assignment(M: np.ndarray, upper: float) -> tuple[float, np.ndarray]:
-    """Threshold search: smallest max edge admitting a perfect matching.
-
-    ``upper`` is the max edge of some perfect matching. Every row and every
-    column needs an edge, so the answer is at least the largest row or column
-    minimum; only the distances between the two bounds are searched.
-    """
+def _bottleneck_assignment(M: np.ndarray) -> tuple[float, np.ndarray]:
+    """Threshold search: smallest max edge admitting a perfect matching."""
     K = M.shape[0]
-    lower = max(M.min(axis=1).max(), M.min(axis=0).max())
-    values = np.unique(M[(M >= lower) & (M <= upper)])
+    values = np.unique(M)
     lo, hi = 0, values.size - 1
     big = float((M**2).max()) * K + 1.0
 
@@ -84,10 +78,9 @@ def min_matching(A: np.ndarray, B: np.ndarray) -> MinMatch:
     if A.shape != B.shape or A.ndim != 2:
         raise ValueError(f"vertex sets must share one (D, K) shape, got {A.shape} vs {B.shape}")
     M = _pairwise_column_distances(A, B)
-    squared = M**2
-    rows, cols = np.arange(M.shape[0]), min_cost_assignment(squared)
-    frobenius = float(np.sqrt(squared[rows, cols].sum()))
-    distance, perm = _bottleneck_assignment(M, float(M[rows, cols].max()))
+    cols = min_cost_assignment(M**2)
+    frobenius = float(np.sqrt((M[np.arange(M.shape[0]), cols] ** 2).sum()))
+    distance, perm = _bottleneck_assignment(M)
     return MinMatch(distance=distance, permutation=perm, frobenius=frobenius)
 
 

@@ -67,7 +67,9 @@ LANCZOS_SEED = 0  # seeds the start vector and every fresh direction of Lanczos
 LANCZOS_BASIS = 48  # Lanczos basis vectors held, at least; see truncated_svd
 LANCZOS_PROBE = 4  # products run from a fresh direction before the top r are accepted
 LANCZOS_MAX_PRODUCTS = 10_000  # Gram products before LanczosNoConvergence
-BRENT_RTOL = 4 * float(np.finfo(float).eps)  # brentq's least and default relative tolerance
+BRENT_XTOL = 2e-12  # brentq's absolute tolerance, scipy's default
+BRENT_RTOL = 4 * float(np.finfo(float).eps)  # brentq's relative tolerance, scipy's default (and least)
+BRENT_MAX_ITER = 100  # brentq's iterations before RuntimeError, scipy's default
 ROW_BLOCK_BYTES = 1 << 21  # bytes of (n, D) rows a pass over the data handles at once; see row_blocks
 
 
@@ -132,7 +134,6 @@ class _CentredOperator:
                  transposed: bool = False):
         self.X, self.mean, self.divisor, self.transposed = X, mean, float(divisor), transposed
         self.gram_trace: float | None = None  # ||Xbar||_F^2, once truncated_svd formed the Gram
-        self.zero_mean = not mean.any()  # X is Xbar itself up to the divisor, as for a plain array
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -143,10 +144,9 @@ class _CentredOperator:
         return _CentredOperator(self.X, self.mean, self.divisor, not self.transposed)
 
     def __matmul__(self, Q: np.ndarray) -> np.ndarray:
-        XQ = ((self.X.T if self.transposed else self.X) @ Q) / self.divisor
-        if self.zero_mean:
-            return XQ
-        return XQ - (np.outer(self.mean, Q.sum(axis=0)) if self.transposed else self.mean @ Q)
+        if self.transposed:
+            return (self.X.T @ Q) / self.divisor - np.outer(self.mean, Q.sum(axis=0))
+        return (self.X @ Q) / self.divisor - self.mean @ Q
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """Xbar itself, an (n, D) copy: for oracles, never on a fit's path."""
@@ -156,28 +156,13 @@ class _CentredOperator:
     def blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
         """(rows, block) pairs covering the operator's rows, each block centred by
         the exact mean, X_b / N - c, and about ``ROW_BLOCK_BYTES`` (``row_blocks``).
-        Every block is written into one buffer, so it is valid until the next, by
-        one subtraction when N = 1, as X_b / 1 is X_b. Rows of a C-ordered X with
-        mean 0 and N = 1 need no buffer: they are X's own rows, as read-only views,
-        which the products see as they saw the buffer. (The columns of X, as
-        views, would change the rounding of the Gram.)"""
+        Every block is written into one buffer, so it is valid until the next."""
         X = self.X.T if self.transposed else self.X  # rows of Xbar^T are columns of X
         spans = row_blocks(X.shape[0], X.shape[1] * X.itemsize)
-        if self.zero_mean and self.divisor == 1.0 and X.flags.c_contiguous:
-            for rows in spans:
-                block = X[rows]
-                block.flags.writeable = False
-                yield rows, block
-            return
         buffer = np.empty((spans[0].stop, X.shape[1]))
         for rows in spans:
-            block = buffer[: rows.stop - rows.start]
-            mean = self.mean[rows, None] if self.transposed else self.mean
-            if self.divisor == 1.0:
-                np.subtract(X[rows], mean, out=block)
-            else:
-                np.divide(X[rows], self.divisor, out=block)
-                block -= mean
+            block = np.divide(X[rows], self.divisor, out=buffer[: rows.stop - rows.start])
+            block -= self.mean[rows, None] if self.transposed else self.mean
             yield rows, block
 
     def gram(self) -> np.ndarray:
@@ -648,22 +633,18 @@ def kmeans(
     return min(_lloyd(points, sqnorms, runs, max_iter), key=lambda result: result.cost)
 
 
-def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
-           rtol: float = BRENT_RTOL, maxiter: int = 100) -> float:
+def brentq(f: Callable[[float], float], a: float, b: float) -> float:
     """A root of ``f`` in the bracket [a, b] by Brent's method (Brent 1973, ch. 4).
 
     A line-by-line port of ``scipy.optimize.brentq`` (its C ``brentq`` with
-    the Python checks around it): the same defaults, the same iterates in
-    the same IEEE arithmetic, so the same root to the bit. It stops once
-    the bracket's half-width is below (xtol + rtol |x|) / 2. ``ValueError``
-    when f(a) and f(b) have one sign or f returns NaN, ``RuntimeError``
-    after ``maxiter`` iterations.
+    the Python checks around it) at scipy's default tolerances: the same
+    iterates in the same IEEE arithmetic, so the same root to the bit. It
+    stops once the bracket's half-width is below (xtol + rtol |x|) / 2, with
+    xtol = ``BRENT_XTOL`` and rtol = ``BRENT_RTOL``. ``ValueError`` when f(a)
+    and f(b) have one sign or f returns NaN, ``RuntimeError`` after
+    ``BRENT_MAX_ITER`` iterations. The arithmetic is on Python floats, whose
+    division by zero raises (caught below).
     """
-    xtol, rtol = float(xtol), float(rtol)  # Python floats: a division by zero raises, caught below
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < BRENT_RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {BRENT_RTOL:g})")
 
     def value(x: float) -> float:
         fx = float(f(x))
@@ -680,14 +661,14 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(BRENT_MAX_ITER):
         if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -710,7 +691,7 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+    raise RuntimeError(f"Failed to converge after {BRENT_MAX_ITER} iterations, value is {xcur}")
 
 
 def min_cost_assignment(cost) -> list[int]:

@@ -721,56 +721,6 @@ class TestGramAgainstTheCentredCopy:
         _assert_sign_convention(fac.right)
 
 
-class _CentredOperatorBefore(numerics._CentredOperator):
-    """The operator as it centred before blocks skipped the division by 1 and a
-    zero mean: its ``__matmul__`` and ``blocks`` verbatim."""
-
-    @property
-    def T(self):
-        return _CentredOperatorBefore(self.X, self.mean, self.divisor, not self.transposed)
-
-    def __matmul__(self, Q):
-        if self.transposed:
-            return (self.X.T @ Q) / self.divisor - np.outer(self.mean, Q.sum(axis=0))
-        return (self.X @ Q) / self.divisor - self.mean @ Q
-
-    def blocks(self):
-        X = self.X.T if self.transposed else self.X
-        spans = numerics.row_blocks(X.shape[0], X.shape[1] * X.itemsize)
-        buffer = np.empty((spans[0].stop, X.shape[1]))
-        for rows in spans:
-            block = np.divide(X[rows], self.divisor, out=buffer[: rows.stop - rows.start])
-            block -= self.mean[rows, None] if self.transposed else self.mean
-            yield rows, block
-
-
-@pytest.mark.parametrize("branch", ["gram", "lanczos"])
-@pytest.mark.parametrize("case", ["gaussian-tall", "gaussian-wide", "poisson-tall", "poisson-wide",
-                                  "multinomial-tall", "plain-tall", "plain-wide"])
-def test_centring_shortcuts_are_bit_identical(monkeypatch, case, branch):
-    """Divisor 1 centred by one subtraction, and a zero mean by no arithmetic at all,
-    give the factors and norm of the full divide-and-subtract path bit for bit."""
-    name, shape = case.split("-")
-    if name == "plain":
-        X = np.random.default_rng(64).normal(size=(300, 40) if shape == "tall" else (40, 300))
-        mean, N = np.zeros(X.shape[1]), 1
-    else:
-        data, _ = _gram_case(case)
-        X, N = data.observations, data.divisor
-        mean = X.mean(axis=0) / N
-    _set_blocks(monkeypatch, "uneven", X.shape)
-    if branch == "lanczos":
-        monkeypatch.setattr(numerics, "GRAM_MAX_SIDE", 0)
-    op, before = numerics._CentredOperator(X, mean, N), _CentredOperatorBefore(X, mean, N)
-    fac, ref = truncated_svd(op, 4), truncated_svd(before, 4)
-    for got in (fac, truncated_svd(X, 4)) if name == "plain" else (fac,):
-        for field in ("left", "singular", "right"):
-            np.testing.assert_array_equal(getattr(got, field), getattr(ref, field))
-    assert op.squared_norm() == before.squared_norm()
-    if name == "plain":
-        assert not any(block.flags.writeable for _, block in op.blocks())
-
-
 def _spy_on_gram(monkeypatch) -> list:
     """Record the shape of every operator whose Gram is formed."""
     formed = []
@@ -1323,22 +1273,22 @@ class TestCvtOnSegments:
             assert cos > 0.9995, f"centroid direction misses its vertex ray: cos={cos}"
 
 
-def _same_root(f, a: float, b: float, **kw) -> None:
-    """``brentq`` against scipy's on one bracket: the same root bit for bit, or the same error."""
+def _same_root(f, a: float, b: float) -> None:
+    """``brentq`` against scipy's at its defaults on one bracket: the same root bit for
+    bit, or the same error."""
     try:
-        want = scipy_brentq(f, a, b, **kw)
+        want = scipy_brentq(f, a, b)
     except (ValueError, RuntimeError) as exc:
         with pytest.raises(type(exc)):
-            brentq(f, a, b, **kw)
+            brentq(f, a, b)
         return
-    assert brentq(f, a, b, **kw) == want
+    assert brentq(f, a, b) == want
 
 
 class TestBrentqAgainstScipy:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(-5, 5), min_size=4, max_size=4), st.floats(-20, 0), st.floats(0.1, 20),
-           st.sampled_from([2e-12, 1e-6, 5e-324]))
-    def test_same_root_on_random_functions(self, c, a, width, xtol):
+    @given(st.lists(st.floats(-5, 5), min_size=4, max_size=4), st.floats(-20, 0), st.floats(0.1, 20))
+    def test_same_root_on_random_functions(self, c, a, width):
         cases = [
             lambda x: math.tanh(c[0] * (x - c[1])) + 1e-3 * c[2] * x**3 + 1e-2 * c[3],
             lambda x: (x - c[0]) * (x - c[1]) * (x - c[2]) + c[3],
@@ -1346,7 +1296,7 @@ class TestBrentqAgainstScipy:
             lambda x: (x - c[0]) ** 3,  # a flat root: many bisection steps
         ]
         for f in cases:
-            _same_root(f, a, a + width, xtol=xtol)
+            _same_root(f, a, a + width)
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(2, 12), st.floats(0.05, 0.95))
@@ -1366,17 +1316,15 @@ class TestBrentqAgainstScipy:
         _same_root(lambda a: varphi(10, a, table(10, a)) - phi_star, 0.1, 5.0)
 
     def test_errors_as_in_scipy(self):
-        for f, a, b, kw in [
-            (lambda x: x * x + 1.0, -1.0, 1.0, {}),            # one sign
-            (lambda x: math.nan if x > 0.3 else x - 0.5, 0.0, 1.0, {}),  # NaN on the way
-            (lambda x: math.copysign(1.0, x - 0.3), 0.0, 1.0, {"maxiter": 3}),
-            (lambda x: x, -1.0, 1.0, {"xtol": 0.0}),
-            (lambda x: x, -1.0, 1.0, {"rtol": 1e-17}),
+        for f, a, b in [
+            (lambda x: x * x + 1.0, -1.0, 1.0),                         # one sign
+            (lambda x: math.nan if x > 0.3 else x - 0.5, 0.0, 1.0),     # NaN on the way
+            (lambda x: math.copysign(1.0, x - 0.3), -1e300, 1e300),     # too wide for 100 steps
         ]:
             with pytest.raises((ValueError, RuntimeError)) as want:
-                scipy_brentq(f, a, b, **kw)
+                scipy_brentq(f, a, b)
             with pytest.raises(want.type):
-                brentq(f, a, b, **kw)
+                brentq(f, a, b)
         assert brentq(lambda x: x - 1.0, 1.0, 3.0) == scipy_brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
 
 
