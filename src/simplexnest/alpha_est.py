@@ -20,8 +20,7 @@ right singular vectors W, and Xbar W = U S, so from the fit's own factors
 - <A, Sigma_hat> = ||S W^T R||_F^2 / n;
 - gaussian: <A, I> = ||R||_F^2, times the fit's own sigma2_hat =
   (||Xbar||_F^2 - sum_j s_j^2) / (n (D - K + 1)), the mean of the trailing
-  eigenvalues written as a trace identity (``vlad.fit`` reads ||Xbar||_F^2
-  from the trace of the Gram it formed, or, when it formed none, sums it
+  eigenvalues written as a trace identity (``vlad.fit`` sums ||Xbar||_F^2
   over centred blocks of rows in one O(nD) pass);
 - poisson: <A, Diag(m)> = sum_d m_d ||R_d||^2;
 - multinomial: the Poisson term and <A, m m^T> = ||R^T m||^2, both over N,

@@ -25,32 +25,28 @@ BLAS rounds the batched product as it rounds a one-restart product.
 
 The truncated SVD computes only the top r singular triplets and runs on
 numpy's BLAS and LAPACK alone. Lanczos finds the top r eigenvectors of the
-(m, m) short-side Gram, m = min(n, D), and accepts them by ARPACK's
-convergence test, whose absolute floor is scaled by the Gram's trace
-where the Gram is formed; the SVD of the data times them gives the
-factors. The short side decides only whether the Gram is formed: up to
-``GRAM_MAX_SIDE`` Lanczos multiplies by the formed Gram, above it by the
-data twice, one column at a time. Nothing runs on the OpenBLAS bundled
-with scipy's wheel, a second thread pool whose threads kept spinning on
-the cores the K-means that follows needs. Lanczos draws its start vector,
-and any fresh direction, from a generator of its own seeded with
-``LANCZOS_SEED``, never from the caller's, so the factors are
-deterministic.
+(m, m) short-side Gram, m = min(n, D), multiplying by the data twice, one
+column at a time, whatever the shape, and never forms the Gram. It accepts
+them by ARPACK's convergence test, with the absolute floor taken relative
+to the largest Gram product of the run; the SVD of the data times them
+gives the factors. Nothing runs on the OpenBLAS bundled with scipy's
+wheel, a second thread pool whose threads kept spinning on the cores the
+K-means that follows needs. Lanczos draws its start vector, and any fresh
+direction, from a generator of its own seeded with ``LANCZOS_SEED``, never
+from the caller's, so the factors are deterministic.
 
 The data reach the SVD as ``_CentredOperator``, which stands for
 Xbar = X / N - 1 c^T of raw observations X, a divisor N (the multinomial
 trial count, else 1) and their column mean c, and never forms it. Lanczos
-on the data runs on its products Xbar q = (X q) / N - (c . q) 1 and
-Xbar^T u = (X^T u) / N - c (1 . u). The formed Gram is summed over
-blocks of rows of the tall one of Xbar and Xbar^T, each centred as
-X_b / N - c into one buffer of about ``ROW_BLOCK_BYTES``, and the finish
-takes the data times the eigenvectors from the same blocks. So
-a fit holds no (n, D) float copy of its observations on either branch.
-Centring each block by the exact mean keeps the precision of a centred
-copy: Xbar^T Xbar formed as X^T X / N^2 - n c c^T would lose to
-cancellation twice the digits by which the mean outweighs the spread
-(Chan, Golub & LeVeque 1983), where the one subtraction of a Lanczos
-product loses them once.
+runs on its products Xbar q = (X q) / N - (c . q) 1 and
+Xbar^T u = (X^T u) / N - c (1 . u), and the finish takes the data times
+the eigenvectors by the same arithmetic over blocks of about
+``ROW_BLOCK_BYTES`` of rows. So a fit holds no (n, D) float copy of its
+observations. ||Xbar||_F^2 is summed over blocks centred as X_b / N - c by
+the exact mean, which keeps the precision of a centred copy: formed as
+||X||_F^2 / N^2 - n |c|^2 it would lose to cancellation twice the digits
+by which the mean outweighs the spread (Chan, Golub & LeVeque 1983), where
+the one subtraction of a product loses them once.
 """
 
 from __future__ import annotations
@@ -62,7 +58,6 @@ from typing import Callable, Iterator
 import numpy as np
 
 LLOYD_MAX_ITER = 300
-GRAM_MAX_SIDE = 750  # largest short side whose Gram is formed; see truncated_svd
 LANCZOS_SEED = 0  # seeds the start vector and every fresh direction of Lanczos
 LANCZOS_BASIS = 48  # Lanczos basis vectors held, at least; see truncated_svd
 LANCZOS_PROBE = 4  # products run from a fresh direction before the top r are accepted
@@ -124,16 +119,15 @@ class _CentredOperator:
 
     ``A @ Q`` gives (X Q) / N - 1 (c^T Q) and ``A.T @ U`` gives
     (X^T U) / N - c (1^T U), the products Lanczos needs; ``.T`` swaps the
-    two. ``blocks`` yields the rows of the operator (the columns of Xbar
-    when transposed) one block at a time, each centred as X_b / N - c, and
-    ``gram`` and ``blocked_product`` are built from them. See the module
-    docstring for their precision.
+    two. ``blocked_product`` takes the same arithmetic over blocks of the
+    operator's rows, and ``blocks`` yields those rows (the columns of Xbar
+    when transposed) centred as X_b / N - c. See the module docstring for
+    their precision.
     """
 
     def __init__(self, X: np.ndarray, mean: np.ndarray, divisor: float = 1.0,
                  transposed: bool = False):
         self.X, self.mean, self.divisor, self.transposed = X, mean, float(divisor), transposed
-        self.gram_trace: float | None = None  # ||Xbar||_F^2, once truncated_svd formed the Gram
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -143,21 +137,37 @@ class _CentredOperator:
     def T(self) -> "_CentredOperator":
         return _CentredOperator(self.X, self.mean, self.divisor, not self.transposed)
 
+    def _rows(self) -> np.ndarray:
+        """The stored rows of the operator: X, or X^T when transposed (a view)."""
+        return self.X.T if self.transposed else self.X
+
+    def _shift(self, Q: np.ndarray) -> np.ndarray:
+        """The centring term of a product: 1 (c^T Q), or c (1^T Q) when transposed."""
+        return np.outer(self.mean, Q.sum(axis=0)) if self.transposed else self.mean @ Q
+
     def __matmul__(self, Q: np.ndarray) -> np.ndarray:
-        if self.transposed:
-            return (self.X.T @ Q) / self.divisor - np.outer(self.mean, Q.sum(axis=0))
-        return (self.X @ Q) / self.divisor - self.mean @ Q
+        return (self._rows() @ Q) / self.divisor - self._shift(Q)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """Xbar itself, an (n, D) copy: for oracles, never on a fit's path."""
         Xbar = self.X / self.divisor - self.mean
         return np.asarray(Xbar.T if self.transposed else Xbar, dtype=dtype)
 
+    def blocked_product(self, Q: np.ndarray) -> np.ndarray:
+        """A Q as ``A @ Q`` computes it, one block of about ``ROW_BLOCK_BYTES`` of
+        the operator's rows at a time: one product with all of them runs the
+        BLAS on thread buffers the size of the data."""
+        X, shift = self._rows(), self._shift(Q)
+        AQ = np.empty((X.shape[0], Q.shape[1]))
+        for rows in row_blocks(X.shape[0], X.shape[1] * X.itemsize):
+            AQ[rows] = (X[rows] @ Q) / self.divisor - (shift[rows] if self.transposed else shift)
+        return AQ
+
     def blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
         """(rows, block) pairs covering the operator's rows, each block centred by
         the exact mean, X_b / N - c, and about ``ROW_BLOCK_BYTES`` (``row_blocks``).
         Every block is written into one buffer, so it is valid until the next."""
-        X = self.X.T if self.transposed else self.X  # rows of Xbar^T are columns of X
+        X = self._rows()
         spans = row_blocks(X.shape[0], X.shape[1] * X.itemsize)
         buffer = np.empty((spans[0].stop, X.shape[1]))
         for rows in spans:
@@ -165,26 +175,8 @@ class _CentredOperator:
             block -= self.mean[rows, None] if self.transposed else self.mean
             yield rows, block
 
-    def gram(self) -> np.ndarray:
-        """A^T A of the operator A, summed over its centred row blocks."""
-        m = self.shape[1]
-        G, part = np.zeros((m, m)), np.empty((m, m))
-        for _, block in self.blocks():
-            G += np.matmul(block.T, block, out=part)
-        return G
-
-    def blocked_product(self, Q: np.ndarray) -> np.ndarray:
-        """A Q, one centred row block of the operator A at a time."""
-        AQ = np.empty((self.shape[0], Q.shape[1]))
-        for rows, block in self.blocks():
-            AQ[rows] = block @ Q
-        return AQ
-
     def squared_norm(self) -> float:
-        """||Xbar||_F^2: the trace of the Gram if ``truncated_svd`` formed it, else
-        summed over the centred blocks."""
-        if self.gram_trace is not None:
-            return self.gram_trace
+        """||Xbar||_F^2, summed over the centred blocks."""
         return sum(float(np.vdot(block, block)) for _, block in self.blocks())
 
     def finite(self) -> bool:
@@ -192,7 +184,7 @@ class _CentredOperator:
 
 
 def _not_finite(A: _CentredOperator) -> ValueError:
-    """The error for a Gram or a product of ``A`` that is not finite: it names
+    """The error for a Gram product of ``A`` that is not finite: it names
     a NaN or an infinity in ``A``, else the overflow of a finite ``A``."""
     if A.finite():
         return ValueError("Xbar is finite, but its Gram overflows float64; scale it down")
@@ -210,11 +202,9 @@ def _unit_orthogonal(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def _lanczos(gram: Callable[[np.ndarray], np.ndarray], m: int, r: int,
-             size: float = 1.0) -> np.ndarray:
+def _lanczos(gram: Callable[[np.ndarray], np.ndarray], m: int, r: int) -> np.ndarray:
     """Top r eigenvectors, (m, r) orthonormal, of an (m, m) Gram G given as
-    its product ``gram``, which maps an (m, 1) column v to G v. ``size``
-    scales the absolute floor of the convergence test (see ``truncated_svd``).
+    its product ``gram``, which maps an (m, 1) column v to G v.
 
     The rows of V are an orthonormal basis and M[i, j] = v_i . G v_j.
     Vectors take their product in the order they joined the basis: the
@@ -234,14 +224,14 @@ def _lanczos(gram: Callable[[np.ndarray], np.ndarray], m: int, r: int,
     A product that is not finite raises ``FloatingPointError``.
     """
     eps = np.finfo(float).eps / 2  # LAPACK's dlamch('E'), ARPACK's tol = 0
-    floor = eps ** (2.0 / 3.0) * size
+    floor = eps ** (2.0 / 3.0)  # of the convergence test, times scale (see truncated_svd)
     ncv = min(m, max(LANCZOS_BASIS, 3 * r))
     rng = np.random.default_rng(LANCZOS_SEED)
     V = np.empty((ncv, m))
     M = np.zeros((ncv, ncv))
     V[0] = _unit_orthogonal(rng.standard_normal(m), V[:0])
     d, k = 0, 1          # vectors done, vectors held
-    scale = 0.0          # largest |G v| seen, for the breakdown test
+    scale = 0.0          # largest |G v| seen, for the breakdown and convergence tests
     settled = None       # top r values when the running probe was started
     probe_end = 0
     for products in range(1, LANCZOS_MAX_PRODUCTS + 1):
@@ -271,7 +261,7 @@ def _lanczos(gram: Callable[[np.ndarray], np.ndarray], m: int, r: int,
         theta, S = np.linalg.eigh(M[:d, :d])
         theta, S = theta[: -r - 1 : -1], S[:, : -r - 1 : -1]
         bounds = np.linalg.norm(M[d:k, :d] @ S, axis=0)
-        if not np.all(bounds <= eps * np.maximum(floor, np.abs(theta))):
+        if not np.all(bounds <= eps * np.maximum(floor * scale, np.abs(theta))):
             settled = None
             continue
         if k == m or (settled is not None
@@ -320,12 +310,8 @@ def truncated_svd(Xbar: np.ndarray | _CentredOperator, r: int) -> SvdFactors:
     the operator of itself, with mean 0 and divisor 1. With A the tall one
     of Xbar and Xbar^T and m = min(n, D) its short side, Lanczos
     (``_lanczos``) finds the top r eigenvectors Q of the (m, m) Gram
-    A^T A, and the SVD of A Q gives the factors. The branch decides only
-    whether the Gram is formed. For m <= ``GRAM_MAX_SIDE`` it is summed
-    from A's centred row blocks, Lanczos multiplies by it, A Q is taken
-    block by block, and its trace is kept as the operator's
-    ``squared_norm``. Above it Lanczos multiplies by A^T (A q) and A Q is
-    one product. Either way:
+    A^T A through the products A^T (A q), and the SVD of A Q, taken over
+    blocks of A's rows (``blocked_product``), gives the factors:
 
     - each step is one product on a single column, orthogonalized
       against the whole basis by two passes of classical Gram-Schmidt;
@@ -334,11 +320,10 @@ def truncated_svd(Xbar: np.ndarray | _CentredOperator, r: int) -> SvdFactors:
       of centered normalized counts, and fixed so that repeated calls give
       bit-identical factors without drawing from the caller's generator;
     - the top r pairs are accepted by ARPACK's test with ``tol = 0``
-      (``dsconv``): each Ritz estimate is at most eps max(eps^(2/3),
-      |theta|), with eps = 2^-53, LAPACK's ``dlamch('E')``. With the Gram
-      formed, the floor eps^(2/3) is taken times its trace, so the test
-      does not depend on the scale of the data; on the products it is
-      ARPACK's absolute floor;
+      (``dsconv``): each Ritz estimate is at most eps max(eps^(2/3) g,
+      |theta|), with eps = 2^-53, LAPACK's ``dlamch('E')``, and g the
+      largest |A^T A q| of the run. ARPACK's floor is eps^(2/3) alone;
+      taken times g, the test does not depend on the scale of the data;
     - a residual at rounding level means the basis holds an invariant
       subspace, as when r exceeds the rank, r = m or Xbar = 0; a fresh
       direction from the same stream, orthogonalized against the basis,
@@ -351,34 +336,17 @@ def truncated_svd(Xbar: np.ndarray | _CentredOperator, r: int) -> SvdFactors:
       ``LANCZOS_BASIS``, 3 r) vectors, or m, by keeping the leading Ritz
       vectors; ``LanczosNoConvergence`` is raised after
       ``LANCZOS_MAX_PRODUCTS`` products without acceptance, and
-      ``ValueError`` on a Gram or a product that is not finite. The
-      message tells a NaN or an infinity in Xbar from the overflow of a
-      finite Xbar.
+      ``ValueError`` on a product that is not finite. The message tells a
+      NaN or an infinity in Xbar from the overflow of a finite Xbar.
 
-    Forming the Gram costs O(n m^2) against O(n m) for each product with
-    the data, about 30 products on the paper's data, so not forming it wins
-    once m is large.
-    Measured on 2 cores (numpy 2.4.6, OpenBLAS 0.3.31), normalized-multinomial
-    data given as the operator of the raw counts, n = 10^4, r = 9, then
-    K-means (K = 10, 8 restarts) on the left factors; ms, the median over 3
-    processes of each one's median of 7 calls, each branch in its own
-    process:
-
-    =====  ===========================  ========================
-    m      Gram formed: SVD / +K-means  Products: SVD / +K-means
-    =====  ===========================  ========================
-    300      36 / 87                        47 / 99
-    500      78 / 150                       73 / 152
-    625     100 / 163                       90 / 170
-    750     165 / 214                      101 / 159
-    875     219 / 281                      120 / 185
-    1000    265 / 339                      139 / 210
-    =====  ===========================  ========================
-
-    Forming the Gram wins at m = 300, the two sit within the spread of
-    these runs at 500 and 625, and from 750 on not forming it wins. The
-    crossover lies between 625 and 750, so ``GRAM_MAX_SIDE`` still sits
-    above it; no workload of the benchmark has a short side in between.
+    Each product costs O(n m) against O(n m^2) for forming the Gram, as
+    short sides up to 750 once did. Per SVD, r = 9, on 2 cores (numpy
+    2.4.6, OpenBLAS 0.3.31), the range over 3 processes of each one's
+    median of 7 calls, with the Gram formed -> on these products: desk
+    data (Gaussian, n = 10^4, D = 100) 15-18 -> 27-36 ms at 35 products;
+    Poisson n = 10^4, D = 500 98-122 -> 61-97 ms at 25 products;
+    multinomial n = 10^4, D = 2000, which never formed it, 474-550 ->
+    504-542 ms at 30 products.
 
     Singular values are descending. Deterministic up to sign; the sign of
     each right-singular vector is fixed so that its largest-magnitude
@@ -393,23 +361,13 @@ def truncated_svd(Xbar: np.ndarray | _CentredOperator, r: int) -> SvdFactors:
         raise ValueError(f"r must be in [1, {m}], got {r}")
     tall = n >= D
     A = Xbar if tall else Xbar.T
-    gram = m <= GRAM_MAX_SIDE
-    if gram:
-        G = A.gram()
-        if not np.isfinite(G).all():
-            raise _not_finite(A)
-        Xbar.gram_trace = float(np.trace(G))
     try:
         # a product that is not finite becomes the ValueError below, not a RuntimeWarning
         with np.errstate(invalid="ignore", over="ignore"):
-            if gram:
-                Q = _lanczos(lambda v: G @ v, m, r, Xbar.gram_trace)
-            else:
-                Q = _lanczos(lambda v: A.T @ (A @ v), m, r)
+            Q = _lanczos(lambda v: A.T @ (A @ v), m, r)
     except FloatingPointError:
         raise _not_finite(A) from None
-    # A Q from the blocks G was summed from, or from the products Lanczos ran
-    AQ = A.blocked_product(Q) if gram else A @ Q
+    AQ = A.blocked_product(Q)
     P, s, Ph = np.linalg.svd(AQ, full_matrices=False)
     U, W = (P, Q @ Ph.T) if tall else (Q @ Ph.T, P)
     for j in range(r):

@@ -121,7 +121,7 @@ def _fit(data: Dataset, K: int, gamma: float, restarts: int, rng: np.random.Gene
     if not np.isfinite(c0).all() and not np.isfinite(X).all():
         raise ValueError("observations must be finite")
     c0 /= data.divisor
-    Xbar = _CentredOperator(X, c0, data.divisor)  # no centred copy on either branch
+    Xbar = _CentredOperator(X, c0, data.divisor)  # no centred copy
     factors = truncated_svd(Xbar, K - 1)
     _warn_if_rank_deficient(factors.singular, n, D, stacklevel=4)
     sigma2 = None  # the mean of the trailing eigenvalues of Xbar^T Xbar / n, as a trace identity
@@ -175,12 +175,10 @@ def fit(
     through ``numerics._CentredOperator``, which divides by the trial count
     and subtracts the column mean inside its products and blocks. Gaussian
     fits carry sigma2_hat = (||Xbar||_F^2 - sum_j s_j^2) / (n (D - K + 1)),
-    with ||Xbar||_F^2 the trace of the short-side Gram, or, above
-    ``numerics.GRAM_MAX_SIDE``, where none is formed, summed over centred
-    blocks of rows. Vertex columns are
-    ordered lexicographically by coordinates so that repeated runs
-    serialize identically. The count-scale vertices of a multinomial fit
-    are N * extend_rays(center, cvt_centroids, gamma).
+    with ||Xbar||_F^2 summed over centred blocks of rows in one O(nD)
+    pass. Vertex columns are ordered lexicographically by coordinates so
+    that repeated runs serialize identically. The count-scale vertices of
+    a multinomial fit are N * extend_rays(center, cvt_centroids, gamma).
     """
     return _fit(data, K, gamma, restarts, rng, data.kernel.name == "multinomial")
 

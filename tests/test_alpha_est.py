@@ -266,7 +266,7 @@ class TestReducedMoments:
         if kernel.name == "gaussian":
             Xbar = data.observations - base.center
             s = base.factors.singular
-            # ||Xbar||_F^2 is the trace of the Gram the fit formed, summed in another order
+            # the fit sums ||Xbar||_F^2 over centred blocks, in another order
             trace_identity = (float(np.vdot(Xbar, Xbar)) - float(s @ s)) / (data.n * (D - K + 1))
             assert base.sigma2_hat == pytest.approx(trace_identity, rel=1e-13)
             assert base.sigma2_hat == pytest.approx(target.correction_meta["sigma2_hat"], rel=1e-12)

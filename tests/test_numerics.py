@@ -213,7 +213,6 @@ class TestTruncatedSvd:
                 truncated_svd(X, bad)
 
     def test_zero_matrix(self):
-        # the branch rule sends the all-zero matrix to the Gram whatever its short side
         fac = truncated_svd(np.zeros((20, 6)), 2)
         np.testing.assert_array_equal(fac.singular, [0.0, 0.0])
         np.testing.assert_allclose(fac.left.T @ fac.left, np.eye(2), atol=1e-12)
@@ -221,14 +220,10 @@ class TestTruncatedSvd:
         _assert_sign_convention(fac.right)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_rejected_by_lanczos(self, monkeypatch, bad):
-        monkeypatch.setattr(numerics, "GRAM_MAX_SIDE", 0)
-        X = np.random.default_rng(6).normal(size=(30, 20))
-        X[3, 4] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="must be finite"):
-                truncated_svd(X, 3)
+    def test_non_finite_rejected_by_lanczos(self, bad):
+        # the error truncated_svd turns into its ValueError
+        with pytest.raises(FloatingPointError, match="not finite"):
+            numerics._lanczos(lambda v: v * bad, 30, 3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("shape", [(30, 20), (20, 30)])
@@ -240,14 +235,12 @@ class TestTruncatedSvd:
             with pytest.raises(ValueError, match="must be finite"):
                 truncated_svd(X, 3)
 
-    @pytest.mark.parametrize("branch", ["gram", "lanczos", "operator"])
+    @pytest.mark.parametrize("given", ["array", "operator"])
     @pytest.mark.parametrize("shape", [(30, 20), (20, 30)])
-    def test_overflow_is_named_as_such(self, monkeypatch, branch, shape):
+    def test_overflow_is_named_as_such(self, given, shape):
         # finite entries whose Gram passes the largest float64
         X = np.random.default_rng(6).normal(size=shape) * 1e160
-        if branch != "gram":
-            monkeypatch.setattr(numerics, "GRAM_MAX_SIDE", 0)
-        A = numerics._CentredOperator(X, X.mean(axis=0)) if branch == "operator" else X
+        A = numerics._CentredOperator(X, X.mean(axis=0)) if given == "operator" else X
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # numpy's own overflow warning
             with pytest.raises(ValueError, match="finite, but its Gram overflows"):
@@ -263,7 +256,6 @@ class TestTruncatedSvd:
                 truncated_svd(numerics._CentredOperator(X, X.mean(axis=0)), 3)
 
     def test_no_convergence_raises(self, monkeypatch):
-        monkeypatch.setattr(numerics, "GRAM_MAX_SIDE", 0)
         monkeypatch.setattr(numerics, "LANCZOS_MAX_PRODUCTS", 5)
         X = np.random.default_rng(6).normal(size=(200, 40))
         with pytest.raises(LanczosNoConvergence, match="after 5 Gram products"):
@@ -294,21 +286,6 @@ def _centred_divided_counts(kern: Kernel, D: int, K: int, n: int, seed: int) -> 
     return X - X.mean(axis=0)
 
 
-@pytest.fixture
-def lanczos_branch(monkeypatch):
-    monkeypatch.setattr(numerics, "GRAM_MAX_SIDE", 0)
-
-
-@pytest.fixture
-def gram_formed(monkeypatch):
-    """Refuse the one-column products of the operator, which Lanczos runs on
-    only when the Gram was not formed."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("Lanczos ran without forming the Gram")
-
-    monkeypatch.setattr(numerics._CentredOperator, "__matmul__", refuse)
-
-
 def _assert_matches_oracle(fac: SvdFactors, ref: SvdFactors, r: int, rank: int) -> None:
     """``fac`` against an oracle's factors: same values, spans and product, sign rule kept."""
     assert fac.left.shape == ref.left.shape and fac.right.shape == ref.right.shape
@@ -330,9 +307,8 @@ def _assert_repeatable(X: np.ndarray, r: int, fac: SvdFactors) -> None:
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.usefixtures("lanczos_branch")
 class TestArpackAgainstSvds:
-    """The Lanczos branch against the ARPACK branch it replaced, kept here as the oracle.
+    """Lanczos against the ARPACK branch it replaced, kept here as the oracle.
 
     Each case also checks that the oracle still equals ``svds`` bit for bit.
     """
@@ -410,7 +386,6 @@ def _assert_repeated_top_matches(n: int, D: int, r: int, oracle) -> None:
         _assert_repeatable(X, r, fac)
 
 
-@pytest.mark.usefixtures("lanczos_branch")
 class TestArpackAgainstLapack:
     """The Lanczos path against the full LAPACK SVD as oracle."""
 
@@ -418,6 +393,7 @@ class TestArpackAgainstLapack:
     def test_matches_lapack(self, X, r, rank):
         fac = truncated_svd(X, r)
         _assert_matches_oracle(fac, _lapack_truncated_svd(X, r), r, rank)
+        _assert_matches_oracle(fac, _svds_truncated_svd(X, r), r, rank)
         _assert_repeatable(X, r, fac)
 
     def test_multinomial_fit_partition_unchanged(self, monkeypatch):
@@ -487,7 +463,6 @@ def _operator_case(case: str) -> tuple[np.ndarray, int, int]:
     return data.observations, 200, 4
 
 
-@pytest.mark.usefixtures("lanczos_branch")
 class TestCentredOperator:
     """Lanczos on the centring operator against Lanczos on the centred copy it replaces."""
 
@@ -524,6 +499,8 @@ class TestCentredOperator:
         monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 7 * D * X.itemsize)
         assert n % 7
         assert op.squared_norm() == pytest.approx(float(np.vdot(dense, dense)), rel=1e-12)
+        np.testing.assert_allclose(op.blocked_product(Q), dense @ Q, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(op.T.blocked_product(U), dense.T @ U, rtol=0, atol=1e-13 * scale)
 
     @pytest.mark.parametrize("case", ["tall-counts", "wide-counts", "gaussian-offset"])
     def test_fit_partition_and_vertices_match_the_dense_centred_path(self, monkeypatch, case):
@@ -541,9 +518,8 @@ class TestCentredOperator:
         assert lanczos.kmeans_cost == pytest.approx(ref.kmeans_cost, rel=1e-12, abs=0)
 
 
-@pytest.mark.usefixtures("gram_formed")
 class TestGramAgainstOracles:
-    """The short-side Gram branch against LAPACK's full SVD and ``svds``."""
+    """Lanczos on the short-side Gram's products against LAPACK's full SVD and ``svds``."""
 
     @staticmethod
     def _assert_matches_oracles(X: np.ndarray, r: int, rank: int) -> None:
@@ -551,10 +527,6 @@ class TestGramAgainstOracles:
         _assert_matches_oracle(fac, _lapack_truncated_svd(X, r), r, rank)
         _assert_matches_oracle(fac, _svds_truncated_svd(X, r), r, rank)
         _assert_repeatable(X, r, fac)
-
-    @_ARPACK_CASES
-    def test_matches_oracles(self, X, r, rank):
-        self._assert_matches_oracles(X, r, rank)
 
     @pytest.mark.parametrize("n, D", [(600, 150), (120, 300)], ids=["tall", "wide"])
     def test_normalized_multinomial(self, n, D):
@@ -657,10 +629,8 @@ def _assert_within(fac: SvdFactors, ref: SvdFactors, tol: float = 1e-12) -> None
     np.testing.assert_allclose(fac.left, ref.left, rtol=0, atol=tol)
 
 
-@pytest.mark.usefixtures("gram_formed")
 class TestGramAgainstTheCentredCopy:
-    """The Gram summed from centred blocks, with Lanczos for its eigenvectors,
-    against the centred copy with ``eigh`` it replaced."""
+    """Lanczos on the operator's products against the Gram of a centred copy with ``eigh``."""
 
     @_BLOCKS
     @_GRAM_CASES
@@ -721,49 +691,41 @@ class TestGramAgainstTheCentredCopy:
         _assert_sign_convention(fac.right)
 
 
-def _spy_on_gram(monkeypatch) -> list:
-    """Record the shape of every operator whose Gram is formed."""
-    formed = []
-    gram = numerics._CentredOperator.gram
-
-    def spy(op):
-        formed.append(op.shape)
-        return gram(op)
-
-    monkeypatch.setattr(numerics._CentredOperator, "gram", spy)
-    return formed
+@pytest.fixture(scope="class", params=[(1000, 800), (800, 1000)], ids=["tall", "wide"])
+def frequencies(request) -> tuple[np.ndarray, SvdFactors]:
+    """Centred multinomial word frequencies with short side 800, and LAPACK's top 4 factors."""
+    n, D = request.param
+    F = _centred_divided_counts(Kernel.multinomial(200), D, 5, n, 70)
+    return F, _lapack_truncated_svd(F, 4)
 
 
-class TestBranchRule:
-    """The short side alone decides whether the Gram is formed: up to ``GRAM_MAX_SIDE``.
-    Above it, Lanczos runs on the operator's products."""
+class TestLanczosOnProducts:
+    """Every shape runs Lanczos on the operator's one-column products, and A Q
+    over blocks of the operator's rows."""
 
-    @pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
-    @pytest.mark.parametrize("extra, calls", [(0, 0), (1, 1)], ids=["at", "above"])
-    def test_lanczos_called_only_above_the_constant(self, monkeypatch, tall, extra, calls):
-        formed, products = _spy_on_gram(monkeypatch), []
+    def test_factors_do_not_depend_on_the_scale(self, frequencies):
+        # ARPACK's absolute convergence floor stopped 1e-20 times these at a sine of 3e-9
+        F, ref = frequencies
+        for c in (1e-20, 1e-10, 1.0, 1e20):
+            fac = truncated_svd(F * c, 4)
+            assert _subspace_sine(fac.right, ref.right) <= 1e-13
+            np.testing.assert_allclose(fac.singular, c * ref.singular, rtol=0, atol=1e-12 * c * ref.singular[0])
+
+    def test_finish_multiplies_by_row_blocks(self, monkeypatch, frequencies):
+        # one product with all r columns would run the BLAS on thread buffers the size of the data
+        F, ref = frequencies
+        _set_blocks(monkeypatch, "uneven", F.shape)
+        columns = []
         matmul = numerics._CentredOperator.__matmul__
 
         def spy(op, Q):
-            products.append(Q.shape)
+            columns.append(Q.shape[1])
             return matmul(op, Q)
 
         monkeypatch.setattr(numerics._CentredOperator, "__matmul__", spy)
-        m = numerics.GRAM_MAX_SIDE + extra
-        X = np.random.default_rng(54).normal(size=(m + 5, m) if tall else (m, m + 5))
-        fac = truncated_svd(X, 2)
-        assert len(formed) == 1 - calls
-        assert bool(products) == bool(calls)
-        assert fac.right.shape == (X.shape[1], 2)
-
-    @pytest.mark.parametrize("X, r", [(np.zeros((20, 6)), 2), (np.random.default_rng(55).normal(size=(40, 12)), 12)],
-                             ids=["zero", "r=min"])
-    @pytest.mark.usefixtures("lanczos_branch")
-    def test_gram_takes_what_arpack_cannot(self, monkeypatch, X, r):
-        # Lanczos on the products takes them too: no Gram is formed above the constant
-        formed = _spy_on_gram(monkeypatch)
-        _assert_matches_oracle(truncated_svd(X, r), _lapack_truncated_svd(X, r), r, np.linalg.matrix_rank(X))
-        assert not formed
+        fac = truncated_svd(F, 4)
+        assert columns and set(columns) == {1}
+        _assert_matches_oracle(fac, ref, 4, 4)
 
     def test_wide_fit_calls_nothing_in_scipy_sparse_linalg(self):
         kern = Kernel.multinomial(500)
@@ -782,7 +744,6 @@ class TestBranchRule:
         finally:
             sys.setprofile(None)
         assert ("simplexnest.numerics", "_lanczos") in called
-        assert ("simplexnest.numerics", "gram") not in called  # short side 800 > GRAM_MAX_SIDE
         assert not sorted(name for name, _ in called if name.startswith("scipy.sparse.linalg"))
 
 

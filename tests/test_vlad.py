@@ -193,28 +193,27 @@ class TestFit:
             with pytest.raises(ValueError, match="observations must be finite"):
                 fit(Dataset(X, Kernel.noiseless()), 2, gamma=1.0, rng=np.random.default_rng(0))
 
-    @pytest.mark.parametrize("kernel,gram_max_side", [
+    @pytest.mark.parametrize("kernel,row_block_bytes", [
         (Kernel.noiseless(), None), (Kernel.gaussian(0.5), None), (Kernel.poisson(), None),
         (Kernel.multinomial(50), None), (Kernel.multinomial(50), 0),
     ])
-    def test_observations_unchanged_and_factors_as_from_center(self, monkeypatch, kernel, gram_max_side):
-        if gram_max_side is not None:  # factor on the Lanczos branch
-            monkeypatch.setattr(numerics, "GRAM_MAX_SIDE", gram_max_side)
+    def test_observations_unchanged_and_factors_as_from_center(self, monkeypatch, kernel, row_block_bytes):
         rng = np.random.default_rng(31)
         data = generate(SimplexNest(sample_vertices(12, 3, kernel, rng), 1.0, kernel), 400, rng)
+        if row_block_bytes is not None:  # blocks of one row
+            monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", row_block_bytes)
         before = data.observations.copy()
         f = fit(data, 3, gamma=2.0, rng=np.random.default_rng(32))
         np.testing.assert_array_equal(data.observations, before)
-        if kernel.trials is None:
-            Xbar, c0 = center(data.observations / data.divisor)
-        else:  # multinomial counts: the operator, centred at their column mean over N
-            N = kernel.trials
-            c0 = data.observations.mean(axis=0) / N
-            Xbar = numerics._CentredOperator(data.observations, c0, N)
+        N = data.divisor
+        c0 = data.observations.mean(axis=0) / N
         np.testing.assert_array_equal(f.center, c0)
-        expected = truncated_svd(Xbar, 2)
+        expected = truncated_svd(numerics._CentredOperator(data.observations, c0, N), 2)
         np.testing.assert_array_equal(f.factors.singular, expected.singular)
         np.testing.assert_array_equal(f.factors.left, expected.left)
+        copy = truncated_svd(center(data.observations / N)[0], 2)
+        np.testing.assert_allclose(f.factors.singular, copy.singular, rtol=0, atol=1e-12 * copy.singular[0])
+        np.testing.assert_allclose(f.factors.left, copy.left, rtol=0, atol=1e-12)
 
 
 class TestMemory:
@@ -224,7 +223,7 @@ class TestMemory:
         kern = Kernel.multinomial(500)
         rng = np.random.default_rng(47)
         data = generate(SimplexNest(sample_vertices(1500, 10, kern, rng), 0.5, kern), 2000, rng)
-        data = data.without_truth()  # short side 1500 > GRAM_MAX_SIDE: the Lanczos branch
+        data = data.without_truth()
         tracemalloc.start()
         try:
             f = fit_auto(data, 10, alpha_search=(0.1, 5.0), rng=np.random.default_rng(48))
@@ -235,10 +234,10 @@ class TestMemory:
         assert peak < 0.25 * data.observations.nbytes
 
     @pytest.mark.parametrize("kernel, D, n, bound", [
-        (Kernel.poisson(), 500, 10_000, 0.35),       # the paper's Poisson protocol: a tall Gram
-        (Kernel.multinomial(500), 2000, 500, 1.0),  # short side n = 500: a wide Gram
+        (Kernel.poisson(), 500, 10_000, 0.35),       # the paper's Poisson protocol
+        (Kernel.multinomial(500), 2000, 500, 1.0),  # short side n = 500, wide
     ], ids=["tall", "wide"])
-    def test_gram_branch_fit_and_weights_copy_no_observations(self, kernel, D, n, bound):
+    def test_short_side_500_fit_and_weights_copy_no_observations(self, kernel, D, n, bound):
         rng = np.random.default_rng(50)
         data = generate(SimplexNest(sample_vertices(D, 10, kernel, rng), 0.5, kernel), n, rng).without_truth()
         tracemalloc.start()
@@ -357,12 +356,8 @@ class TestScaleEquivariance:
         rng = np.random.default_rng(40)
         return generate(SimplexNest(sample_vertices(12, 4, kern, rng), 1.5, kern), 1500, rng).without_truth()
 
-    @pytest.mark.parametrize("branch", ["gram", "lanczos"])
     @pytest.mark.parametrize("c", [2.0**-8, 3.0, 500.0, 2.0**8])
-    def test_fits_scale_with_the_data(self, gaussian, monkeypatch, branch, c):
-        if branch == "lanczos":
-            monkeypatch.setattr(numerics, "GRAM_MAX_SIDE", 0)
-
+    def test_fits_scale_with_the_data(self, gaussian, c):
         def fits(data):
             return (fit(data, 4, gamma=2.0, rng=np.random.default_rng(41)),
                     fit_auto(data, 4, rng=np.random.default_rng(42)),
