@@ -235,12 +235,15 @@ class TestTruncatedSvd:
             with pytest.raises(ValueError, match="must be finite"):
                 truncated_svd(X, 3)
 
-    @pytest.mark.parametrize("given", ["array", "operator"])
+    # "gram" and "lanczos" name the two paths a plain array once took; both
+    # run the one path now, "lanczos" on the array in Fortran order
+    @pytest.mark.parametrize("branch", ["gram", "lanczos", "operator"])
     @pytest.mark.parametrize("shape", [(30, 20), (20, 30)])
-    def test_overflow_is_named_as_such(self, given, shape):
+    def test_overflow_is_named_as_such(self, branch, shape):
         # finite entries whose Gram passes the largest float64
         X = np.random.default_rng(6).normal(size=shape) * 1e160
-        A = numerics._CentredOperator(X, X.mean(axis=0)) if given == "operator" else X
+        A = {"gram": X, "lanczos": np.asfortranarray(X),
+             "operator": numerics._CentredOperator(X, X.mean(axis=0))}[branch]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # numpy's own overflow warning
             with pytest.raises(ValueError, match="finite, but its Gram overflows"):
@@ -393,7 +396,6 @@ class TestArpackAgainstLapack:
     def test_matches_lapack(self, X, r, rank):
         fac = truncated_svd(X, r)
         _assert_matches_oracle(fac, _lapack_truncated_svd(X, r), r, rank)
-        _assert_matches_oracle(fac, _svds_truncated_svd(X, r), r, rank)
         _assert_repeatable(X, r, fac)
 
     def test_multinomial_fit_partition_unchanged(self, monkeypatch):
@@ -527,6 +529,13 @@ class TestGramAgainstOracles:
         _assert_matches_oracle(fac, _lapack_truncated_svd(X, r), r, rank)
         _assert_matches_oracle(fac, _svds_truncated_svd(X, r), r, rank)
         _assert_repeatable(X, r, fac)
+
+    @_ARPACK_CASES
+    def test_matches_oracles(self, monkeypatch, X, r, rank):
+        # the finish A Q over blocks of 9 rows of the tall side, the last one short
+        assert max(X.shape) % 9
+        monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 9 * min(X.shape) * 8)
+        self._assert_matches_oracles(X, r, rank)
 
     @pytest.mark.parametrize("n, D", [(600, 150), (120, 300)], ids=["tall", "wide"])
     def test_normalized_multinomial(self, n, D):
@@ -726,6 +735,43 @@ class TestLanczosOnProducts:
         fac = truncated_svd(F, 4)
         assert columns and set(columns) == {1}
         _assert_matches_oracle(fac, ref, 4, 4)
+
+
+class TestBranchRule:
+    """No rule is left: the short side once chose a formed Gram up to 750 and
+    Lanczos above it. Now every shape, at that old constant and above it,
+    runs Lanczos on one-column products of the operator."""
+
+    @pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at", "above"])
+    def test_lanczos_called_only_above_the_constant(self, monkeypatch, tall, extra):
+        products, finishes = [], []
+        matmul, blocked = numerics._CentredOperator.__matmul__, numerics._CentredOperator.blocked_product
+
+        def spy(op, Q):
+            products.append(Q.shape[1])
+            return matmul(op, Q)
+
+        def spy_finish(op, Q):
+            finishes.append(Q.shape[1])
+            return blocked(op, Q)
+
+        monkeypatch.setattr(numerics._CentredOperator, "__matmul__", spy)
+        monkeypatch.setattr(numerics._CentredOperator, "blocked_product", spy_finish)
+        m = 750 + extra
+        X = np.random.default_rng(54).normal(size=(m + 5, m) if tall else (m, m + 5))
+        fac = truncated_svd(X, 2)
+        assert products and set(products) == {1}
+        assert finishes == [2]
+        assert fac.right.shape == (X.shape[1], 2)
+
+    @pytest.mark.parametrize("X, r", [(np.zeros((20, 6)), 2), (np.random.default_rng(55).normal(size=(40, 12)), 12)],
+                             ids=["zero", "r=min"])
+    def test_gram_takes_what_arpack_cannot(self, X, r):
+        # r = min(n, D) and Xbar = 0, which ARPACK refuses, through the operator
+        # of 4 X with divisor 4
+        op = numerics._CentredOperator(4.0 * X, np.zeros(X.shape[1]), 4.0)
+        _assert_matches_oracle(truncated_svd(op, r), _lapack_truncated_svd(X, r), r, np.linalg.matrix_rank(X))
 
     def test_wide_fit_calls_nothing_in_scipy_sparse_linalg(self):
         kern = Kernel.multinomial(500)

@@ -356,8 +356,16 @@ class TestScaleEquivariance:
         rng = np.random.default_rng(40)
         return generate(SimplexNest(sample_vertices(12, 4, kern, rng), 1.5, kern), 1500, rng).without_truth()
 
+    # "gram" and "lanczos" name the two SVD paths these fits once took; both
+    # run the one path now, "lanczos" over blocks of 7 rows, the last one short
+    @pytest.mark.parametrize("branch", ["gram", "lanczos"])
     @pytest.mark.parametrize("c", [2.0**-8, 3.0, 500.0, 2.0**8])
-    def test_fits_scale_with_the_data(self, gaussian, c):
+    def test_fits_scale_with_the_data(self, gaussian, monkeypatch, branch, c):
+        if branch == "lanczos":
+            n, D = gaussian.observations.shape
+            assert n % 7
+            monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 7 * D * 8)
+
         def fits(data):
             return (fit(data, 4, gamma=2.0, rng=np.random.default_rng(41)),
                     fit_auto(data, 4, rng=np.random.default_rng(42)),
