@@ -7,11 +7,11 @@ covariance implied by re-extending the fitted centroids C from the center
 c0 with gamma(alpha) is exactly phi(alpha) A, with phi = gamma^2 /
 (K (K alpha + 1)), A = R R^T and R = (C - c0 1^T)(I - 11^T / K). The
 mismatch ||phi A - T||_F is a quadratic in phi with minimizer
-phi* = <A,T> / <A,A>; alpha solves phi(alpha) = phi*, by ``numerics.brentq``,
-a port of scipy's Brent root finder that returns its root bit for bit
-without loading scipy. gamma is any function
-gamma(K, alpha): the exact ``quadrature_gamma`` on every program path, or an
-in-memory Monte-Carlo ``GammaTable`` that the tests and the benchmark pass.
+phi* = <A,T> / <A,A>; alpha solves phi(alpha) = phi*. phi rises with
+alpha, so the root is found by bisecting the search interval, whose two
+ends the edge check evaluates anyway. gamma is any function gamma(K, alpha):
+the exact ``quadrature_gamma`` on every program path, or an in-memory
+Monte-Carlo ``GammaTable`` that the tests and the benchmark pass.
 
 ``vlad.fit_auto`` forms no D x D covariance. R lies in the span of the fit's
 right singular vectors W, and Xbar W = U S, so from the fit's own factors
@@ -42,10 +42,13 @@ import numpy as np
 
 from .extension import varphi
 from .model import Dataset, Kernel
-from .numerics import brentq, sample_covariance
+from .numerics import sample_covariance
 
 if TYPE_CHECKING:  # pragma: no cover
     from .vlad import VladFit
+
+ALPHA_XTOL = 2e-12  # absolute tolerance on alpha-hat, that of scipy's brentq
+ALPHA_RTOL = 4 * float(np.finfo(float).eps)  # relative tolerance on alpha-hat, that of scipy's brentq
 
 
 @dataclass(frozen=True)
@@ -161,7 +164,7 @@ def estimate_alpha(
 ) -> float:
     """Scalar moment-matching estimate of the concentration parameter.
 
-    Returns Brent's root of phi(alpha) = phi* on ``search``, phi(alpha) =
+    Returns the root of phi(alpha) = phi* on ``search``, phi(alpha) =
     varphi(K, alpha, gamma(K, alpha)), or, with a RuntimeWarning, the end of
     ``search`` whose phi is nearer phi* when phi* lies outside [phi(lo),
     phi(hi)], as it does on pure noise.
@@ -176,10 +179,16 @@ def _phi_star(aa: float, at: float) -> float:
 
 
 def _solve_alpha(K: int, aa: float, at: float, gamma: Callable, search: tuple[float, float]) -> float:
-    """Brent's root of phi(alpha) = <A,T> / <A,A> on ``search``, or its nearer edge.
+    """The root of phi(alpha) = <A,T> / <A,A> on ``search``, or its nearer edge.
 
-    Called directly by the public entry points (``estimate_alpha`` and
-    ``vlad.fit_auto``), so the edge warning names their caller's line.
+    Bisection from the sign of phi(lo) - phi*, stopping once the bracket's
+    half-width is below (``ALPHA_XTOL`` + ``ALPHA_RTOL`` |alpha|) / 2, scipy's
+    ``brentq`` rule at its default tolerances; it returns the midpoint, or
+    earlier a midpoint where phi equals phi* exactly. On the default search
+    (0.02, 10) that is 43 halvings, so 45 evaluations of phi with the two
+    ends. A NaN phi raises ValueError. Called directly by the public entry
+    points (``estimate_alpha`` and ``vlad.fit_auto``), so the edge warning
+    names their caller's line.
     """
     lo, hi = float(search[0]), float(search[1])
     if not (0.0 < lo < hi):
@@ -196,4 +205,14 @@ def _solve_alpha(K: int, aa: float, at: float, gamma: Callable, search: tuple[fl
                       f"[{ends.min():.4g}, {ends.max():.4g}]; returning the edge alpha = {edge:.6g}",
                       RuntimeWarning, stacklevel=3)
         return edge
-    return brentq(lambda a: phi(a) - phi_star, lo, hi)
+    while hi - lo >= ALPHA_XTOL + ALPHA_RTOL * abs((lo + hi) / 2):
+        mid = (lo + hi) / 2
+        f = phi(mid) - phi_star
+        if np.isnan(f):
+            raise ValueError(f"estimate_alpha: phi is NaN at alpha = {mid}")
+        if f == 0:
+            return mid
+        # the root is above mid where f shares the sign of phi(lo) - phi*; comparing the
+        # two ends settles the direction also where phi(lo) = phi*
+        lo, hi = (mid, hi) if (f < 0) == (ends[0] < ends[1]) else (lo, mid)
+    return (lo + hi) / 2

@@ -1,10 +1,9 @@
 """Dense numerics shared by the estimators.
 
 Column centering, sample covariance, truncated SVD with a fixed sign
-convention, Lloyd K-means with ++ initialization and restarts, and ports of
-scipy's Brent root finder and K x K assignment, so that fits and scores run
-on numpy alone. All
-randomness flows through an explicit generator; per-restart streams are
+convention, Lloyd K-means with ++ initialization and restarts, and a port
+of scipy's K x K assignment, so that fits and scores run on numpy alone.
+All randomness flows through an explicit generator; per-restart streams are
 spawned from it so restarts could run in any order (or in parallel)
 without changing the result.
 
@@ -52,6 +51,7 @@ the one subtraction of a product loses them once.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -62,9 +62,6 @@ LANCZOS_SEED = 0  # seeds the start vector and every fresh direction of Lanczos
 LANCZOS_BASIS = 48  # Lanczos basis vectors held, at least; see truncated_svd
 LANCZOS_PROBE = 4  # products run from a fresh direction before the top r are accepted
 LANCZOS_MAX_PRODUCTS = 10_000  # Gram products before LanczosNoConvergence
-BRENT_XTOL = 2e-12  # brentq's absolute tolerance, scipy's default
-BRENT_RTOL = 4 * float(np.finfo(float).eps)  # brentq's relative tolerance, scipy's default (and least)
-BRENT_MAX_ITER = 100  # brentq's iterations before RuntimeError, scipy's default
 ROW_BLOCK_BYTES = 1 << 21  # bytes of (n, D) rows a pass over the data handles at once; see row_blocks
 
 
@@ -87,6 +84,7 @@ class KMeansResult:
     cost: float              # sum of squared distances to assigned centroid
     iterations: int          # Lloyd assignment passes run, at most max_iter; includes the
                              # pass that re-scores a fixpoint against exact means
+    converged: bool          # reached a fixpoint; False when stopped at max_iter
 
 
 def center(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -521,7 +519,7 @@ def _lloyd(points: np.ndarray, sqnorms: np.ndarray, inits: list[np.ndarray],
             if done:
                 cost = float(np.maximum(sqnorms - 2.0 * best, 0.0).sum())
                 results[r] = KMeansResult(centroids=st.centroids, assignments=assign, cost=cost,
-                                          iterations=st.iterations)
+                                          iterations=st.iterations, converged=not st.capped)
                 continue
             if moved is None or moved.size == 0 or reseeded:
                 st.sums = _cluster_sums(columns, assign, K)
@@ -560,7 +558,9 @@ def kmeans(
     draws from its own child stream spawned off ``rng``, so the result does
     not depend on execution order. All restarts run together in one
     lockstep Lloyd loop. Points or initial centroids that are not finite
-    raise ``ValueError`` before any pass.
+    raise ``ValueError`` before any pass. When restarts stop at ``max_iter``
+    without reaching a fixpoint, one ``RuntimeWarning`` says how many did and
+    whether the returned one is among them.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -587,69 +587,13 @@ def kmeans(
     if restarts > 0:
         children = rng.spawn(restarts)
         runs.extend(_plusplus_init(points, K, child, sqnorms) for child in children)
-    # min keeps the first of equal costs
-    return min(_lloyd(points, sqnorms, runs, max_iter), key=lambda result: result.cost)
-
-
-def brentq(f: Callable[[float], float], a: float, b: float) -> float:
-    """A root of ``f`` in the bracket [a, b] by Brent's method (Brent 1973, ch. 4).
-
-    A line-by-line port of ``scipy.optimize.brentq`` (its C ``brentq`` with
-    the Python checks around it) at scipy's default tolerances: the same
-    iterates in the same IEEE arithmetic, so the same root to the bit. It
-    stops once the bracket's half-width is below (xtol + rtol |x|) / 2, with
-    xtol = ``BRENT_XTOL`` and rtol = ``BRENT_RTOL``. ``ValueError`` when f(a)
-    and f(b) have one sign or f returns NaN, ``RuntimeError`` after
-    ``BRENT_MAX_ITER`` iterations. The arithmetic is on Python floats, whose
-    division by zero raises (caught below).
-    """
-
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(BRENT_MAX_ITER):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:             # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # C divides to +-inf or NaN, which bisects below
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis       # bisect
-        else:
-            spre = scur = sbis           # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {BRENT_MAX_ITER} iterations, value is {xcur}")
+    results = _lloyd(points, sqnorms, runs, max_iter)
+    best = min(results, key=lambda result: result.cost)  # min keeps the first of equal costs
+    if capped := sum(not result.converged for result in results):
+        warnings.warn(f"kmeans: {capped} of {len(results)} restarts stopped at the iteration cap max_iter = "
+                      f"{max_iter}; the returned one {'converged' if best.converged else 'did too'}",
+                      RuntimeWarning, stacklevel=2)
+    return best
 
 
 def min_cost_assignment(cost) -> list[int]:

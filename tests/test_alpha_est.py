@@ -1,9 +1,11 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 
 from simplexnest import (
     Dataset,
@@ -16,11 +18,12 @@ from simplexnest import (
 from simplexnest.alpha_est import (
     _moments,
     _reduced_moments,
+    _solve_alpha,
     corrected_covariance,
     estimate_alpha,
     gmm_objective,
 )
-from simplexnest.extension import GammaTable, build_gamma_table, quadrature_gamma
+from simplexnest.extension import GammaTable, build_gamma_table, quadrature_gamma, varphi
 from simplexnest.numerics import sample_covariance
 from simplexnest.vlad import fit, fit_auto
 
@@ -247,6 +250,59 @@ class TestSearchEdge:
         _, data = _data(Kernel.gaussian(1.0), D=40, K=5, alpha=2.0, n=5000, seed=30)
         f = fit_auto(data, 5, table_k5, alpha_search=(0.5, 5.0), rng=np.random.default_rng(31))
         assert 0.5 < f.alpha < 5.0
+
+
+def _phi_ends(K, gamma, lo, hi):
+    return [varphi(K, a, gamma(K, a)) for a in (lo, hi)]
+
+
+def _assert_scipy_root(K, gamma, lo, hi, where):
+    """``_solve_alpha`` at phi* a fraction ``where`` up the phi-curve against scipy's brentq:
+    the same root to within brentq's default tolerance, 2e-12 + 4 eps alpha."""
+    ends = _phi_ends(K, gamma, lo, hi)
+    phi_star = min(max(ends[0] + where * (ends[1] - ends[0]), ends[0]), ends[1])
+    want = scipy_brentq(lambda a: varphi(K, a, gamma(K, a)) - phi_star, lo, hi)
+    got = _solve_alpha(K, 1.0, phi_star, gamma, (lo, hi))
+    assert abs(got - want) <= 2e-12 + 4 * np.finfo(float).eps * got, (K, where, got, want)
+
+
+class TestSolveAlphaAgainstScipy:
+    """The bisection of ``_solve_alpha`` with scipy's brentq as the oracle."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(2, 12), st.floats(0.05, 0.95))
+    def test_same_root_on_the_quadrature_phi_curve(self, K, where):
+        _assert_scipy_root(K, quadrature_gamma, 0.02, 10.0, where)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    def test_same_root_on_a_gamma_table_phi_curve(self, where):
+        alphas = np.geomspace(0.1, 5.0, 12)
+        table = GammaTable(K=10, alphas=alphas, gammas=quadrature_gamma(10, alphas), m=0, seed=0)
+        _assert_scipy_root(10, table, 0.1, 5.0, where)
+
+    @pytest.mark.filterwarnings("error")
+    def test_root_at_an_end_or_a_midpoint(self):
+        lo, hi = 0.02, 10.0
+        for where in (0.0, 1.0):  # phi* = phi at an end: no edge warning
+            _assert_scipy_root(3, quadrature_gamma, lo, hi, where)
+        mid = (lo + hi) / 2
+        assert _solve_alpha(3, 1.0, varphi(3, mid, quadrature_gamma(3, mid)), quadrature_gamma,
+                            (lo, hi)) == mid
+
+    def test_nan_phi_raises(self):
+        def gamma(K, a):
+            return math.nan if 0.02 < a < 10.0 else quadrature_gamma(K, a)
+
+        phi_star = sum(_phi_ends(4, gamma, 0.02, 10.0)) / 2
+        with pytest.raises(ValueError, match="phi is NaN"):
+            _solve_alpha(4, 1.0, phi_star, gamma, (0.02, 10.0))
+
+    def test_both_edges_warn(self):
+        ends = _phi_ends(4, quadrature_gamma, 0.02, 10.0)
+        for phi_star, edge, text in ((ends[0] / 2, 0.02, "0.02"), (2 * ends[1], 10.0, "10")):
+            with pytest.warns(RuntimeWarning, match=f"outside the range of phi .*edge alpha = {text}$"):
+                assert _solve_alpha(4, 1.0, phi_star, quadrature_gamma, (0.02, 10.0)) == edge
 
 
 _REDUCED_KERNELS = [Kernel.noiseless(), Kernel.gaussian(1.0), Kernel.poisson(), Kernel.multinomial(500)]

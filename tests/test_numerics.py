@@ -1,4 +1,3 @@
-import math
 import sys
 import warnings
 from collections import Counter
@@ -8,14 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq as scipy_brentq
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh, svds
 
 from simplexnest import (Dataset, Kernel, SimplexNest, dirichlet_covariance, generate, sample_vertices,
                          sample_weights)
 from simplexnest import numerics, vlad
-from simplexnest.extension import GammaTable, quadrature_gamma, varphi
 from simplexnest.numerics import (
     LANCZOS_SEED as ARPACK_V0_SEED,
     LLOYD_MAX_ITER,
@@ -24,7 +21,6 @@ from simplexnest.numerics import (
     SvdFactors,
     _cluster_sums,
     _plusplus_init,
-    brentq,
     center,
     kmeans,
     min_cost_assignment,
@@ -808,6 +804,7 @@ def _lloyd_reference(points: np.ndarray, centroids: np.ndarray, max_iter: int) -
     prev = np.empty(n, dtype=np.intp)
     have_prev = False
     iterations = 0
+    converged = True
 
     def compute_assign() -> None:
         caug[:, :d] = centroids
@@ -837,10 +834,11 @@ def _lloyd_reference(points: np.ndarray, centroids: np.ndarray, max_iter: int) -
         centroids = sums / counts[:, None]
     else:
         compute_assign()  # the cap was hit: score against the last centroid update
+        converged = False
     best = np.take_along_axis(scores, assign[:, None], axis=1).ravel()
     cost = float(np.maximum(p2 - 2.0 * best, 0.0).sum())
     return KMeansResult(centroids=centroids, assignments=assign.copy(), cost=cost,
-                        iterations=iterations)
+                        iterations=iterations, converged=converged)
 
 
 @dataclass(frozen=True)
@@ -878,6 +876,7 @@ def _lloyd_one_restart(inp: _LloydInput, centroids: np.ndarray, max_iter: int) -
     sums: np.ndarray | None = None  # per-cluster sums of prev; exact when `exact`
     exact = False
     iterations = 0
+    converged = True
 
     def compute_assign() -> None:
         # (n, K) scores: a (K, n) GEMM is faster, but OpenBLAS rounds it
@@ -920,10 +919,11 @@ def _lloyd_one_restart(inp: _LloydInput, centroids: np.ndarray, max_iter: int) -
             # the cap was hit after an incremental update: score against exact means
             centroids = _cluster_sums(inp.columns, prev, K) / counts[:, None]
         compute_assign()
+        converged = False
     best = np.take_along_axis(scores, assign[:, None], axis=1).ravel()
     cost = float(np.maximum(inp.sqnorms - 2.0 * best, 0.0).sum())
     return KMeansResult(centroids=centroids, assignments=assign.copy(), cost=cost,
-                        iterations=iterations)
+                        iterations=iterations, converged=converged)
 
 
 class TestKMeans:
@@ -1034,6 +1034,22 @@ class TestKMeans:
         with pytest.raises(ValueError):
             kmeans(pts, 3, restarts=0, extra_inits=(np.zeros((2, 2)),))  # bad shape
 
+    def test_iteration_cap_warns_and_flags(self):
+        pts = _blobs(40, 1000, 9, 6, spread=1.5)  # overlapping blobs: many Lloyd passes
+        with pytest.warns(RuntimeWarning, match="4 of 4 restarts stopped at the iteration cap "
+                                                "max_iter = 1; the returned one did too") as rec:
+            res = kmeans(pts, 8, restarts=4, rng=np.random.default_rng(0), max_iter=1)
+        assert len(rec) == 1 and rec[0].filename == __file__
+        assert not res.converged and res.iterations == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kmeans(pts, 8, restarts=4, rng=np.random.default_rng(0)).converged
+        # the first init reaches its fixpoint in two passes; the second needs a reseed and a third
+        quick, slow = np.array([[0.05], [10.05]]), np.array([[0.05], [1000.0]])
+        pts = np.array([[0.0], [0.1], [10.0], [10.1]])
+        with pytest.warns(RuntimeWarning, match="1 of 2 restarts .* the returned one converged"):
+            res = kmeans(pts, 2, restarts=0, extra_inits=(quick, slow), max_iter=2)
+        assert res.converged and res.iterations == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected_before_any_pass(self, bad, monkeypatch):
@@ -1087,6 +1103,7 @@ def _assert_lloyd_matches_oracles(points: np.ndarray, inits, max_iter: int) -> l
         np.testing.assert_array_equal(new.centroids, one.centroids)
         assert new.cost == pytest.approx(one.cost, rel=1e-12, abs=tol)
         assert new.iterations == one.iterations <= max_iter
+        assert new.converged == one.converged
         ref = _lloyd_reference(points, init, max_iter)
         np.testing.assert_array_equal(new.assignments, ref.assignments)
         np.testing.assert_array_equal(new.centroids, ref.centroids)
@@ -1278,61 +1295,6 @@ class TestCvtOnSegments:
             vertex_dir /= np.linalg.norm(vertex_dir)
             cos = float(direction @ vertex_dir)
             assert cos > 0.9995, f"centroid direction misses its vertex ray: cos={cos}"
-
-
-def _same_root(f, a: float, b: float) -> None:
-    """``brentq`` against scipy's at its defaults on one bracket: the same root bit for
-    bit, or the same error."""
-    try:
-        want = scipy_brentq(f, a, b)
-    except (ValueError, RuntimeError) as exc:
-        with pytest.raises(type(exc)):
-            brentq(f, a, b)
-        return
-    assert brentq(f, a, b) == want
-
-
-class TestBrentqAgainstScipy:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(-5, 5), min_size=4, max_size=4), st.floats(-20, 0), st.floats(0.1, 20))
-    def test_same_root_on_random_functions(self, c, a, width):
-        cases = [
-            lambda x: math.tanh(c[0] * (x - c[1])) + 1e-3 * c[2] * x**3 + 1e-2 * c[3],
-            lambda x: (x - c[0]) * (x - c[1]) * (x - c[2]) + c[3],
-            lambda x: math.exp(c[0] * x / 20) - math.exp(c[1]),
-            lambda x: (x - c[0]) ** 3,  # a flat root: many bisection steps
-        ]
-        for f in cases:
-            _same_root(f, a, a + width)
-
-    @settings(max_examples=8, deadline=None)
-    @given(st.integers(2, 12), st.floats(0.05, 0.95))
-    def test_same_root_on_the_quadrature_phi_curve(self, K, where):
-        lo, hi = 0.02, 10.0
-        ends = [varphi(K, a, quadrature_gamma(K, a)) for a in (lo, hi)]
-        phi_star = ends[0] + where * (ends[1] - ends[0])
-        _same_root(lambda a: varphi(K, a, quadrature_gamma(K, a)) - phi_star, lo, hi)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.floats(0.0, 1.0))
-    def test_same_root_on_a_gamma_table_phi_curve(self, where):
-        alphas = np.geomspace(0.1, 5.0, 12)
-        table = GammaTable(K=10, alphas=alphas, gammas=quadrature_gamma(10, alphas), m=0, seed=0)
-        ends = [varphi(10, a, table(10, a)) for a in (0.1, 5.0)]
-        phi_star = ends[0] + where * (ends[1] - ends[0])
-        _same_root(lambda a: varphi(10, a, table(10, a)) - phi_star, 0.1, 5.0)
-
-    def test_errors_as_in_scipy(self):
-        for f, a, b in [
-            (lambda x: x * x + 1.0, -1.0, 1.0),                         # one sign
-            (lambda x: math.nan if x > 0.3 else x - 0.5, 0.0, 1.0),     # NaN on the way
-            (lambda x: math.copysign(1.0, x - 0.3), -1e300, 1e300),     # too wide for 100 steps
-        ]:
-            with pytest.raises((ValueError, RuntimeError)) as want:
-                scipy_brentq(f, a, b)
-            with pytest.raises(want.type):
-                brentq(f, a, b)
-        assert brentq(lambda x: x - 1.0, 1.0, 3.0) == scipy_brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
 
 
 class TestAssignmentAgainstScipy:
