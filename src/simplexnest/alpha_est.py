@@ -186,9 +186,9 @@ def _solve_alpha(K: int, aa: float, at: float, gamma: Callable, search: tuple[fl
     ``brentq`` rule at its default tolerances; it returns the midpoint, or
     earlier a midpoint where phi equals phi* exactly. On the default search
     (0.02, 10) that is 43 halvings, so 45 evaluations of phi with the two
-    ends. A NaN phi raises ValueError. Called directly by the public entry
-    points (``estimate_alpha`` and ``vlad.fit_auto``), so the edge warning
-    names their caller's line.
+    ends. A NaN phi, at an end or inside, raises ValueError. Called
+    directly by the public entry points (``estimate_alpha`` and
+    ``vlad.fit_auto``), so the edge warning names their caller's line.
     """
     lo, hi = float(search[0]), float(search[1])
     if not (0.0 < lo < hi):
@@ -199,6 +199,9 @@ def _solve_alpha(K: int, aa: float, at: float, gamma: Callable, search: tuple[fl
         return varphi(K, a, gamma(K, a))
 
     ends = np.array([phi(lo), phi(hi)])
+    for end, value in zip((lo, hi), ends):
+        if np.isnan(value):
+            raise ValueError(f"estimate_alpha: phi is NaN at the search end alpha = {end}")
     if not ends.min() <= phi_star <= ends.max():
         edge = lo if abs(ends[0] - phi_star) <= abs(ends[1] - phi_star) else hi
         warnings.warn(f"estimate_alpha: phi* = {phi_star:.4g} is outside the range of phi "

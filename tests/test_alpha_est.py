@@ -298,6 +298,15 @@ class TestSolveAlphaAgainstScipy:
         with pytest.raises(ValueError, match="phi is NaN"):
             _solve_alpha(4, 1.0, phi_star, gamma, (0.02, 10.0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_nan_phi_at_an_end_raises(self):
+        # NaN compares false, so a NaN end once failed the bracket test and returned an edge
+        def gamma(K, a):
+            return math.nan if a < 0.05 else quadrature_gamma(K, a)
+
+        with pytest.raises(ValueError, match=r"phi is NaN at the search end alpha = 0\.02$"):
+            _solve_alpha(4, 1.0, 0.1, gamma, (0.02, 10.0))
+
     def test_both_edges_warn(self):
         ends = _phi_ends(4, quadrature_gamma, 0.02, 10.0)
         for phi_star, edge, text in ((ends[0] / 2, 0.02, "0.02"), (2 * ends[1], 10.0, "10")):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,51 @@ class TestEstimateGamma:
             estimate_gamma(4, 1.0, 3, rng)
 
 
+# gamma(K, alpha) to 30 digits, from mpmath 1.3.0:
+#
+#     import mpmath as mp
+#     mp.mp.dps = 40
+#     def gamma_ref(K, a):
+#         a = mp.mpf(a)
+#         f = lambda x: (lambda p: p - p**K)(mp.gammainc(a, 0, x, regularized=True))
+#         s = mp.sqrt(a)
+#         pts = sorted({mp.mpf(0), mp.mpf(1), max(mp.mpf(1), a - 10*s), a, a + s, a + 10*s + 40})
+#         return (K - 1) * a / mp.quad(f, pts + [mp.inf])
+#     for K in (2, 3, 10, 50):
+#         print(K, [mp.nstr(gamma_ref(K, a), 30)
+#                   for a in ("1e-3", "0.02", "0.1", "0.5", "1", "2", "5", "10", "100", "1000")])
+#
+# At 50 digits with breakpoints added at alpha +- 3 sqrt(alpha) and alpha + 30 sqrt(alpha)
+# + 100 it prints the same 30 digits.
+MPMATH_ALPHAS = (1e-3, 0.02, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 1000.0)
+MPMATH_GAMMA = {
+    2: (
+        1.00138561090033609119029211602, 1.02745673522397318664320664474, 1.13230869752157537214559449516,
+        1.57079632679489661923132169164, 2.0, 2.66666666666666666666666666667,
+        4.06349206349206349206349206349, 5.67546385503041849791075797268, 17.7467079428307013891646952954,
+        56.0569188406160061380010345935,
+    ),
+    3: (
+        1.00207801582846749625529843724, 1.04103187880843592230514782815, 1.19524229599782308783601045752,
+        1.81379936423421785059407825764, 2.4, 3.29770992366412213740458015267,
+        5.16491349553874841228872157673, 7.31491241974063397221985112135, 23.4079884465897469467478170355,
+        74.4867914281525235856328073834,
+    ),
+    10: (
+        1.00691741079923841327420078726, 1.13345062946650940848360174138, 1.59420833151768046927948179934,
+        3.21472101544140095835403974909, 4.66570664472330796132483028184, 6.86248366297264582949235279988,
+        11.432320802311204897003484397, 16.713745721376083667137061874, 56.4523891516268919154339972662,
+        182.832076900895363004252169366,
+    ),
+    50: (
+        1.03432711661106207268775115279, 1.6001452350940465014142777778, 3.32753652082520354196026300137,
+        8.94009089543857718196307138183, 14.0031793685458197682045209168, 21.7974179069536141453649939462,
+        38.3137148084675395157395330543, 57.6522404825632518952721890617, 204.968624618569063735991944192,
+        675.452283143061561962904781843,
+    ),
+}
+
+
 class TestQuadratureGamma:
     def test_uniform_segment_is_exactly_two(self):
         assert abs(quadrature_gamma(2, 1.0) - 2.0) <= 1e-12
@@ -94,6 +140,29 @@ class TestQuadratureGamma:
         assert out.shape == (2, 2)
         assert out[0, 1] == quadrature_gamma(4, 1.0)
         assert isinstance(quadrature_gamma(4, 1.0), float)
+
+    @pytest.mark.parametrize("K", sorted(MPMATH_GAMMA))
+    def test_matches_mpmath(self, K):
+        for alpha, want in zip(MPMATH_ALPHAS, MPMATH_GAMMA[K]):
+            assert abs(quadrature_gamma(K, alpha) / want - 1) <= 1e-10, (K, alpha)
+
+    @pytest.mark.parametrize("K", [2, 3, 10, 50])
+    def test_matches_scipy_quad(self, K):
+        # the former rule, E[max g] by scipy's adaptive quad: (K - 1) / (E[max g] / alpha - 1)
+        from scipy.integrate import quad
+        from scipy.special import gammainc
+
+        for alpha in np.geomspace(1e-3, 1e3, 121):
+            e_max = quad(lambda x: 1.0 - gammainc(alpha, x) ** K, 0.0, np.inf)[0]
+            want = (K - 1) / (e_max / alpha - 1.0)
+            assert abs(quadrature_gamma(K, alpha) / want - 1) <= 5e-8, (K, alpha)
+
+    def test_no_warning(self):
+        alphas = np.geomspace(1e-3, 1e3, 301)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for K in (2, 3, 10, 50, 1000):
+                assert np.all(np.isfinite(quadrature_gamma(K, alphas)))
 
     def test_parameter_errors(self):
         for K, alpha in [(1, 1.0), (3, 0.0), (3, -1.0), (3, np.nan), (3, [1.0, np.inf])]:

@@ -1,4 +1,4 @@
-"""The package runs on numpy alone: scipy is imported only by ``quadrature_gamma``.
+"""The package runs on numpy alone: no program path imports scipy.
 
 Each check runs in a fresh interpreter whose ``sys.modules["scipy"]`` is None,
 so any import of scipy or of one of its modules raises ImportError there.
@@ -54,13 +54,31 @@ def test_fit_weigh_and_score_without_scipy():
     assert done.stdout.strip() == "ok"
 
 
-def test_only_the_quadrature_imports_scipy():
-    done = _run_without_scipy("""
+def test_gamma_and_its_callers_without_scipy(tmp_path):
+    done = _run_without_scipy(f"""
+        import csv
+        import numpy as np
         import simplexnest as sn
-        try:
-            sn.quadrature_gamma(3, 1.0)
-        except ImportError:
-            print("blocked")
+        from simplexnest import harness
+
+        assert abs(sn.quadrature_gamma(2, 1.0) - 2.0) <= 1e-12
+        assert np.all(sn.quadrature_gamma(10, np.geomspace(0.02, 10.0, 5)) > 1.0)
+
+        rng = np.random.default_rng(0)
+        kern = sn.Kernel.gaussian(0.1)
+        data = sn.generate(sn.SimplexNest(sn.sample_vertices(20, 3, kern, rng), 1.0, kern), 400, rng)
+        f = sn.fit_auto(data, 3, rng=rng)  # gamma by the quadrature, its default
+        assert 0.02 <= f.alpha <= 10.0 and f.gamma == sn.quadrature_gamma(3, f.alpha)
+
+        cfg = harness.ExperimentConfig(kernel="gaussian", sigma=0.1, D=15, K=3, n=[150], seeds=[0],
+                                       methods=["vlad", "vlad_alpha", "gdm_mc", "spa"], restarts=2,
+                                       out={str(tmp_path / "runs")!r})
+        rows = list(csv.DictReader(open(harness.run_experiment(cfg) / "results.csv")))
+        assert [r["status"] for r in rows] == ["ok"] * 4, rows
+        curve = harness.cmd_alpha_curve(K=3, grid=(0.1, 5.0, 6), out_path={str(tmp_path / "curve.csv")!r})
+        assert len(curve.read_text().splitlines()) == 7
+        assert sys.modules["scipy"] is None
+        print("ok")
     """)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "blocked"
+    assert done.stdout.strip() == "ok"

@@ -224,7 +224,6 @@ class TestMemory:
         rng = np.random.default_rng(47)
         data = generate(SimplexNest(sample_vertices(1500, 10, kern, rng), 0.5, kern), 2000, rng)
         data = data.without_truth()
-        quadrature_gamma(10, 1.0)  # scipy's import, run once per process, is not the fit's memory
         tracemalloc.start()
         try:
             f = fit_auto(data, 10, alpha_search=(0.1, 5.0), rng=np.random.default_rng(48))
