@@ -88,7 +88,9 @@ def estimate_gamma(
 
 # The quadrature's layout. The relative error against 30-digit values is
 # about 1e-13 over alpha in [1e-3, 1e3]; it grows as 1e-16 / alpha below,
-# where 1 - P(alpha, x) = O(alpha) is formed as a difference.
+# where 1 - P(alpha, x) = O(alpha) is formed as a difference, and reads
+# 8e-12 at GAMMA_ALPHA_MIN, below which alpha is refused.
+GAMMA_ALPHA_MIN = 1e-5
 GL_NODES = 16  # Gauss-Legendre nodes per panel
 SERIES_TERMS = 20  # terms of the series of P(alpha, x <= 1); the next is below 1/21!
 LEFT_PANELS = 8  # panels in t = -ln x over [0, LEFT_T], halving towards t = 0
@@ -191,10 +193,12 @@ def quadrature_gamma(K: int, alpha):
     power series, and over the bulk of Gamma(alpha) above, with P and 1 - P
     from cumulative integrals of the density on the same nodes. An array
     alpha is evaluated entry by entry, so each entry is the scalar call's value.
+    ``ValueError`` for an alpha below ``GAMMA_ALPHA_MIN``, where the error,
+    about 1e-16 / alpha, would pass 1e-11.
     """
     a = np.asarray(alpha, dtype=float)
-    if K < 2 or not np.all(np.isfinite(a) & (a > 0)):
-        raise ValueError("need K >= 2 and finite alpha > 0")
+    if K < 2 or not np.all(np.isfinite(a) & (a >= GAMMA_ALPHA_MIN)):
+        raise ValueError(f"need K >= 2 and finite alpha >= GAMMA_ALPHA_MIN = {GAMMA_ALPHA_MIN:g}")
     out = np.array([_gamma_one(K, v) for v in a.ravel().tolist()]).reshape(a.shape)
     return float(out) if out.ndim == 0 else out
 

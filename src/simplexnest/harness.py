@@ -32,7 +32,7 @@ import numpy as np
 from . import baselines, vlad
 from ._matrix_io import format_float, write_json
 from .alpha_est import _check_correction, _phi_star, _reduced_moments
-from .extension import quadrature_gamma, varphi
+from .extension import GAMMA_ALPHA_MIN, quadrature_gamma, varphi
 from .metrics import HELDOUT_METRICS, METRIC_NAMES, evaluate_fit
 from .model import (
     KERNEL_NAMES,
@@ -181,13 +181,15 @@ class ExperimentConfig:
         for m in cfg.metrics:
             if m not in METRIC_NAMES:
                 raise ConfigError(f"unknown metric {m!r}")
-        if any(isinstance(a, (list, tuple)) for a in cfg.alpha):
-            bad = set(KNOWN_ALPHA_METHODS).intersection(cfg.methods)
-            if bad:
-                raise ConfigError(
-                    f"methods {sorted(bad)} need a symmetric (scalar) alpha; "
-                    "asymmetric runs support vlad_alpha and spa only"
-                )
+        known_alpha = sorted(set(KNOWN_ALPHA_METHODS).intersection(cfg.methods))
+        if known_alpha and any(isinstance(a, (list, tuple)) for a in cfg.alpha):
+            raise ConfigError(
+                f"methods {known_alpha} need a symmetric (scalar) alpha; "
+                "asymmetric runs support vlad_alpha and spa only"
+            )
+        if known_alpha and min(cfg.alpha) < GAMMA_ALPHA_MIN:
+            raise ConfigError(f"methods {known_alpha} take gamma at alpha >= GAMMA_ALPHA_MIN = "
+                              f"{GAMMA_ALPHA_MIN:g}, got {min(cfg.alpha)!r}")
         if set(HELDOUT_METRICS).intersection(cfg.metrics) and cfg.n_heldout < 1:
             raise ConfigError("heldout/likelihood metrics require n_heldout >= 1")
         if cfg.kernel == "gaussian" and not 0 < cfg.sigma < np.inf:
@@ -200,8 +202,9 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(f"vlad_alpha: {exc}") from exc
         s = cfg.alpha_search
-        if len(s) != 2 or not 0 < s[0] < s[1] < np.inf:
-            raise ConfigError("alpha_search must be [lo, hi] with 0 < lo < hi < inf")
+        if len(s) != 2 or not GAMMA_ALPHA_MIN <= s[0] < s[1] < np.inf:
+            raise ConfigError(f"alpha_search must be [lo, hi] with GAMMA_ALPHA_MIN = {GAMMA_ALPHA_MIN:g} "
+                              "<= lo < hi < inf")
         _log_grid("gamma_grid", cfg.gamma_grid)
         return cfg
 
@@ -560,6 +563,8 @@ def cmd_fit(
         raise ConfigError(f"method {method!r} uses no gamma; drop --gamma and --alpha")
     if method in KNOWN_ALPHA_METHODS and gamma is None and alpha is None:
         raise ConfigError(f"method {method!r} needs --alpha (or an explicit --gamma)")
+    if gamma is None and alpha is not None and alpha < GAMMA_ALPHA_MIN:
+        raise ConfigError(f"gamma needs --alpha >= GAMMA_ALPHA_MIN = {GAMMA_ALPHA_MIN:g}")
     if alpha_search is not None and method != "vlad_alpha":
         raise ConfigError(f"method {method!r} searches no alpha; drop --alpha-search")
     if (restarts, seed) != (None, None) and method not in (*KNOWN_ALPHA_METHODS, "vlad_alpha"):
@@ -654,7 +659,10 @@ def cmd_alpha_curve(
 ) -> Path:
     """Tabulate the exact gamma(alpha) and the moment ratio varphi over a log grid."""
     _require_k(K)
-    alphas = np.geomspace(*_log_grid("grid", grid))
+    lo, hi, n_points = _log_grid("grid", grid)
+    if lo < GAMMA_ALPHA_MIN:
+        raise ConfigError(f"grid must start at alpha >= GAMMA_ALPHA_MIN = {GAMMA_ALPHA_MIN:g}, got {lo:g}")
+    alphas = np.geomspace(lo, hi, n_points)
     rows = [{"alpha": a, "gamma": g, "varphi": varphi(K, a, g)}
             for a, g in zip(alphas, quadrature_gamma(K, alphas))]
     _write_rows_csv(Path(out_path), ("alpha", "gamma", "varphi"), rows)

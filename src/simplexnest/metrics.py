@@ -8,7 +8,7 @@ kernel likelihood scores, and simplex volume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -65,12 +65,14 @@ def min_matching(A: np.ndarray, B: np.ndarray) -> MinMatch:
     The headline distance is min over permutations of the worst matched
     pair, found exactly for every K by a bottleneck threshold search over
     the pairwise distances with an assignment feasibility check; among the
-    permutations attaining it, the one of least stacked squared distance is
+    permutations attaining it, one of least stacked squared distance is
     returned. The Frobenius field is the stacked-matrix form min over
     permutations of ||A_pi - B||_F (its optimal permutation may differ).
-    Every assignment is ``numerics.min_cost_assignment``, the K x K
-    Hungarian method of ``scipy.optimize.linear_sum_assignment`` on Python
-    lists, which gives scipy's permutations without loading scipy. NaN
+    Every assignment is ``numerics.min_cost_assignment``, the textbook
+    Hungarian method on Python lists. Where that least stacked distance is
+    attained once, the permutation is the one ``linear_sum_assignment``
+    gives; where tied distances leave several, it is one of them, not
+    necessarily scipy's, and the distance is the same either way. NaN
     entries raise ``ValueError``.
     """
     A = np.asarray(A, dtype=float)
@@ -181,17 +183,7 @@ class EvalReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "mm_distance": self.mm_distance,
-            "mm_permutation": self.mm_permutation,
-            "mm_frobenius": self.mm_frobenius,
-            "frobenius_heldout": self.frobenius_heldout,
-            "nll": self.nll,
-            "perplexity": self.perplexity,
-            "volume": self.volume,
-            "wall_time_s": self.wall_time_s,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
 
 
 METRIC_NAMES = ("mm", "heldout", "volume", "likelihood")

@@ -1,18 +1,19 @@
 """Dense numerics shared by the estimators.
 
 Column centering, sample covariance, truncated SVD with a fixed sign
-convention, Lloyd K-means with ++ initialization and restarts, and a port
-of scipy's K x K assignment, so that fits and scores run on numpy alone.
+convention, Lloyd K-means with ++ initialization and restarts, and the
+textbook Hungarian method for a K x K assignment, so that fits and scores
+run on numpy alone.
 All randomness flows through an explicit generator; per-restart streams are
 spawned from it so restarts could run in any order (or in parallel)
 without changing the result.
 
 Lloyd updates the per-cluster sums from the points that changed cluster,
 O(moved * d) per pass instead of O(n * d), and recomputes them exactly on
-the first pass, after an empty-cluster reseed and when a pass reproduces
-the previous assignment. A fixpoint is accepted only after a pass scored
-against exact means, so, as in plain Lloyd, the returned centroids are
-exact means and the cost is scored against them.
+the first pass, after an empty-cluster reseed, at the iteration cap and
+when a pass reproduces the previous assignment. A fixpoint is accepted
+only after a pass scored against exact means, so, as in plain Lloyd, the
+returned centroids are exact means and the cost is scored against them.
 
 The restarts of one ``kmeans`` call run in lockstep: each pass scores all
 restarts still running in one (A K, d + 1) x (d + 1, n) product into a
@@ -456,16 +457,16 @@ def _lloyd(points: np.ndarray, sqnorms: np.ndarray, inits: list[np.ndarray],
     each is subtracted from its old cluster and added to its new one, one
     (K, moved) x (moved, d) product, O(moved * d) instead of O(n * d). The
     sums are recomputed exactly (``_cluster_sums``) on the first pass, after
-    an empty-cluster reseed, and when a pass reproduces the previous
+    an empty-cluster reseed, at the iteration cap, so that the final scoring
+    runs against exact means, and when a pass reproduces the previous
     assignment; in that last case one more pass runs against the exact
     means, and the fixpoint is accepted only when the centroids it was
-    scored against are exact means. At the iteration cap the centroids are
-    likewise made exact means of the last assignment before the final
-    scoring. As in plain Lloyd, the returned centroids are the exact means
-    the final pass was scored against, and the cost is that pass's exact
-    cost; the incremental sums can steer the path elsewhere only where a
-    point lies within rounding of a cell boundary. At the fixpoint the
-    pass's own assignments, reseeds included, are returned with their cost.
+    scored against are exact means. As in plain Lloyd, the returned
+    centroids are the exact means the final pass was scored against, and
+    the cost is that pass's exact cost; the incremental sums can steer the
+    path elsewhere only where a point lies within rounding of a cell
+    boundary. At the fixpoint the pass's own assignments, reseeds included,
+    are returned with their cost.
     """
     n, d = points.shape
     R, K = len(inits), inits[0].shape[0]
@@ -521,7 +522,8 @@ def _lloyd(points: np.ndarray, sqnorms: np.ndarray, inits: list[np.ndarray],
                 results[r] = KMeansResult(centroids=st.centroids, assignments=assign, cost=cost,
                                           iterations=st.iterations, converged=not st.capped)
                 continue
-            if moved is None or moved.size == 0 or reseeded:
+            st.capped = st.iterations == max_iter
+            if moved is None or moved.size == 0 or reseeded or st.capped:
                 st.sums = _cluster_sums(columns, assign, K)
                 st.exact = True
             else:
@@ -533,11 +535,6 @@ def _lloyd(points: np.ndarray, sqnorms: np.ndarray, inits: list[np.ndarray],
                 st.exact = False
             st.prev[:] = assign
             st.centroids = st.sums / counts[:, None]
-            if st.iterations == max_iter:
-                if not st.exact:
-                    # the cap was hit after an incremental update: score against exact means
-                    st.centroids = _cluster_sums(columns, st.prev, K) / counts[:, None]
-                st.capped = True
             running.append(r)
         live = running
     return results
@@ -599,14 +596,16 @@ def kmeans(
 def min_cost_assignment(cost) -> list[int]:
     """The column assigned to each row by a least-cost perfect matching of a K x K cost.
 
-    The shortest-augmenting-path Hungarian method (Kuhn 1955; Crouse 2016)
-    of ``scipy.optimize.linear_sum_assignment``, step for step and on Python
-    lists, which at the K of a fit beat numpy arrays: each row in turn
-    extends the matching along a shortest path of reduced costs, and the
-    dual potentials keep the reduced costs non-negative. It scans columns
-    and breaks ties as scipy does, so it returns scipy's assignment, not
-    just one of equal cost. ``ValueError`` on a NaN or -inf entry, or when
-    +inf entries leave no perfect matching of finite cost.
+    The textbook O(K^3) Hungarian method (Kuhn 1955; Munkres 1957) by
+    successive shortest augmenting paths, on Python lists, which at the K of
+    a fit beat numpy arrays: each row in turn extends the matching along a
+    shortest path of reduced costs from a virtual column K, and the row and
+    column potentials keep the reduced costs non-negative. Where the least
+    cost is attained once, this is the assignment of
+    ``scipy.optimize.linear_sum_assignment``; among tied optima it returns
+    one of the same cost, not necessarily scipy's. ``ValueError`` on a NaN
+    or -inf entry, or when +inf entries leave no perfect matching of finite
+    cost.
     """
     rows = np.asarray(cost, dtype=float)
     if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
@@ -615,49 +614,36 @@ def min_cost_assignment(cost) -> list[int]:
         raise ValueError("matrix contains invalid numeric entries")
     C = rows.tolist()
     K = len(C)
-    inf = math.inf
-    u, v = [0.0] * K, [0.0] * K
-    path, col4row, row4col = [-1] * K, [-1] * K, [-1] * K
+    u, v = [0.0] * K, [0.0] * (K + 1)
+    row4col = [-1] * (K + 1)
     for cur in range(K):
-        short = [inf] * K
-        in_rows, in_cols = [False] * K, [False] * K
-        remaining = list(range(K - 1, -1, -1))  # reversed: a constant cost gives the identity
-        min_val, i, sink = 0.0, cur, -1
-        while sink == -1:
-            in_rows[i] = True
-            index, lowest = -1, inf
+        row4col[K], j = cur, K  # the path starts at the virtual column K, held by row cur
+        short, way, used = [math.inf] * K, [K] * K, [False] * (K + 1)
+        while row4col[j] != -1:
+            used[j] = True
+            i = row4col[j]
             Ci, ui = C[i], u[i]
-            for it, j in enumerate(remaining):
-                r, sj = min_val + Ci[j] - ui - v[j], short[j]
-                if r < sj:
-                    path[j] = i
-                    short[j] = sj = r
-                # among equal costs prefer a free column: it ends the path
-                if sj < lowest or (sj == lowest and row4col[j] == -1):
-                    lowest, index = sj, it
-            min_val = lowest
-            if min_val == inf:
+            delta, nxt = math.inf, -1
+            for k in range(K):
+                if not used[k]:
+                    r = Ci[k] - ui - v[k]
+                    if r < short[k]:
+                        short[k], way[k] = r, j
+                    if short[k] < delta:
+                        delta, nxt = short[k], k
+            if delta == math.inf:
                 raise ValueError("cost matrix is infeasible")
-            j = remaining[index]
-            if row4col[j] == -1:
-                sink = j
-            else:
-                i = row4col[j]
-            in_cols[j] = True
-            remaining[index] = remaining[-1]
-            remaining.pop()
-        u[cur] += min_val
-        for i in range(K):
-            if in_rows[i] and i != cur:
-                u[i] += min_val - short[col4row[i]]
-        for j in range(K):
-            if in_cols[j]:
-                v[j] -= min_val - short[j]
-        j = sink
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur:
-                break
+            for k in range(K + 1):
+                if used[k]:
+                    u[row4col[k]] += delta
+                    v[k] -= delta
+                else:
+                    short[k] -= delta
+            j = nxt
+        while j != K:  # augment: shift each row on the path to the column it was reached through
+            row4col[j] = row4col[way[j]]
+            j = way[j]
+    col4row = [0] * K
+    for j in range(K):
+        col4row[row4col[j]] = j
     return col4row

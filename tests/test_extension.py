@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from simplexnest.extension import (
+    GAMMA_ALPHA_MIN,
     GammaTable,
     build_gamma_table,
     estimate_gamma,
@@ -77,31 +78,35 @@ class TestEstimateGamma:
 #         return (K - 1) * a / mp.quad(f, pts + [mp.inf])
 #     for K in (2, 3, 10, 50):
 #         print(K, [mp.nstr(gamma_ref(K, a), 30)
-#                   for a in ("1e-3", "0.02", "0.1", "0.5", "1", "2", "5", "10", "100", "1000")])
+#                   for a in ("1e-5", "1e-3", "0.02", "0.1", "0.5", "1", "2", "5", "10", "100", "1000")])
 #
 # At 50 digits with breakpoints added at alpha +- 3 sqrt(alpha) and alpha + 30 sqrt(alpha)
 # + 100 it prints the same 30 digits.
-MPMATH_ALPHAS = (1e-3, 0.02, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 1000.0)
+MPMATH_ALPHAS = (GAMMA_ALPHA_MIN, 1e-3, 0.02, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 1000.0)
 MPMATH_GAMMA = {
     2: (
+        1.00001386287520896278356884075,
         1.00138561090033609119029211602, 1.02745673522397318664320664474, 1.13230869752157537214559449516,
         1.57079632679489661923132169164, 2.0, 2.66666666666666666666666666667,
         4.06349206349206349206349206349, 5.67546385503041849791075797268, 17.7467079428307013891646952954,
         56.0569188406160061380010345935,
     ),
     3: (
+        1.00002079427266650718266961224,
         1.00207801582846749625529843724, 1.04103187880843592230514782815, 1.19524229599782308783601045752,
         1.81379936423421785059407825764, 2.4, 3.29770992366412213740458015267,
         5.16491349553874841228872157673, 7.31491241974063397221985112135, 23.4079884465897469467478170355,
         74.4867914281525235856328073834,
     ),
     10: (
+        1.00006931330549702491813021687,
         1.00691741079923841327420078726, 1.13345062946650940848360174138, 1.59420833151768046927948179934,
         3.21472101544140095835403974909, 4.66570664472330796132483028184, 6.86248366297264582949235279988,
         11.432320802311204897003484397, 16.713745721376083667137061874, 56.4523891516268919154339972662,
         182.832076900895363004252169366,
     ),
     50: (
+        1.00034653977016536212919124686,
         1.03432711661106207268775115279, 1.6001452350940465014142777778, 3.32753652082520354196026300137,
         8.94009089543857718196307138183, 14.0031793685458197682045209168, 21.7974179069536141453649939462,
         38.3137148084675395157395330543, 57.6522404825632518952721890617, 204.968624618569063735991944192,
@@ -165,7 +170,9 @@ class TestQuadratureGamma:
                 assert np.all(np.isfinite(quadrature_gamma(K, alphas)))
 
     def test_parameter_errors(self):
-        for K, alpha in [(1, 1.0), (3, 0.0), (3, -1.0), (3, np.nan), (3, [1.0, np.inf])]:
+        # below GAMMA_ALPHA_MIN the series' 1 - P(alpha, x) = O(alpha) keeps too few digits
+        for K, alpha in [(1, 1.0), (3, 0.0), (3, -1.0), (3, np.nan), (3, [1.0, np.inf]), (3, 1e-20), (3, 1e-6),
+                         (3, [1.0, 1e-6])]:
             with pytest.raises(ValueError):
                 quadrature_gamma(K, alpha)
 

@@ -105,6 +105,8 @@ class TestConfig:
         ({"K": 1}, "K must be >= 2"),
         ({"gamma_grid": [0.5, 5.0, 2.5]}, "gamma_grid"),
         ({"gamma_grid": [0.5, 5.0, 0]}, "gamma_grid"),
+        ({"alpha_search": [1e-6, 5.0]}, "GAMMA_ALPHA_MIN"),
+        ({"alpha": [2.0, 1e-6]}, "GAMMA_ALPHA_MIN"),
     ])
     def test_bad_alpha_search_or_k_rejected(self, tmp_path, overrides, message):
         cfg = _tiny_config(tmp_path / "runs", methods=["vlad", "vlad_alpha"], **overrides)
@@ -688,6 +690,11 @@ class TestCli:
         ["fit", "--method", "spa", "--data", "{no_kernel}"],
         ["fit", "--method", "spa", "--data", "{not_json}"],
         ["fit", "--method", "spa", "--data", "{unknown_kernel}"],
+        # an alpha below GAMMA_ALPHA_MIN, where the quadrature keeps too few digits
+        ["fit", "--method", "vlad_alpha", "--alpha-search", "1e-6", "5"],
+        ["alpha-curve", "--K", "3", "--grid", "1e-20", "5", "5"],
+        ["fit", "--method", "vlad", "--alpha", "1e-6"],
+        [*_EXPERIMENT, "--alpha", "1e-6"],
     ])
     def test_rejected_before_any_output(self, dataset_dir, multinomial_dir, narrow_gaussian_dir,
                                         foreign_dataset_dirs, tmp_path, argv, capsys):

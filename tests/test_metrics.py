@@ -71,6 +71,20 @@ def _assert_matches_scipy(A, B):
     assert res.permutation.dtype == perm.dtype
 
 
+def _assert_ties_match_scipy(A, B):
+    """Where tied distances leave several optima, scipy's distance, its Frobenius value within
+    rounding, and a permutation that attains the distance at scipy's stacked squared cost."""
+    res = min_matching(A, B)
+    distance, perm, frobenius = _scipy_min_matching(A, B)
+    M = _pairwise_column_distances(A, B)
+    matched, scipy_matched = M[res.permutation, np.arange(M.shape[1])], M[perm, np.arange(M.shape[1])]
+    assert res.distance == distance
+    assert abs(res.frobenius - frobenius) <= 1e-15 * frobenius
+    assert matched.max() == distance
+    assert (matched**2).sum() == pytest.approx((scipy_matched**2).sum(), rel=1e-15, abs=0)
+    assert res.permutation.dtype == perm.dtype
+
+
 class TestMinMatching:
     def test_matches_the_scipy_version(self):
         rng = np.random.default_rng(30)
@@ -80,7 +94,7 @@ class TestMinMatching:
             # near pairs, far pairs, and integer grids whose distances tie
             B = A[:, rng.permutation(K)] + rng.normal(scale=rng.choice([1e-3, 1.0]), size=(D, K))
             _assert_matches_scipy(A, B)
-            _assert_matches_scipy(np.round(A), np.round(B))
+            _assert_ties_match_scipy(np.round(A), np.round(B))
 
     def test_nan_raises_as_in_scipy(self):
         A = np.random.default_rng(31).normal(size=(3, 4))
@@ -130,6 +144,26 @@ class TestMinMatching:
             res = min_matching(A, B)
             assert res.distance == _brute_force_max_form(M)
             assert max(M[res.permutation[k], k] for k in range(K)) == res.distance
+
+    def test_ties_resolve_to_an_enumerated_optimum(self):
+        rng = np.random.default_rng(33)
+        for _ in range(150):
+            K, D = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+            A = rng.integers(-2, 3, size=(D, K)).astype(float)
+            B = rng.integers(-2, 3, size=(D, K)).astype(float)
+            if rng.random() < 0.5:  # duplicated columns
+                A, B = A[:, rng.integers(0, K, size=K)], B[:, rng.integers(0, K, size=K)]
+            M = _pairwise_column_distances(A, B)
+            perms = [list(p) for p in itertools.permutations(range(K))]
+            worst = {tuple(p): M[p, np.arange(K)].max() for p in perms}
+            stacked = {tuple(p): (M[p, np.arange(K)] ** 2).sum() for p in perms}
+            res = min_matching(A, B)
+            assert res.distance == min(worst.values())
+            assert res.frobenius == pytest.approx(math.sqrt(min(stacked.values())), rel=1e-15, abs=0)
+            attaining = [p for p in worst if worst[p] == res.distance]
+            assert tuple(res.permutation) in attaining
+            least = min(stacked[p] for p in attaining)
+            assert stacked[tuple(res.permutation)] == pytest.approx(least, rel=1e-15, abs=0)
 
     def test_large_k_bottleneck_consistency(self):
         rng = np.random.default_rng(4)
@@ -320,6 +354,6 @@ def test_min_matching_is_symmetric(D, K, data):
     A = data.draw(arrays(np.float64, (D, K), elements=finite))
     B = data.draw(arrays(np.float64, (D, K), elements=finite))
     ab, ba = min_matching(A, B), min_matching(B, A)
-    _assert_matches_scipy(A, B)
+    _assert_ties_match_scipy(A, B)
     assert ab.distance == ba.distance
     assert ab.frobenius == pytest.approx(ba.frobenius, rel=1e-12, abs=1e-12)
