@@ -18,10 +18,10 @@ def format_float(x: float) -> str:
     return FLOAT_FMT % float(x)
 
 
-def write_matrix_csv(path: str | Path, matrix: np.ndarray, prefix: str = "x") -> None:
-    """Write a 2-D array as CSV with a x0,...,x{D-1} style header."""
+def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
+    """Write a 2-D array as CSV with the header x0,...,x{D-1}."""
     M = np.atleast_2d(np.asarray(matrix, dtype=float))
-    header = ",".join(f"{prefix}{j}" for j in range(M.shape[1]))
+    header = ",".join(f"x{j}" for j in range(M.shape[1]))
     lines = [header]
     for row in M:
         lines.append(",".join(FLOAT_FMT % v for v in row))

@@ -146,10 +146,6 @@ class SimplexNest:
     def n_vertices(self) -> int:
         return self.vertices.shape[1]
 
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=1)
-
     def diameter(self) -> float:
         """Largest pairwise vertex distance."""
         V = self.vertices.T
@@ -222,7 +218,10 @@ def sample_weights(K: int, alpha, n: int, rng: np.random.Generator) -> np.ndarra
     """Draw n i.i.d. Dirichlet(alpha) rows on the (K-1)-simplex.
 
     Sampling is by normalized Gamma draws. Rows whose Gamma draws all
-    underflow to zero (possible for very small alpha) are redrawn.
+    underflow to zero, as nearly all do for alpha below about 1e-10, are
+    drawn again in log space: Gamma(a) is Gamma(a + 1) U^(1/a) in
+    distribution, and each such row is scaled by its largest draw before
+    ``exp``.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
@@ -230,12 +229,12 @@ def sample_weights(K: int, alpha, n: int, rng: np.random.Generator) -> np.ndarra
         raise ValueError("n must be >= 1")
     a = _as_alpha_vector(alpha, K)
     g = rng.gamma(shape=a, scale=1.0, size=(n, K))
-    sums = g.sum(axis=1)
-    while np.any(sums == 0.0):
-        bad = np.flatnonzero(sums == 0.0)
-        g[bad] = rng.gamma(shape=a, scale=1.0, size=(bad.size, K))
-        sums = g.sum(axis=1)
-    return g / sums[:, None]
+    bad = np.flatnonzero(g.sum(axis=1) == 0.0)
+    if bad.size:
+        size = (bad.size, K)
+        logs = np.log(rng.gamma(shape=a + 1.0, scale=1.0, size=size)) + np.log1p(-rng.random(size)) / a
+        g[bad] = np.exp(logs - logs.max(axis=1, keepdims=True))
+    return g / g.sum(axis=1)[:, None]
 
 
 def dirichlet_covariance(K: int, alpha: float) -> np.ndarray:

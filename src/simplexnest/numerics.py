@@ -25,11 +25,11 @@ BLAS rounds the batched product as it rounds a one-restart product.
 
 The truncated SVD computes only the top r singular triplets and runs on
 numpy's BLAS and LAPACK alone. Lanczos finds the top r eigenvectors of the
-(m, m) short-side Gram, m = min(n, D), multiplying by the data twice, one
-column at a time, whatever the shape, and never forms the Gram. It accepts
-them by ARPACK's convergence test, with the absolute floor taken relative
-to the largest Gram product of the run; the SVD of the data times them
-gives the factors. Nothing runs on the OpenBLAS bundled with scipy's
+(D, D) Gram Xbar^T Xbar of the (n, D) data, multiplying by the data twice,
+one column at a time, whatever the shape, and never forms the Gram. It
+accepts them by ARPACK's convergence test, with the absolute floor taken
+relative to the largest Gram product of the run; the SVD of the data times
+them gives the factors. Nothing runs on the OpenBLAS bundled with scipy's
 wheel, a second thread pool whose threads kept spinning on the cores the
 K-means that follows needs. Lanczos draws its start vector, and any fresh
 direction, from a generator of its own seeded with ``LANCZOS_SEED``, never
@@ -41,12 +41,13 @@ trial count, else 1) and their column mean c, and never forms it. Lanczos
 runs on its products Xbar q = (X q) / N - (c . q) 1 and
 Xbar^T u = (X^T u) / N - c (1 . u), and the finish takes the data times
 the eigenvectors by the same arithmetic over blocks of about
-``ROW_BLOCK_BYTES`` of rows. So a fit holds no (n, D) float copy of its
-observations. ||Xbar||_F^2 is summed over blocks centred as X_b / N - c by
-the exact mean, which keeps the precision of a centred copy: formed as
-||X||_F^2 / N^2 - n |c|^2 it would lose to cancellation twice the digits
-by which the mean outweighs the spread (Chan, Golub & LeVeque 1983), where
-the one subtraction of a product loses them once.
+``ROW_BLOCK_BYTES`` of rows. Every pass reads the data by rows, and a fit
+holds no (n, D) float copy of its observations. ||Xbar||_F^2 is summed
+over blocks centred as X_b / N - c by the exact mean, which keeps the
+precision of a centred copy: formed as ||X||_F^2 / N^2 - n |c|^2 it would
+lose to cancellation twice the digits by which the mean outweighs the
+spread (Chan, Golub & LeVeque 1983), where the one subtraction of a
+product loses them once.
 """
 
 from __future__ import annotations
@@ -114,64 +115,53 @@ def row_blocks(n: int, row_nbytes: int) -> list[slice]:
 
 
 class _CentredOperator:
-    """Xbar = X / N - 1 c^T of observations X, divisor N and mean c, without forming it.
+    """Xbar = X / N - 1 c^T of (n, D) observations X, divisor N and mean c, without forming it.
 
-    ``A @ Q`` gives (X Q) / N - 1 (c^T Q) and ``A.T @ U`` gives
-    (X^T U) / N - c (1^T U), the products Lanczos needs; ``.T`` swaps the
-    two. ``blocked_product`` takes the same arithmetic over blocks of the
-    operator's rows, and ``blocks`` yields those rows (the columns of Xbar
-    when transposed) centred as X_b / N - c. See the module docstring for
+    ``A @ Q`` gives (X Q) / N - 1 (c^T Q) and ``A.rmatmul(U)`` gives
+    (X^T U) / N - c (1^T U), the products Lanczos needs.
+    ``blocked_product`` takes ``A @ Q`` over blocks of rows, and ``blocks``
+    yields those rows centred as X_b / N - c. See the module docstring for
     their precision.
     """
 
-    def __init__(self, X: np.ndarray, mean: np.ndarray, divisor: float = 1.0,
-                 transposed: bool = False):
-        self.X, self.mean, self.divisor, self.transposed = X, mean, float(divisor), transposed
+    def __init__(self, X: np.ndarray, mean: np.ndarray, divisor: float = 1.0):
+        self.X, self.mean, self.divisor = X, mean, float(divisor)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.X.shape[::-1] if self.transposed else self.X.shape
-
-    @property
-    def T(self) -> "_CentredOperator":
-        return _CentredOperator(self.X, self.mean, self.divisor, not self.transposed)
-
-    def _rows(self) -> np.ndarray:
-        """The stored rows of the operator: X, or X^T when transposed (a view)."""
-        return self.X.T if self.transposed else self.X
-
-    def _shift(self, Q: np.ndarray) -> np.ndarray:
-        """The centring term of a product: 1 (c^T Q), or c (1^T Q) when transposed."""
-        return np.outer(self.mean, Q.sum(axis=0)) if self.transposed else self.mean @ Q
+        return self.X.shape
 
     def __matmul__(self, Q: np.ndarray) -> np.ndarray:
-        return (self._rows() @ Q) / self.divisor - self._shift(Q)
+        return (self.X @ Q) / self.divisor - self.mean @ Q
+
+    def rmatmul(self, U: np.ndarray) -> np.ndarray:
+        """Xbar^T U, (D, k) for an (n, k) U."""
+        return (self.X.T @ U) / self.divisor - np.outer(self.mean, U.sum(axis=0))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """Xbar itself, an (n, D) copy: for oracles, never on a fit's path."""
-        Xbar = self.X / self.divisor - self.mean
-        return np.asarray(Xbar.T if self.transposed else Xbar, dtype=dtype)
+        return np.asarray(self.X / self.divisor - self.mean, dtype=dtype)
 
     def blocked_product(self, Q: np.ndarray) -> np.ndarray:
         """A Q as ``A @ Q`` computes it, one block of about ``ROW_BLOCK_BYTES`` of
-        the operator's rows at a time: one product with all of them runs the
-        BLAS on thread buffers the size of the data."""
-        X, shift = self._rows(), self._shift(Q)
+        rows at a time: one product with all of them runs the BLAS on thread
+        buffers the size of the data."""
+        X, shift = self.X, self.mean @ Q
         AQ = np.empty((X.shape[0], Q.shape[1]))
         for rows in row_blocks(X.shape[0], X.shape[1] * X.itemsize):
-            AQ[rows] = (X[rows] @ Q) / self.divisor - (shift[rows] if self.transposed else shift)
+            AQ[rows] = (X[rows] @ Q) / self.divisor - shift
         return AQ
 
     def blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
-        """(rows, block) pairs covering the operator's rows, each block centred by
-        the exact mean, X_b / N - c, and about ``ROW_BLOCK_BYTES`` (``row_blocks``).
-        Every block is written into one buffer, so it is valid until the next."""
-        X = self._rows()
+        """(rows, block) pairs covering the rows, each block centred by the exact
+        mean, X_b / N - c, and about ``ROW_BLOCK_BYTES`` (``row_blocks``). Every
+        block is written into one buffer, so it is valid until the next."""
+        X = self.X
         spans = row_blocks(X.shape[0], X.shape[1] * X.itemsize)
         buffer = np.empty((spans[0].stop, X.shape[1]))
         for rows in spans:
             block = np.divide(X[rows], self.divisor, out=buffer[: rows.stop - rows.start])
-            block -= self.mean[rows, None] if self.transposed else self.mean
+            block -= self.mean
             yield rows, block
 
     def squared_norm(self) -> float:
@@ -302,73 +292,61 @@ def _thick_restart(V: np.ndarray, M: np.ndarray, d: int, k: int, r: int) -> tupl
 
 
 def truncated_svd(Xbar: np.ndarray | _CentredOperator, r: int) -> SvdFactors:
-    """Best rank-r factors of Xbar in Frobenius norm.
+    """Best rank-r factors of the (n, D) Xbar in Frobenius norm.
 
     Xbar is an array or a ``_CentredOperator``, the centred observations
     given as products and blocks (see the module docstring); an array is
-    the operator of itself, with mean 0 and divisor 1. With A the tall one
-    of Xbar and Xbar^T and m = min(n, D) its short side, Lanczos
-    (``_lanczos``) finds the top r eigenvectors Q of the (m, m) Gram
-    A^T A through the products A^T (A q), and the SVD of A Q, taken over
-    blocks of A's rows (``blocked_product``), gives the factors:
+    the operator of itself, with mean 0 and divisor 1. Lanczos
+    (``_lanczos``) finds the top r eigenvectors Q of the (D, D) Gram
+    Xbar^T Xbar through the products Xbar^T (Xbar q), and the SVD
+    P diag(s) Ph of Xbar Q, taken over blocks of rows
+    (``blocked_product``), gives the factors U = P and W = Q Ph^T:
 
     - each step is one product on a single column, orthogonalized
       against the whole basis by two passes of classical Gram-Schmidt;
-    - the start vector is ``default_rng(LANCZOS_SEED).standard_normal(m)``.
+    - the start vector is ``default_rng(LANCZOS_SEED).standard_normal(D)``.
       It is random because the all-ones vector is orthogonal to the rows
       of centered normalized counts, and fixed so that repeated calls give
       bit-identical factors without drawing from the caller's generator;
     - the top r pairs are accepted by ARPACK's test with ``tol = 0``
       (``dsconv``): each Ritz estimate is at most eps max(eps^(2/3) g,
       |theta|), with eps = 2^-53, LAPACK's ``dlamch('E')``, and g the
-      largest |A^T A q| of the run. ARPACK's floor is eps^(2/3) alone;
-      taken times g, the test does not depend on the scale of the data;
+      largest |Xbar^T Xbar q| of the run. ARPACK's floor is eps^(2/3)
+      alone; taken times g, the test does not depend on the scale of the
+      data;
     - a residual at rounding level means the basis holds an invariant
-      subspace, as when r exceeds the rank, r = m or Xbar = 0; a fresh
-      direction from the same stream, orthogonalized against the basis,
-      takes its place;
+      subspace, as when r exceeds the rank, r = min(n, D), D > n or
+      Xbar = 0; a fresh direction from the same stream, orthogonalized
+      against the basis, takes its place;
     - one vector's Krylov space holds a single direction of a repeated
       eigenvalue. So once the top r pass the test, a fresh direction joins
       the basis, and they are accepted only when ``LANCZOS_PROBE`` more
       products leave their values unchanged and the test still holds;
     - a thick restart (Wu & Simon 2000) keeps the basis at max(
-      ``LANCZOS_BASIS``, 3 r) vectors, or m, by keeping the leading Ritz
-      vectors; ``LanczosNoConvergence`` is raised after
-      ``LANCZOS_MAX_PRODUCTS`` products without acceptance, and
+      ``LANCZOS_BASIS``, 3 r) vectors of length D, or D of them, by
+      keeping the leading Ritz vectors; ``LanczosNoConvergence`` is raised
+      after ``LANCZOS_MAX_PRODUCTS`` products without acceptance, and
       ``ValueError`` on a product that is not finite. The message tells a
       NaN or an infinity in Xbar from the overflow of a finite Xbar.
 
-    Each product costs O(n m) against O(n m^2) for forming the Gram, as
-    short sides up to 750 once did. Per SVD, r = 9, on 2 cores (numpy
-    2.4.6, OpenBLAS 0.3.31), the range over 3 processes of each one's
-    median of 7 calls, with the Gram formed -> on these products: desk
-    data (Gaussian, n = 10^4, D = 100) 15-18 -> 27-36 ms at 35 products;
-    Poisson n = 10^4, D = 500 98-122 -> 61-97 ms at 25 products;
-    multinomial n = 10^4, D = 2000, which never formed it, 474-550 ->
-    504-542 ms at 30 products.
-
-    Singular values are descending. Deterministic up to sign; the sign of
-    each right-singular vector is fixed so that its largest-magnitude
-    entry is positive.
+    Each product costs O(n D). Singular values are descending.
+    Deterministic up to sign; the sign of each right-singular vector is
+    fixed so that its largest-magnitude entry is positive.
     """
     if not isinstance(Xbar, _CentredOperator):
         Xbar = np.asarray(Xbar, dtype=float)
         Xbar = _CentredOperator(Xbar, np.zeros(Xbar.shape[-1]))
     n, D = Xbar.shape
-    m = min(n, D)
-    if not (1 <= r <= m):
-        raise ValueError(f"r must be in [1, {m}], got {r}")
-    tall = n >= D
-    A = Xbar if tall else Xbar.T
+    if not (1 <= r <= min(n, D)):
+        raise ValueError(f"r must be in [1, {min(n, D)}], got {r}")
     try:
         # a product that is not finite becomes the ValueError below, not a RuntimeWarning
         with np.errstate(invalid="ignore", over="ignore"):
-            Q = _lanczos(lambda v: A.T @ (A @ v), m, r)
+            Q = _lanczos(lambda v: Xbar.rmatmul(Xbar @ v), D, r)
     except FloatingPointError:
-        raise _not_finite(A) from None
-    AQ = A.blocked_product(Q)
-    P, s, Ph = np.linalg.svd(AQ, full_matrices=False)
-    U, W = (P, Q @ Ph.T) if tall else (Q @ Ph.T, P)
+        raise _not_finite(Xbar) from None
+    U, s, Ph = np.linalg.svd(Xbar.blocked_product(Q), full_matrices=False)
+    W = Q @ Ph.T
     for j in range(r):
         i = int(np.argmax(np.abs(W[:, j])))
         if W[i, j] < 0:

@@ -1,3 +1,4 @@
+import math
 import sys
 import warnings
 from collections import Counter
@@ -486,19 +487,17 @@ class TestCentredOperator:
         n, D = X.shape
         op = numerics._CentredOperator(X, X.mean(axis=0) / N, N)
         dense = np.asarray(op)
-        assert op.shape == dense.shape == (n, D) and op.T.shape == (D, n)
-        np.testing.assert_array_equal(np.asarray(op.T), dense.T)
+        assert op.shape == dense.shape == (n, D)
         rng = np.random.default_rng(62)
         Q, U = rng.normal(size=(D, 3)), rng.normal(size=(n, 3))
         scale = np.abs(X).max() / N * max(n, D)
         np.testing.assert_allclose(op @ Q, dense @ Q, rtol=0, atol=1e-13 * scale)
-        np.testing.assert_allclose(op.T @ U, dense.T @ U, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(op.rmatmul(U), dense.T @ U, rtol=0, atol=1e-13 * scale)
         # several blocks, the last one short
         monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 7 * D * X.itemsize)
         assert n % 7
         assert op.squared_norm() == pytest.approx(float(np.vdot(dense, dense)), rel=1e-12)
         np.testing.assert_allclose(op.blocked_product(Q), dense @ Q, rtol=0, atol=1e-13 * scale)
-        np.testing.assert_allclose(op.T.blocked_product(U), dense.T @ U, rtol=0, atol=1e-13 * scale)
 
     @pytest.mark.parametrize("case", ["tall-counts", "wide-counts", "gaussian-offset"])
     def test_fit_partition_and_vertices_match_the_dense_centred_path(self, monkeypatch, case):
@@ -517,7 +516,7 @@ class TestCentredOperator:
 
 
 class TestGramAgainstOracles:
-    """Lanczos on the short-side Gram's products against LAPACK's full SVD and ``svds``."""
+    """Lanczos on the D-side Gram's products against LAPACK's full SVD and ``svds``."""
 
     @staticmethod
     def _assert_matches_oracles(X: np.ndarray, r: int, rank: int) -> None:
@@ -528,9 +527,9 @@ class TestGramAgainstOracles:
 
     @_ARPACK_CASES
     def test_matches_oracles(self, monkeypatch, X, r, rank):
-        # the finish A Q over blocks of 9 rows of the tall side, the last one short
-        assert max(X.shape) % 9
-        monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 9 * min(X.shape) * 8)
+        # the finish Xbar Q over blocks of 9 rows, the last one short
+        assert X.shape[0] % 9
+        monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 9 * X.shape[1] * 8)
         self._assert_matches_oracles(X, r, rank)
 
     @pytest.mark.parametrize("n, D", [(600, 150), (120, 300)], ids=["tall", "wide"])
@@ -621,10 +620,10 @@ _BLOCKS = pytest.mark.parametrize("blocks", ["default", "uneven"])
 
 
 def _set_blocks(monkeypatch, blocks: str, shape: tuple[int, int]) -> None:
-    """With ``uneven``, blocks of 7 rows of the tall side, the last one short."""
+    """With ``uneven``, blocks of 7 rows, the last one short."""
     if blocks == "uneven":
-        assert max(shape) % 7
-        monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 7 * min(shape) * 8)
+        assert shape[0] % 7
+        monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 7 * shape[1] * 8)
 
 
 def _assert_within(fac: SvdFactors, ref: SvdFactors, tol: float = 1e-12) -> None:
@@ -731,6 +730,25 @@ class TestLanczosOnProducts:
         fac = truncated_svd(F, 4)
         assert columns and set(columns) == {1}
         _assert_matches_oracle(fac, ref, 4, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 150), D=st.integers(2, 150), r=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       narrow=st.booleans())
+def test_transpose_swaps_the_factors(n, D, r, seed, narrow):
+    # Lanczos runs in R^D for X and in R^n for X^T: the same factors, swapped.
+    # ``narrow`` draws n < 48 < D, a short side below the basis and a long side above it.
+    if narrow:
+        n, D = 2 + n % 46, 49 + D
+    m, r = min(n, D), min(r, n, D)
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.normal(size=(n, m)))
+    W, _ = np.linalg.qr(rng.normal(size=(D, m)))
+    X = (U * np.linspace(2.0 * m, m, m)) @ W.T  # relative gaps of at least 1 / (2 m)
+    fac, ref = truncated_svd(X, r), truncated_svd(X.T, r)
+    np.testing.assert_allclose(fac.singular, ref.singular, rtol=1e-12, atol=0)
+    assert _subspace_sine(fac.right, ref.left) <= 1e-10
+    assert _subspace_sine(fac.left, ref.right) <= 1e-10
 
 
 class TestBranchRule:
@@ -1307,15 +1325,24 @@ class TestAssignmentAgainstScipy:
                 assert min_cost_assignment(C) == cols.tolist()
 
     def test_tied_and_integer_costs_give_scipy_cost(self):
-        rng = np.random.default_rng(71)
-        for K in range(1, 21):
-            for C in (rng.integers(0, 3, size=(K, K)), np.round(rng.random((K, K)), 1),
-                      np.ones((K, K)), (rng.random((K, K)) > 0.5).astype(float)):
-                C = C.astype(float)
-                rows, cols = linear_sum_assignment(C)
-                got = min_cost_assignment(C)
-                assert sorted(got) == list(range(K))
-                assert C[rows, got].sum() == C[rows, cols].sum()
+        # Integer, binary and constant costs are exact in binary, so tied optima sum equal.
+        # Costs rounded to 0.1 are not: two optima of equal decimal cost can sum a few
+        # rounding errors apart, each entry's at most eps/2 of it, so their exact sums
+        # (``math.fsum``) must agree within one ulp, while distinct decimal costs are 0.1 apart.
+        for seed in (71, 9):
+            rng = np.random.default_rng(seed)
+            for K in range(1, 21):
+                for C, exact in ((rng.integers(0, 3, size=(K, K)), True), (np.round(rng.random((K, K)), 1), False),
+                                 (np.ones((K, K)), True), ((rng.random((K, K)) > 0.5), True)):
+                    C = C.astype(float)
+                    rows, cols = linear_sum_assignment(C)
+                    got = min_cost_assignment(C)
+                    assert sorted(got) == list(range(K))
+                    if exact:
+                        assert C[rows, got].sum() == C[rows, cols].sum()
+                    else:
+                        ours, theirs = math.fsum(C[rows, got]), math.fsum(C[rows, cols])
+                        assert abs(ours - theirs) <= math.ulp(max(ours, theirs)), (seed, K, ours, theirs)
 
     def test_non_finite_costs_as_in_scipy(self):
         C = np.random.default_rng(72).random((4, 4))

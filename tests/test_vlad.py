@@ -249,6 +249,20 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < bound * data.observations.nbytes
 
+    def test_wide_fit_holds_a_basis_of_d_side_vectors(self):
+        # Lanczos holds 48 basis vectors of length D = 2000, 0.096 x the observations;
+        # the fit measured a peak of 0.122 x
+        kern = Kernel.multinomial(500)
+        rng = np.random.default_rng(50)
+        data = generate(SimplexNest(sample_vertices(2000, 4, kern, rng), 0.5, kern), 500, rng).without_truth()
+        tracemalloc.start()
+        try:
+            fit(data, 4, gamma=2.0, rng=np.random.default_rng(51))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.15 * data.observations.nbytes
+
 
 @pytest.fixture(scope="class")
 def wide_counts() -> tuple[np.ndarray, Dataset]:
