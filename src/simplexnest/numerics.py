@@ -16,12 +16,15 @@ only after a pass scored against exact means, so, as in plain Lloyd, the
 returned centroids are exact means and the cost is scored against them.
 
 The restarts of one ``kmeans`` call run in lockstep: each pass scores all
-restarts still running in one (A K, d + 1) x (d + 1, n) product into a
-score buffer allocated once per call, and finds each point's cluster by
-one max and one first-max pass over it, with ``np.argmax``'s tie rule. A
-restart leaves the batch when it converges or reaches the cap, and the
-result of every restart equals that of running it alone wherever the
-BLAS rounds the batched product as it rounds a one-restart product.
+restarts still running one block of b points at a time, one
+(A K, d + 1) x (d + 1, b) product per block into one score buffer
+allocated per call, and finds each point's cluster by one max and one
+first-max pass over the block, with ``np.argmax``'s tie rule. The block's
+first-max keys take about ``ROW_BLOCK_BYTES`` and its scores 8 times that,
+whatever n. A restart leaves the batch when it converges or reaches the
+cap, and the result of every restart equals that of running it alone
+wherever the BLAS rounds the batched product as it rounds a one-restart
+product.
 
 The truncated SVD computes only the top r singular triplets and runs on
 numpy's BLAS and LAPACK alone. Lanczos finds the top r eigenvectors of the
@@ -414,22 +417,41 @@ def _lloyd(points: np.ndarray, sqnorms: np.ndarray, inits: list[np.ndarray],
     """Lloyd iterations of every restart until its assignment fixpoint or the cap.
 
     The restarts advance in lockstep. Each pass scores every live restart
-    in one product, the (A K, d + 1) centroid rows [c, -c^2/2] of the A
-    live restarts against the (d + 1, n) points with a trailing row of
-    ones, into a score buffer allocated once; a point's cluster maximizes
-    x.c - c^2/2 (squared distance with the constant per-point term
-    dropped). The max over each restart's K rows is a contiguous
-    reduction. The first row attaining it (``np.argmax``'s tie rule) is K
-    minus the largest key over the rows equal to the max, with row k keyed
-    K - k in the smallest unsigned type that holds K. The max is the
-    chosen score, so it gives the reseed distances and the cost. A restart
-    leaves the batch when it converges or reaches the cap.
+    against one block of b points at a time, the (A K, d + 1) centroid
+    rows [c, -c^2/2] of the A live restarts against the block's (d + 1, b)
+    columns of the points transposed with a trailing row of ones; a
+    point's cluster maximizes x.c - c^2/2 (squared distance with the
+    constant per-point term dropped). The max over each restart's K rows
+    is a contiguous reduction into that restart's (n,) row of maxima. The
+    first row attaining it (``np.argmax``'s tie rule) is K minus the
+    largest key over the rows equal to the max, with row k keyed K - k in
+    the smallest unsigned type that holds K. The max is the chosen score,
+    so it gives the reseed distances and the cost. A restart leaves the
+    batch when it converges or reaches the cap.
+
+    The width b is ``row_blocks``' for the R K keys of a point, so the one
+    key buffer and the one score buffer, allocated once, hold about
+    ``ROW_BLOCK_BYTES`` and 8 times that whatever n (one-byte keys while
+    K < 256): 19 MB at R K = 80, where the scores and keys of all
+    n = 10^5 points take 72 MB. The scores are not cut to
+    ``ROW_BLOCK_BYTES``: blocks that small made the K-means of the
+    benchmark's fits (n = 10^4, R K = 80, d = 9 and 100) 5-10 % slower in
+    paired replays on a 2-core Intel Xeon VM, and blocks of 16 MiB score
+    those whole.
+
+    The points stay transposed, (d + 1, n), in one copy per call: scoring
+    the row-major points took a transposed product plus a separate
+    addition of the bias, 37 % more time in the scoring step at d = 100
+    (2-core Intel Xeon VM, OpenBLAS 0.3.31), and a transposed copy per
+    block 70 % more.
 
     Each empty cluster is reseeded at a distinct point: the one farthest
     from its assigned centroid among points whose cluster has at least two
     members, so a reseed never empties another cluster. On duplicated
     points every distance is zero, and without that rule the first point
-    would be moved into every empty cluster.
+    would be moved into every empty cluster. A reseeded point's score is
+    read from its block's product taken again: a product of another shape,
+    such as the one score alone, can round differently.
 
     The per-cluster sums are updated from the points that changed cluster:
     each is subtracted from its old cluster and added to its new one, one
@@ -453,27 +475,35 @@ def _lloyd(points: np.ndarray, sqnorms: np.ndarray, inits: list[np.ndarray],
     aug[d] = 1.0
     columns = aug[:d]           # each coordinate contiguous, for the exact sums
     caug = np.empty((R * K, d + 1))
-    scores = np.empty((R * K, n))
-    top = np.empty((R, n))
     keys = np.arange(K, 0, -1, dtype=np.min_scalar_type(K))[:, None]
-    keyed = np.empty((R, K, n), dtype=keys.dtype)
+    spans = row_blocks(n, R * K * keys.itemsize)  # b points per block; see the docstring
+    scores = np.empty(R * K * spans[0].stop)
+    keyed = np.empty(scores.size, dtype=keys.dtype)
+    top = np.empty((R, n))
     first = np.empty((R, n), dtype=keys.dtype)
     states = [_Restart(c.copy(), np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp),
                        capped=max_iter < 1) for c in inits]
     results: list[KMeansResult | None] = [None] * R
     live = list(range(R))
+
+    def score(cols: slice, A: int) -> np.ndarray:
+        """The (A K, b) scores of the points in ``cols``, in the shared buffer."""
+        out = scores[: A * K * (cols.stop - cols.start)].reshape(A * K, -1)
+        return np.matmul(caug[: A * K], aug[:, cols], out=out)
+
     while live:
         A = len(live)
         for slot, r in enumerate(live):
             c = states[r].centroids
             caug[slot * K : (slot + 1) * K, :d] = c
             caug[slot * K : (slot + 1) * K, d] = -0.5 * np.einsum("ij,ij->i", c, c)
-        np.matmul(caug[: A * K], aug, out=scores[: A * K])
-        blocks = scores[: A * K].reshape(A, K, n)
-        np.max(blocks, axis=1, out=top[:A])
-        np.equal(blocks, top[:A, None], out=keyed[:A])
-        np.multiply(keyed[:A], keys, out=keyed[:A])
-        np.max(keyed[:A], axis=1, out=first[:A])
+        for cols in spans:
+            blocks = score(cols, A).reshape(A, K, -1)
+            eq = keyed[: blocks.size].reshape(blocks.shape)
+            np.max(blocks, axis=1, out=top[:A, cols])
+            np.equal(blocks, top[:A, None, cols], out=eq)
+            np.multiply(eq, keys, out=eq)
+            np.max(eq, axis=1, out=first[:A, cols])
         running = []
         for slot, r in enumerate(live):
             st, best = states[r], top[slot]
@@ -490,7 +520,8 @@ def _lloyd(points: np.ndarray, sqnorms: np.ndarray, inits: list[np.ndarray],
                         counts[assign[far]] -= 1
                         counts[k] = 1
                         assign[far] = k
-                        best[far] = scores[slot * K + k, far]
+                        cols = spans[far // spans[0].stop]
+                        best[far] = score(cols, A)[slot * K + k, far - cols.start]
                 st.iterations += 1
                 moved = None if st.sums is None else np.flatnonzero(assign != st.prev)
                 # scored against the exact means of this very assignment

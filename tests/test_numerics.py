@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -1088,6 +1089,21 @@ class TestKMeans:
         with pytest.raises(ValueError, match="initial centroids must be finite"):
             kmeans(pts, 3, restarts=2, rng=np.random.default_rng(0), extra_inits=(init, bad_init))
 
+
+class TestMemory:
+    def test_kmeans_scores_in_blocks(self):
+        # (R K, n) scores and first-max keys for all restarts at once took 72 MB
+        # here, 10 x the points; a block of b = 26214 points takes 18.9 MB
+        points = np.random.default_rng(63).dirichlet(np.ones(9), size=100_000)
+        tracemalloc.start()
+        try:
+            kmeans(points, 10, restarts=8, rng=np.random.default_rng(64))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * points.nbytes
+
+
 def _blobs(seed: int, n: int, d: int, K: int, spread: float) -> np.ndarray:
     """n points around K normal centers; overlapping blobs take many Lloyd passes."""
     rng = np.random.default_rng(seed)
@@ -1147,6 +1163,38 @@ class TestLloydAgainstReference:
         same = np.tile([-514.5548024940535, 203.82337535076695, 355.2213413015053], (19, 1))
         [res] = _assert_lloyd_matches_oracles(same, [same[:5]], LLOYD_MAX_ITER)
         assert res.cost > 0.0
+
+    @pytest.mark.parametrize("d", [3, 100])
+    @pytest.mark.parametrize("n", [60, 1000, 1250])
+    def test_block_edges(self, n, d, monkeypatch):
+        # 4 restarts of K = 6 score in blocks of 100 points: n = 60 is below one
+        # block, 1000 a multiple of it, and 1250 leaves a last block of 50
+        monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 100 * 4 * 6)
+        pts = _blobs(61 + d, n, d, 6, spread=1.5)
+        _assert_lloyd_matches_oracles(pts, _plusplus_inits(pts, 6, range(4)), LLOYD_MAX_ITER)
+
+    def test_blocks_of_the_default_width(self):
+        # 8 restarts of K = 10 on n = 30000 points: a block of 26214 and one of 3786
+        pts = _blobs(62, 30_000, 9, 10, spread=1.0)
+        assert [s.stop - s.start for s in numerics.row_blocks(30_000, 8 * 10)] == [26214, 3786]
+        _assert_lloyd_matches_oracles(pts, _plusplus_inits(pts, 10, range(8)), LLOYD_MAX_ITER)
+
+    def test_reseeds_beyond_the_first_block(self, monkeypatch):
+        monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 100 * 2 * 4)  # 2 restarts of K = 4: 100 points
+        # duplicated rows and two equal initial centroids: the second cluster is
+        # empty, and its reseed is the farthest point, here in the tenth block
+        pts = _blobs(30, 1000, 9, 5, spread=1.0)
+        pts[::3] = pts[0]
+        inits = _plusplus_inits(pts, 4, range(2))
+        inits[0][1] = inits[0][0]
+        _assert_lloyd_matches_oracles(pts, inits, LLOYD_MAX_ITER)
+        # two points, each repeated: the fixpoint pass itself reseeds the two spare
+        # clusters, at points of the second block of 200, and its cost reads their
+        # rescored scores
+        a = [-86.21631234259989, 472.322483653376, -129.83575415477904]
+        b = [-220.64498770268253, 74.93561146760005, 309.4359254608417]
+        pts = np.array([a] * 300 + [b] * 700)
+        _assert_lloyd_matches_oracles(pts, [np.array([a, b, a, b])], LLOYD_MAX_ITER)
 
     @pytest.mark.parametrize("points, init", [
         # the two reseed cases of TestKMeans: empty clusters on the first pass
