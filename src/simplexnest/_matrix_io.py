@@ -1,7 +1,8 @@
 """CSV and JSON helpers shared by dataset, fit and results serialization.
 
 Numbers are written with %.17g so float64 values round-trip exactly and
-repeated runs produce byte-identical files.
+repeated runs produce byte-identical files. ``np.savetxt`` formats and
+writes a matrix one row at a time, so no text copy of the data is held.
 """
 
 from __future__ import annotations
@@ -20,12 +21,9 @@ def format_float(x: float) -> str:
 
 def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
     """Write a 2-D array as CSV with the header x0,...,x{D-1}."""
-    M = np.atleast_2d(np.asarray(matrix, dtype=float))
-    header = ",".join(f"x{j}" for j in range(M.shape[1]))
-    lines = [header]
-    for row in M:
-        lines.append(",".join(FLOAT_FMT % v for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    M = np.atleast_2d(np.asarray(matrix, dtype=float))  # np.savetxt writes a 1-D array as a column
+    np.savetxt(path, M, fmt=FLOAT_FMT, delimiter=",", comments="",
+               header=",".join(f"x{j}" for j in range(M.shape[1])))
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:

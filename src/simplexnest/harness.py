@@ -306,17 +306,24 @@ def run_method(
         return fit, {"gamma": None, "alpha_hat": None}
     if method.startswith("external:"):
         path = method.split(":", 1)[1]
-        try:
-            vertices = baselines.load_vertices(path)
-        except ValueError as exc:  # the file comes from outside the program, as in cmd_eval
-            raise ConfigError(str(exc)) from exc
-        if vertices.shape != (data.dim, cfg.K):
-            raise ConfigError(
-                f"external vertices at {path} have shape {vertices.shape}, expected {(data.dim, cfg.K)}"
-            )
+        vertices = _read_vertices(path, data.dim, cfg.K)
         fit = baselines.BaselineFit(vertices=vertices, method_tag=method, meta={"path": path})
         return fit, {"gamma": None, "alpha_hat": None}
     raise ConfigError(f"unknown method {method!r}")
+
+
+def _read_vertices(path: str | Path, D: int, K: int | None) -> np.ndarray:
+    """``baselines.load_vertices`` on a file from outside the program: a
+    non-finite entry, or a shape other than (D, K) (any K when K is None),
+    is a ConfigError."""
+    try:
+        vertices = baselines.load_vertices(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    expected = (D, vertices.shape[1] if K is None else K)
+    if vertices.shape != expected:
+        raise ConfigError(f"vertices in {path} have shape {vertices.shape}, expected {expected}")
+    return vertices
 
 
 def _method_dirname(method: str) -> str:
@@ -624,14 +631,9 @@ def cmd_eval(
         with open(results_csv) as fh:
             if fh.readline().rstrip("\n") != header:
                 raise ConfigError(f"{results_csv} does not start with the eval header {header!r}")
-    try:
-        vertices = baselines.load_vertices(Path(fit_dir))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     data = _read_dataset(data_dir)
-    K = data.truth.simplex.n_vertices if data.truth is not None else vertices.shape[1]
-    if vertices.shape != (data.dim, K):
-        raise ConfigError(f"vertices in {fit_dir} have shape {vertices.shape}, expected {(data.dim, K)}")
+    K = data.truth.simplex.n_vertices if data.truth is not None else None
+    vertices = _read_vertices(fit_dir, data.dim, K)
     heldout = _read_dataset(heldout_dir) if heldout_dir else None
     if heldout is not None and heldout.dim != data.dim:
         raise ConfigError(f"held-out observations in {heldout_dir} have shape {heldout.observations.shape}, "

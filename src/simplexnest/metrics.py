@@ -15,7 +15,7 @@ import numpy as np
 
 from .model import Dataset, Kernel, affine_rank_deficient
 from .numerics import min_cost_assignment, row_blocks
-from .vlad import PROJECTION_TOL, simplex_least_squares
+from .vlad import _project_onto
 
 _LOG_FLOOR = 1e-12
 
@@ -142,12 +142,12 @@ def _project(B: np.ndarray, test: Dataset) -> tuple[float, LikelihoodReport]:
     """The mean residual norm ||x / N - mu|| of the held-out rows and the
     :func:`heldout_likelihood` score, from one projection onto the simplex B.
 
-    The rows are projected onto N B with tolerance tol N^2, as
+    The rows are projected by ``vlad._project_onto``, as
     ``vlad.recover_weights`` projects them, and mu = B theta and the scores
     are formed one block of rows at a time.
     """
     X, N, kind = test.observations, test.divisor, test.kernel.name
-    theta = simplex_least_squares(N * B, X, tol=PROJECTION_TOL * N * N)
+    theta = _project_onto(B, test)
     squared, floored = np.empty(X.shape[0]), 0
     log_term = np.empty(X.shape[0])  # per row sum(mu - x log mu), or sum(x log mu) if multinomial
     for rows in row_blocks(X.shape[0], X.shape[1] * X.itemsize):

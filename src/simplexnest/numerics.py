@@ -78,9 +78,6 @@ class SvdFactors:
     singular: np.ndarray   # (r,) descending, >= 0
     right: np.ndarray      # (D, r), orthonormal columns
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singular) @ self.right.T
-
 
 @dataclass(frozen=True)
 class KMeansResult:
@@ -140,10 +137,6 @@ class _CentredOperator:
     def rmatmul(self, U: np.ndarray) -> np.ndarray:
         """Xbar^T U, (D, k) for an (n, k) U."""
         return (self.X.T @ U) / self.divisor - np.outer(self.mean, U.sum(axis=0))
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """Xbar itself, an (n, D) copy: for oracles, never on a fit's path."""
-        return np.asarray(self.X / self.divisor - self.mean, dtype=dtype)
 
     def blocked_product(self, Q: np.ndarray) -> np.ndarray:
         """A Q as ``A @ Q`` computes it, one block of about ``ROW_BLOCK_BYTES`` of

@@ -361,6 +361,11 @@ def recover_weights(fit_result: VladFit, data: Dataset) -> np.ndarray:
     B = fit_result.vertices
     if affine_rank_deficient(B):
         raise ValueError("fitted simplex is degenerate; weights are not identifiable")
+    return _project_onto(B, data)
+
+
+def _project_onto(B: np.ndarray, data: Dataset) -> np.ndarray:
+    """Weights of the observations divided by N projected onto the simplex B (no degeneracy check)."""
     # on the simplex ||B theta - x / N|| = ||N B theta - x|| / N: the same minimizer from the
     # observations, with no (n, D) copy, and tol N^2 there is tol on the fitted scale
     N = data.divisor

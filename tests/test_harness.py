@@ -730,6 +730,17 @@ class TestCli:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("edit", ["extra column", "missing row"])
+    def test_external_vertices_of_another_shape_are_a_config_error(self, dataset_dir, tmp_path, edit, capsys):
+        data_dir, model = dataset_dir
+        V = np.hstack([model.vertices, model.vertices[:, :1]]) if edit == "extra column" else model.vertices[:-1]
+        path = save_baseline(BaselineFit(V, "theirs", {}), tmp_path / "theirs") / "vertices.csv"
+        assert main(["fit", "--data", str(data_dir), "--method", f"external:{path}",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(path) in err and f"{V.shape}" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ["fit", "--method", "vlad", "--alpha", "2", "--data", "{multinomial}"],
         ["experiment", "--kernel", "multinomial", "--D", "10", "--K", "3", "--n", "100", "--seeds", "0"],

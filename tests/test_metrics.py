@@ -331,7 +331,7 @@ class TestEvaluateFit:
             calls.append(1)
             return simplex_least_squares(*args, **kwargs)
 
-        monkeypatch.setattr("simplexnest.metrics.simplex_least_squares", spy)
+        monkeypatch.setattr("simplexnest.vlad.simplex_least_squares", spy)
         report = evaluate_fit(V, heldout=heldout, metrics=("heldout", "likelihood"))
         assert len(calls) == 1
         assert report.frobenius_heldout == heldout_frobenius(V, heldout.observations / heldout.divisor)

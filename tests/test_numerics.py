@@ -41,15 +41,22 @@ def _with_sign_rule(U: np.ndarray, s: np.ndarray, W: np.ndarray) -> SvdFactors:
     return SvdFactors(left=U, singular=s, right=W)
 
 
+def _dense(Xbar) -> np.ndarray:
+    """An array as float, or a ``_CentredOperator`` as the (n, D) copy it stands for, X / N - 1 c^T."""
+    if isinstance(Xbar, numerics._CentredOperator):
+        return Xbar.X / Xbar.divisor - Xbar.mean
+    return np.asarray(Xbar, dtype=float)
+
+
 def _lapack_truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
     """Reference: full LAPACK SVD cut to r factors, with the package's sign convention."""
-    U, s, Vh = np.linalg.svd(np.asarray(Xbar, dtype=float), full_matrices=False)
+    U, s, Vh = np.linalg.svd(_dense(Xbar), full_matrices=False)
     return _with_sign_rule(U[:, :r], s[:r], Vh[:r].T)
 
 
 def _svds_truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
     """Reference: ``truncated_svd`` through ``scipy.sparse.linalg.svds``, whose last SVD runs in scipy."""
-    Xbar = np.asarray(Xbar, dtype=float)
+    Xbar = _dense(Xbar)
     n, D = Xbar.shape
     if not (1 <= r <= min(n, D)):
         raise ValueError(f"r must be in [1, {min(n, D)}], got {r}")
@@ -92,9 +99,14 @@ def _arpack_truncated_svd(Xbar: np.ndarray, r: int) -> SvdFactors:
     ``_arpack_svd`` is that branch verbatim, kept as the oracle; its
     factors equal those of ``_svds_truncated_svd`` bit for bit.
     """
-    U, s, Vh = _arpack_svd(np.asarray(Xbar, dtype=float), r)
+    U, s, Vh = _arpack_svd(_dense(Xbar), r)
     order = np.argsort(s)[::-1]
     return _with_sign_rule(U[:, order], s[order], Vh[order].T)
+
+
+def _reconstruct(fac: SvdFactors) -> np.ndarray:
+    """U diag(s) W^T, the rank-r matrix the factors stand for."""
+    return (fac.left * fac.singular) @ fac.right.T
 
 
 def _assert_sign_convention(W: np.ndarray) -> None:
@@ -156,7 +168,7 @@ class TestTruncatedSvd:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(50, 3)) @ rng.normal(size=(3, 8))
         fac = truncated_svd(X, 3)
-        err = np.linalg.norm(X - fac.reconstruct()) / np.linalg.norm(X)
+        err = np.linalg.norm(X - _reconstruct(fac)) / np.linalg.norm(X)
         assert err < 1e-8
 
     def test_hand_singular_values(self):
@@ -199,7 +211,7 @@ class TestTruncatedSvd:
         prev_err = np.inf
         for r in (2, 4, 6, 8):
             fac = truncated_svd(X, r)
-            err = np.linalg.norm(X - fac.reconstruct())
+            err = np.linalg.norm(X - _reconstruct(fac))
             np.testing.assert_allclose(err, np.sqrt((s_full[r:] ** 2).sum()), rtol=1e-10)
             assert err <= prev_err + 1e-12
             prev_err = err
@@ -298,7 +310,7 @@ def _assert_matches_oracle(fac: SvdFactors, ref: SvdFactors, r: int, rank: int) 
     np.testing.assert_allclose(fac.left[:, :q] @ fac.left[:, :q].T,
                                ref.left[:, :q] @ ref.left[:, :q].T, atol=1e-9)
     np.testing.assert_allclose(fac.right.T @ fac.right, np.eye(r), atol=1e-12)
-    np.testing.assert_allclose(fac.reconstruct(), ref.reconstruct(), atol=1e-9 * ref.singular[0])
+    np.testing.assert_allclose(_reconstruct(fac), _reconstruct(ref), atol=1e-9 * ref.singular[0])
     _assert_sign_convention(fac.right)
 
 
@@ -487,7 +499,7 @@ class TestCentredOperator:
         X, N, _ = _operator_case(case)
         n, D = X.shape
         op = numerics._CentredOperator(X, X.mean(axis=0) / N, N)
-        dense = np.asarray(op)
+        dense = _dense(op)
         assert op.shape == dense.shape == (n, D)
         rng = np.random.default_rng(62)
         Q, U = rng.normal(size=(D, 3)), rng.normal(size=(n, 3))
@@ -646,7 +658,7 @@ class TestGramAgainstTheCentredCopy:
         op = numerics._CentredOperator(data.observations, data.observations.mean(axis=0) / N, N)
         fac = truncated_svd(op, r)
         _assert_within(fac, _centred_copy_svd(data, r))
-        dense = np.asarray(op)
+        dense = _dense(op)
         assert op.squared_norm() == pytest.approx(float(np.vdot(dense, dense)), rel=1e-13)
 
     @_BLOCKS
