@@ -178,7 +178,8 @@ def _phi_star(aa: float, at: float) -> float:
     return at / aa if aa > 0 else 0.0  # coincident centroids imply zero covariance
 
 
-def _solve_alpha(K: int, aa: float, at: float, gamma: Callable, search: tuple[float, float]) -> float:
+def _solve_alpha(K: int, aa: float, at: float, gamma: Callable, search: tuple[float, float],
+                 stacklevel: int = 3) -> float:
     """The root of phi(alpha) = <A,T> / <A,A> on ``search``, or its nearer edge.
 
     Bisection from the sign of phi(lo) - phi*, stopping once the bracket's
@@ -186,9 +187,11 @@ def _solve_alpha(K: int, aa: float, at: float, gamma: Callable, search: tuple[fl
     ``brentq`` rule at its default tolerances; it returns the midpoint, or
     earlier a midpoint where phi equals phi* exactly. On the default search
     (0.02, 10) that is 43 halvings, so 45 evaluations of phi with the two
-    ends. A NaN phi, at an end or inside, raises ValueError. Called
-    directly by the public entry points (``estimate_alpha`` and
-    ``vlad.fit_auto``), so the edge warning names their caller's line.
+    ends. A NaN phi, at an end or inside, raises ValueError. The edge
+    warning goes ``stacklevel`` frames up: 3 names the line that called
+    ``estimate_alpha``, which calls this directly, and
+    ``vlad._finish_auto`` passes 4 to name the line that called
+    ``vlad.fit_auto``.
     """
     lo, hi = float(search[0]), float(search[1])
     if not (0.0 < lo < hi):
@@ -206,7 +209,7 @@ def _solve_alpha(K: int, aa: float, at: float, gamma: Callable, search: tuple[fl
         edge = lo if abs(ends[0] - phi_star) <= abs(ends[1] - phi_star) else hi
         warnings.warn(f"estimate_alpha: phi* = {phi_star:.4g} is outside the range of phi "
                       f"[{ends.min():.4g}, {ends.max():.4g}]; returning the edge alpha = {edge:.6g}",
-                      RuntimeWarning, stacklevel=3)
+                      RuntimeWarning, stacklevel=stacklevel)
         return edge
     while hi - lo >= ALPHA_XTOL + ALPHA_RTOL * abs((lo + hi) / 2):
         mid = (lo + hi) / 2

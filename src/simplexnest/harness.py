@@ -6,9 +6,18 @@ with ``results.csv`` at the run root. ``_cells`` lists the grid for both the
 sweep and ``cmd_generate``. Every per-cell random stream is derived from
 (seed, cell index), and rows are sorted canonically before writing, so
 results.csv is byte-identical regardless of worker count. Wall times are
-kept out of results.csv for the same reason; they live in the fit meta.json
-files and in timings.csv. A config field of the wrong type or value is a
+kept out of results.csv for the same reason; they live in each fit's
+eval.json and in timings.csv. A config field of the wrong type or value is a
 ConfigError from ``resolved()``.
+
+``vlad`` and ``vlad_alpha`` differ only in the gamma their rays are
+extended by, so a cell builds their shared base fit (centre, factors,
+K-means) once, on the K-means stream of the first of them in
+``cfg.methods``, and finishes each from it. A sweep of either alone, and
+every other method, draw from their own streams as before; a
+``vlad_alpha`` run after ``vlad`` clusters on ``vlad``'s restarts. Each
+member's wall time is the base's plus its own finish, what its fit costs
+alone, and a base that raises fails both rows.
 
 The alpha-aware methods take gamma(K, alpha) from the exact
 ``quadrature_gamma``, or ``cmd_fit``'s fixed ``gamma``. A sweep searches
@@ -53,6 +62,7 @@ class ConfigError(ValueError):
 
 KNOWN_METHODS = ("vlad", "vlad_alpha", "gdm", "gdm_mc", "spa")
 KNOWN_ALPHA_METHODS = ("vlad", "gdm", "gdm_mc")  # gamma from a known, symmetric alpha
+VLAD_FAMILY = ("vlad", "vlad_alpha")  # one base fit per cell, finished at their own gamma
 # A log-spaced alpha grid is a table for a person to read; far beyond 40
 # points it is a typo that would exhaust memory.
 GRID_MAX_POINTS = 10_000
@@ -394,14 +404,41 @@ def _write_rows_csv(path: Path, columns: tuple[str, ...], rows: list[dict]) -> N
     path.write_text("\n".join(lines) + "\n")
 
 
+def _family_base(blind: Dataset, cfg: ExperimentConfig, rng: np.random.Generator):
+    """(the VLAD family's base fit, or the exception building it raised, that
+    exception's traceback, the seconds it took)."""
+    started = time.perf_counter()
+    try:
+        return vlad._base(blind, cfg.K, cfg.restarts, rng), None, time.perf_counter() - started
+    except Exception as exc:  # raised again for each family member
+        return exc, exc.__traceback__, time.perf_counter() - started
+
+
+def _finish_family(method: str, family: tuple, blind: Dataset, cfg: ExperimentConfig, alpha):
+    """``run_method`` for a VLAD family member, finished from the cell's base fit."""
+    base, tb, _ = family
+    if isinstance(base, Exception):
+        raise base.with_traceback(tb)  # each member's traceback is its own frames and the base's
+    if method == "vlad":
+        gamma = float(quadrature_gamma(cfg.K, alpha))
+        fit = vlad._finish(base, gamma, blind.kernel)
+        return fit, {"gamma": gamma, "alpha_hat": None}
+    fit = vlad._finish_auto(base, blind.kernel, quadrature_gamma, tuple(cfg.alpha_search))
+    return fit, {"gamma": fit.gamma, "alpha_hat": fit.alpha}
+
+
 def _run_cell(cfg, run_root, cell: _Cell) -> list[dict]:
-    """Generate one dataset cell, run every method, return result rows."""
+    """Generate one dataset cell, run every method, return result rows.
+
+    The VLAD family's base fit is built at its first member, on that
+    member's stream, and finished for each member."""
     model, data = _cell_data(cfg, cell)
     blind = data.without_truth()  # validated once per cell; run_method leaves it as it is
     heldout = None
     if cfg.n_heldout > 0:
         heldout = generate(model, cfg.n_heldout, _rng(*cell[:4], _SALT_HELDOUT))
 
+    family = None  # _family_base of the first VLAD family member
     rows = []
     for j, method in enumerate(cfg.methods):
         base = {
@@ -412,8 +449,14 @@ def _run_cell(cfg, run_root, cell: _Cell) -> list[dict]:
         cell_dir = run_root / f"s{cell.seed}" / _cell_dirname(cell) / _method_dirname(method)
         try:
             rng = _rng(*cell[:4], j, _SALT_FIT)
-            started = time.perf_counter()
-            fit, info = run_method(method, blind, cfg, cell.alpha, rng)
+            if method in VLAD_FAMILY:
+                if family is None:
+                    family = _family_base(blind, cfg, rng)
+                started = time.perf_counter() - family[2]  # each member's time includes the base
+                fit, info = _finish_family(method, family, blind, cfg, cell.alpha)
+            else:
+                started = time.perf_counter()
+                fit, info = run_method(method, blind, cfg, cell.alpha, rng)
             elapsed = time.perf_counter() - started
             _save(fit, cell_dir, cell.seed)
             report = evaluate_fit(
@@ -434,7 +477,10 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     """Sweep the config grid; write results.csv and per-figure CSVs.
 
     Returns the run root directory. Cells execute in a thread pool of
-    ``cfg.workers``; output is identical for any worker count.
+    ``cfg.workers``; output is identical for any worker count. Within a
+    cell, ``vlad`` and ``vlad_alpha`` share one base fit on the stream of
+    the first of them in ``cfg.methods``, and the wall time of each in
+    timings.csv and its eval.json includes that base.
     """
     cfg = cfg.resolved()
     run_root = Path(cfg.out) / cfg.config_hash()

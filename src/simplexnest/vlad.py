@@ -23,7 +23,7 @@ import numpy as np
 from . import alpha_est
 from ._matrix_io import read_matrix_csv, write_json, write_matrix_csv
 from .extension import quadrature_gamma
-from .model import Dataset, affine_rank_deficient
+from .model import Dataset, Kernel, affine_rank_deficient
 from .numerics import SvdFactors, _CentredOperator, kmeans, truncated_svd
 
 PROJECTION_TOL = 1e-10
@@ -90,7 +90,9 @@ def _extended(center_point: np.ndarray, centroids: np.ndarray, gamma: float,
     vertices = extend_rays(center_point, centroids, gamma)
     if onto_simplex:
         vertices = np.clip(vertices, 0.0, None)
-        sums = vertices.sum(axis=0)
+        # column sums round by layout, row by row down C order but pairwise down the F
+        # order a column gather leaves; C order makes them independent of the caller
+        sums = np.ascontiguousarray(vertices).sum(axis=0)
         if np.any(sums <= 0):
             raise ValueError("cannot renormalize a fitted vertex with no positive mass")
         vertices = vertices / sums
@@ -116,9 +118,12 @@ def _warn_if_rank_deficient(s: np.ndarray, n: int, D: int, stacklevel: int) -> N
                       f"vertices are not identifiable", stacklevel=stacklevel)
 
 
-def _fit(data: Dataset, K: int, gamma: float, restarts: int, rng: np.random.Generator | None,
-         onto_simplex: bool) -> VladFit:
-    """:func:`fit`, with the probability-simplex step chosen by the caller."""
+def _base(data: Dataset, K: int, restarts: int, rng: np.random.Generator | None) -> VladFit:
+    """What :func:`fit` and :func:`fit_auto` share: the fit at gamma = 1 with
+    no probability-simplex step. Checks the data, centres them, takes the
+    rank-(K-1) factors, sigma2_hat and the K-means of the left factor, and
+    orders the columns by the vertices at gamma = 1. Its warnings name the
+    line that called the caller of ``_base``."""
     if K < 2:
         raise ValueError("K must be >= 2")
     if data.n <= K:
@@ -143,17 +148,40 @@ def _fit(data: Dataset, K: int, gamma: float, restarts: int, rng: np.random.Gene
     centroids = c0[:, None] + scaled @ km.centroids.T  # (D, K)
     _warn_if_coincident(centroids, stacklevel=4)
 
-    vertices, centroids = _extended(c0, centroids, gamma, onto_simplex)
+    vertices, centroids = _extended(c0, centroids, 1.0, onto_simplex=False)
     return VladFit(
         vertices=vertices,
         cvt_centroids=centroids,
         center=c0,
         factors=factors,
-        gamma=float(gamma),
+        gamma=1.0,
         alpha=None,
         kmeans_cost=km.cost,
         sigma2_hat=sigma2,
     )
+
+
+def _finish(base: VladFit, gamma: float, kernel: Kernel, alpha: float | None = None) -> VladFit:
+    """``base`` extended by gamma, put back on the probability simplex when
+    ``kernel`` is multinomial, with columns in lexicographic vertex order.
+
+    ``extend_rays`` and the simplex step act column by column, the step
+    summing each column in C order, and the final sort fixes the order, so
+    the result does not depend on the order or layout of ``base``'s columns.
+    """
+    vertices, centroids = _extended(base.center, base.cvt_centroids, gamma, kernel.name == "multinomial")
+    return replace(base, vertices=vertices, cvt_centroids=centroids, gamma=float(gamma), alpha=alpha)
+
+
+def _finish_auto(base: VladFit, kernel: Kernel, gamma: Callable,
+                 alpha_search: tuple[float, float]) -> VladFit:
+    """``base`` extended by gamma(K, alpha_hat), with alpha_hat matched to
+    the moments of ``base``'s own factors, centroids and sigma2_hat. The
+    edge warning names the line that called the caller of ``_finish_auto``."""
+    K = base.n_vertices
+    aa, at = alpha_est._reduced_moments(base, kernel)
+    alpha_hat = alpha_est._solve_alpha(K, aa, at, gamma, alpha_search, stacklevel=4)
+    return _finish(base, float(gamma(K, alpha_hat)), kernel, float(alpha_hat))
 
 
 def fit(
@@ -181,16 +209,22 @@ def fit(
     rng : numpy.random.Generator
         Source for the K-means restarts.
 
-    The observations are never copied: ``truncated_svd`` reads them
-    through ``numerics._CentredOperator``, which divides by the trial count
-    and subtracts the column mean inside its products and blocks. Gaussian
-    fits carry sigma2_hat = (||Xbar||_F^2 - sum_j s_j^2) / (n (D - K + 1)),
-    with ||Xbar||_F^2 summed over centred blocks of rows in one O(nD)
-    pass. Vertex columns are ordered lexicographically by coordinates so
-    that repeated runs serialize identically. The count-scale vertices of
-    a multinomial fit are N * extend_rays(center, cvt_centroids, gamma).
+    The fit is a base at gamma = 1, which centres, factors and clusters,
+    then a finish that extends the rays by gamma; :func:`fit_auto` shares
+    the base and differs only in the gamma it finishes with, so the two
+    agree bit for bit when given the same rng and gamma. A sweep that runs
+    ``vlad`` and ``vlad_alpha`` builds the base once per cell (see
+    ``harness``). The observations are never copied: ``truncated_svd``
+    reads them through ``numerics._CentredOperator``, which divides by the
+    trial count and subtracts the column mean inside its products and
+    blocks. Gaussian fits carry sigma2_hat = (||Xbar||_F^2 - sum_j s_j^2) /
+    (n (D - K + 1)), with ||Xbar||_F^2 summed over centred blocks of rows
+    in one O(nD) pass. Vertex columns are ordered lexicographically by
+    coordinates so that repeated runs serialize identically. The
+    count-scale vertices of a multinomial fit are N * extend_rays(center,
+    cvt_centroids, gamma).
     """
-    return _fit(data, K, gamma, restarts, rng, data.kernel.name == "multinomial")
+    return _finish(_base(data, K, restarts, rng), gamma, data.kernel)
 
 
 def fit_auto(
@@ -203,32 +237,23 @@ def fit_auto(
 ) -> VladFit:
     """Estimate vertices and the concentration parameter jointly.
 
-    Runs the estimator once with the reference extension gamma = 1 and no
-    probability-simplex step, recovers alpha by moment matching against the
-    noise-corrected covariance, then re-extends the same centroids with
-    gamma(K, alpha_hat), as :func:`fit` would; clustering is never
-    repeated. The moments come from the fit's own rank-(K-1) factors and
-    sigma2_hat, so no D x D covariance or second copy of the data is formed.
-    ``gamma`` is the exact quadrature unless another function gamma(K, alpha)
-    is passed, such as the Monte-Carlo ``GammaTable`` the tests and the
-    benchmark's paper workloads use, which raises if it was built for another
-    K or does not cover ``alpha_search``.
+    Builds the same base as :func:`fit` (the estimator at gamma = 1 with no
+    probability-simplex step), recovers alpha by moment matching against
+    the noise-corrected covariance, then finishes the base with
+    gamma(K, alpha_hat) exactly as :func:`fit` finishes it with a given
+    gamma; clustering is never repeated, and ``fit(data, K, f.gamma,
+    rng=same)`` returns the vertices of ``f = fit_auto(data, K, rng=same)``
+    bit for bit. A sweep that also runs ``vlad`` shares one base between
+    the two (see ``harness``). The moments come from the base's own
+    rank-(K-1) factors and sigma2_hat, so no D x D covariance or second
+    copy of the data is formed. ``gamma`` is the exact quadrature unless
+    another function gamma(K, alpha) is passed, such as the Monte-Carlo
+    ``GammaTable`` the tests and the benchmark's paper workloads use, which
+    raises if it was built for another K or does not cover
+    ``alpha_search``.
     """
     alpha_est._check_correction(data.kernel, data.dim, K)
-    base = _fit(data, K, 1.0, restarts, rng, onto_simplex=False)
-    aa, at = alpha_est._reduced_moments(base, data.kernel)
-    alpha_hat = alpha_est._solve_alpha(K, aa, at, gamma, alpha_search)
-    gamma_hat = float(gamma(K, alpha_hat))
-
-    vertices, centroids = _extended(base.center, base.cvt_centroids, gamma_hat,
-                                    data.kernel.name == "multinomial")
-    return replace(
-        base,
-        vertices=vertices,
-        cvt_centroids=centroids,
-        gamma=gamma_hat,
-        alpha=float(alpha_hat),
-    )
+    return _finish_auto(_base(data, K, restarts, rng), data.kernel, gamma, alpha_search)
 
 
 def project_rows_onto_simplex(V: np.ndarray) -> np.ndarray:

@@ -1,11 +1,14 @@
 import inspect
 import json
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import simplexnest.model
+import simplexnest.numerics
 import simplexnest.vlad
 from simplexnest import Kernel, SimplexNest, generate, sample_vertices, save_dataset
 from simplexnest import harness
@@ -388,14 +391,15 @@ class TestRunExperiment:
         assert len(list(root.rglob("error.json"))) == 1  # none beside the spa fit
 
     def test_fitting_never_sees_truth(self, tmp_path, monkeypatch):
+        # a sweep fits vlad through the VLAD family's base fit, not through vlad.fit
         seen = []
-        original = simplexnest.vlad.fit
+        original = simplexnest.vlad._base
 
         def spy(data, *args, **kwargs):
             seen.append(data.truth)
             return original(data, *args, **kwargs)
 
-        monkeypatch.setattr("simplexnest.harness.vlad.fit", spy)
+        monkeypatch.setattr("simplexnest.harness.vlad._base", spy)
         run_experiment(_tiny_config(tmp_path / "runs"))
         assert seen and all(t is None for t in seen)
 
@@ -451,7 +455,15 @@ class TestRunExperiment:
         assert varphi(3, alpha_hat, quadrature_gamma(3, alpha_hat)) == pytest.approx(at / aa, rel=1e-10)
 
     def test_search_clamped_to_gamma_range(self, tmp_path, monkeypatch):
-        seen = _spy_search(monkeypatch)
+        # a sweep finishes vlad_alpha from the family's base fit, not through vlad.fit_auto
+        seen = []
+        original = simplexnest.vlad._finish_auto
+
+        def spy(base, kernel, gamma, alpha_search):
+            seen.append(tuple(alpha_search))
+            return original(base, kernel, gamma, alpha_search)
+
+        monkeypatch.setattr("simplexnest.harness.vlad._finish_auto", spy)
         run_experiment(_tiny_config(tmp_path / "a", methods=["vlad_alpha"], seeds=[0]))
         assert seen == [(0.5, 5.0)]  # gamma_grid ends
 
@@ -494,6 +506,82 @@ class TestRunExperiment:
         assert all(r.split(",")[8] == "ok" for r in rows)
         with pytest.raises(ConfigError, match="symmetric"):
             _tiny_config(tmp_path / "bad", alpha=[[0.5, 1.0, 2.0]], methods=["gdm"]).resolved()
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Count the calls of ``numerics.<name>`` from every simplexnest module that holds it."""
+    calls = []
+    original = getattr(simplexnest.numerics, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is not None and mod_name.split(".")[0] == "simplexnest":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def _method_lines(root, method: str) -> list[str]:
+    lines = (root / "results.csv").read_text().splitlines()
+    return [line for line in lines[1:] if line.split(",")[7] == method]
+
+
+class TestVladFamily:
+    """vlad and vlad_alpha share one base fit per cell and differ only in gamma."""
+
+    def test_one_base_per_cell(self, tmp_path, monkeypatch):
+        svd = _count_calls(monkeypatch, "truncated_svd")
+        km = _count_calls(monkeypatch, "kmeans")
+        family = run_experiment(_tiny_config(tmp_path / "family", methods=["vlad", "vlad_alpha", "gdm", "spa"]))
+        assert len(svd) == 2  # one per cell, 2 seeds
+        assert len(km) == 4   # per cell the family's and gdm's
+        assert all(r["status"] == "ok" for r in _rows(family))
+        alone = run_experiment(_tiny_config(tmp_path / "alone", methods=["vlad"]))
+        assert _method_lines(family, "vlad") == _method_lines(alone, "vlad")
+        for seed in (0, 1):
+            fitted = [(root / f"s{seed}" / "n200_c1_a2" / "vlad" / "vertices.csv").read_bytes()
+                      for root in (family, alone)]
+            assert fitted[0] == fitted[1]
+
+    def test_vlad_alpha_alone_is_fit_auto_on_its_own_stream(self, tmp_path):
+        cfg = _tiny_config(tmp_path / "runs", methods=["vlad_alpha"], seeds=[0, 1])
+        root = run_experiment(cfg)
+        resolved = cfg.resolved()
+        for cell in harness._cells(resolved):
+            _, data = harness._cell_data(resolved, cell)
+            expected = fit_auto(data.without_truth(), 3, alpha_search=(0.5, 5.0), restarts=resolved.restarts,
+                                rng=harness._rng(*cell[:4], 0, harness._SALT_FIT))
+            saved = load_fit(root / f"s{cell.seed}" / harness._cell_dirname(cell) / "vlad_alpha")
+            np.testing.assert_array_equal(saved.vertices, expected.vertices)
+            assert (saved.alpha, saved.gamma) == (expected.alpha, expected.gamma)
+
+    def test_a_failing_base_fails_each_member(self, tmp_path):
+        # n = K observations: the base raises once, and both rows record it
+        root = run_experiment(_tiny_config(tmp_path / "runs", n=[3], seeds=[0],
+                                           methods=["vlad", "vlad_alpha", "spa"]))
+        assert [r["status"] for r in _rows(root)] == ["error(ValueError)"] * 2 + ["ok"]
+        errors = [json.loads((root / "s0" / "n3_c1_a2" / method / "error.json").read_text())
+                  for method in ("vlad", "vlad_alpha")]
+        assert errors[0] == errors[1]  # raising it again adds no frames to the traceback
+        assert errors[0]["type"] == "ValueError" and "need n > K" in errors[0]["message"]
+        assert errors[0]["traceback"].count("in _run_cell") == 1 and "in _base" in errors[0]["traceback"]
+
+    def test_each_member_times_the_shared_base(self, tmp_path, monkeypatch):
+        original = simplexnest.vlad._base
+
+        def slow_base(*args, **kwargs):
+            time.sleep(0.2)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr("simplexnest.harness.vlad._base", slow_base)
+        root = run_experiment(_tiny_config(tmp_path / "runs", seeds=[0], methods=["vlad_alpha", "spa", "vlad"]))
+        lines = (root / "timings.csv").read_text().splitlines()
+        seconds = {line.split(",")[5]: float(line.split(",")[6]) for line in lines[1:]}
+        assert seconds["vlad"] >= 0.2 and seconds["vlad_alpha"] >= 0.2 and seconds["spa"] < 0.2
 
 
 def test_no_gamma_table_on_the_default_paths(dataset_dir, tmp_path, monkeypatch):

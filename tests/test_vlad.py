@@ -393,6 +393,37 @@ class TestFitAuto:
         direct = fit(data, 4, gamma=fa.gamma, rng=np.random.default_rng(33))
         np.testing.assert_array_equal(fa.vertices, direct.vertices)
 
+    @pytest.mark.parametrize("kern", [Kernel.gaussian(0.5), Kernel.poisson(), Kernel.multinomial(200)],
+                             ids=lambda k: k.name)
+    def test_fit_is_the_base_finished_at_gamma(self, kern):
+        # fit and fit_auto build one base and finish it at their own gamma, so fit at
+        # fit_auto's gamma is fit_auto, bit for bit, the simplex step of counts included
+        V = sample_vertices(30, 4, kern, np.random.default_rng(40))
+        data = generate(SimplexNest(V, 0.3, kern), 2000, np.random.default_rng(41)).without_truth()
+        for s in (42, 43):
+            f = fit_auto(data, 4, rng=np.random.default_rng(s))
+            direct = fit(data, 4, gamma=f.gamma, rng=np.random.default_rng(s))
+            for name in ("vertices", "cvt_centroids", "kmeans_cost"):
+                np.testing.assert_array_equal(getattr(direct, name), getattr(f, name))
+            if kern.name == "multinomial":
+                assert extend_rays(f.center, f.cvt_centroids, f.gamma).min() < 0  # the step clipped
+
+    @pytest.mark.parametrize("estimator", ["fit", "fit_auto"])
+    def test_base_warnings_name_the_callers_line(self, estimator):
+        # rank 1 data fitted with K = 3: the rank and the coincident-vertex warnings come
+        # from the shared base, two frames below fit and fit_auto
+        X = np.vstack([np.tile([0.0, 0.0, 0.0], (30, 1)), np.tile([1.0, 1.0, 0.0], (30, 1))])
+        data = Dataset(X, Kernel.noiseless())
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            if estimator == "fit":
+                fit(data, 3, gamma=1.0, rng=np.random.default_rng(28))
+            else:
+                fit_auto(data, 3, rng=np.random.default_rng(28))
+        messages = [str(w.message) for w in rec]
+        assert any("coincide" in m for m in messages) and any("rank 1 < K - 1" in m for m in messages)
+        assert [w.filename for w in rec] == [__file__] * len(rec)
+
     def test_alpha_estimate_independent_of_reference_gamma(self, table_k4):
         from simplexnest.alpha_est import corrected_covariance, estimate_alpha
 
