@@ -10,14 +10,16 @@ kept out of results.csv for the same reason; they live in each fit's
 eval.json and in timings.csv. A config field of the wrong type or value is a
 ConfigError from ``resolved()``.
 
-``vlad`` and ``vlad_alpha`` differ only in the gamma their rays are
-extended by, so a cell builds their shared base fit (centre, factors,
-K-means) once, on the K-means stream of the first of them in
-``cfg.methods``, and finishes each from it. A sweep of either alone, and
-every other method, draw from their own streams as before; a
-``vlad_alpha`` run after ``vlad`` clusters on ``vlad``'s restarts. Each
-member's wall time is the base's plus its own finish, what its fit costs
-alone, and a base that raises fails both rows.
+``run_method`` is the one dispatcher from a method name to an estimator,
+for the sweep and for ``cmd_fit``. ``vlad`` and ``vlad_alpha`` differ only
+in the gamma their rays are extended by, so a cell builds their shared
+base fit (centre, factors, K-means) once, on the K-means stream of the
+first of them in ``cfg.methods``, and ``run_method`` finishes each from
+it. A sweep of either alone, and every other method, draw from their own
+streams as before; a ``vlad_alpha`` run after ``vlad`` clusters on
+``vlad``'s restarts. Each member's wall time is the base's plus its own
+finish, what its fit costs alone. A base that raises is not kept: the next
+member builds it again on its own stream, so both rows fail alike.
 
 The alpha-aware methods take gamma(K, alpha) from the exact
 ``quadrature_gamma``, or ``cmd_fit``'s fixed ``gamma``. A sweep searches
@@ -290,26 +292,31 @@ def run_method(
     alpha,
     rng: np.random.Generator,
     gamma: float | None = None,
+    base: vlad.VladFit | None = None,
 ):
-    """Dispatch one estimator on truth-stripped data.
+    """Dispatch one estimator on truth-stripped data: the one place, for the
+    sweep and for ``cmd_fit`` alike, where a method name becomes a call.
 
     Returns (vertices-bearing fit object, info dict). ``alpha`` is the
     generating concentration, used only as the known hyperparameter of the
     alpha-aware methods, which take gamma(K, alpha) from ``quadrature_gamma``
-    unless a fixed ``gamma`` is given.
+    unless a fixed ``gamma`` is given. ``vlad`` and ``vlad_alpha`` finish
+    ``base``, the ``vlad._base`` fit they share, which is built on ``rng``
+    when not given; the fit is then ``vlad.fit`` or ``vlad.fit_auto`` on
+    that rng.
     """
     blind = data.without_truth()
+    if method in VLAD_FAMILY and base is None:
+        base = vlad._base(blind, cfg.K, cfg.restarts, rng)
     if method in KNOWN_ALPHA_METHODS:
         gamma = float(quadrature_gamma(cfg.K, alpha)) if gamma is None else gamma
         if method == "vlad":
-            fit = vlad.fit(blind, cfg.K, gamma=gamma, restarts=cfg.restarts, rng=rng)
-            return fit, {"gamma": gamma, "alpha_hat": None}
+            return vlad._finish(base, gamma, blind.kernel), {"gamma": gamma, "alpha_hat": None}
         fit = baselines.gdm(blind, cfg.K, gamma=gamma, restarts=cfg.restarts, rng=rng,
                             method_tag=method)
         return fit, {"gamma": gamma, "alpha_hat": None}
     if method == "vlad_alpha":
-        fit = vlad.fit_auto(blind, cfg.K, alpha_search=tuple(cfg.alpha_search),
-                            restarts=cfg.restarts, rng=rng)
+        fit = vlad._finish_auto(base, blind.kernel, quadrature_gamma, tuple(cfg.alpha_search))
         return fit, {"gamma": fit.gamma, "alpha_hat": fit.alpha}
     if method == "spa":
         fit = baselines.spa(blind, cfg.K)
@@ -404,41 +411,20 @@ def _write_rows_csv(path: Path, columns: tuple[str, ...], rows: list[dict]) -> N
     path.write_text("\n".join(lines) + "\n")
 
 
-def _family_base(blind: Dataset, cfg: ExperimentConfig, rng: np.random.Generator):
-    """(the VLAD family's base fit, or the exception building it raised, that
-    exception's traceback, the seconds it took)."""
-    started = time.perf_counter()
-    try:
-        return vlad._base(blind, cfg.K, cfg.restarts, rng), None, time.perf_counter() - started
-    except Exception as exc:  # raised again for each family member
-        return exc, exc.__traceback__, time.perf_counter() - started
-
-
-def _finish_family(method: str, family: tuple, blind: Dataset, cfg: ExperimentConfig, alpha):
-    """``run_method`` for a VLAD family member, finished from the cell's base fit."""
-    base, tb, _ = family
-    if isinstance(base, Exception):
-        raise base.with_traceback(tb)  # each member's traceback is its own frames and the base's
-    if method == "vlad":
-        gamma = float(quadrature_gamma(cfg.K, alpha))
-        fit = vlad._finish(base, gamma, blind.kernel)
-        return fit, {"gamma": gamma, "alpha_hat": None}
-    fit = vlad._finish_auto(base, blind.kernel, quadrature_gamma, tuple(cfg.alpha_search))
-    return fit, {"gamma": fit.gamma, "alpha_hat": fit.alpha}
-
-
 def _run_cell(cfg, run_root, cell: _Cell) -> list[dict]:
     """Generate one dataset cell, run every method, return result rows.
 
     The VLAD family's base fit is built at its first member, on that
-    member's stream, and finished for each member."""
+    member's stream, and ``run_method`` finishes each member from it. A
+    base that raises is not kept: the next member builds it again on its
+    own stream and fails the same way."""
     model, data = _cell_data(cfg, cell)
     blind = data.without_truth()  # validated once per cell; run_method leaves it as it is
     heldout = None
     if cfg.n_heldout > 0:
         heldout = generate(model, cfg.n_heldout, _rng(*cell[:4], _SALT_HELDOUT))
 
-    family = None  # _family_base of the first VLAD family member
+    family = None  # (the VLAD family's base fit, the seconds it took), once built
     rows = []
     for j, method in enumerate(cfg.methods):
         base = {
@@ -449,14 +435,12 @@ def _run_cell(cfg, run_root, cell: _Cell) -> list[dict]:
         cell_dir = run_root / f"s{cell.seed}" / _cell_dirname(cell) / _method_dirname(method)
         try:
             rng = _rng(*cell[:4], j, _SALT_FIT)
-            if method in VLAD_FAMILY:
-                if family is None:
-                    family = _family_base(blind, cfg, rng)
-                started = time.perf_counter() - family[2]  # each member's time includes the base
-                fit, info = _finish_family(method, family, blind, cfg, cell.alpha)
-            else:
-                started = time.perf_counter()
-                fit, info = run_method(method, blind, cfg, cell.alpha, rng)
+            started = time.perf_counter()
+            if method in VLAD_FAMILY and family is None:
+                family = vlad._base(blind, cfg.K, cfg.restarts, rng), time.perf_counter() - started
+            fit_base, base_s = family if method in VLAD_FAMILY else (None, 0.0)
+            started = time.perf_counter() - base_s  # each member's time includes the base
+            fit, info = run_method(method, blind, cfg, cell.alpha, rng, base=fit_base)
             elapsed = time.perf_counter() - started
             _save(fit, cell_dir, cell.seed)
             report = evaluate_fit(
@@ -477,10 +461,12 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     """Sweep the config grid; write results.csv and per-figure CSVs.
 
     Returns the run root directory. Cells execute in a thread pool of
-    ``cfg.workers``; output is identical for any worker count. Within a
-    cell, ``vlad`` and ``vlad_alpha`` share one base fit on the stream of
-    the first of them in ``cfg.methods``, and the wall time of each in
-    timings.csv and its eval.json includes that base.
+    ``cfg.workers``; output is identical for any worker count. Every
+    method runs through ``run_method``. Within a cell, ``vlad`` and
+    ``vlad_alpha`` share one base fit on the stream of the first of them in
+    ``cfg.methods``, and the wall time of each in timings.csv and its
+    eval.json includes that base; a base that raises is built again, and
+    fails again, at the next member.
     """
     cfg = cfg.resolved()
     run_root = Path(cfg.out) / cfg.config_hash()
@@ -591,7 +577,9 @@ def cmd_fit(
     estimates gamma and alpha, only it searches alpha, and ``spa`` and
     ``external:`` use neither gamma nor the K-means ``restarts`` and
     ``seed``. Left at None, ``alpha_search`` and ``restarts`` take the
-    ExperimentConfig defaults and ``seed`` is 0.
+    ExperimentConfig defaults and ``seed`` is 0; a negative ``seed`` is a
+    ConfigError, as a negative sweep seed is. The fit goes through
+    ``run_method``, as a sweep's does.
     """
     data = _read_dataset(data_dir)
     if K is None:
@@ -604,7 +592,7 @@ def cmd_fit(
         kernel=data.kernel.name,
         sigma=data.kernel.sigma or 1.0,
         trials=data.kernel.trials or 500,
-        D=data.dim, K=K, methods=[method],
+        D=data.dim, K=K, methods=[method], seeds=[0 if seed is None else seed],
         restarts=defaults.restarts if restarts is None else restarts, alpha_search=search,
     ).resolved()
     for name, value in (("alpha", alpha), ("gamma", gamma)):
@@ -622,7 +610,7 @@ def cmd_fit(
         raise ConfigError(f"method {method!r} searches no alpha; drop --alpha-search")
     if (restarts, seed) != (None, None) and method not in (*KNOWN_ALPHA_METHODS, "vlad_alpha"):
         raise ConfigError(f"method {method!r} runs no K-means; drop --restarts and --seed")
-    seed = 0 if seed is None else seed
+    seed = cfg.seeds[0]
     started = time.perf_counter()
     fit, info = run_method(method, data, cfg, alpha, _rng(seed, _SALT_FIT), gamma)
     elapsed = time.perf_counter() - started

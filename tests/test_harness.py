@@ -26,7 +26,7 @@ from simplexnest.harness import (
     cmd_generate,
     run_experiment,
 )
-from simplexnest.vlad import fit_auto, load_fit
+from simplexnest.vlad import fit_auto, load_fit, save_fit
 
 
 _EXPERIMENT = ["experiment", "--kernel", "noiseless", "--D", "10", "--K", "3", "--n", "100", "--seeds", "0",
@@ -50,14 +50,15 @@ def _rows(root):
 
 
 def _spy_search(monkeypatch):
-    """Record the alpha_search of every fit_auto call made by the harness."""
+    """Record the alpha_search of every vlad_alpha finish the harness makes."""
     seen = []
+    original = simplexnest.vlad._finish_auto
 
-    def spy(*args, **kwargs):
-        seen.append(tuple(kwargs["alpha_search"]))
-        return fit_auto(*args, **kwargs)
+    def spy(base, kernel, gamma, alpha_search):
+        seen.append(tuple(alpha_search))
+        return original(base, kernel, gamma, alpha_search)
 
-    monkeypatch.setattr("simplexnest.harness.vlad.fit_auto", spy)
+    monkeypatch.setattr("simplexnest.harness.vlad._finish_auto", spy)
     return seen
 
 
@@ -173,6 +174,13 @@ def multinomial_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def gaussian_dir(tmp_path_factory):
+    kern = Kernel.gaussian(0.1)
+    model = SimplexNest(sample_vertices(10, 3, kern, np.random.default_rng(0)), 2.0, kern)
+    return save_dataset(generate(model, 400, np.random.default_rng(1)), tmp_path_factory.mktemp("data") / "gauss")
+
+
+@pytest.fixture(scope="module")
 def narrow_gaussian_dir(tmp_path_factory):
     # D = K - 1: the vertices fit, but no trailing eigenvalue is left for the noise variance
     kern = Kernel.gaussian(1.0)
@@ -208,6 +216,28 @@ class TestCmdFit:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["gamma"] == 3.0 and meta["method"] == "vlad"
         assert (out / "vertices.csv").exists()
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "multinomial"])
+    def test_writes_the_public_fits(self, gaussian_dir, multinomial_dir, tmp_path, kernel):
+        # cmd_fit finishes vlad and vlad_alpha through run_method: its fits are vlad.fit and vlad.fit_auto
+        data_dir = gaussian_dir if kernel == "gaussian" else multinomial_dir
+        data = harness.load_dataset(data_dir)
+        for seed in (0, 7):
+            def rng():
+                return harness._rng(seed, harness._SALT_FIT)
+
+            cases = {
+                "alpha": ({"method": "vlad", "alpha": 2.0},
+                          simplexnest.vlad.fit(data, 3, float(quadrature_gamma(3, 2.0)), rng=rng())),
+                "gamma": ({"method": "vlad", "gamma": 3.0}, simplexnest.vlad.fit(data, 3, 3.0, rng=rng())),
+                "search": ({"method": "vlad_alpha", "alpha_search": (0.1, 5.0)},
+                           fit_auto(data, 3, alpha_search=(0.1, 5.0), rng=rng())),
+            }
+            for name, (flags, expected) in cases.items():
+                out = cmd_fit(data_dir, out_dir=tmp_path / f"{name}{seed}", seed=seed, **flags)
+                public = save_fit(expected, tmp_path / f"public_{name}{seed}", seed=seed)
+                for file in ("vertices.csv", "centroids.csv"):
+                    assert (out / file).read_bytes() == (public / file).read_bytes(), (name, seed, file)
 
     def test_gdm_and_spa(self, dataset_dir, tmp_path):
         data_dir, _ = dataset_dir
@@ -760,6 +790,7 @@ class TestCli:
         ["fit", "--method", "vlad_alpha", "--alpha", "2"],
         ["fit", "--method", "vlad", "--gamma", "-1"],
         ["fit", "--method", "vlad", "--alpha", "2", "--restarts", "0"],
+        ["fit", "--method", "vlad", "--alpha", "2", "--seed", "-1"],
         # a point count that is not a whole number, or past GRID_MAX_POINTS
         ["alpha-curve", "--K", "3", "--grid", "0.1", "5", "2.9"],
         ["alpha-curve", "--K", "3", "--grid", "0.1", "5", "1e9"],
